@@ -1,15 +1,12 @@
-//! Greedy Max-Coverage ablation: the CSR-transposed coverage view
-//! (`CoverageView` + `GreedyScratch`) vs the pre-refactor lazy heap that
-//! walked the pool's two-tier inverted index and `u64` arena offsets per
-//! newly covered set.
+//! Greedy Max-Coverage on the CSR-transposed coverage view
+//! (`CoverageView` + `GreedyScratch`).
 //!
 //! Measures, on a 100k-node Barabási–Albert pool, (a) end-to-end
 //! selection (`max_coverage_with`, which builds the view and selects)
-//! against the pre-refactor implementation, over the full pool and over a
-//! D-SSA-style half range; (b) the view **build** cost alone (offset
-//! rebase only — member data is borrowed zero-copy); and (c)
-//! repeated selection on one prebuilt view — the regime where the
-//! coverage subsystem amortizes its snapshot.
+//! over the full pool and over a D-SSA-style half range; (b) the view
+//! **build** cost alone (offset rebase only — member data is borrowed
+//! zero-copy); and (c) repeated selection on one prebuilt view — the
+//! regime where the coverage subsystem amortizes its snapshot.
 //!
 //! Besides the human-readable criterion output, results are written as
 //! machine-readable JSON to `BENCH_greedy.json` in the workspace root
@@ -21,7 +18,7 @@ use std::time::Duration;
 use criterion::{BenchmarkId, Criterion};
 
 use sns_rrset::{
-    max_coverage_pre_refactor, max_coverage_with, CoverageView, GreedyScratch, RrCollection,
+    max_coverage_with, Count, CoverageView, GainInit, GreedyScratch, RrCollection, SeedConstraints,
 };
 
 #[path = "support/mod.rs"]
@@ -36,18 +33,9 @@ fn bench_selection(c: &mut Criterion, pool: &RrCollection) {
     group.warm_up_time(Duration::from_secs(1));
     group.sample_size(10);
     for (label, range) in [("full", 0..total), ("half", 0..total / 2)] {
-        // Seed sets must agree — the refactor's contract is bit-identity.
-        assert_eq!(
-            max_coverage_with(pool, K, range.clone(), &mut GreedyScratch::new()),
-            max_coverage_pre_refactor(pool, K, range.clone()),
-            "view and pre-refactor greedy disagree on {label}"
-        );
         let mut scratch = GreedyScratch::new();
         group.bench_with_input(BenchmarkId::new("view", label), pool, |b, pool| {
             b.iter(|| max_coverage_with(pool, K, range.clone(), &mut scratch).covered)
-        });
-        group.bench_with_input(BenchmarkId::new("pre-refactor", label), pool, |b, pool| {
-            b.iter(|| max_coverage_pre_refactor(pool, K, range.clone()).covered)
         });
         group.bench_with_input(BenchmarkId::new("view-build-only", label), pool, |b, pool| {
             b.iter(|| CoverageView::build(pool, range.clone()).len())
@@ -57,7 +45,8 @@ fn bench_selection(c: &mut Criterion, pool: &RrCollection) {
     let view = CoverageView::build(pool, 0..total);
     let mut scratch = GreedyScratch::new();
     group.bench_with_input(BenchmarkId::new("select-on-prebuilt-view", "full"), &view, |b, v| {
-        b.iter(|| v.select(K, &mut scratch).covered)
+        let none = SeedConstraints::none();
+        b.iter(|| v.select(Count { k: K }, GainInit::Histogram, &none, &mut scratch).covered)
     });
     group.finish();
 

@@ -6,9 +6,9 @@
 //! [`GainSnapshot`], memcpy'd gains) vs `max_coverage_with` (per-call
 //! histogram + heap-seed rebuild) — full pool and a D-SSA-style half
 //! range; (b) the one-off snapshot build cost the fast path amortizes;
-//! (c) a heterogeneous 16-query batch at 1 and 4 worker threads — raw
-//! `answer_batch` fan-out vs the batch planner (`answer_planned`, which
-//! groups the 16 queries into 2 shared snapshot resolutions); and
+//! (c) a heterogeneous 16-query batch at 1 and 4 worker threads through
+//! the batch planner (`answer_planned`, which groups the 16 queries into
+//! 2 shared snapshot resolutions); and
 //! (d) a weighted (TVM root weights) query through the topic-keyed
 //! frozen-gain cache vs the per-call weighted init pass.
 //!
@@ -37,7 +37,7 @@ use criterion::{BenchmarkId, Criterion};
 
 use std::sync::Arc;
 
-use sns_core::{NodeCosts, SamplingContext, SeedQuery, SeedQueryEngine};
+use sns_core::{NodeCosts, SamplingContext, SeedAnswer, SeedQuery, SeedQueryEngine};
 use sns_diffusion::Model;
 use sns_rrset::{max_coverage_with, CoverageView, GainSnapshot, GreedyScratch};
 
@@ -86,25 +86,22 @@ fn bench_queries(c: &mut Criterion, engine: &SeedQueryEngine, threaded: &SeedQue
             }
         })
         .collect();
-    assert_eq!(
-        engine.answer_batch(&batch).expect("valid batch"),
-        threaded.answer_batch(&batch).expect("valid batch"),
-        "batch answers must not depend on worker threads"
-    );
-    group.bench_with_input(BenchmarkId::new("batch-16", "1-thread"), &batch, |b, batch| {
-        b.iter(|| engine.answer_batch(batch).expect("valid batch").len())
-    });
-    group.bench_with_input(BenchmarkId::new("batch-16", "4-threads"), &batch, |b, batch| {
-        b.iter(|| threaded.answer_batch(batch).expect("valid batch").len())
-    });
-
-    // The same heterogeneous batch through the planner: 16 queries over
-    // 2 distinct ranges collapse to 2 snapshot resolutions instead of
-    // up to 16. Bit-identity to the unplanned path is the contract.
+    // Through the planner, 16 queries over 2 distinct ranges collapse
+    // to 2 snapshot resolutions instead of up to 16. Bit-identity to the
+    // per-query path and thread invariance are the contract.
+    let each = |batch: &[SeedQuery]| -> Vec<SeedAnswer> {
+        batch.iter().map(|q| engine.answer(q).expect("valid query")).collect()
+    };
+    let plain_answers = each(&batch);
     assert_eq!(
         engine.answer_planned(&batch).expect("valid batch"),
-        engine.answer_batch(&batch).expect("valid batch"),
-        "planned answers must be bit-identical to answer_batch"
+        plain_answers,
+        "planned answers must be bit-identical to per-query answers"
+    );
+    assert_eq!(
+        threaded.answer_planned(&batch).expect("valid batch"),
+        plain_answers,
+        "batch answers must not depend on worker threads"
     );
     group.bench_with_input(BenchmarkId::new("planned-16", "1-thread"), &batch, |b, batch| {
         b.iter(|| engine.answer_planned(batch).expect("valid batch").len())
@@ -132,8 +129,7 @@ fn bench_queries(c: &mut Criterion, engine: &SeedQueryEngine, threaded: &SeedQue
     // Bit-identity contract: the even slots are the uniform-cost
     // degeneration — byte-for-byte equal to their top-k twins in
     // `batch` — and planned/unplanned/threaded all agree.
-    let budgeted_answers = engine.answer_batch(&budgeted_batch).expect("valid budgeted batch");
-    let plain_answers = engine.answer_batch(&batch).expect("valid batch");
+    let budgeted_answers = each(&budgeted_batch);
     for k in (2..=16usize).step_by(2) {
         assert_eq!(
             budgeted_answers[k - 1],
@@ -146,10 +142,10 @@ fn bench_queries(c: &mut Criterion, engine: &SeedQueryEngine, threaded: &SeedQue
     assert_eq!(
         engine.answer_planned(&budgeted_batch).expect("valid budgeted batch"),
         budgeted_answers,
-        "planned budgeted answers must be bit-identical to answer_batch"
+        "planned budgeted answers must be bit-identical to per-query answers"
     );
     assert_eq!(
-        threaded.answer_batch(&budgeted_batch).expect("valid budgeted batch"),
+        threaded.answer_planned(&budgeted_batch).expect("valid budgeted batch"),
         budgeted_answers,
         "budgeted answers must not depend on worker threads"
     );

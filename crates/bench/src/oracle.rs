@@ -17,7 +17,8 @@
 
 use sns_diffusion::RrMeta;
 use sns_rrset::{
-    BudgetedCoverageResult, CoverageView, GreedyScratch, NodeCosts, RrCollection, SeedConstraints,
+    BudgetedCoverageResult, CoverageView, GainInit, GreedyScratch, NodeCosts, Ratio, RrCollection,
+    SeedConstraints,
 };
 
 /// Per-node set-coverage bitmasks: `masks[v]` has bit `s` set iff node
@@ -180,9 +181,10 @@ pub fn greedy_on(fixture: &OracleFixture) -> BudgetedCoverageResult {
         rc.push(s, RrMeta { root: s.first().copied().unwrap_or(0), edges_examined: 0 });
     }
     let view = CoverageView::build(&rc, 0..sns_rrset::narrow::set_count(fixture.sets.len()));
-    view.select_budgeted(
-        fixture.budget,
-        &NodeCosts::per_node(fixture.costs.clone().into()),
+    let costs = NodeCosts::per_node(fixture.costs.clone().into());
+    view.select(
+        Ratio { budget: fixture.budget, costs: &costs },
+        GainInit::Histogram,
         &SeedConstraints::none(),
         &mut GreedyScratch::new(),
     )

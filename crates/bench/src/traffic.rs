@@ -84,8 +84,8 @@ pub struct TrafficConfig {
     pub pool_sets: u64,
     /// Engine worker threads (answers and counters are invariant to it).
     pub threads: usize,
-    /// Cross-check every planned batch against
-    /// [`SeedQueryEngine::answer_batch`] (slow; for tests).
+    /// Cross-check every planned batch against per-query
+    /// [`SeedQueryEngine::answer`] calls (slow; for tests).
     pub verify: bool,
 }
 
@@ -329,8 +329,12 @@ pub fn simulate(cfg: &TrafficConfig) -> TrafficReport {
         let per_query = (elapsed / batch.len() as u128) as u64;
         service_ns.extend(std::iter::repeat_n(per_query, batch.len()));
         if cfg.verify {
-            let unplanned = engine.answer_batch(&batch).expect("admitted queries are valid");
-            assert_eq!(answers, unplanned, "planned and unplanned answers diverged");
+            // One query at a time — not a planned batch, so the planner
+            // counters stay those of the traffic itself.
+            for (q, planned) in batch.iter().zip(&answers) {
+                let unplanned = engine.answer(q).expect("admitted queries are valid");
+                assert_eq!(planned, &unplanned, "planned and unplanned answers diverged");
+            }
         }
         now = cursor;
     }

@@ -104,7 +104,7 @@ fn planned_budgeted_answers_match_unplanned_under_traffic() {
 #[test]
 fn planned_answers_match_unplanned_under_traffic() {
     // verify: true cross-checks every planned batch against
-    // answer_batch inside simulate(); a divergence panics there.
+    // per-query answers inside simulate(); a divergence panics there.
     let cfg = TrafficConfig { steps: 12, verify: true, ..TrafficConfig::ci() };
     let report = simulate(&cfg);
     assert!(report.served > 0);

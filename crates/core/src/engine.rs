@@ -9,10 +9,17 @@
 //! *this* target group" (per-query weighted universes via TVM root
 //! weights). [`SeedQueryEngine`] seals a pool, freezes initial-gain
 //! state in [`sns_rrset::GainSnapshot`]s, and answers [`SeedQuery`]
-//! batches thread-parallel with per-worker [`GreedyScratch`]es. Results
-//! are **bit-identical** to calling [`sns_rrset::max_coverage_range`]
-//! (or the constrained/weighted selection) directly, and batch answers
-//! are independent of thread count and batch composition.
+//! batches through the batch planner, thread-parallel across plan
+//! groups with per-worker [`GreedyScratch`]es.
+//!
+//! Every answer takes one path: the query resolves the frozen state it
+//! selects from (one cache lookup — shared by a whole plan group), the
+//! selection kernel [`CoverageView::select`] runs the query's objective
+//! ([`Count`], [`Weighted`] or, for budgeted queries, [`Ratio`]) from
+//! it, and one tail builds the [`SeedAnswer`]. Results are
+//! **bit-identical** to calling [`sns_rrset::max_coverage_range`] (or
+//! the kernel) directly, and batch answers are independent of thread
+//! count and batch composition.
 //!
 //! # Epoch-incremental snapshots and the cache policy
 //!
@@ -66,13 +73,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 use sns_diffusion::RootDist;
 use sns_graph::NodeId;
 use sns_rrset::{
-    CoverageView, EpochDirectory, GainSnapshot, GreedyScratch, NodeCosts, PoolStore, Recovery,
-    RrCollection, SaveStats, SeedConstraints, StoreFingerprint, WeightedGainSnapshot,
+    Count, CoverageView, EpochDirectory, GainInit, GainSnapshot, GreedyScratch, NodeCosts,
+    PoolStore, Ratio, Recovery, RrCollection, SaveStats, SeedConstraints, StoreFingerprint,
+    Weighted, WeightedCoverageResult, WeightedGainSnapshot,
 };
 
 use crate::cache::{CacheKey, CachedSnapshot, SnapshotCache};
 use crate::grower::{Grower, GrowerState, GrowthOutcome};
-use crate::planner::{BatchPlan, GroupKey, PlanGroup};
+use crate::planner::BatchPlan;
 use crate::{CoreError, RunResult, SamplingContext};
 
 /// One seed-selection question against a frozen pool. Construct with
@@ -268,13 +276,41 @@ fn collect_answers(slots: Vec<OnceLock<SeedAnswer>>) -> Result<Vec<SeedAnswer>, 
     Ok(answers)
 }
 
+/// The frozen selection state a pre-validated query resolves to: one
+/// cache lookup, shared by every member of a plan group it
+/// [serves](Resolved::serves).
+enum Resolved {
+    /// Top-k and budgeted queries: the range's plain snapshot.
+    Plain(Arc<GainSnapshot>),
+    /// Topic-weighted queries: the `(range, topic)` weighted snapshot and
+    /// the weights it was built with.
+    Topic(Arc<WeightedGainSnapshot>, Arc<[f64]>),
+    /// One-off weight vectors: nothing cached, a fresh weighted gain pass
+    /// per query.
+    Fresh(Arc<[f64]>),
+}
+
+impl Resolved {
+    /// Whether `query` (over the same range) may be answered from this
+    /// state: any unweighted query from a plain snapshot, a weighted one
+    /// only from state built with its very weight vector (`Arc`
+    /// identity).
+    fn serves(&self, query: &SeedQuery) -> bool {
+        match (self, &query.root_weights) {
+            (Resolved::Plain(_), None) => true,
+            (Resolved::Topic(_, w) | Resolved::Fresh(w), Some(q)) => Arc::ptr_eq(w, q),
+            _ => false,
+        }
+    }
+}
+
 thread_local! {
     /// Selection scratch reused by [`SeedQueryEngine::answer`] — its
     /// stamp/gain tables stay at high-water size instead of costing an
     /// `O(n + range)` allocation-plus-zeroing per single query, which
     /// would rival the very histogram work the snapshot path saves.
     /// Thread-local rather than engine-owned so the single-query path
-    /// acquires no mutex. (`answer_batch` workers carry their own,
+    /// acquires no mutex. (`answer_planned` workers carry their own,
     /// uncontended.)
     static ANSWER_SCRATCH: RefCell<GreedyScratch> = RefCell::new(GreedyScratch::new());
 }
@@ -461,8 +497,8 @@ impl SeedQueryEngine {
         Ok(engine)
     }
 
-    /// Sets the worker-thread budget for [`SeedQueryEngine::answer_batch`]
-    /// (answers never depend on it).
+    /// Sets the worker-thread budget for
+    /// [`SeedQueryEngine::answer_planned`] (answers never depend on it).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -556,78 +592,28 @@ impl SeedQueryEngine {
         })
     }
 
-    /// Answers a batch of heterogeneous queries, thread-parallel across
-    /// queries with per-worker scratches. `answers[i]` corresponds to
-    /// `queries[i]` and is bit-identical to answering sequentially (each
-    /// answer depends only on the frozen pool and its query). The whole
-    /// batch is validated before any work starts.
-    pub fn answer_batch(&self, queries: &[SeedQuery]) -> Result<Vec<SeedAnswer>, CoreError> {
-        // An empty batch has nothing to validate, plan, or snapshot:
-        // return without touching the cache or spawning workers.
+    /// Answers a batch through the batch planner: queries are grouped by
+    /// the snapshot they need ([`crate::planner::BatchPlan`] — the pool
+    /// range for plain queries, `(range, topic)` for topic-weighted
+    /// ones) and each group resolves its snapshot **exactly once**,
+    /// shared by every member. Answers are bit-identical to answering
+    /// each query with [`SeedQueryEngine::answer`] (property-tested):
+    /// planning changes who pays for a snapshot resolution, never the
+    /// answer. The whole batch is validated before any work starts.
+    /// Workers parallelize across *groups*, so the win condition is
+    /// skewed traffic — many queries over few distinct (range, topic)
+    /// keys — exactly what production batches look like. The plan's group and sharing counts are
+    /// recorded in [`QueryStats`].
+    pub fn answer_planned(&self, queries: &[SeedQuery]) -> Result<Vec<SeedAnswer>, CoreError> {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
         // One pin for the whole batch: every member is validated and
         // answered against the same pool generation, so a batch racing
         // concurrent growth is equivalent to running entirely before or
-        // entirely after the publish.
-        let (_, pool) = self.directory.pin();
-        for (i, q) in queries.iter().enumerate() {
-            self.validate(q, &pool)
-                .map_err(|e| CoreError::InvalidParams(format!("query {i}: {e}")))?;
-        }
-        let workers = self.threads.min(queries.len()).max(1);
-        if workers == 1 {
-            let mut scratch = GreedyScratch::new();
-            return Ok(queries
-                .iter()
-                .map(|q| self.answer_validated(q, &pool, &mut scratch))
-                .collect());
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<SeedAnswer>> = queries.iter().map(|_| OnceLock::new()).collect();
-        let pool = &pool;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = GreedyScratch::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(query) = queries.get(i) else { break };
-                        let answer = self.answer_validated(query, pool, &mut scratch);
-                        // `fetch_add` hands each index to exactly one
-                        // worker; a double set is impossible, and answers
-                        // are deterministic so it would be value-identical
-                        // anyway — no reason to panic on a serving path.
-                        if let Some(slot) = slots.get(i) {
-                            let _ = slot.set(answer);
-                        }
-                    }
-                });
-            }
-        });
-        collect_answers(slots)
-    }
-
-    /// Answers a batch through the batch planner: queries are grouped by
-    /// the snapshot they need ([`crate::planner::BatchPlan`] — the pool
-    /// range for plain queries, `(range, topic)` for topic-weighted
-    /// ones) and each group resolves its snapshot **exactly once**,
-    /// shared by every member. Answers are bit-identical to
-    /// [`SeedQueryEngine::answer_batch`] on the same input
-    /// (property-tested): planning changes who pays for a snapshot
-    /// resolution, never the answer. Workers parallelize across
-    /// *groups*, so the win condition is skewed traffic — many queries
-    /// over few distinct (range, topic) keys — exactly what production
-    /// batches look like. The plan's group and sharing counts are
-    /// recorded in [`QueryStats`].
-    pub fn answer_planned(&self, queries: &[SeedQuery]) -> Result<Vec<SeedAnswer>, CoreError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        // One pin for the whole batch (see `answer_batch`); the plan is
-        // stamped with the pinned generation, making "which pool prefix
-        // answered this batch" auditable.
+        // entirely after the publish. The plan is stamped with the
+        // pinned generation, making "which pool prefix answered this
+        // batch" auditable.
         let (generation, pool) = self.directory.pin();
         for (i, q) in queries.iter().enumerate() {
             self.validate(q, &pool)
@@ -641,7 +627,7 @@ impl SeedQueryEngine {
         if workers == 1 {
             let mut scratch = GreedyScratch::new();
             for group in groups {
-                self.answer_group(queries, group, &pool, &mut scratch, &slots);
+                self.answer_group(queries, &group.members, &pool, &mut scratch, &slots);
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -653,7 +639,7 @@ impl SeedQueryEngine {
                         loop {
                             let g = next.fetch_add(1, Ordering::Relaxed);
                             let Some(group) = groups.get(g) else { break };
-                            self.answer_group(queries, group, pool, &mut scratch, &slots);
+                            self.answer_group(queries, &group.members, pool, &mut scratch, &slots);
                         }
                     });
                 }
@@ -662,15 +648,15 @@ impl SeedQueryEngine {
         collect_answers(slots)
     }
 
-    /// Executes one plan group: resolves the shared snapshot once, then
-    /// answers every member against it. Members of a topic group whose
-    /// weight vector is not the very `Arc` the group resolved with (a
-    /// same-topic-different-weights contract breach) fall back to the
-    /// per-query path — degraded sharing, never a wrong answer.
+    /// Executes one plan group: the first member resolves the group's
+    /// snapshot once, and every member it serves is answered from it.
+    /// Members it cannot serve (a same-topic-different-weights contract
+    /// breach) resolve their own — degraded sharing, never a wrong
+    /// answer.
     fn answer_group(
         &self,
         queries: &[SeedQuery],
-        group: &PlanGroup,
+        members: &[usize],
         pool: &RrCollection,
         scratch: &mut GreedyScratch,
         slots: &[OnceLock<SeedAnswer>],
@@ -682,67 +668,18 @@ impl SeedQueryEngine {
         // as `CoreError::Internal` when the answers are collected) and a
         // double set is ignored — answers are deterministic, so a second
         // set would be value-identical.
-        let set = |i: usize, answer: SeedAnswer| {
+        let mut shared: Option<Resolved> = None;
+        for &i in members {
+            let Some(query) = queries.get(i) else { continue };
+            let range = query.range.clone().unwrap_or_else(|| pool.id_range());
+            let shared = shared.get_or_insert_with(|| self.resolve(query, pool, &range));
+            let answer = if shared.serves(query) {
+                self.answer_with(query, pool, range, shared, scratch)
+            } else {
+                self.answer_validated(query, pool, scratch)
+            };
             if let Some(slot) = slots.get(i) {
                 let _ = slot.set(answer);
-            }
-        };
-        match group.key {
-            GroupKey::Plain { start, end } => {
-                let range = start..end;
-                let snapshot = self.snapshot_for(pool, &range);
-                // Budgeted queries are unweighted and group here too —
-                // same snapshot identity, different selection loop.
-                for &i in &group.members {
-                    let Some(query) = queries.get(i) else { continue };
-                    let answer = match query.budget {
-                        Some(budget) => self
-                            .answer_budgeted_with(query, budget, pool, &range, &snapshot, scratch),
-                        None => self.answer_plain_with(query, pool, &range, &snapshot, scratch),
-                    };
-                    set(i, answer);
-                }
-            }
-            GroupKey::Topic { start, end, topic } => {
-                let range = start..end;
-                // Topic groups imply root weights (the planner only
-                // groups weighted queries under `Topic`); if that ever
-                // broke, fall back to the per-query path — degraded
-                // sharing, never a wrong answer or a panic.
-                let shared = group
-                    .members
-                    .first()
-                    .and_then(|&first| queries.get(first))
-                    .and_then(|q| q.root_weights.as_ref());
-                let Some(shared) = shared else {
-                    for &i in &group.members {
-                        let Some(query) = queries.get(i) else { continue };
-                        set(i, self.answer_validated(query, pool, scratch));
-                    }
-                    return;
-                };
-                let snapshot = self.weighted_snapshot_for(pool, &range, topic, shared);
-                for &i in &group.members {
-                    let Some(query) = queries.get(i) else { continue };
-                    let same_arc =
-                        query.root_weights.as_ref().is_some_and(|w| Arc::ptr_eq(w, shared));
-                    if same_arc {
-                        set(
-                            i,
-                            self.answer_weighted_with(
-                                query, pool, &range, &snapshot, shared, scratch,
-                            ),
-                        );
-                    } else {
-                        set(i, self.answer_validated(query, pool, scratch));
-                    }
-                }
-            }
-            GroupKey::Solo { .. } => {
-                for &i in &group.members {
-                    let Some(query) = queries.get(i) else { continue };
-                    set(i, self.answer_validated(query, pool, scratch));
-                }
             }
         }
     }
@@ -782,30 +719,25 @@ impl SeedQueryEngine {
                     return err(format!("cost c({v}) = {bad} is not finite and positive"));
                 }
             }
-            // Distinct forced seeds must fit in the budget (duplicates
-            // are selected and charged once, matching the selection).
-            let mut forced_cost = 0.0f64;
-            let mut charged: Vec<NodeId> = Vec::new();
-            for &v in query.forced.iter().filter(|&&v| v < n) {
-                if !charged.contains(&v) {
-                    charged.push(v);
-                    forced_cost += query.costs.cost(v);
-                }
-            }
-            if forced_cost > budget {
-                return err(format!(
-                    "forced seeds cost {forced_cost}, overrunning the budget {budget}"
-                ));
-            }
         } else if matches!(query.costs, NodeCosts::PerNode(_)) {
             return err("per-node costs set without a budget".into());
         }
-        if query.budget.is_none() && query.forced.len() > query.k.min(n as usize) {
-            return err(format!(
-                "{} forced seeds exceed the budget k = {}",
-                query.forced.len(),
-                query.k.min(n as usize)
-            ));
+        // The selection kernel's forced-seed rule: distinct forced seeds,
+        // charged in order, must fit the budget — unit costs against `k`
+        // for top-k queries (whose costs are uniform, checked above).
+        // Duplicates are selected and charged once.
+        let budget = query.budget.unwrap_or(query.k.min(n as usize) as f64);
+        let mut remaining = budget;
+        let mut charged: Vec<NodeId> = Vec::new();
+        for &v in query.forced.iter().filter(|&&v| v < n) {
+            if !charged.contains(&v) {
+                charged.push(v);
+                let c = query.costs.cost(v);
+                if c > remaining {
+                    return err(format!("distinct forced seeds overrun the budget {budget}"));
+                }
+                remaining -= c;
+            }
         }
         for &v in query.forced.iter().chain(&query.excluded) {
             if v >= n {
@@ -839,141 +771,69 @@ impl SeedQueryEngine {
         scratch: &mut GreedyScratch,
     ) -> SeedAnswer {
         let range = query.range.clone().unwrap_or_else(|| pool.id_range());
-        if let Some(budget) = query.budget {
-            // Budgeted queries are unweighted, so they share the plain
-            // snapshot cache — one frozen snapshot serves every
-            // (budget, costs) pair over the range.
-            let snapshot = self.snapshot_for(pool, &range);
-            return self.answer_budgeted_with(query, budget, pool, &range, &snapshot, scratch);
-        }
+        let resolved = self.resolve(query, pool, &range);
+        self.answer_with(query, pool, range, &resolved, scratch)
+    }
+
+    /// Resolves the frozen state a pre-validated query selects from over
+    /// `range` — exactly the grouping the planner keys on. Top-k and
+    /// budgeted queries share the range's plain snapshot (snapshots are
+    /// cost-agnostic); topic-weighted queries use the `(range, topic)`
+    /// weighted snapshot; one-off weight vectors cache nothing.
+    fn resolve(&self, query: &SeedQuery, pool: &RrCollection, range: &Range<u32>) -> Resolved {
         match (&query.root_weights, query.topic) {
-            (Some(weights), Some(topic)) => {
-                // Repeated-topic fast path: frozen weighted gains
-                // + frozen offsets, zero per-query init passes.
-                let snapshot = self.weighted_snapshot_for(pool, &range, topic, weights);
-                self.answer_weighted_with(query, pool, &range, &snapshot, weights, scratch)
-            }
-            (Some(weights), None) => {
-                let len = (range.end - range.start) as u64;
-                let constraints =
-                    SeedConstraints { forced: &query.forced, excluded: &query.excluded };
-                let r = CoverageView::build(pool, range.clone()).select_weighted(
-                    query.k,
-                    weights,
-                    &constraints,
-                    scratch,
-                );
-                let influence =
-                    if len == 0 { 0.0 } else { self.gamma * r.covered_weight / len as f64 };
-                SeedAnswer {
-                    seeds: r.seeds,
-                    covered: r.covered_weight,
-                    influence_estimate: influence,
-                    marginal_gains: r.marginal_gains,
-                    range,
-                }
-            }
-            (None, _) => {
-                let snapshot = self.snapshot_for(pool, &range);
-                self.answer_plain_with(query, pool, &range, &snapshot, scratch)
-            }
+            (Some(weights), Some(topic)) => Resolved::Topic(
+                self.weighted_snapshot_for(pool, range, topic, weights),
+                Arc::clone(weights),
+            ),
+            (Some(weights), None) => Resolved::Fresh(Arc::clone(weights)),
+            (None, _) => Resolved::Plain(self.snapshot_for(pool, range)),
         }
     }
 
-    /// Answers a pre-validated unweighted query against an
-    /// already-resolved plain snapshot of `range` — the shared tail of
-    /// the per-query path and the planner's group execution. The
-    /// snapshot lends its frozen offsets: a cache hit skips the
-    /// O(range_len) view rebase too.
-    fn answer_plain_with(
+    /// The one answer tail: runs the selection kernel for a pre-validated
+    /// query from its resolved state — a frozen snapshot lends its
+    /// offsets, so a cache hit skips the `O(range_len)` view rebase too —
+    /// and builds the [`SeedAnswer`]. With uniform costs and
+    /// `budget = k`, a budgeted answer is bit-identical to the top-`k`
+    /// one.
+    fn answer_with(
         &self,
         query: &SeedQuery,
         pool: &RrCollection,
-        range: &Range<u32>,
-        snapshot: &GainSnapshot,
+        range: Range<u32>,
+        resolved: &Resolved,
         scratch: &mut GreedyScratch,
     ) -> SeedAnswer {
-        let len = (range.end - range.start) as u64;
-        let constraints = SeedConstraints { forced: &query.forced, excluded: &query.excluded };
-        let r = snapshot.view(pool).select_from_snapshot_constrained(
-            snapshot,
-            query.k,
-            &constraints,
-            scratch,
-        );
-        let influence = r.influence_estimate(self.gamma, len);
-        SeedAnswer {
-            seeds: r.seeds,
-            covered: r.covered as f64,
-            influence_estimate: influence,
-            marginal_gains: r.marginal_gains.iter().map(|&g| g as f64).collect(),
-            range: range.clone(),
-        }
-    }
-
-    /// Answers a pre-validated budgeted query against an
-    /// already-resolved plain snapshot of `range`. Snapshots are
-    /// cost-agnostic, so budgeted queries ride the same cache entries
-    /// (and planner groups) as plain top-k queries; with uniform costs
-    /// and `budget = k` the answer is bit-identical to
-    /// [`SeedQueryEngine::answer`] on the cardinality query.
-    fn answer_budgeted_with(
-        &self,
-        query: &SeedQuery,
-        budget: f64,
-        pool: &RrCollection,
-        range: &Range<u32>,
-        snapshot: &GainSnapshot,
-        scratch: &mut GreedyScratch,
-    ) -> SeedAnswer {
-        let len = (range.end - range.start) as u64;
-        let constraints = SeedConstraints { forced: &query.forced, excluded: &query.excluded };
-        let r = snapshot.view(pool).select_budgeted_from_snapshot(
-            snapshot,
-            budget,
-            &query.costs,
-            &constraints,
-            scratch,
-        );
-        let influence = if len == 0 { 0.0 } else { self.gamma * r.covered as f64 / len as f64 };
-        SeedAnswer {
-            seeds: r.seeds,
-            covered: r.covered as f64,
-            influence_estimate: influence,
-            marginal_gains: r.marginal_gains.iter().map(|&g| g as f64).collect(),
-            range: range.clone(),
-        }
-    }
-
-    /// Answers a pre-validated topic-weighted query against an
-    /// already-resolved weighted snapshot of `range`. `weights` must be
-    /// the very vector the snapshot was resolved with (the callers
-    /// guarantee it by `Arc` identity).
-    fn answer_weighted_with(
-        &self,
-        query: &SeedQuery,
-        pool: &RrCollection,
-        range: &Range<u32>,
-        snapshot: &WeightedGainSnapshot,
-        weights: &Arc<[f64]>,
-        scratch: &mut GreedyScratch,
-    ) -> SeedAnswer {
-        let len = (range.end - range.start) as u64;
-        let constraints = SeedConstraints { forced: &query.forced, excluded: &query.excluded };
-        let r = snapshot.view(pool).select_weighted_from_snapshot(
-            snapshot,
-            query.k,
-            weights,
-            &constraints,
-            scratch,
-        );
-        let influence = if len == 0 { 0.0 } else { self.gamma * r.covered_weight / len as f64 };
+        let c = SeedConstraints { forced: &query.forced, excluded: &query.excluded };
+        let k = query.k;
+        let r: WeightedCoverageResult = match (resolved, query.budget) {
+            (Resolved::Plain(snap), Some(budget)) => {
+                let ratio = Ratio { budget, costs: &query.costs };
+                snap.view(pool).select(ratio, GainInit::Frozen(snap), &c, scratch).into()
+            }
+            (Resolved::Plain(snap), None) => {
+                snap.view(pool).select(Count { k }, GainInit::Frozen(snap), &c, scratch).into()
+            }
+            (Resolved::Topic(snap, weights), _) => {
+                let weighted = Weighted { k, weights };
+                snap.view(pool).select(weighted, GainInit::Frozen(snap), &c, scratch)
+            }
+            (Resolved::Fresh(weights), _) => CoverageView::build(pool, range.clone()).select(
+                Weighted { k, weights },
+                GainInit::Histogram,
+                &c,
+                scratch,
+            ),
+        };
+        let len = f64::from(range.end - range.start);
+        let influence_estimate = if len == 0.0 { 0.0 } else { self.gamma * r.covered_weight / len };
         SeedAnswer {
             seeds: r.seeds,
             covered: r.covered_weight,
-            influence_estimate: influence,
+            influence_estimate,
             marginal_gains: r.marginal_gains,
-            range: range.clone(),
+            range,
         }
     }
 
@@ -1023,11 +883,7 @@ impl SeedQueryEngine {
     /// ranges spanning several epochs. Counts one query-level hit or
     /// miss per call.
     fn snapshot_for(&self, pool: &RrCollection, range: &Range<u32>) -> Arc<GainSnapshot> {
-        let key = CacheKey::Plain {
-            start: range.start,
-            end: range.end,
-            epochs: Self::epoch_signature(pool, range.end),
-        };
+        let key = Self::plain_key(pool, range);
         if let Some(CachedSnapshot::Plain(snap)) = self.cache.get(&key) {
             self.cache.note_snapshot_hit();
             return snap;
@@ -1038,7 +894,7 @@ impl SeedQueryEngine {
         {
             // No reusable epoch inside (or the range *is* one epoch):
             // build in one pass.
-            Arc::new(GainSnapshot::build(&CoverageView::build(pool, range.clone())))
+            Self::build_plain(pool, range)
         } else {
             let parts: Vec<Arc<GainSnapshot>> = segments
                 .iter()
@@ -1046,7 +902,7 @@ impl SeedQueryEngine {
                     if *full {
                         self.epoch_snapshot(pool, seg)
                     } else {
-                        Arc::new(GainSnapshot::build(&CoverageView::build(pool, seg.clone())))
+                        Self::build_plain(pool, seg)
                     }
                 })
                 .collect();
@@ -1063,18 +919,10 @@ impl SeedQueryEngine {
     /// cached) now. Epoch lookups refresh LRU order but do not count as
     /// query-level hits/misses; builds count into `epochs_frozen`.
     fn epoch_snapshot(&self, pool: &RrCollection, epoch: &Range<u32>) -> Arc<GainSnapshot> {
-        let key = CacheKey::Plain {
-            start: epoch.start,
-            end: epoch.end,
-            epochs: Self::epoch_signature(pool, epoch.end),
-        };
-        if let Some(CachedSnapshot::Plain(snap)) = self.cache.get(&key) {
-            return snap;
+        match self.cache.get(&Self::plain_key(pool, epoch)) {
+            Some(CachedSnapshot::Plain(snap)) => snap,
+            _ => self.freeze_epoch(pool, epoch),
         }
-        let built = Arc::new(GainSnapshot::build(&CoverageView::build(pool, epoch.clone())));
-        self.cache.note_epoch_frozen();
-        self.cache.insert(key, CachedSnapshot::Plain(Arc::clone(&built)));
-        built
     }
 
     /// Freezes one just-sealed epoch's snapshot into the cache —
@@ -1083,15 +931,26 @@ impl SeedQueryEngine {
     /// of paying a build on the serving path. Each epoch is sealed
     /// exactly once, so this builds unconditionally (counting into
     /// `epochs_frozen` like any epoch build).
-    pub(crate) fn freeze_epoch(&self, pool: &RrCollection, epoch: &Range<u32>) {
-        let key = CacheKey::Plain {
-            start: epoch.start,
-            end: epoch.end,
-            epochs: Self::epoch_signature(pool, epoch.end),
-        };
-        let built = Arc::new(GainSnapshot::build(&CoverageView::build(pool, epoch.clone())));
+    pub(crate) fn freeze_epoch(
+        &self,
+        pool: &RrCollection,
+        epoch: &Range<u32>,
+    ) -> Arc<GainSnapshot> {
+        let built = Self::build_plain(pool, epoch);
         self.cache.note_epoch_frozen();
-        self.cache.insert(key, CachedSnapshot::Plain(built));
+        self.cache.insert(Self::plain_key(pool, epoch), CachedSnapshot::Plain(Arc::clone(&built)));
+        built
+    }
+
+    /// The plain-snapshot cache key of `range` (see [`CacheKey`]).
+    fn plain_key(pool: &RrCollection, range: &Range<u32>) -> CacheKey {
+        let epochs = Self::epoch_signature(pool, range.end);
+        CacheKey::Plain { start: range.start, end: range.end, epochs }
+    }
+
+    /// A from-scratch plain snapshot of `range`.
+    fn build_plain(pool: &RrCollection, range: &Range<u32>) -> Arc<GainSnapshot> {
+        Arc::new(GainSnapshot::build(&CoverageView::build(pool, range.clone())))
     }
 
     /// The frozen weighted snapshot for `(range, topic)`, verified
@@ -1136,6 +995,11 @@ mod tests {
         SeedQueryEngine::sample(&ctx, sets)
     }
 
+    /// The unplanned reference: every query answered on its own.
+    fn answer_each(e: &SeedQueryEngine, batch: &[SeedQuery]) -> Vec<SeedAnswer> {
+        batch.iter().map(|q| e.answer(q).unwrap()).collect()
+    }
+
     #[test]
     fn engine_matches_direct_max_coverage() {
         let e = engine(2000, 1);
@@ -1165,8 +1029,8 @@ mod tests {
                 }
             })
             .collect();
-        let sequential = e.answer_batch(&queries).unwrap();
-        let parallel = engine(1500, 2).with_threads(4).answer_batch(&queries).unwrap();
+        let sequential = e.answer_planned(&queries).unwrap();
+        let parallel = engine(1500, 2).with_threads(4).answer_planned(&queries).unwrap();
         assert_eq!(sequential, parallel);
         for (k, ans) in (1..=12).zip(&sequential) {
             assert_eq!(ans.seeds.len(), k);
@@ -1221,7 +1085,6 @@ mod tests {
     fn empty_batch_returns_empty_without_touching_the_engine() {
         let e = engine(400, 12);
         let before = e.stats();
-        assert_eq!(e.answer_batch(&[]).unwrap(), Vec::new());
         assert_eq!(e.answer_planned(&[]).unwrap(), Vec::new());
         // no cache traffic, no planner accounting, no snapshot builds
         assert_eq!(e.stats(), before);
@@ -1245,7 +1108,7 @@ mod tests {
             SeedQuery::top_k(1).over_range(0..1000),
             SeedQuery::top_k(8).over_range(500..1500),
         ];
-        let unplanned = e.answer_batch(&batch).unwrap();
+        let unplanned = answer_each(&e, &batch);
         let after_unplanned = e.stats();
         assert_eq!(
             (after_unplanned.snapshot_hits, after_unplanned.snapshot_misses),
@@ -1282,9 +1145,8 @@ mod tests {
             SeedQuery::top_k(4).with_root_weights(weights.clone()),
         ];
         let planned = e.answer_planned(&batch).unwrap();
-        let unplanned = e.answer_batch(&batch).unwrap();
+        let unplanned = answer_each(&e, &batch);
         assert_eq!(planned, unplanned);
-        assert_eq!(planned[1], e.answer(&batch[1]).unwrap());
         let s = e.stats();
         // groups: {topic 5} ×3 members + solo — builds saved only counts
         // the shareable group's extra members
@@ -1303,6 +1165,19 @@ mod tests {
         let forced = e.answer(&SeedQuery::top_k(5).with_forced(vec![7, 9])).unwrap();
         assert_eq!(&forced.seeds[..2], &[7, 9]);
         assert_eq!(forced.seeds.len(), 5);
+    }
+
+    #[test]
+    fn duplicate_forced_seeds_count_once_against_k() {
+        // One forced-seed rule for top-k and budgeted queries alike: the
+        // distinct forced seeds must fit, duplicates are taken once.
+        let e = engine(1200, 4);
+        let dup = e.answer(&SeedQuery::top_k(1).with_forced(vec![7, 7])).unwrap();
+        assert_eq!(dup, e.answer(&SeedQuery::top_k(1).with_forced(vec![7])).unwrap());
+        assert_eq!(dup.seeds, vec![7]);
+        let planned = e.answer_planned(&[SeedQuery::top_k(1).with_forced(vec![7, 7])]).unwrap();
+        assert_eq!(planned, vec![dup]);
+        assert!(e.answer(&SeedQuery::top_k(1).with_forced(vec![7, 8])).is_err());
     }
 
     #[test]
@@ -1339,7 +1214,7 @@ mod tests {
         assert!(e.answer(&SeedQuery::top_k(1).with_root_weights(vec![-1.0; 300])).is_err());
         // a batch with one bad query fails closed, naming the query
         let batch = [SeedQuery::top_k(1), SeedQuery::top_k(0)];
-        let err = e.answer_batch(&batch).unwrap_err().to_string();
+        let err = e.answer_planned(&batch).unwrap_err().to_string();
         assert!(err.contains("query 1"), "{err}");
     }
 
@@ -1371,6 +1246,21 @@ mod tests {
         assert!(e.answer(&SeedQuery::budgeted(3.0).with_costs(costs)).is_ok());
     }
 
+    /// Fresh-histogram budgeted selection straight through the kernel.
+    fn direct_budgeted(
+        e: &SeedQueryEngine,
+        budget: f64,
+        costs: &NodeCosts,
+        range: Range<u32>,
+    ) -> sns_rrset::BudgetedCoverageResult {
+        CoverageView::build(&e.pool(), range).select(
+            Ratio { budget, costs },
+            GainInit::Histogram,
+            &SeedConstraints::none(),
+            &mut GreedyScratch::new(),
+        )
+    }
+
     #[test]
     fn budgeted_query_matches_direct_selection() {
         let e = engine(2000, 30);
@@ -1378,11 +1268,7 @@ mod tests {
         for budget in [0.5, 4.0, 12.5] {
             let q = SeedQuery::budgeted(budget).with_costs(NodeCosts::per_node(costs.clone()));
             let ans = e.answer(&q).unwrap();
-            let pool = e.pool();
-            let view = CoverageView::build(&pool, 0..2000);
-            let mut scratch = GreedyScratch::new();
-            let direct =
-                view.select_budgeted(budget, &q.costs, &SeedConstraints::none(), &mut scratch);
+            let direct = direct_budgeted(&e, budget, &q.costs, 0..2000);
             assert_eq!(ans.seeds, direct.seeds, "budget = {budget}");
             assert_eq!(ans.covered, direct.covered as f64);
             assert_eq!(
@@ -1397,14 +1283,7 @@ mod tests {
             .with_costs(NodeCosts::per_node(costs.clone()))
             .over_range(500..1500);
         let ans = e.answer(&q).unwrap();
-        let pool = e.pool();
-        let view = CoverageView::build(&pool, 500..1500);
-        let direct = view.select_budgeted(
-            6.0,
-            &q.costs,
-            &SeedConstraints::none(),
-            &mut GreedyScratch::new(),
-        );
+        let direct = direct_budgeted(&e, 6.0, &q.costs, 500..1500);
         assert_eq!(ans.seeds, direct.seeds);
         assert_eq!(ans.range, 500..1500);
     }
@@ -1447,12 +1326,9 @@ mod tests {
             SeedQuery::top_k(5).over_range(0..1000),
             SeedQuery::budgeted(2.5).with_costs(NodeCosts::per_node(costs)),
         ];
-        let unplanned = e.answer_batch(&batch).unwrap();
+        let unplanned = answer_each(&e, &batch);
         let planned = e.answer_planned(&batch).unwrap();
-        assert_eq!(planned, unplanned);
-        for (q, a) in batch.iter().zip(&planned) {
-            assert_eq!(a, &e.answer(q).unwrap(), "planned ≡ per-query");
-        }
+        assert_eq!(planned, unplanned, "planned ≡ per-query");
         let s = e.stats();
         // budgeted queries share the plain snapshot groups: full range
         // {0, 1, 4} and 0..1000 {2, 3} — two groups, three builds saved
@@ -1491,7 +1367,7 @@ mod tests {
         // the engine still answers — bit-identically — and every
         // mutex-crossing entry point stays usable
         assert_eq!(e.answer(&SeedQuery::top_k(3)).unwrap(), baseline);
-        assert!(e.answer_batch(&[SeedQuery::top_k(2), SeedQuery::top_k(4)]).is_ok());
+        assert!(e.answer_planned(&[SeedQuery::top_k(2), SeedQuery::top_k(4)]).is_ok());
         let _ = e.stats();
         let mut e = e.with_cache_budget(1 << 20);
         assert_eq!(e.answer(&SeedQuery::top_k(3)).unwrap(), baseline);
@@ -1582,7 +1458,10 @@ mod tests {
 
         let served = SeedQueryEngine::from_store(&dir, &ctx).unwrap();
         let queries: Vec<SeedQuery> = (1..=6).map(SeedQuery::top_k).collect();
-        assert_eq!(served.answer_batch(&queries).unwrap(), baked.answer_batch(&queries).unwrap());
+        assert_eq!(
+            served.answer_planned(&queries).unwrap(),
+            baked.answer_planned(&queries).unwrap()
+        );
         // stopping-rule provenance survives the round trip
         let fp = served.fingerprint().unwrap();
         assert!(fp.meta.iter().any(|(k, v)| k == "stopping_rule" && !v.is_empty()), "{fp:?}");

@@ -15,8 +15,8 @@
 //!   *hits* cheap; planning makes *misses* shared: a cold 64-query batch
 //!   over 4 distinct ranges builds 4 snapshots, not up to 64 racing
 //!   ones. [`SeedQueryEngine::answer_planned`](crate::SeedQueryEngine::answer_planned)
-//!   executes a plan bit-identically to
-//!   [`answer_batch`](crate::SeedQueryEngine::answer_batch).
+//!   executes a plan bit-identically to answering each query with
+//!   [`answer`](crate::SeedQueryEngine::answer).
 //! * **[`AdmissionQueue`]** bounds how much work may wait. Every query
 //!   is admitted with a [`Priority`] and an optional deadline on a
 //!   **virtual clock** measured in deterministic cost units

@@ -5,14 +5,14 @@
 //! production-shaped variants (TipTop, arXiv:1701.08462; cost-aware
 //! viral marketing, arXiv:1910.04134) attach a cost `c(v) > 0` to every
 //! node and replace `|S| ≤ k` with a knapsack constraint
-//! `Σ_{v∈S} c(v) ≤ B`. This module adds that selection mode to
-//! [`CoverageView`] without touching the pool, snapshots, or the
-//! unweighted loop:
+//! `Σ_{v∈S} c(v) ≤ B`. This module adds that objective, [`Ratio`], to
+//! the selection kernel [`CoverageView::select`] without touching the
+//! pool or the snapshots:
 //!
 //! * **Ratio greedy.** Nodes are picked by cost-effectiveness — marginal
-//!   gain divided by cost — under the same lazy max-heap discipline as
-//!   the plain loop (gains only decrease and costs are fixed, so ratios
-//!   only decrease and stale heap entries stay safe). A node whose cost
+//!   gain divided by cost — under the kernel's lazy max-heap discipline
+//!   (gains only decrease and costs are fixed, so ratios only decrease
+//!   and stale heap entries stay safe). A node whose cost
 //!   exceeds the *remaining* budget is retired permanently: budgets only
 //!   shrink, so it can never become affordable again.
 //! * **The `max(greedy, best single)` guarantee.** Ratio greedy alone
@@ -25,22 +25,26 @@
 //!   unweighted heap, selection never consults wall clocks or hash
 //!   order, and with [`NodeCosts::Uniform`] and `B = k` the pop sequence
 //!   is order-isomorphic to the plain `(gain, id)` heap — seeds, covered
-//!   counts and marginal gains degenerate *bit-identically* to
-//!   [`CoverageView::select`] (a `u32` gain converts to `f64` exactly,
+//!   counts and marginal gains degenerate *bit-identically* to the
+//!   [`crate::Count`] objective (a `u32` gain converts to `f64` exactly,
 //!   and division by 1 preserves the order and the padding walk).
 //!
 //! Costs are per-query data like the weighted path's node weights: a
 //! frozen [`GainSnapshot`] is cost-agnostic, so one snapshot serves
 //! every cost vector and budget — the budgeted fast path starts from the
-//! same memcpy as the plain one.
+//! same memcpy of gains as the plain one (the heap seed is re-keyed by
+//! ratio).
 
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use sns_graph::NodeId;
 
+use crate::coverage::{count_members, kernel, Objective};
 use crate::snapshot::WeightOrd;
-use crate::{CoverageView, GainSnapshot, GreedyScratch, SeedConstraints};
+use crate::{
+    CoverageResult, CoverageView, GainInit, GainSnapshot, GreedyScratch, SeedConstraints,
+    WeightedCoverageResult,
+};
 
 /// Per-node selection costs for a budgeted query.
 ///
@@ -107,8 +111,7 @@ impl NodeCosts {
     }
 }
 
-/// Result of a budgeted greedy selection
-/// ([`CoverageView::select_budgeted`]).
+/// Result of a budgeted greedy selection ([`Ratio`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BudgetedCoverageResult {
     /// Selected seed nodes, in selection order.
@@ -126,45 +129,106 @@ pub struct BudgetedCoverageResult {
     pub single_fallback: bool,
 }
 
-impl CoverageView<'_> {
-    /// Budgeted greedy Max-Coverage: picks seeds by cost-effectiveness
-    /// (`gain / cost`) until no affordable node remains, then returns the
-    /// better of that set and the best single affordable node — the
-    /// standard `1 − 1/√e` approximation for coverage under a knapsack
-    /// constraint (see the module docs).
-    ///
-    /// Forced seeds are selected first in order, charging the budget;
-    /// excluded nodes are never selected. Leftover budget is spent on
-    /// zero-gain padding seeds (ascending ids), mirroring the
-    /// cardinality path's padding contract, so with
-    /// [`NodeCosts::Uniform`] and `budget = k` the result is
-    /// bit-identical to [`CoverageView::select`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is not finite and nonnegative, if `costs` is
-    /// malformed (see [`NodeCosts`]), or if the forced seeds alone
-    /// overrun the budget.
-    pub fn select_budgeted(
-        &self,
-        budget: f64,
-        costs: &NodeCosts,
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-    ) -> BudgetedCoverageResult {
-        self.select_budgeted_inner(budget, costs, constraints, scratch, None)
+impl From<BudgetedCoverageResult> for WeightedCoverageResult {
+    /// The covered count and gains as unit-weight masses; `spent` and
+    /// `single_fallback` are dropped.
+    fn from(r: BudgetedCoverageResult) -> Self {
+        let BudgetedCoverageResult { seeds, covered, marginal_gains, .. } = r;
+        CoverageResult { seeds, covered, marginal_gains }.into()
     }
+}
 
-    /// [`CoverageView::select_budgeted`] with the histogram pass replaced
-    /// by a memcpy of `snapshot`'s frozen gains — the frozen-pool fast
-    /// path. Snapshots are cost-agnostic, so one snapshot serves every
-    /// `(budget, costs)` pair. Bit-identical to
-    /// [`CoverageView::select_budgeted`].
-    ///
-    /// # Panics
-    ///
-    /// As [`CoverageView::select_budgeted`], plus if `snapshot` was built
-    /// for a different pool slice.
+/// The budgeted objective: picks seeds by cost-effectiveness
+/// (`gain / cost`) until no affordable node remains, then returns the
+/// better of that set and the best single affordable node — the
+/// standard `1 − 1/√e` approximation for coverage under a knapsack
+/// constraint (see the module docs). Returns a
+/// [`BudgetedCoverageResult`].
+///
+/// Forced seeds charge the budget; leftover budget is spent on
+/// zero-gain padding seeds (ascending ids) that fit, so with
+/// [`NodeCosts::Uniform`] and `budget = k` the result is bit-identical
+/// to the [`crate::Count`] objective with the same `k`.
+///
+/// # Panics
+///
+/// [`CoverageView::select`] panics if `budget` is not finite and
+/// nonnegative or `costs` is malformed (see [`NodeCosts`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Ratio<'c> {
+    /// Cost budget `B`.
+    pub budget: f64,
+    /// Per-node selection costs.
+    pub costs: &'c NodeCosts,
+}
+
+impl Objective for Ratio<'_> {}
+
+impl kernel::Kernel for Ratio<'_> {
+    type Gain = u32;
+    type Key = WeightOrd;
+    type Snapshot = GainSnapshot;
+    type Output = BudgetedCoverageResult;
+    const BEST_SINGLE: bool = true;
+
+    fn budget(&self, n: u32) -> (f64, f64) {
+        let budget = self.budget;
+        assert!(budget.is_finite() && budget >= 0.0, "budget must be finite and nonnegative");
+        (budget, self.costs.validated_min(n))
+    }
+    #[inline]
+    fn cost(&self, v: NodeId) -> f64 {
+        self.costs.cost(v)
+    }
+    /// `u32 → f64` is exact and the tie-break is the node id, so with
+    /// uniform costs this key is order-isomorphic to the count key.
+    #[inline]
+    fn key(&self, gain: u32, v: NodeId) -> WeightOrd {
+        WeightOrd(f64::from(gain) / self.costs.cost(v))
+    }
+    #[inline]
+    fn set_gain(&self, _members: &[NodeId]) -> u32 {
+        1
+    }
+    fn histogram(&self, view: &CoverageView<'_>, gains: &mut [u32]) {
+        count_members(view, gains);
+    }
+    fn frozen<'s>(&self, snapshot: &'s GainSnapshot) -> kernel::Frozen<'s, u32, WeightOrd> {
+        // The frozen heap seed is keyed by gain, not ratio: re-key it.
+        (snapshot.range(), snapshot.gains(), None)
+    }
+    fn buffers(scratch: &mut GreedyScratch) -> kernel::Buffers<'_, u32, WeightOrd> {
+        (&mut scratch.gain, &mut scratch.wheap_buf)
+    }
+    fn output(self, picked: kernel::Picked<u32>) -> BudgetedCoverageResult {
+        let covered: u64 = picked.gains.iter().map(|&g| u64::from(g)).sum();
+        if let Some((bg, bv)) = picked.best_single {
+            if u64::from(bg) > covered {
+                // The single affordable node beats the whole ratio-greedy
+                // set — the classical bad case for plain ratio greedy.
+                return BudgetedCoverageResult {
+                    seeds: vec![bv],
+                    covered: u64::from(bg),
+                    marginal_gains: vec![u64::from(bg)],
+                    spent: self.costs.cost(bv),
+                    single_fallback: true,
+                };
+            }
+        }
+        BudgetedCoverageResult {
+            seeds: picked.seeds,
+            covered,
+            marginal_gains: picked.gains.into_iter().map(u64::from).collect(),
+            spent: picked.spent,
+            single_fallback: false,
+        }
+    }
+}
+
+impl CoverageView<'_> {
+    /// [`Ratio`] selection starting from a frozen [`GainSnapshot`] of
+    /// this view's range. Snapshots are cost-agnostic, so one snapshot
+    /// serves every `(budget, costs)` pair.
     pub fn select_budgeted_from_snapshot(
         &self,
         snapshot: &GainSnapshot,
@@ -173,291 +237,23 @@ impl CoverageView<'_> {
         constraints: &SeedConstraints<'_>,
         scratch: &mut GreedyScratch,
     ) -> BudgetedCoverageResult {
-        self.select_budgeted_inner(budget, costs, constraints, scratch, Some(snapshot))
-    }
-
-    fn select_budgeted_inner(
-        &self,
-        budget: f64,
-        costs: &NodeCosts,
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-        frozen: Option<&GainSnapshot>,
-    ) -> BudgetedCoverageResult {
-        let n = self.num_nodes();
-        assert!(budget.is_finite() && budget >= 0.0, "budget must be finite and nonnegative");
-        let min_cost = costs.validated_min(n);
-        let generation = scratch.begin_run(n as usize, self.len());
-
-        let mut heap_buf = std::mem::take(&mut scratch.wheap_buf);
-        heap_buf.clear();
-        let gain = &mut scratch.gain;
-        gain.clear();
-        match frozen {
-            Some(snapshot) => {
-                assert_eq!(
-                    snapshot.range(),
-                    self.range(),
-                    "gain snapshot was built for a different pool slice"
-                );
-                gain.extend_from_slice(snapshot.gains());
-            }
-            None => {
-                gain.resize(n as usize, 0);
-                for &v in self.raw_members() {
-                    gain[v as usize] += 1;
-                }
-            }
-        }
-
-        // Excluded nodes are retired before anything reads the gain
-        // table, so neither the greedy loop, the padding, nor the
-        // single-node fallback can return them.
-        for &v in constraints.excluded {
-            scratch.selected_stamp[v as usize] = generation;
-        }
-
-        // The other arm of the max(greedy, best single) guarantee: the
-        // highest-gain node affordable within the *full* budget, read off
-        // the initial gains before anything decrements them. Forced seeds
-        // change what the query means (the fallback would drop them), so
-        // the arm only applies to unconstrained-prefix queries.
-        let mut best_single: Option<(u32, NodeId)> = None;
-        if constraints.forced.is_empty() {
-            for v in 0..n {
-                let g = gain[v as usize];
-                if g == 0 || scratch.selected_stamp[v as usize] == generation {
-                    continue;
-                }
-                if costs.cost(v) <= budget && best_single.is_none_or(|b| (g, v) > b) {
-                    best_single = Some((g, v));
-                }
-            }
-        }
-
-        // Seed the cost-effectiveness heap. `u32 → f64` is exact and the
-        // tie-break is the node id, so with uniform costs this heap is
-        // order-isomorphic to the plain `(gain, id)` heap.
-        heap_buf.extend(
-            (0..n)
-                .filter(|&v| gain[v as usize] > 0)
-                .map(|v| (WeightOrd(f64::from(gain[v as usize]) / costs.cost(v)), v)),
-        );
-        let mut heap: BinaryHeap<(WeightOrd, NodeId)> = BinaryHeap::from(heap_buf);
-
-        let mut seeds = Vec::new();
-        let mut marginal_gains = Vec::new();
-        let mut covered = 0u64;
-        let mut remaining = budget;
-        let mut spent = 0.0f64;
-
-        for &v in constraints.forced {
-            if scratch.selected_stamp[v as usize] == generation {
-                continue; // duplicate forced seed: selected (and charged) once
-            }
-            let c = costs.cost(v);
-            assert!(c <= remaining, "forced seeds overrun the budget {budget}");
-            scratch.selected_stamp[v as usize] = generation;
-            remaining -= c;
-            spent += c;
-            let g = gain[v as usize];
-            seeds.push(v);
-            marginal_gains.push(u64::from(g));
-            covered += u64::from(g);
-            if g > 0 {
-                self.cover_sets_of(v, generation, &mut scratch.covered_stamp, gain);
-            }
-        }
-
-        while remaining >= min_cost {
-            let Some((WeightOrd(r), v)) = heap.pop() else { break };
-            if scratch.selected_stamp[v as usize] == generation {
-                continue;
-            }
-            let g = gain[v as usize];
-            let current = f64::from(g) / costs.cost(v);
-            if r > current {
-                // Stale entry: re-key with the exact ratio. Gains only
-                // decrease and costs are fixed, so ratios only decrease
-                // and the max-heap invariant stays sound.
-                if g > 0 {
-                    heap.push((WeightOrd(current), v));
-                }
-                continue;
-            }
-            if g == 0 {
-                break; // nothing left to cover
-            }
-            let c = costs.cost(v);
-            if c > remaining {
-                // Unaffordable now; the budget only shrinks, so retire
-                // the node for the rest of the run (padding included).
-                scratch.selected_stamp[v as usize] = generation;
-                continue;
-            }
-            scratch.selected_stamp[v as usize] = generation;
-            remaining -= c;
-            spent += c;
-            seeds.push(v);
-            marginal_gains.push(u64::from(g));
-            covered += u64::from(g);
-            self.cover_sets_of(v, generation, &mut scratch.covered_stamp, gain);
-            debug_assert_eq!(gain[v as usize], 0);
-        }
-
-        // Spend leftover budget on zero-gain padding, ascending ids —
-        // the budgeted mirror of the cardinality path's padding. Every
-        // node with residual gain was either selected or retired as
-        // unaffordable above, so padding seeds genuinely add nothing.
-        let mut next = 0u32;
-        while next < n && remaining >= min_cost {
-            if scratch.selected_stamp[next as usize] != generation {
-                let c = costs.cost(next);
-                if c <= remaining {
-                    scratch.selected_stamp[next as usize] = generation;
-                    remaining -= c;
-                    spent += c;
-                    seeds.push(next);
-                    marginal_gains.push(0);
-                }
-            }
-            next += 1;
-        }
-
-        scratch.wheap_buf = heap.into_vec();
-
-        if let Some((bg, bv)) = best_single {
-            if u64::from(bg) > covered {
-                // The single affordable node beats the whole ratio-greedy
-                // set — the classical bad case for plain ratio greedy.
-                return BudgetedCoverageResult {
-                    seeds: vec![bv],
-                    covered: u64::from(bg),
-                    marginal_gains: vec![u64::from(bg)],
-                    spent: costs.cost(bv),
-                    single_fallback: true,
-                };
-            }
-        }
-        BudgetedCoverageResult { seeds, covered, marginal_gains, spent, single_fallback: false }
+        self.select(Ratio { budget, costs }, GainInit::Frozen(snapshot), constraints, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RrCollection;
-    use sns_diffusion::RrMeta;
+    use crate::test_pools::pool;
 
-    fn m(root: NodeId) -> RrMeta {
-        RrMeta { root, edges_examined: 0 }
-    }
-
-    fn pool(sets: &[&[NodeId]], n: u32) -> RrCollection {
-        let mut rc = RrCollection::new(n);
-        for s in sets {
-            rc.push(s, m(s.first().copied().unwrap_or(0)));
-        }
-        rc
-    }
-
-    fn random_pool(seed: u64, n: u32, sets: usize) -> RrCollection {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rc = RrCollection::new(n);
-        for _ in 0..sets {
-            let len = rng.gen_range(1..6usize);
-            let root = rng.gen_range(0..n);
-            let mut s = vec![root];
-            for _ in 1..len {
-                let v = rng.gen_range(0..n);
-                if !s.contains(&v) {
-                    s.push(v);
-                }
-            }
-            rc.push(&s, m(root));
-        }
-        rc
-    }
-
-    fn costs_from(seed: u64, n: u32) -> NodeCosts {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let c: Vec<f64> =
-            (0..n).map(|_| [0.5, 1.0, 1.5, 2.0, 3.0][rng.gen_range(0..5usize)]).collect();
-        NodeCosts::per_node(c.into())
-    }
-
-    #[test]
-    fn uniform_costs_with_budget_k_degenerate_to_top_k() {
-        let mut scratch = GreedyScratch::new();
-        for seed in 0..8u64 {
-            let rc = random_pool(seed, 30, 150);
-            let total = rc.len() as u32;
-            for range in [0..total, 0..total / 2, total / 4..total] {
-                let view = CoverageView::build(&rc, range.clone());
-                let snap = GainSnapshot::build(&view);
-                for k in [1usize, 3, 7, 40] {
-                    let plain = view.select(k, &mut scratch);
-                    let budgeted = view.select_budgeted(
-                        k as f64,
-                        &NodeCosts::Uniform,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
-                    assert_eq!(budgeted.seeds, plain.seeds, "seed {seed} range {range:?} k {k}");
-                    assert_eq!(budgeted.covered, plain.covered);
-                    assert_eq!(budgeted.marginal_gains, plain.marginal_gains);
-                    assert!(!budgeted.single_fallback);
-                    let frozen = view.select_budgeted_from_snapshot(
-                        &snap,
-                        k as f64,
-                        &NodeCosts::Uniform,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
-                    assert_eq!(frozen, budgeted, "frozen path diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn frozen_path_matches_fresh_path_under_arbitrary_costs() {
-        let mut scratch = GreedyScratch::new();
-        for seed in 0..6u64 {
-            let rc = random_pool(50 + seed, 25, 120);
-            let costs = costs_from(seed, 25);
-            for range in [0..120u32, 10..90] {
-                let view = CoverageView::build(&rc, range.clone());
-                let snap = GainSnapshot::build(&view);
-                for budget in [1.5f64, 4.0, 9.5] {
-                    let fresh = view.select_budgeted(
-                        budget,
-                        &costs,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
-                    let frozen = view.select_budgeted_from_snapshot(
-                        &snap,
-                        budget,
-                        &costs,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
-                    assert_eq!(frozen, fresh, "seed {seed} range {range:?} budget {budget}");
-                    // repeated queries against one snapshot stay stable
-                    let again = view.select_budgeted_from_snapshot(
-                        &snap,
-                        budget,
-                        &costs,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
-                    assert_eq!(again, fresh);
-                }
-            }
-        }
+    fn ratio(
+        view: &CoverageView<'_>,
+        budget: f64,
+        costs: &NodeCosts,
+        constraints: &SeedConstraints<'_>,
+        scratch: &mut GreedyScratch,
+    ) -> BudgetedCoverageResult {
+        view.select(Ratio { budget, costs }, GainInit::Histogram, constraints, scratch)
     }
 
     #[test]
@@ -469,7 +265,8 @@ mod tests {
         let rc = pool(&[&[0, 1], &[0, 2], &[0, 3], &[0, 4], &[5]], 6);
         let costs: Vec<f64> = vec![4.0, 5.0, 5.0, 5.0, 5.0, 0.5];
         let view = CoverageView::build(&rc, 0..5);
-        let r = view.select_budgeted(
+        let r = ratio(
+            &view,
             4.0,
             &NodeCosts::per_node(costs.into()),
             &SeedConstraints::none(),
@@ -489,7 +286,8 @@ mod tests {
         let rc = pool(&[&[0, 1], &[0, 2], &[0, 3], &[1, 4], &[2]], 5);
         let costs: Vec<f64> = vec![10.0, 1.0, 1.0, 1.0, 1.0];
         let view = CoverageView::build(&rc, 0..5);
-        let r = view.select_budgeted(
+        let r = ratio(
+            &view,
             2.0,
             &NodeCosts::per_node(costs.into()),
             &SeedConstraints::none(),
@@ -506,14 +304,14 @@ mod tests {
         let view = CoverageView::build(&rc, 0..4);
         let mut scratch = GreedyScratch::new();
         let cons = SeedConstraints { forced: &[1], excluded: &[] };
-        let r = view.select_budgeted(2.0, &NodeCosts::Uniform, &cons, &mut scratch);
+        let r = ratio(&view, 2.0, &NodeCosts::Uniform, &cons, &mut scratch);
         assert_eq!(r.seeds[0], 1);
         assert_eq!(r.marginal_gains[0], 2);
         assert_eq!(r.covered, 3);
         assert!((r.spent - 2.0).abs() < 1e-12);
         // duplicates are selected and charged once
         let dup = SeedConstraints { forced: &[1, 1], excluded: &[] };
-        let r2 = view.select_budgeted(2.0, &NodeCosts::Uniform, &dup, &mut scratch);
+        let r2 = ratio(&view, 2.0, &NodeCosts::Uniform, &dup, &mut scratch);
         assert_eq!(r2.seeds, r.seeds);
     }
 
@@ -523,7 +321,7 @@ mod tests {
         let rc = pool(&[&[0], &[1]], 2);
         let view = CoverageView::build(&rc, 0..2);
         let cons = SeedConstraints { forced: &[0, 1], excluded: &[] };
-        view.select_budgeted(1.0, &NodeCosts::Uniform, &cons, &mut GreedyScratch::new());
+        ratio(&view, 1.0, &NodeCosts::Uniform, &cons, &mut GreedyScratch::new());
     }
 
     #[test]
@@ -534,12 +332,8 @@ mod tests {
         let view = CoverageView::build(&rc, 0..4);
         let cons = SeedConstraints { forced: &[], excluded: &[0] };
         let costs: Vec<f64> = vec![1.0, 0.1, 1.0, 1.0, 1.0];
-        let r = view.select_budgeted(
-            1.0,
-            &NodeCosts::per_node(costs.into()),
-            &cons,
-            &mut GreedyScratch::new(),
-        );
+        let r =
+            ratio(&view, 1.0, &NodeCosts::per_node(costs.into()), &cons, &mut GreedyScratch::new());
         assert!(!r.seeds.contains(&0), "excluded node selected: {:?}", r.seeds);
     }
 
@@ -549,14 +343,14 @@ mod tests {
         let view = CoverageView::build(&rc, 0..2);
         let mut scratch = GreedyScratch::new();
         // Uniform, budget 4: node 0 covers everything, then 3 pads.
-        let r =
-            view.select_budgeted(4.0, &NodeCosts::Uniform, &SeedConstraints::none(), &mut scratch);
+        let r = ratio(&view, 4.0, &NodeCosts::Uniform, &SeedConstraints::none(), &mut scratch);
         assert_eq!(r.seeds, vec![0, 1, 2, 3]);
         assert_eq!(r.marginal_gains, vec![2, 0, 0, 0]);
         assert_eq!(r.covered, 2);
         // Costly padding candidates are skipped when unaffordable.
         let costs: Vec<f64> = vec![1.0, 9.0, 1.0, 9.0, 1.0, 1.0];
-        let r2 = view.select_budgeted(
+        let r2 = ratio(
+            &view,
             3.0,
             &NodeCosts::per_node(costs.into()),
             &SeedConstraints::none(),
@@ -569,7 +363,8 @@ mod tests {
     fn zero_budget_returns_nothing() {
         let rc = pool(&[&[0, 1]], 2);
         let view = CoverageView::build(&rc, 0..1);
-        let r = view.select_budgeted(
+        let r = ratio(
+            &view,
             0.0,
             &NodeCosts::Uniform,
             &SeedConstraints::none(),
@@ -595,7 +390,8 @@ mod tests {
     fn nonpositive_costs_are_rejected() {
         let rc = pool(&[&[0]], 2);
         let view = CoverageView::build(&rc, 0..1);
-        view.select_budgeted(
+        ratio(
+            &view,
             1.0,
             &NodeCosts::per_node(vec![1.0, 0.0].into()),
             &SeedConstraints::none(),
@@ -608,7 +404,8 @@ mod tests {
     fn wrong_length_costs_are_rejected() {
         let rc = pool(&[&[0]], 3);
         let view = CoverageView::build(&rc, 0..1);
-        view.select_budgeted(
+        ratio(
+            &view,
             1.0,
             &NodeCosts::per_node(vec![1.0].into()),
             &SeedConstraints::none(),

@@ -1,6 +1,7 @@
 //! Sealed CSR-transposed coverage view — the cache-linear data structure
 //! greedy Max-Coverage (Algorithm 2) consumes instead of re-walking the
-//! pool arena per newly covered set.
+//! pool arena per newly covered set — and the one lazy-heap selection
+//! kernel that runs on it.
 //!
 //! # Why a separate view
 //!
@@ -43,15 +44,28 @@
 //! anyway). Callers that run several selections against one frozen pool
 //! slice can build once and call [`CoverageView::select`] repeatedly.
 //!
+//! # One kernel, three objectives
+//!
+//! [`CoverageView::select`] is the only selection loop in the crate. An
+//! [`Objective`] says what it maximizes and what a seed spends:
+//! [`Count`] (covered sets, at most `k` seeds — Algorithm 2 itself),
+//! [`crate::Weighted`] (covered root-weight mass, at most `k` seeds) and
+//! [`crate::Ratio`] (covered sets per unit cost under a knapsack budget).
+//! A [`GainInit`] says where the initial gains come from — one streaming
+//! histogram pass, or a memcpy of a frozen snapshot — and
+//! [`SeedConstraints`] carry forced and excluded seeds. Forced seeds,
+//! exclusions, stale re-keying, the cover sweep and zero-gain padding
+//! are written once; each objective is a monomorphized instance, so the
+//! count objective keeps its `u32` gains and `(u32, NodeId)` heap.
+//!
 //! # Determinism
 //!
-//! [`CoverageView::select`] runs exactly the lazy-heap greedy of the
-//! pre-view implementation — same `(gain, id)` max-heap tie-break, same
-//! zero-gain padding — so seeds are bit-identical to it and to
-//! [`crate::max_coverage_naive`]. The covered bitset is
-//! *generation-stamped* ([`GreedyScratch`]): marking a slot covered
-//! writes the run's generation number, so reusing a scratch across
-//! rounds costs zero clearing work.
+//! The kernel pops a `(key, id)` max-heap, so ties break on the larger
+//! node id, and pads with the smallest unselected ids — seeds are
+//! bit-identical to the rescan oracle [`crate::max_coverage_naive`]. The
+//! covered bitset is *generation-stamped* ([`GreedyScratch`]): marking a
+//! slot covered writes the run's generation number, so reusing a scratch
+//! across rounds costs zero clearing work.
 
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
@@ -70,7 +84,8 @@ use crate::{CoverageResult, RrCollection};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SeedConstraints<'a> {
     /// Seeds selected unconditionally before the greedy loop, in order.
-    /// Must number at most `k`; duplicates are selected once.
+    /// Duplicates are selected (and charged) once; the *distinct* forced
+    /// seeds must fit the objective's budget.
     pub forced: &'a [NodeId],
     /// Nodes the selection must never return.
     pub excluded: &'a [NodeId],
@@ -83,16 +98,139 @@ impl SeedConstraints<'_> {
     }
 }
 
-/// How [`CoverageView::select_inner`] obtains the initial per-node
-/// gains: a fresh streaming histogram, one frozen snapshot (memcpy), or
-/// a list of per-epoch snapshots summed at query time.
-enum GainInit<'a> {
+/// Where [`CoverageView::select`] gets the initial per-node gains.
+#[derive(Debug, Clone, Copy)]
+pub enum GainInit<'a, S> {
     /// One streaming pass over the slice's members, `O(entries)`.
     Histogram,
-    /// Memcpy of a single frozen snapshot covering the whole range.
-    Frozen(&'a GainSnapshot),
-    /// Sum of per-epoch snapshots tiling the range, `O(n·parts)`.
-    Merged(&'a [&'a GainSnapshot]),
+    /// A memcpy of a frozen snapshot of the view's exact range
+    /// ([`GainSnapshot`] for [`Count`] and [`crate::Ratio`],
+    /// [`crate::WeightedGainSnapshot`] for [`crate::Weighted`]).
+    /// Bit-identical to `Histogram`.
+    Frozen(&'a S),
+}
+
+/// What [`CoverageView::select`] maximizes and what each seed spends:
+/// [`Count`], [`crate::Weighted`] or [`crate::Ratio`]. Sealed — the
+/// kernel's hooks live in a crate-private supertrait.
+pub trait Objective: kernel::Kernel {}
+
+/// The kernel hooks behind [`Objective`]; private so the trait stays
+/// sealed.
+pub(crate) mod kernel {
+    use std::ops::Range;
+
+    use sns_graph::NodeId;
+
+    use crate::{CoverageView, GreedyScratch};
+
+    /// What the kernel accumulated before the objective shapes its
+    /// result.
+    pub struct Picked<G> {
+        /// Seeds in selection order (forced, greedy, padding).
+        pub seeds: Vec<NodeId>,
+        /// Marginal gain of each seed when selected.
+        pub gains: Vec<G>,
+        /// Total cost charged against the budget.
+        pub spent: f64,
+        /// The best single affordable node (`(gain, id)`), when the
+        /// objective asks for the `max(greedy, best single)` arm.
+        pub best_single: Option<(G, NodeId)>,
+    }
+
+    /// Frozen initial state: the snapshot's range, gain table and —
+    /// when the heap keys are the gains themselves — its heap seed.
+    pub type Frozen<'s, G, K> = (Range<u32>, &'s [G], Option<&'s [(K, NodeId)]>);
+
+    /// The scratch buffers backing the gain table and the heap.
+    pub type Buffers<'s, G, K> = (&'s mut Vec<G>, &'s mut Vec<(K, NodeId)>);
+
+    pub trait Kernel: Sized {
+        /// Per-node marginal gain: `u32` set counts or `f64` mass.
+        type Gain: Copy + Default + PartialOrd + std::ops::SubAssign;
+        /// Heap priority of a node.
+        type Key: Copy + Ord;
+        /// The frozen gain state [`crate::GainInit::Frozen`] accepts.
+        type Snapshot;
+        /// What the selection returns.
+        type Output;
+        /// Whether to compute the best-single-affordable-node arm.
+        const BEST_SINGLE: bool = false;
+
+        /// Validates the objective for an `n`-node pool and returns
+        /// `(budget, cheapest cost)`.
+        fn budget(&self, n: u32) -> (f64, f64);
+        /// The cost of selecting `v` (unit unless costs are given).
+        fn cost(&self, _v: NodeId) -> f64 {
+            1.0
+        }
+        /// Heap priority of `v` at marginal gain `gain`.
+        fn key(&self, gain: Self::Gain, v: NodeId) -> Self::Key;
+        /// Gain a set with these members (root first) contributes.
+        fn set_gain(&self, members: &[NodeId]) -> Self::Gain;
+        /// Adds every in-range set's gain to its members (`gains` is
+        /// zeroed and one entry per node).
+        fn histogram(&self, view: &CoverageView<'_>, gains: &mut [Self::Gain]);
+        /// The frozen state of `snapshot`.
+        fn frozen<'s>(&self, snapshot: &'s Self::Snapshot) -> Frozen<'s, Self::Gain, Self::Key>;
+        /// The scratch buffers backing the gain table and the heap.
+        fn buffers(scratch: &mut GreedyScratch) -> Buffers<'_, Self::Gain, Self::Key>;
+        /// Shapes the kernel's picks into the objective's result.
+        fn output(self, picked: Picked<Self::Gain>) -> Self::Output;
+    }
+}
+
+/// Algorithm 2's objective: at most `k` seeds (clamped to the node
+/// count), maximizing the number of covered sets. Returns a
+/// [`CoverageResult`].
+#[derive(Debug, Clone, Copy)]
+pub struct Count {
+    /// Seed budget.
+    pub k: usize,
+}
+
+/// Adds one to the gain of every member of the view's slice — the count
+/// histogram shared by [`Count`], [`crate::Ratio`] and
+/// [`GainSnapshot::build`].
+#[inline]
+pub(crate) fn count_members(view: &CoverageView<'_>, gains: &mut [u32]) {
+    for &v in view.set_data {
+        gains[v as usize] += 1;
+    }
+}
+
+impl Objective for Count {}
+
+impl kernel::Kernel for Count {
+    type Gain = u32;
+    type Key = u32;
+    type Snapshot = GainSnapshot;
+    type Output = CoverageResult;
+
+    fn budget(&self, n: u32) -> (f64, f64) {
+        (self.k.min(n as usize) as f64, 1.0)
+    }
+    #[inline]
+    fn key(&self, gain: u32, _v: NodeId) -> u32 {
+        gain
+    }
+    #[inline]
+    fn set_gain(&self, _members: &[NodeId]) -> u32 {
+        1
+    }
+    fn histogram(&self, view: &CoverageView<'_>, gains: &mut [u32]) {
+        count_members(view, gains);
+    }
+    fn frozen<'s>(&self, snapshot: &'s GainSnapshot) -> kernel::Frozen<'s, u32, u32> {
+        (snapshot.range(), snapshot.gains(), Some(snapshot.heap_seed()))
+    }
+    fn buffers(scratch: &mut GreedyScratch) -> kernel::Buffers<'_, u32, u32> {
+        (&mut scratch.gain, &mut scratch.heap_buf)
+    }
+    fn output(self, picked: kernel::Picked<u32>) -> CoverageResult {
+        let marginal_gains: Vec<u64> = picked.gains.into_iter().map(u64::from).collect();
+        CoverageResult { seeds: picked.seeds, covered: marginal_gains.iter().sum(), marginal_gains }
+    }
 }
 
 /// Range-rebased forward (`set → members`) CSR snapshot of a pool slice
@@ -122,6 +260,14 @@ impl<'a> CoverageView<'a> {
     ///
     /// Panics if `range.start > range.end` or `range.end > rc.len()`.
     pub fn build(rc: &'a RrCollection, range: Range<u32>) -> Self {
+        let (set_data, base) = Self::arena_slice(rc, &range);
+        let offsets = &rc.arena().1[range.start as usize..=range.end as usize];
+        let set_offsets = CsrOffsets::rebased(offsets, base);
+        CoverageView { rc, range, set_offsets: Cow::Owned(set_offsets), set_data }
+    }
+
+    /// The arena's member data spanning `range`, and its base offset.
+    fn arena_slice(rc: &'a RrCollection, range: &Range<u32>) -> (&'a [NodeId], u64) {
         assert!(
             range.start <= range.end && range.end as usize <= rc.len(),
             "coverage view range {range:?} out of bounds for pool of {} sets",
@@ -129,10 +275,7 @@ impl<'a> CoverageView<'a> {
         );
         let (data, offsets) = rc.arena();
         let base = offsets[range.start as usize];
-        let set_data = &data[base as usize..offsets[range.end as usize] as usize];
-        let set_offsets =
-            CsrOffsets::rebased(&offsets[range.start as usize..=range.end as usize], base);
-        CoverageView { rc, range, set_offsets: Cow::Owned(set_offsets), set_data }
+        (&data[base as usize..offsets[range.end as usize] as usize], base)
     }
 
     /// [`CoverageView::build`] with the rebased offsets supplied by a
@@ -148,14 +291,7 @@ impl<'a> CoverageView<'a> {
         range: Range<u32>,
         set_offsets: &'a CsrOffsets,
     ) -> Self {
-        assert!(
-            range.start <= range.end && range.end as usize <= rc.len(),
-            "coverage view range {range:?} out of bounds for pool of {} sets",
-            rc.len()
-        );
-        let (data, offsets) = rc.arena();
-        let base = offsets[range.start as usize];
-        let set_data = &data[base as usize..offsets[range.end as usize] as usize];
+        let (set_data, _) = Self::arena_slice(rc, &range);
         if range.start < range.end {
             let last = (range.end - range.start - 1) as usize;
             assert_eq!(
@@ -184,6 +320,9 @@ impl<'a> CoverageView<'a> {
     }
 
     /// Members of the set at `slot` (pool id `range.start + slot`).
+    /// Inline: the kernel's cover sweep calls it per covered set, and the
+    /// kernel is generic, so it is instantiated in downstream crates.
+    #[inline]
     pub fn members(&self, slot: usize) -> &[NodeId] {
         &self.set_data[self.set_offsets.span(slot)]
     }
@@ -196,81 +335,168 @@ impl<'a> CoverageView<'a> {
         self.set_offsets.memory_bytes()
     }
 
-    /// Lazy-heap greedy Max-Coverage over this view — bit-identical seeds
-    /// to [`crate::max_coverage_range`] on the same pool slice (which is
-    /// implemented as `build` + `select`).
+    /// Lazy-heap greedy Max-Coverage over this view — the selection
+    /// kernel (see the module docs).
     ///
-    /// `scratch` supplies the gain table, heap storage and the
-    /// generation-stamped covered/selected marks; reusing one scratch
-    /// across rounds skips all per-round clearing and reallocation.
-    pub fn select(&self, k: usize, scratch: &mut GreedyScratch) -> CoverageResult {
-        self.select_inner(k, &SeedConstraints::none(), scratch, GainInit::Histogram)
-    }
-
-    /// [`CoverageView::select`] with the histogram pass replaced by a
-    /// memcpy of `snapshot`'s frozen gains and heap seed — the
-    /// frozen-pool fast path for callers answering many queries against
-    /// one sealed slice. Bit-identical to [`CoverageView::select`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshot` was built for a different id range.
-    pub fn select_from_snapshot(
-        &self,
-        snapshot: &GainSnapshot,
-        k: usize,
-        scratch: &mut GreedyScratch,
-    ) -> CoverageResult {
-        self.select_inner(k, &SeedConstraints::none(), scratch, GainInit::Frozen(snapshot))
-    }
-
-    /// [`CoverageView::select_from_snapshot`] over a *list* of per-epoch
-    /// snapshots tiling this view's range: the gain histograms of the
-    /// parts are summed and the heap seed is rebuilt from the merged
-    /// histogram (`O(n·parts)`), then selection proceeds exactly as with
-    /// a single frozen snapshot. Bit-identical to
-    /// [`CoverageView::select_constrained`] on the same slice — summing
-    /// per-epoch `u32` histograms produces the very counts one streaming
-    /// pass over the whole range would.
-    ///
-    /// This is the query-time half of epoch-incremental snapshot
-    /// maintenance: when a pool grows, only the new epoch needs freezing
-    /// ([`GainSnapshot::build`]); queries spanning old and new epochs
-    /// merge here instead of invalidating anything. Callers answering
-    /// the same multi-epoch range repeatedly should materialize the
-    /// merge once with [`GainSnapshot::merge`] and use the single-
-    /// snapshot fast path afterwards.
+    /// Forced seeds are taken first, in order, charging the budget
+    /// (their coverage is removed from every later gain); excluded nodes
+    /// are skipped by the greedy loop, the padding and the
+    /// best-single arm. The loop pops the `(key, id)` max-heap until no
+    /// affordable node has positive gain, re-keying stale entries on pop
+    /// (gains only decrease, so keys only decrease and the heap stays
+    /// sound) and retiring nodes that no longer fit the remaining
+    /// budget. Leftover budget is spent on zero-gain padding seeds in
+    /// ascending id order. `scratch` supplies the gain table, heap
+    /// storage and generation-stamped marks; reusing one across rounds
+    /// skips all per-round clearing and reallocation.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshots do not tile `self.range()` contiguously
-    /// in order, or if more than `k` seeds are forced.
-    pub fn select_from_snapshots(
+    /// Panics if the objective is malformed (see [`crate::Weighted`] and
+    /// [`crate::Ratio`]), if a frozen snapshot covers a different range,
+    /// or if the distinct forced seeds overrun the budget.
+    pub fn select<O: Objective>(
         &self,
-        parts: &[&GainSnapshot],
-        k: usize,
+        objective: O,
+        init: GainInit<'_, O::Snapshot>,
         constraints: &SeedConstraints<'_>,
         scratch: &mut GreedyScratch,
-    ) -> CoverageResult {
-        self.select_inner(k, constraints, scratch, GainInit::Merged(parts))
+    ) -> O::Output {
+        let n = self.num_nodes();
+        let (budget, min_cost) = objective.budget(n);
+        let generation = scratch.begin_run(n as usize, self.len());
+        let zero = O::Gain::default();
+
+        let (gain_buf, heap_buf) = O::buffers(scratch);
+        let mut gain = std::mem::take(gain_buf);
+        let mut heap_buf = std::mem::take(heap_buf);
+        gain.clear();
+        heap_buf.clear();
+        let frozen_seed = match init {
+            GainInit::Frozen(snapshot) => {
+                let (range, gains, seed) = objective.frozen(snapshot);
+                assert_eq!(range, self.range, "gain snapshot was built for a different pool slice");
+                gain.extend_from_slice(gains);
+                seed
+            }
+            GainInit::Histogram => {
+                gain.resize(n as usize, zero);
+                objective.histogram(self, &mut gain);
+                None
+            }
+        };
+        match frozen_seed {
+            Some(seed) => heap_buf.extend_from_slice(seed),
+            None => heap_buf.extend(
+                (0..n)
+                    .filter(|&v| gain[v as usize] > zero)
+                    .map(|v| (objective.key(gain[v as usize], v), v)),
+            ),
+        }
+        let mut heap = BinaryHeap::from(heap_buf);
+
+        let selected = &mut scratch.selected_stamp;
+        let covered = &mut scratch.covered_stamp;
+        for &v in constraints.excluded {
+            selected[v as usize] = generation;
+        }
+        // The other arm of Ratio's max(greedy, best single) guarantee:
+        // the highest-gain node affordable within the full budget, read
+        // off the initial gains. Forced seeds change what the query
+        // means (the fallback would drop them), so it needs none.
+        let mut best_single: Option<(O::Gain, NodeId)> = None;
+        if O::BEST_SINGLE && constraints.forced.is_empty() {
+            for v in 0..n {
+                let g = gain[v as usize];
+                if g > zero
+                    && selected[v as usize] != generation
+                    && objective.cost(v) <= budget
+                    && best_single.is_none_or(|b| (g, v) > b)
+                {
+                    best_single = Some((g, v));
+                }
+            }
+        }
+
+        let mut seeds = Vec::new();
+        let mut gains = Vec::new();
+        let mut remaining = budget;
+        let mut spent = 0.0f64;
+        for &v in constraints.forced {
+            if selected[v as usize] == generation {
+                continue; // duplicate forced seed: selected and charged once
+            }
+            let c = objective.cost(v);
+            assert!(c <= remaining, "forced seeds overrun the budget {budget}");
+            selected[v as usize] = generation;
+            remaining -= c;
+            spent += c;
+            let g = gain[v as usize];
+            seeds.push(v);
+            gains.push(g);
+            if g > zero {
+                self.cover(&objective, v, generation, covered, &mut gain);
+            }
+        }
+
+        while remaining >= min_cost {
+            let Some((key, v)) = heap.pop() else { break };
+            if selected[v as usize] == generation {
+                continue;
+            }
+            let g = gain[v as usize];
+            let current = objective.key(g, v);
+            if key > current {
+                // Stale entry: re-key with the exact gain.
+                if g > zero {
+                    heap.push((current, v));
+                }
+                continue;
+            }
+            if g <= zero {
+                break; // nothing left to cover
+            }
+            // Selected, or unaffordable now and — since the budget only
+            // shrinks — retired for the rest of the run.
+            selected[v as usize] = generation;
+            let c = objective.cost(v);
+            if c > remaining {
+                continue;
+            }
+            remaining -= c;
+            spent += c;
+            seeds.push(v);
+            gains.push(g);
+            self.cover(&objective, v, generation, covered, &mut gain);
+        }
+
+        // The paper's algorithms want exactly k seeds even when extra
+        // seeds add no coverage (I(S) still counts the seeds themselves):
+        // spend what is left on unselected nodes, ascending ids, gain 0.
+        let mut next = 0u32;
+        while next < n && remaining >= min_cost {
+            if selected[next as usize] != generation {
+                let c = objective.cost(next);
+                if c <= remaining {
+                    selected[next as usize] = generation;
+                    remaining -= c;
+                    spent += c;
+                    seeds.push(next);
+                    gains.push(zero);
+                }
+            }
+            next += 1;
+        }
+
+        let (gain_buf, heap_buf) = O::buffers(scratch);
+        *gain_buf = gain;
+        *heap_buf = heap.into_vec();
+        objective.output(kernel::Picked { seeds, gains, spent, best_single })
     }
 
-    /// [`CoverageView::select`] under [`SeedConstraints`]: forced seeds
-    /// are taken first (their coverage removed from every later gain),
-    /// excluded nodes are skipped by both the greedy loop and the
-    /// zero-gain padding. With empty constraints this *is* `select`.
-    pub fn select_constrained(
-        &self,
-        k: usize,
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-    ) -> CoverageResult {
-        self.select_inner(k, constraints, scratch, GainInit::Histogram)
-    }
-
-    /// [`CoverageView::select_from_snapshot`] under [`SeedConstraints`] —
-    /// the entry point of `sns-core`'s seed-query engine. Bit-identical
-    /// to [`CoverageView::select_constrained`] on the same inputs.
+    /// [`Count`] selection starting from a frozen [`GainSnapshot`] of
+    /// this view's range — the entry point of `sns-core`'s seed-query
+    /// engine.
     pub fn select_from_snapshot_constrained(
         &self,
         snapshot: &GainSnapshot,
@@ -278,194 +504,41 @@ impl<'a> CoverageView<'a> {
         constraints: &SeedConstraints<'_>,
         scratch: &mut GreedyScratch,
     ) -> CoverageResult {
-        self.select_inner(k, constraints, scratch, GainInit::Frozen(snapshot))
+        self.select(Count { k }, GainInit::Frozen(snapshot), constraints, scratch)
     }
 
-    /// Walks the sets of `v` within the view's range, marking each
-    /// still-uncovered one covered and decrementing its members' gains —
-    /// the decremental-update sweep shared by greedy picks and forced
-    /// seeds (and by the budgeted twin in [`crate::budgeted`]).
+    /// The cover sweep: walks the sets of `v` within the view's range,
+    /// marking each still-uncovered one covered and subtracting its gain
+    /// from its members' marginal gains.
     #[inline]
-    pub(crate) fn cover_sets_of(
+    fn cover<O: Objective>(
         &self,
+        objective: &O,
         v: NodeId,
         generation: u32,
-        covered_stamp: &mut [u32],
-        gain: &mut [u32],
+        covered: &mut [u32],
+        gain: &mut [O::Gain],
     ) {
         for id in self.rc.sets_containing_in(v, self.range.clone()) {
             let slot = (id - self.range.start) as usize;
-            if covered_stamp[slot] == generation {
+            if covered[slot] == generation {
                 continue;
             }
-            covered_stamp[slot] = generation;
-            for &w in self.members(slot) {
-                gain[w as usize] -= 1;
-            }
-        }
-    }
-
-    fn select_inner(
-        &self,
-        k: usize,
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-        init: GainInit<'_>,
-    ) -> CoverageResult {
-        let n = self.rc.num_nodes();
-        let k = k.min(n as usize);
-        assert!(
-            constraints.forced.len() <= k,
-            "{} forced seeds exceed the budget k = {k}",
-            constraints.forced.len()
-        );
-        let generation = scratch.begin_run(n as usize, self.len());
-
-        let mut heap_buf = std::mem::take(&mut scratch.heap_buf);
-        heap_buf.clear();
-        let gain = &mut scratch.gain;
-        gain.clear();
-        match init {
-            GainInit::Frozen(snapshot) => {
-                // Frozen-pool fast path: both the exact gains and the
-                // nonzero heap seed are memcpys of the snapshot.
-                assert_eq!(
-                    snapshot.range(),
-                    self.range,
-                    "gain snapshot was built for a different pool slice"
-                );
-                gain.extend_from_slice(snapshot.gains());
-                heap_buf.extend_from_slice(snapshot.heap_seed());
-            }
-            GainInit::Merged(parts) => {
-                // Epoch-merge path: sum the per-epoch histograms (the
-                // counts one full-range streaming pass would produce,
-                // since `u32` addition is order-independent) and rebuild
-                // the nonzero heap seed from the merged table.
-                let mut pos = self.range.start;
-                for part in parts {
-                    assert_eq!(
-                        part.range().start,
-                        pos,
-                        "epoch snapshots must tile the view's range {:?} contiguously",
-                        self.range
-                    );
-                    assert_eq!(
-                        part.gains().len(),
-                        n as usize,
-                        "epoch snapshot spans a different node universe"
-                    );
-                    pos = part.range().end;
+            covered[slot] = generation;
+            let members = self.members(slot);
+            let w = objective.set_gain(members);
+            if w > O::Gain::default() {
+                for &u in members {
+                    gain[u as usize] -= w;
                 }
-                assert_eq!(pos, self.range.end, "epoch snapshots stop short of the view's range");
-                gain.resize(n as usize, 0);
-                for part in parts {
-                    for (g, &p) in gain.iter_mut().zip(part.gains()) {
-                        *g += p;
-                    }
-                }
-                heap_buf.extend(
-                    (0..n).filter(|&v| gain[v as usize] > 0).map(|v| (gain[v as usize], v)),
-                );
-            }
-            GainInit::Histogram => {
-                // Exact current marginal gain per node, by one streaming
-                // histogram pass over the materialized members (== the
-                // in-range degree `sets_containing_in(v, range).len()`
-                // of every node).
-                gain.resize(n as usize, 0);
-                for &v in self.set_data {
-                    gain[v as usize] += 1;
-                }
-                heap_buf.extend(
-                    (0..n).filter(|&v| gain[v as usize] > 0).map(|v| (gain[v as usize], v)),
-                );
             }
         }
-        let mut heap: BinaryHeap<(u32, NodeId)> = BinaryHeap::from(heap_buf);
-
-        let mut seeds = Vec::with_capacity(k);
-        let mut marginal_gains = Vec::with_capacity(k);
-        let mut covered = 0u64;
-
-        // Excluded nodes are marked selected up front so neither the
-        // greedy loop nor the padding can return them.
-        for &v in constraints.excluded {
-            scratch.selected_stamp[v as usize] = generation;
-        }
-        for &v in constraints.forced {
-            if scratch.selected_stamp[v as usize] == generation {
-                continue; // duplicate forced seed: selected once
-            }
-            scratch.selected_stamp[v as usize] = generation;
-            let g = gain[v as usize];
-            seeds.push(v);
-            marginal_gains.push(u64::from(g));
-            covered += u64::from(g);
-            if g > 0 {
-                self.cover_sets_of(v, generation, &mut scratch.covered_stamp, gain);
-            }
-        }
-
-        while seeds.len() < k {
-            let Some((g, v)) = heap.pop() else { break };
-            if scratch.selected_stamp[v as usize] == generation {
-                continue;
-            }
-            let current = gain[v as usize];
-            if g > current {
-                // Stale entry: re-key with the exact gain. Gains only
-                // decrease, so the max-heap invariant stays sound.
-                if current > 0 {
-                    heap.push((current, v));
-                }
-                continue;
-            }
-            // g == current: v is the true argmax.
-            if current == 0 {
-                break; // nothing left to cover
-            }
-            scratch.selected_stamp[v as usize] = generation;
-            seeds.push(v);
-            marginal_gains.push(u64::from(current));
-            covered += u64::from(current);
-            self.cover_sets_of(v, generation, &mut scratch.covered_stamp, gain);
-            debug_assert_eq!(gain[v as usize], 0);
-        }
-
-        // The paper's algorithms want exactly k seeds even when extra
-        // seeds add no coverage (I(S) still counts the seeds themselves).
-        // Pad with arbitrary unselected nodes, gain 0.
-        let mut next = 0u32;
-        while seeds.len() < k && next < n {
-            if scratch.selected_stamp[next as usize] != generation {
-                scratch.selected_stamp[next as usize] = generation;
-                seeds.push(next);
-                marginal_gains.push(0);
-            }
-            next += 1;
-        }
-
-        scratch.heap_buf = heap.into_vec();
-        CoverageResult { seeds, covered, marginal_gains }
-    }
-
-    /// The raw concatenated member data of the view's slice (what the
-    /// histogram pass streams) — shared with [`GainSnapshot::build`].
-    pub(crate) fn raw_members(&self) -> &[NodeId] {
-        self.set_data
     }
 
     /// The rebased per-slot offsets — what [`GainSnapshot::build`]
     /// freezes so later views can skip the rebase.
     pub(crate) fn offsets(&self) -> &CsrOffsets {
         &self.set_offsets
-    }
-
-    /// The pool this view snapshots (for the per-seed inverted queries
-    /// of the weighted selection twin in [`crate::snapshot`]).
-    pub(crate) fn pool(&self) -> &RrCollection {
-        self.rc
     }
 
     /// Node-universe size of the underlying pool.
@@ -485,21 +558,21 @@ impl<'a> CoverageView<'a> {
 /// to every selection round.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyScratch {
-    /// Exact current marginal gain per node (valid during a run). `u32`
-    /// deliberately: a gain is bounded by the set-id space, and the
-    /// decrement sweep's random accesses profit from the halved table.
-    /// Shared with the budgeted ratio-greedy in [`crate::budgeted`].
+    /// Exact current marginal gain per node (valid during a run) for the
+    /// count and ratio objectives. `u32` deliberately: a gain is bounded
+    /// by the set-id space, and the decrement sweep's random accesses
+    /// profit from the halved table.
     pub(crate) gain: Vec<u32>,
     /// Per-slot covered mark: covered iff `== generation`.
-    pub(crate) covered_stamp: Vec<u32>,
+    covered_stamp: Vec<u32>,
     /// Per-node selected mark: selected iff `== generation`.
-    pub(crate) selected_stamp: Vec<u32>,
-    /// Recycled backing storage of the lazy max-heap.
+    selected_stamp: Vec<u32>,
+    /// Recycled backing storage of the count objective's max-heap.
     heap_buf: Vec<(u32, NodeId)>,
-    /// Weighted-query gain table (`Σ` of covered set weights per node;
-    /// used by [`CoverageView::select_weighted`]).
+    /// Weighted-objective gain table (`Σ` of covered set weights per node).
     pub(crate) wgain: Vec<f64>,
-    /// Recycled backing storage of the weighted lazy max-heap.
+    /// Recycled backing storage of the float-keyed (weighted and ratio)
+    /// max-heap.
     pub(crate) wheap_buf: Vec<(crate::snapshot::WeightOrd, NodeId)>,
     /// Current run's stamp; incremented by [`GreedyScratch::begin_run`].
     generation: u32,
@@ -514,7 +587,7 @@ impl GreedyScratch {
     /// Starts a new run: bumps the generation and grows the stamp buffers
     /// to cover `n` nodes and `len` slots. Fresh (zeroed) stamp entries
     /// can never equal a live generation because generations start at 1.
-    pub(crate) fn begin_run(&mut self, n: usize, len: usize) -> u32 {
+    fn begin_run(&mut self, n: usize, len: usize) -> u32 {
         if self.generation == u32::MAX {
             // Wrapped after 2³² runs: zero the stamps so stale marks from
             // generation u32::MAX cannot alias generation numbers that
@@ -547,25 +620,23 @@ pub fn max_coverage_with(
     range: Range<u32>,
     scratch: &mut GreedyScratch,
 ) -> CoverageResult {
-    CoverageView::build(rc, range).select(k, scratch)
+    CoverageView::build(rc, range).select(
+        Count { k },
+        GainInit::Histogram,
+        &SeedConstraints::none(),
+        scratch,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{max_coverage, max_coverage_naive};
+    use crate::test_pools::pool;
+    use crate::{max_coverage, max_coverage_naive, WeightedCoverageResult};
     use sns_diffusion::RrMeta;
 
-    fn m() -> RrMeta {
-        RrMeta { root: 0, edges_examined: 0 }
-    }
-
-    fn pool(sets: &[&[NodeId]], n: u32) -> RrCollection {
-        let mut rc = RrCollection::new(n);
-        for s in sets {
-            rc.push(s, m());
-        }
-        rc
+    fn naive(rc: &RrCollection, k: usize) -> WeightedCoverageResult {
+        max_coverage_naive(rc, k, rc.id_range(), None)
     }
 
     #[test]
@@ -594,9 +665,7 @@ mod tests {
     fn empty_range_view_selects_only_padding() {
         let rc = pool(&[&[0, 1], &[1]], 3);
         for start in 0..=2u32 {
-            let view = CoverageView::build(&rc, start..start);
-            assert!(view.is_empty());
-            let r = view.select(2, &mut GreedyScratch::new());
+            let r = max_coverage_with(&rc, 2, start..start, &mut GreedyScratch::new());
             assert_eq!(r.covered, 0);
             assert_eq!(r.seeds.len(), 2);
             assert_eq!(r.marginal_gains, vec![0, 0]);
@@ -613,14 +682,10 @@ mod tests {
     #[test]
     fn select_matches_naive_oracle() {
         let rc = pool(&[&[0, 1], &[0, 2], &[0, 3], &[4], &[4, 1]], 5);
-        let view = CoverageView::build(&rc, 0..5);
         let mut scratch = GreedyScratch::new();
         for k in 1..=5 {
-            let got = view.select(k, &mut scratch);
-            let want = max_coverage_naive(&rc, k);
-            assert_eq!(got.seeds, want.seeds, "k={k}");
-            assert_eq!(got.covered, want.covered, "k={k}");
-            assert_eq!(got.marginal_gains, want.marginal_gains, "k={k}");
+            let got = max_coverage_with(&rc, k, 0..5, &mut scratch);
+            assert_eq!(WeightedCoverageResult::from(got), naive(&rc, k), "k={k}");
         }
     }
 
@@ -631,11 +696,11 @@ mod tests {
         // boundary.
         let mut rc = pool(&[&[0, 1], &[0, 2]], 4);
         let _ = rc.seal();
-        rc.push(&[0, 3], m());
-        rc.push(&[3], m());
+        rc.push(&[0, 3], RrMeta { root: 0, edges_examined: 0 });
+        rc.push(&[3], RrMeta { root: 3, edges_examined: 0 });
         assert!(rc.pending_sets() > 0);
         let r = crate::max_coverage_range(&rc, 2, 0..4);
-        assert_eq!(r, max_coverage_naive(&rc, 2));
+        assert_eq!(WeightedCoverageResult::from(r), naive(&rc, 2));
     }
 
     #[test]

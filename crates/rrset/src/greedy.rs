@@ -19,21 +19,22 @@
 //!   contiguous slice sweep over the snapshot with a generation-stamped
 //!   covered bitset, instead of chasing `u64` arena offsets spread over
 //!   the whole pool. Total work is `O(Σ|R_j| + n + heap traffic)`; seeds
-//!   are bit-identical to the pre-view implementation (same `(gain, id)`
-//!   max-heap tie-break). Algorithms that select round after round
+//!   are bit-identical to the oracle below (same `(gain, id)` tie-break).
+//!   Algorithms that select round after round
 //!   (SSA, D-SSA, IMM, TIM) call [`crate::max_coverage_with`] to reuse
 //!   one [`crate::GreedyScratch`] across rounds.
 //! * [`max_coverage_naive`] — linear rescan of all nodes per round,
-//!   `O(n·k + Σ|R_j|)`. Kept as the correctness oracle and ablation
-//!   baseline; it deliberately keeps walking [`RrCollection`] directly so
-//!   the oracle shares no code with the view path it checks.
+//!   `O(n·k + Σ|R_j|)`, over a range and optionally root weights. The
+//!   one correctness oracle; it deliberately keeps walking
+//!   [`RrCollection`] directly so it shares no code with the view path
+//!   it checks.
 
 use std::ops::Range;
 
 use sns_graph::NodeId;
 
 use crate::coverage::{max_coverage_with, GreedyScratch};
-use crate::RrCollection;
+use crate::{RrCollection, WeightedCoverageResult};
 
 /// Result of a greedy max-coverage run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,29 +73,42 @@ pub fn max_coverage_range(rc: &RrCollection, k: usize, range: Range<u32>) -> Cov
     max_coverage_with(rc, k, range, &mut GreedyScratch::new())
 }
 
-/// Textbook greedy: rescans every node each round. Correctness oracle for
-/// [`max_coverage`] and the ablation baseline.
-pub fn max_coverage_naive(rc: &RrCollection, k: usize) -> CoverageResult {
+/// Textbook greedy: rescans every node each round, `O(n·k + Σ|R_j|)` —
+/// the one correctness oracle for [`crate::CoverageView::select`]. Runs
+/// over the pool slice `range`; with `root_weights` each set counts
+/// `root_weights[root]` (its first member) instead of 1, the objective of
+/// [`crate::Weighted`]. Ties break on the larger node id and padding takes
+/// the smallest unselected ids, like the kernel. It deliberately walks
+/// [`RrCollection`] directly, so it shares no code with the view path it
+/// checks; gains are `f64` (exact for counts, and for power-of-two
+/// weights).
+pub fn max_coverage_naive(
+    rc: &RrCollection,
+    k: usize,
+    range: Range<u32>,
+    root_weights: Option<&[f64]>,
+) -> WeightedCoverageResult {
     let n = rc.num_nodes();
     let k = k.min(n as usize);
-    let mut gain: Vec<u64> = (0..n).map(|v| rc.sets_containing(v).len() as u64).collect();
-    let mut covered_mark = vec![false; rc.len()];
+    let set_weight = |id: u32| match (root_weights, rc.set(id as usize).first()) {
+        (None, _) => 1.0,
+        (Some(w), Some(&root)) => w[root as usize],
+        (Some(_), None) => 0.0,
+    };
+    let mut gain: Vec<f64> = (0..n)
+        .map(|v| rc.sets_containing_in(v, range.clone()).map(set_weight).fold(0.0, |s, w| s + w))
+        .collect();
+    let mut covered_mark = vec![false; (range.end - range.start) as usize];
     let mut selected = vec![false; n as usize];
     let mut seeds = Vec::with_capacity(k);
     let mut marginal_gains = Vec::with_capacity(k);
-    let mut covered = 0u64;
+    let mut covered_weight = 0.0;
 
     for _ in 0..k {
-        let mut best: Option<(u64, NodeId)> = None;
+        let mut best: Option<(f64, NodeId)> = None;
         for v in 0..n {
-            if selected[v as usize] || gain[v as usize] == 0 {
-                continue;
-            }
-            // Tie-break on the larger node id to mirror the heap's
-            // deterministic order: the (gain, id) max-heap pops the
-            // largest id first among equal gains.
             let candidate = (gain[v as usize], v);
-            if best.is_none_or(|b| candidate > b) {
+            if !selected[v as usize] && candidate.0 > 0.0 && best.is_none_or(|b| candidate > b) {
                 best = Some(candidate);
             }
         }
@@ -102,84 +116,15 @@ pub fn max_coverage_naive(rc: &RrCollection, k: usize) -> CoverageResult {
         selected[v as usize] = true;
         seeds.push(v);
         marginal_gains.push(g);
-        covered += g;
-        for id in rc.sets_containing(v) {
-            let slot = id as usize;
-            if covered_mark[slot] {
-                continue;
-            }
-            covered_mark[slot] = true;
-            for &w in rc.set(slot) {
-                gain[w as usize] -= 1;
-            }
-        }
-    }
-
-    let mut next = 0u32;
-    while seeds.len() < k && next < n {
-        if !selected[next as usize] {
-            selected[next as usize] = true;
-            seeds.push(next);
-            marginal_gains.push(0);
-        }
-        next += 1;
-    }
-
-    CoverageResult { seeds, covered, marginal_gains }
-}
-
-/// The lazy-heap greedy exactly as it stood **before** the
-/// [`crate::CoverageView`] refactor, kept verbatim (do not optimize) as
-/// the bit-identity reference and ablation baseline: gain initialization
-/// issues one two-tier inverted-index query per node, and every
-/// decremental update walks `rc.set(id)` through the pool's `u64` arena
-/// offsets. Shared by the `greedy_coverage` bench and the acceptance
-/// property test so both compare against the same baseline.
-pub fn max_coverage_pre_refactor(rc: &RrCollection, k: usize, range: Range<u32>) -> CoverageResult {
-    use std::collections::BinaryHeap;
-
-    let n = rc.num_nodes();
-    let k = k.min(n as usize);
-    let range_len = (range.end - range.start) as usize;
-
-    let mut gain: Vec<u64> =
-        (0..n).map(|v| rc.sets_containing_in(v, range.clone()).len() as u64).collect();
-    let mut heap: BinaryHeap<(u64, NodeId)> =
-        (0..n).filter(|&v| gain[v as usize] > 0).map(|v| (gain[v as usize], v)).collect();
-
-    let mut covered_mark = vec![false; range_len];
-    let mut selected = vec![false; n as usize];
-    let mut seeds = Vec::with_capacity(k);
-    let mut marginal_gains = Vec::with_capacity(k);
-    let mut covered = 0u64;
-
-    while seeds.len() < k {
-        let Some((g, v)) = heap.pop() else { break };
-        if selected[v as usize] {
-            continue;
-        }
-        let current = gain[v as usize];
-        if g > current {
-            if current > 0 {
-                heap.push((current, v));
-            }
-            continue;
-        }
-        if current == 0 {
-            break;
-        }
-        selected[v as usize] = true;
-        seeds.push(v);
-        marginal_gains.push(current);
-        covered += current;
+        covered_weight += g;
         for id in rc.sets_containing_in(v, range.clone()) {
             let slot = (id - range.start) as usize;
-            if covered_mark[slot] {
-                continue;
-            }
-            covered_mark[slot] = true;
-            for &w in rc.set(id as usize) {
-                gain[w as usize] -= 1;
+            if !covered_mark[slot] {
+                covered_mark[slot] = true;
+                let w = set_weight(id);
+                for &u in rc.set(id as usize) {
+                    gain[u as usize] -= w;
+                }
             }
         }
     }
@@ -189,30 +134,19 @@ pub fn max_coverage_pre_refactor(rc: &RrCollection, k: usize, range: Range<u32>)
         if !selected[next as usize] {
             selected[next as usize] = true;
             seeds.push(next);
-            marginal_gains.push(0);
+            marginal_gains.push(0.0);
         }
         next += 1;
     }
 
-    CoverageResult { seeds, covered, marginal_gains }
+    WeightedCoverageResult { seeds, covered_weight, marginal_gains }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_pools::pool;
     use sns_diffusion::RrMeta;
-
-    fn m() -> RrMeta {
-        RrMeta { root: 0, edges_examined: 0 }
-    }
-
-    fn pool(sets: &[&[NodeId]], n: u32) -> RrCollection {
-        let mut rc = RrCollection::new(n);
-        for s in sets {
-            rc.push(s, m());
-        }
-        rc
-    }
 
     #[test]
     fn picks_the_dominating_node() {
@@ -283,15 +217,15 @@ mod tests {
                 let mut s: Vec<NodeId> = (0..len).map(|_| rng.gen_range(0..n)).collect();
                 s.sort_unstable();
                 s.dedup();
-                rc.push(&s, m());
+                rc.push(&s, RrMeta { root: s[0], edges_examined: 0 });
             }
             let k = rng.gen_range(1..6usize);
             let lazy = max_coverage(&rc, k);
-            let naive = max_coverage_naive(&rc, k);
+            let naive = max_coverage_naive(&rc, k, rc.id_range(), None);
             // Greedy choices can differ on ties, but total coverage of the
             // greedy solution is unique given deterministic tie-breaks; we
             // assert both use (gain, id) max ordering so seeds match too.
-            assert_eq!(lazy.covered, naive.covered, "trial {trial}");
+            assert_eq!(lazy.covered as f64, naive.covered_weight, "trial {trial}");
             assert_eq!(lazy.seeds, naive.seeds, "trial {trial}");
         }
     }

@@ -10,9 +10,13 @@
 //!   sealed CSR-transposed snapshot of the queried pool slice that turns
 //!   decremental gain updates into contiguous slice sweeps with a
 //!   generation-stamped covered bitset ([`GreedyScratch`], reusable
-//!   across rounds via [`max_coverage_with`]). [`max_coverage_naive`] is
-//!   the textbook rescan version used for cross-checks and ablation
-//!   benches.
+//!   across rounds via [`max_coverage_with`]).
+//! * **One selection kernel**, [`CoverageView::select`], serves every
+//!   query shape: an [`Objective`] — [`Count`] (top-`k`), [`Weighted`]
+//!   (targeted root weights) or [`Ratio`] (cost-aware, under a budget) —
+//!   a [`GainInit`] (fresh histogram or a frozen [`GainSnapshot`]) and
+//!   [`SeedConstraints`]. [`max_coverage_naive`] is the one textbook
+//!   rescan oracle the kernel is cross-checked against.
 //! * **Coverage queries**: `Cov_R(S)` for the stopping conditions —
 //!   [`RrCollection::coverage_of`].
 //!
@@ -35,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-mod bucket;
 mod budgeted;
 mod collection;
 mod coverage;
@@ -45,15 +48,16 @@ mod index;
 pub mod narrow;
 mod snapshot;
 pub mod store;
+#[cfg(test)]
+mod test_pools;
 
-pub use bucket::max_coverage_bucket;
-pub use budgeted::{BudgetedCoverageResult, NodeCosts};
+pub use budgeted::{BudgetedCoverageResult, NodeCosts, Ratio};
 pub use collection::{RrCollection, SealOutcome};
-pub use coverage::{max_coverage_with, CoverageView, GreedyScratch, SeedConstraints};
-pub use directory::{DirectoryWriter, EpochDirectory};
-pub use greedy::{
-    max_coverage, max_coverage_naive, max_coverage_pre_refactor, max_coverage_range, CoverageResult,
+pub use coverage::{
+    max_coverage_with, Count, CoverageView, GainInit, GreedyScratch, Objective, SeedConstraints,
 };
+pub use directory::{DirectoryWriter, EpochDirectory};
+pub use greedy::{max_coverage, max_coverage_naive, max_coverage_range, CoverageResult};
 pub use index::SetIds;
-pub use snapshot::{GainSnapshot, WeightedCoverageResult, WeightedGainSnapshot};
+pub use snapshot::{GainSnapshot, Weighted, WeightedCoverageResult, WeightedGainSnapshot};
 pub use store::{PoolStore, Recovery, SaveStats, StoreError, StoreFingerprint};

@@ -4,17 +4,17 @@
 //!
 //! # Gain snapshots
 //!
-//! [`CoverageView::select`] recomputes the initial gain histogram (one
-//! streaming pass over the slice's members, `O(entries)`) and rebuilds
-//! the nonzero heap seed (`O(n)`) on every call — unavoidable for RIS
-//! algorithms, whose pool grows between selections, but pure waste for a
-//! *frozen* pool answering query after query. [`GainSnapshot::build`]
-//! runs both passes **once** and freezes the results; the
-//! [`CoverageView::select_from_snapshot`] fast path then starts each
-//! query with two memcpys (gain table + heap seed) instead. Selection is
-//! bit-identical to the histogram path: the frozen arrays are exactly
-//! what the per-call initialization would have produced, and everything
-//! downstream is shared code.
+//! [`CoverageView::select`] with [`GainInit::Histogram`] recomputes the
+//! initial gain histogram (one streaming pass over the slice's members,
+//! `O(entries)`) and rebuilds the nonzero heap seed (`O(n)`) on every
+//! call — unavoidable for RIS algorithms, whose pool grows between
+//! selections, but pure waste for a *frozen* pool answering query after
+//! query. [`GainSnapshot::build`] runs both passes **once** and freezes
+//! the results; [`GainInit::Frozen`] then starts each query with two
+//! memcpys (gain table + heap seed) instead. Selection is bit-identical
+//! to the histogram path: the frozen arrays are exactly what the
+//! per-call initialization would have produced, and everything
+//! downstream is the same kernel.
 //!
 //! A snapshot is immutable and detached from the pool borrow (it owns
 //! plain arrays — including the slice's rebased CSR offsets, so
@@ -30,17 +30,15 @@
 //! pool epoch (`RrCollection::epoch_boundaries`) and answers a query
 //! spanning several epochs by **merging**: gain histograms sum, the
 //! heap seed is rebuilt from the merged histogram, offsets concatenate
-//! — either materialized once ([`GainSnapshot::merge`]) or at query
-//! time ([`CoverageView::select_from_snapshots`]). Both are
-//! bit-identical to a from-scratch snapshot of the union range, so a
-//! pool extension costs one new epoch freeze instead of a wholesale
-//! cache rebuild. See `docs/ARCHITECTURE.md` (repository root) for the
+//! ([`GainSnapshot::merge`]). The merge is bit-identical to a
+//! from-scratch snapshot of the union range, so a pool extension costs
+//! one new epoch freeze instead of a wholesale cache rebuild. See `docs/ARCHITECTURE.md` (repository root) for the
 //! lifecycle diagram.
 //!
 //! # Weighted universes
 //!
-//! [`CoverageView::select_weighted`] answers targeted (TVM-style)
-//! queries against an *unweighted* (uniform-root) pool: per-query node
+//! The [`Weighted`] objective answers targeted (TVM-style) queries
+//! against an *unweighted* (uniform-root) pool: per-query node
 //! weights `b(v)` turn into per-set weights `w_j = b(root of set j)`
 //! (sets store their root first), and greedy maximizes the covered
 //! weight mass `Σ_{j covered} w_j` instead of the covered count. Since
@@ -49,23 +47,24 @@
 //! frozen pool serves every target group without resampling. (This is a
 //! self-normalized reweighting of Lemma 1, not the paper's WRIS sampler:
 //! precision concentrates where `b` does, so sparse target groups warrant
-//! proportionally larger pools — see `docs/DERIVATIONS.md` §5.) The path
-//! shares the constraint handling, stamps and tie-breaking of the
-//! unweighted loop. One-off weight vectors pay a per-query gain pass;
+//! proportionally larger pools — see `docs/DERIVATIONS.md` §5.) It runs
+//! on the same kernel as the count objective, with `f64` gains and the
+//! set weight as the cover sweep's decrement. One-off weight vectors pay
+//! a per-query gain pass;
 //! *recurring* ones (a topic queried again and again) freeze it once in
 //! a [`WeightedGainSnapshot`] and start from a memcpy like the
 //! unweighted fast path.
 
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use sns_graph::NodeId;
 
+use crate::coverage::{count_members, kernel, Objective};
 use crate::index::CsrOffsets;
-use crate::{CoverageView, GreedyScratch, RrCollection, SeedConstraints};
+use crate::{CoverageResult, CoverageView, GainInit, GreedyScratch, RrCollection, SeedConstraints};
 
 /// The frozen per-node gain state of one pool slice: exactly what
-/// [`CoverageView::select`]'s initialization pass computes, sealed once
+/// [`CoverageView::select`]'s histogram pass computes, sealed once
 /// so repeated queries start from a memcpy (see the module docs).
 ///
 /// Since PR 4 a snapshot also freezes the slice's rebased forward-CSR
@@ -93,9 +92,7 @@ impl GainSnapshot {
     pub fn build(view: &CoverageView<'_>) -> Self {
         let n = view.num_nodes();
         let mut gains = vec![0u32; n as usize];
-        for &v in view.raw_members() {
-            gains[v as usize] += 1;
-        }
+        count_members(view, &mut gains);
         let heap_seed =
             (0..n).filter(|&v| gains[v as usize] > 0).map(|v| (gains[v as usize], v)).collect();
         GainSnapshot { range: view.range(), gains, heap_seed, offsets: view.offsets().clone() }
@@ -143,8 +140,7 @@ impl GainSnapshot {
 
     /// Reconstructs a [`CoverageView`] for this snapshot's slice in
     /// `O(1)`, lending the frozen offsets instead of rebasing — pair with
-    /// [`CoverageView::select_from_snapshot`] for the zero-rebase query
-    /// path.
+    /// [`GainInit::Frozen`] for the zero-rebase query path.
     ///
     /// # Panics
     ///
@@ -188,13 +184,17 @@ pub struct WeightOrd(pub(crate) f64);
 
 impl Eq for WeightOrd {}
 
+// Inline: every heap comparison of the float-keyed objectives runs
+// through these, in whichever crate instantiates the generic kernel.
 impl PartialOrd for WeightOrd {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for WeightOrd {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
@@ -202,7 +202,7 @@ impl Ord for WeightOrd {
 
 /// The frozen initial state of a *weighted* selection over one pool
 /// slice under one fixed weight vector: the weighted gain table and heap
-/// seed that [`CoverageView::select_weighted`] recomputes per call
+/// seed that a [`Weighted`] histogram pass recomputes per call
 /// (`O(entries)` streaming additions), plus the slice's rebased offsets.
 ///
 /// Weighted gains depend on the query's weight vector, so a weighted
@@ -235,11 +235,7 @@ impl WeightedGainSnapshot {
     /// node.
     pub fn build(view: &CoverageView<'_>, node_weights: &[f64]) -> Self {
         let n = view.num_nodes();
-        assert_eq!(node_weights.len(), n as usize, "need one weight per node");
-        assert!(
-            node_weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "weights must be finite and nonnegative"
-        );
+        check_weights(node_weights, n);
         let mut wgains = vec![0.0f64; n as usize];
         accumulate_weighted_gains(view, node_weights, &mut wgains);
         let heap_seed = (0..n)
@@ -274,7 +270,16 @@ impl WeightedGainSnapshot {
     }
 }
 
-/// The weighted gain-init pass shared by the per-call path and
+/// Panics unless `node_weights` is one finite nonnegative weight per node.
+fn check_weights(node_weights: &[f64], n: u32) {
+    assert_eq!(node_weights.len(), n as usize, "need one weight per node");
+    assert!(
+        node_weights.iter().all(|w| w.is_finite() && *w >= 0.0),
+        "weights must be finite and nonnegative"
+    );
+}
+
+/// The weighted gain-init pass shared by the [`Weighted`] histogram and
 /// [`WeightedGainSnapshot::build`]: adds each in-range set's root weight
 /// to all of its members, in slot order (so frozen and fresh float sums
 /// are bit-identical).
@@ -294,8 +299,9 @@ fn accumulate_weighted_gains(view: &CoverageView<'_>, node_weights: &[f64], wgai
     }
 }
 
-/// Result of a weighted greedy selection
-/// ([`CoverageView::select_weighted`]).
+/// Result of a weighted greedy selection ([`Weighted`]) — and the
+/// objective-agnostic form of every selection result, which the other
+/// result types convert into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedCoverageResult {
     /// Selected seed nodes, in selection order.
@@ -306,40 +312,79 @@ pub struct WeightedCoverageResult {
     pub marginal_gains: Vec<f64>,
 }
 
-impl CoverageView<'_> {
-    /// Greedy Max-Coverage with per-set weights `w_j = node_weights[root
-    /// of set j]` — the weighted-universe (targeted viral marketing)
-    /// query path; see the module docs for the estimator it backs.
-    ///
-    /// Deterministic: ties break on the larger node id, exactly like the
-    /// unweighted loop. Gains only decrease (weights are validated
-    /// nonnegative), so the lazy-heap invariant carries over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_weights` is not one finite nonnegative weight per
-    /// node, or if more than `k` seeds are forced.
-    pub fn select_weighted(
-        &self,
-        k: usize,
-        node_weights: &[f64],
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-    ) -> WeightedCoverageResult {
-        self.select_weighted_inner(k, node_weights, constraints, scratch, None)
+impl From<CoverageResult> for WeightedCoverageResult {
+    /// A count result is a weighted result with unit set weights.
+    fn from(r: CoverageResult) -> Self {
+        WeightedCoverageResult {
+            seeds: r.seeds,
+            covered_weight: r.covered as f64,
+            marginal_gains: r.marginal_gains.iter().map(|&g| g as f64).collect(),
+        }
     }
+}
 
-    /// [`CoverageView::select_weighted`] with the per-call weighted
-    /// gain-init pass replaced by a memcpy of `snapshot`'s frozen table
-    /// and heap seed — the repeated-topic fast path. `node_weights` must
-    /// be the same weights the snapshot was built with (the decremental
-    /// updates still consult them); the engine layer enforces this via
-    /// topic keying. Bit-identical to [`CoverageView::select_weighted`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshot` was built for a different pool slice, if
-    /// `node_weights` is malformed, or if more than `k` seeds are forced.
+/// The targeted objective: at most `k` seeds (clamped to the node
+/// count), maximizing the covered weight mass `Σ_{j covered} w_j` with
+/// `w_j = weights[root of set j]` — see the module docs for the
+/// estimator it backs. Returns a [`WeightedCoverageResult`].
+///
+/// # Panics
+///
+/// [`CoverageView::select`] panics unless `weights` holds one finite
+/// nonnegative weight per node.
+#[derive(Debug, Clone, Copy)]
+pub struct Weighted<'w> {
+    /// Seed budget.
+    pub k: usize,
+    /// Per-node root weights `b(v)`.
+    pub weights: &'w [f64],
+}
+
+impl Objective for Weighted<'_> {}
+
+impl kernel::Kernel for Weighted<'_> {
+    type Gain = f64;
+    type Key = WeightOrd;
+    type Snapshot = WeightedGainSnapshot;
+    type Output = WeightedCoverageResult;
+
+    fn budget(&self, n: u32) -> (f64, f64) {
+        check_weights(self.weights, n);
+        (self.k.min(n as usize) as f64, 1.0)
+    }
+    #[inline]
+    fn key(&self, gain: f64, _v: NodeId) -> WeightOrd {
+        WeightOrd(gain)
+    }
+    #[inline]
+    fn set_gain(&self, members: &[NodeId]) -> f64 {
+        // Sets store their root first; an empty set carries no weight.
+        members.first().map_or(0.0, |&root| self.weights[root as usize])
+    }
+    fn histogram(&self, view: &CoverageView<'_>, gains: &mut [f64]) {
+        accumulate_weighted_gains(view, self.weights, gains);
+    }
+    fn frozen<'s>(&self, snapshot: &'s WeightedGainSnapshot) -> kernel::Frozen<'s, f64, WeightOrd> {
+        (snapshot.range(), &snapshot.wgains, Some(&snapshot.heap_seed))
+    }
+    fn buffers(scratch: &mut GreedyScratch) -> kernel::Buffers<'_, f64, WeightOrd> {
+        (&mut scratch.wgain, &mut scratch.wheap_buf)
+    }
+    fn output(self, picked: kernel::Picked<f64>) -> WeightedCoverageResult {
+        WeightedCoverageResult {
+            seeds: picked.seeds,
+            covered_weight: picked.gains.iter().fold(0.0, |s, &g| s + g),
+            marginal_gains: picked.gains,
+        }
+    }
+}
+
+impl CoverageView<'_> {
+    /// [`Weighted`] selection starting from a frozen
+    /// [`WeightedGainSnapshot`] of this view's range — the
+    /// repeated-topic fast path. `node_weights` must be the weights the
+    /// snapshot was built with (the cover sweep still consults them);
+    /// the engine layer enforces this via topic keying.
     pub fn select_weighted_from_snapshot(
         &self,
         snapshot: &WeightedGainSnapshot,
@@ -348,206 +393,37 @@ impl CoverageView<'_> {
         constraints: &SeedConstraints<'_>,
         scratch: &mut GreedyScratch,
     ) -> WeightedCoverageResult {
-        self.select_weighted_inner(k, node_weights, constraints, scratch, Some(snapshot))
-    }
-
-    fn select_weighted_inner(
-        &self,
-        k: usize,
-        node_weights: &[f64],
-        constraints: &SeedConstraints<'_>,
-        scratch: &mut GreedyScratch,
-        frozen: Option<&WeightedGainSnapshot>,
-    ) -> WeightedCoverageResult {
-        let n = self.num_nodes();
-        let k = k.min(n as usize);
-        assert_eq!(node_weights.len(), n as usize, "need one weight per node");
-        assert!(
-            node_weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "weights must be finite and nonnegative"
-        );
-        assert!(
-            constraints.forced.len() <= k,
-            "{} forced seeds exceed the budget k = {k}",
-            constraints.forced.len()
-        );
-        let generation = scratch.begin_run(n as usize, self.len());
-
-        let mut heap_buf = std::mem::take(&mut scratch.wheap_buf);
-        heap_buf.clear();
-        scratch.wgain.clear();
-        match frozen {
-            Some(snapshot) => {
-                // Frozen-topic fast path: gains and heap seed are memcpys.
-                assert_eq!(
-                    snapshot.range(),
-                    self.range(),
-                    "weighted gain snapshot was built for a different pool slice"
-                );
-                scratch.wgain.extend_from_slice(&snapshot.wgains);
-                heap_buf.extend_from_slice(&snapshot.heap_seed);
-            }
-            None => {
-                // Weighted gain init: one streaming pass like the
-                // unweighted histogram, adding each set's weight to all
-                // of its members.
-                scratch.wgain.resize(n as usize, 0.0);
-                accumulate_weighted_gains(self, node_weights, &mut scratch.wgain);
-                heap_buf.extend(
-                    (0..n)
-                        .filter(|&v| scratch.wgain[v as usize] > 0.0)
-                        .map(|v| (WeightOrd(scratch.wgain[v as usize]), v)),
-                );
-            }
-        }
-        let mut heap: BinaryHeap<(WeightOrd, NodeId)> = BinaryHeap::from(heap_buf);
-
-        let mut seeds = Vec::with_capacity(k);
-        let mut marginal_gains = Vec::with_capacity(k);
-        let mut covered_weight = 0.0f64;
-
-        for &v in constraints.excluded {
-            scratch.selected_stamp[v as usize] = generation;
-        }
-        for &v in constraints.forced {
-            if scratch.selected_stamp[v as usize] == generation {
-                continue;
-            }
-            scratch.selected_stamp[v as usize] = generation;
-            let g = scratch.wgain[v as usize];
-            seeds.push(v);
-            marginal_gains.push(g);
-            covered_weight += g;
-            if g > 0.0 {
-                self.cover_sets_weighted(v, generation, node_weights, scratch);
-            }
-        }
-
-        while seeds.len() < k {
-            let Some((WeightOrd(g), v)) = heap.pop() else { break };
-            if scratch.selected_stamp[v as usize] == generation {
-                continue;
-            }
-            let current = scratch.wgain[v as usize];
-            if g > current {
-                // Stale entry: re-key. Decrements of nonnegative weights
-                // can only lower a gain, so the max-heap stays sound.
-                if current > 0.0 {
-                    heap.push((WeightOrd(current), v));
-                }
-                continue;
-            }
-            if current <= 0.0 {
-                break; // only weightless coverage remains
-            }
-            scratch.selected_stamp[v as usize] = generation;
-            seeds.push(v);
-            marginal_gains.push(current);
-            covered_weight += current;
-            self.cover_sets_weighted(v, generation, node_weights, scratch);
-        }
-
-        // Pad to k with arbitrary unselected nodes, weight gain 0 —
-        // mirrors the unweighted padding contract.
-        let mut next = 0u32;
-        while seeds.len() < k && next < n {
-            if scratch.selected_stamp[next as usize] != generation {
-                scratch.selected_stamp[next as usize] = generation;
-                seeds.push(next);
-                marginal_gains.push(0.0);
-            }
-            next += 1;
-        }
-
-        scratch.wheap_buf = heap.into_vec();
-        WeightedCoverageResult { seeds, covered_weight, marginal_gains }
-    }
-
-    /// Weighted twin of the decremental-update sweep: marks `v`'s
-    /// in-range sets covered and subtracts each set's weight from its
-    /// members' weighted gains.
-    fn cover_sets_weighted(
-        &self,
-        v: NodeId,
-        generation: u32,
-        node_weights: &[f64],
-        scratch: &mut GreedyScratch,
-    ) {
-        let range = self.range();
-        for id in self.pool().sets_containing_in(v, range.clone()) {
-            let slot = (id - range.start) as usize;
-            if scratch.covered_stamp[slot] == generation {
-                continue;
-            }
-            scratch.covered_stamp[slot] = generation;
-            let members = self.members(slot);
-            let Some(&root) = members.first() else { continue };
-            let w = node_weights[root as usize];
-            if w == 0.0 {
-                continue;
-            }
-            for &u in members {
-                scratch.wgain[u as usize] -= w;
-            }
-        }
+        self.select(
+            Weighted { k, weights: node_weights },
+            GainInit::Frozen(snapshot),
+            constraints,
+            scratch,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{max_coverage_range, max_coverage_with, RrCollection};
-    use sns_diffusion::RrMeta;
+    use crate::test_pools::{pool, random_pool};
+    use crate::{max_coverage_range, max_coverage_with, Count};
 
-    fn m(root: NodeId) -> RrMeta {
-        RrMeta { root, edges_examined: 0 }
+    fn count(
+        view: &CoverageView<'_>,
+        k: usize,
+        constraints: &SeedConstraints<'_>,
+        scratch: &mut GreedyScratch,
+    ) -> CoverageResult {
+        view.select(Count { k }, GainInit::Histogram, constraints, scratch)
     }
 
-    /// Pool whose sets put their root first, as the samplers do.
-    fn pool(sets: &[&[NodeId]], n: u32) -> RrCollection {
-        let mut rc = RrCollection::new(n);
-        for s in sets {
-            rc.push(s, m(s.first().copied().unwrap_or(0)));
-        }
-        rc
-    }
-
-    fn random_pool(seed: u64, n: u32, sets: usize) -> RrCollection {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rc = RrCollection::new(n);
-        for _ in 0..sets {
-            let len = rng.gen_range(1..6usize);
-            let root = rng.gen_range(0..n);
-            let mut s = vec![root];
-            for _ in 1..len {
-                let v = rng.gen_range(0..n);
-                if !s.contains(&v) {
-                    s.push(v);
-                }
-            }
-            rc.push(&s, m(root));
-        }
-        rc
-    }
-
-    #[test]
-    fn snapshot_select_is_bit_identical_to_histogram_select() {
-        let mut scratch = GreedyScratch::new();
-        for seed in 0..10u64 {
-            let rc = random_pool(seed, 30, 150);
-            let total = rc.len() as u32;
-            for range in [0..total, 0..total / 2, total / 4..total] {
-                let view = CoverageView::build(&rc, range.clone());
-                let snap = GainSnapshot::build(&view);
-                assert_eq!(snap.range(), range);
-                for k in [1usize, 3, 7] {
-                    let frozen = view.select_from_snapshot(&snap, k, &mut scratch);
-                    let fresh = view.select(k, &mut scratch);
-                    assert_eq!(frozen, fresh, "seed {seed} range {range:?} k {k}");
-                }
-            }
-        }
+    fn weighted(
+        view: &CoverageView<'_>,
+        k: usize,
+        weights: &[f64],
+        scratch: &mut GreedyScratch,
+    ) -> WeightedCoverageResult {
+        view.select(Weighted { k, weights }, GainInit::Histogram, &SeedConstraints::none(), scratch)
     }
 
     #[test]
@@ -556,19 +432,19 @@ mod tests {
         let view = CoverageView::build(&rc, 0..100);
         let snap = GainSnapshot::build(&view);
         let mut scratch = GreedyScratch::new();
-        let first = view.select_from_snapshot(&snap, 5, &mut scratch);
+        let none = SeedConstraints::none();
+        let first = view.select_from_snapshot_constrained(&snap, 5, &none, &mut scratch);
         for _ in 0..5 {
-            assert_eq!(view.select_from_snapshot(&snap, 5, &mut scratch), first);
+            assert_eq!(view.select_from_snapshot_constrained(&snap, 5, &none, &mut scratch), first);
         }
         assert_eq!(first, max_coverage_range(&rc, 5, 0..100));
         assert!(snap.memory_bytes() > 0);
     }
 
-    /// Acceptance property: seeds selected through epoch-merged
-    /// snapshots are bit-identical to direct `max_coverage` on the same
-    /// pool state, across several epoch layouts (including unaligned
-    /// sub-ranges), both via a materialized [`GainSnapshot::merge`] and
-    /// via the query-time [`CoverageView::select_from_snapshots`] path.
+    /// Acceptance property: seeds selected through a materialized
+    /// [`GainSnapshot::merge`] of per-epoch snapshots are bit-identical
+    /// to direct `max_coverage` on the same pool state, across several
+    /// epoch layouts (including unaligned sub-ranges).
     #[test]
     fn epoch_merged_selection_is_bit_identical_across_layouts() {
         let mut scratch = GreedyScratch::new();
@@ -598,15 +474,13 @@ mod tests {
                 let view = merged.view(&rc);
                 for k in [1usize, 4, 9] {
                     let want = max_coverage_range(&rc, k, range.clone());
-                    let via_merged = view.select_from_snapshot(&merged, k, &mut scratch);
-                    assert_eq!(via_merged, want, "materialized merge, seed {seed} k {k}");
-                    let at_query_time = view.select_from_snapshots(
-                        &refs,
+                    let via_merged = view.select_from_snapshot_constrained(
+                        &merged,
                         k,
                         &SeedConstraints::none(),
                         &mut scratch,
                     );
-                    assert_eq!(at_query_time, want, "query-time merge, seed {seed} k {k}");
+                    assert_eq!(via_merged, want, "materialized merge, seed {seed} k {k}");
                 }
             }
         }
@@ -624,7 +498,8 @@ mod tests {
             assert_eq!(frozen.members(slot), built.members(slot));
         }
         let mut scratch = GreedyScratch::new();
-        assert_eq!(frozen.select(6, &mut scratch), built.select(6, &mut scratch));
+        let none = SeedConstraints::none();
+        assert_eq!(count(&frozen, 6, &none, &mut scratch), count(&built, 6, &none, &mut scratch));
     }
 
     #[test]
@@ -634,44 +509,6 @@ mod tests {
         let a = GainSnapshot::build(&CoverageView::build(&rc, 0..20));
         let b = GainSnapshot::build(&CoverageView::build(&rc, 30..60));
         GainSnapshot::merge(&[&a, &b]);
-    }
-
-    #[test]
-    fn weighted_snapshot_matches_fresh_weighted_selection() {
-        use rand::{Rng, SeedableRng};
-        let mut scratch = GreedyScratch::new();
-        for seed in 0..5u64 {
-            let rc = random_pool(200 + seed, 20, 90);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let w: Vec<f64> = (0..20).map(|_| f64::from(rng.gen_range(0..5u32)) / 2.0).collect();
-            for range in [0..90u32, 10..70] {
-                let view = CoverageView::build(&rc, range.clone());
-                let snap = WeightedGainSnapshot::build(&view, &w);
-                assert_eq!(snap.range(), range);
-                assert!(snap.memory_bytes() > 0);
-                let frozen_view = snap.view(&rc);
-                for k in [1usize, 4] {
-                    let fresh = view.select_weighted(k, &w, &SeedConstraints::none(), &mut scratch);
-                    let frozen = frozen_view.select_weighted_from_snapshot(
-                        &snap,
-                        k,
-                        &w,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
-                    assert_eq!(frozen, fresh, "seed {seed} range {range:?} k {k}");
-                    // repeated frozen queries stay stable
-                    let again = frozen_view.select_weighted_from_snapshot(
-                        &snap,
-                        k,
-                        &w,
-                        &SeedConstraints::none(),
-                        &mut scratch,
-                    );
-                    assert_eq!(again, fresh);
-                }
-            }
-        }
     }
 
     #[test]
@@ -696,7 +533,12 @@ mod tests {
         let rc = random_pool(1, 10, 40);
         let snap = GainSnapshot::build(&CoverageView::build(&rc, 0..20));
         let view = CoverageView::build(&rc, 0..40);
-        view.select_from_snapshot(&snap, 2, &mut GreedyScratch::new());
+        view.select_from_snapshot_constrained(
+            &snap,
+            2,
+            &SeedConstraints::none(),
+            &mut GreedyScratch::new(),
+        );
     }
 
     #[test]
@@ -706,7 +548,7 @@ mod tests {
         let view = CoverageView::build(&rc, 0..4);
         let mut scratch = GreedyScratch::new();
         let cons = SeedConstraints { forced: &[], excluded: &[0] };
-        let r = view.select_constrained(5, &cons, &mut scratch);
+        let r = count(&view, 5, &cons, &mut scratch);
         assert!(!r.seeds.contains(&0), "excluded node selected: {:?}", r.seeds);
         assert_eq!(r.seeds.len(), 4, "padding must skip the excluded node");
         assert_eq!(r.seeds[0], 1, "with 0 excluded, node 1 covers most");
@@ -724,7 +566,7 @@ mod tests {
         let view = CoverageView::build(&rc, 0..4);
         let mut scratch = GreedyScratch::new();
         let cons = SeedConstraints { forced: &[1], excluded: &[] };
-        let r = view.select_constrained(2, &cons, &mut scratch);
+        let r = count(&view, 2, &cons, &mut scratch);
         // forced first: node 1 covers sets {0, 3} (gain 2); best
         // remainder is node 0 with residual gain 1 (set 1).
         assert_eq!(r.seeds[0], 1);
@@ -732,8 +574,11 @@ mod tests {
         assert_eq!(r.covered, 3);
         // duplicate forced seeds are selected once
         let dup = SeedConstraints { forced: &[1, 1], excluded: &[] };
-        let r2 = view.select_constrained(2, &dup, &mut scratch);
+        let r2 = count(&view, 2, &dup, &mut scratch);
         assert_eq!(r2.seeds, r.seeds);
+        // ...and count once against k: [1, 1] fits k = 1
+        let r3 = count(&view, 1, &dup, &mut scratch);
+        assert_eq!(r3.seeds, vec![1]);
     }
 
     #[test]
@@ -741,92 +586,12 @@ mod tests {
         let rc = random_pool(7, 25, 120);
         let view = CoverageView::build(&rc, 0..120);
         let mut scratch = GreedyScratch::new();
-        let plain = view.select(6, &mut scratch);
-        let constrained = view.select_constrained(6, &SeedConstraints::none(), &mut scratch);
+        let plain = max_coverage_with(&rc, 6, 0..120, &mut scratch);
+        let snap = GainSnapshot::build(&view);
+        let constrained =
+            view.select_from_snapshot_constrained(&snap, 6, &SeedConstraints::none(), &mut scratch);
         assert_eq!(plain, constrained);
-        assert_eq!(plain, max_coverage_with(&rc, 6, 0..120, &mut scratch));
-    }
-
-    /// Textbook rescan oracle for the weighted greedy.
-    fn weighted_oracle(
-        rc: &RrCollection,
-        k: usize,
-        w: &[f64],
-        range: std::ops::Range<u32>,
-    ) -> (Vec<NodeId>, f64) {
-        let n = rc.num_nodes();
-        let set_w: Vec<f64> = (range.start..range.end)
-            .map(|id| rc.set(id as usize).first().map_or(0.0, |&r| w[r as usize]))
-            .collect();
-        let mut covered = vec![false; set_w.len()];
-        let mut selected = vec![false; n as usize];
-        let mut seeds = Vec::new();
-        let mut total = 0.0;
-        for _ in 0..k.min(n as usize) {
-            let mut best: Option<(f64, NodeId)> = None;
-            for v in 0..n {
-                if selected[v as usize] {
-                    continue;
-                }
-                let g: f64 = rc
-                    .sets_containing_in(v, range.clone())
-                    .map(|id| {
-                        let slot = (id - range.start) as usize;
-                        if covered[slot] {
-                            0.0
-                        } else {
-                            set_w[slot]
-                        }
-                    })
-                    .sum();
-                if g <= 0.0 {
-                    continue;
-                }
-                // same (gain, id) max tie-break as the heap
-                if best.is_none_or(|(bg, bv)| (g, v) > (bg, bv)) {
-                    best = Some((g, v));
-                }
-            }
-            let Some((g, v)) = best else { break };
-            selected[v as usize] = true;
-            seeds.push(v);
-            total += g;
-            for id in rc.sets_containing_in(v, range.clone()) {
-                covered[(id - range.start) as usize] = true;
-            }
-        }
-        let mut next = 0u32;
-        while seeds.len() < k.min(n as usize) && next < n {
-            if !selected[next as usize] {
-                selected[next as usize] = true;
-                seeds.push(next);
-            }
-            next += 1;
-        }
-        (seeds, total)
-    }
-
-    #[test]
-    fn weighted_select_matches_rescan_oracle() {
-        use rand::{Rng, SeedableRng};
-        let mut scratch = GreedyScratch::new();
-        for seed in 0..8u64 {
-            let rc = random_pool(100 + seed, 20, 90);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            // power-of-two weights make the float sums exact, so the
-            // oracle (which re-adds from scratch) agrees to the bit
-            let w: Vec<f64> =
-                (0..20).map(|_| [0.0, 0.25, 0.5, 1.0, 2.0][rng.gen_range(0..5usize)]).collect();
-            for range in [0..90u32, 10..70] {
-                let view = CoverageView::build(&rc, range.clone());
-                for k in [1usize, 4] {
-                    let got = view.select_weighted(k, &w, &SeedConstraints::none(), &mut scratch);
-                    let (want_seeds, want_total) = weighted_oracle(&rc, k, &w, range.clone());
-                    assert_eq!(got.seeds, want_seeds, "seed {seed} range {range:?} k {k}");
-                    assert!((got.covered_weight - want_total).abs() < 1e-9);
-                }
-            }
-        }
+        assert_eq!(plain, max_coverage_range(&rc, 6, 0..120));
     }
 
     #[test]
@@ -835,10 +600,9 @@ mod tests {
         let w = vec![1.0f64; 30];
         let mut scratch = GreedyScratch::new();
         let view = CoverageView::build(&rc, 0..200);
-        let weighted = view.select_weighted(5, &w, &SeedConstraints::none(), &mut scratch);
-        let plain = view.select(5, &mut scratch);
-        assert_eq!(weighted.seeds, plain.seeds);
-        assert!((weighted.covered_weight - plain.covered as f64).abs() < 1e-9);
+        let weighted = weighted(&view, 5, &w, &mut scratch);
+        let plain = count(&view, 5, &SeedConstraints::none(), &mut scratch);
+        assert_eq!(weighted, WeightedCoverageResult::from(plain));
     }
 
     #[test]
@@ -849,7 +613,7 @@ mod tests {
         let mut w = vec![1.0f64; 5];
         w[0] = 0.0;
         let view = CoverageView::build(&rc, 0..3);
-        let r = view.select_weighted(1, &w, &SeedConstraints::none(), &mut GreedyScratch::new());
+        let r = weighted(&view, 1, &w, &mut GreedyScratch::new());
         assert_eq!(r.seeds, vec![4], "ties on weight 1.0 break to the larger id");
         assert!((r.covered_weight - 1.0).abs() < 1e-12);
     }

@@ -7,8 +7,9 @@ use proptest::prelude::*;
 use sns_diffusion::RrMeta;
 use sns_graph::NodeId;
 use sns_rrset::{
-    max_coverage, max_coverage_naive, max_coverage_pre_refactor, max_coverage_range,
-    max_coverage_with, GreedyScratch, RrCollection,
+    max_coverage, max_coverage_naive, max_coverage_range, max_coverage_with, Count, CoverageView,
+    GainInit, GainSnapshot, GreedyScratch, NodeCosts, Ratio, RrCollection, SeedConstraints,
+    Weighted, WeightedCoverageResult, WeightedGainSnapshot,
 };
 
 const N: u32 = 24;
@@ -76,10 +77,8 @@ proptest! {
     fn lazy_equals_naive(sets in pool_strategy(), k in 1usize..6) {
         let rc = build(&sets);
         let a = max_coverage(&rc, k);
-        let b = max_coverage_naive(&rc, k);
-        prop_assert_eq!(a.covered, b.covered);
-        prop_assert_eq!(a.seeds, b.seeds);
-        prop_assert_eq!(a.marginal_gains, b.marginal_gains);
+        let b = max_coverage_naive(&rc, k, rc.id_range(), None);
+        prop_assert_eq!(WeightedCoverageResult::from(a), b);
     }
 
     /// The greedy cover is consistent with a direct coverage query over
@@ -193,6 +192,73 @@ proptest! {
         }
     }
 
+    /// The selection kernel's contract, checked for every objective on
+    /// random pools, ranges and forced/excluded constraints:
+    ///
+    /// | objective | `Histogram` ≡ `Frozen` | ≡ rescan oracle | degeneration |
+    /// |-----------|:---:|:---:|---|
+    /// | `Count`    | ✓ | ✓ (unconstrained) | — |
+    /// | `Weighted` | ✓ | ✓ (unconstrained, power-of-two weights) | — |
+    /// | `Ratio`    | ✓ | — | `Uniform` costs, `budget = k` ≡ `Count` |
+    #[test]
+    fn every_objective_agrees_across_inits_oracle_and_degeneration(
+        sets in pool_strategy(),
+        bounds in (0.0f64..=1.0, 0.0f64..=1.0),
+        constraints in (vec(0u32..N, 0..3), vec(0u32..N, 0..3), 0usize..30, 0.0f64..4.0),
+        draws in (vec(0usize..5, N as usize), vec(0usize..4, N as usize)),
+    ) {
+        let rc = build(&sets);
+        let total = f64::from(rc.len() as u32);
+        let (lo, hi) = ((total * bounds.0) as u32, (total * bounds.1) as u32);
+        let range = lo.min(hi)..lo.max(hi);
+        let (forced, excluded, extra_k, extra_budget) = constraints;
+        let excluded: Vec<NodeId> = excluded.into_iter().filter(|v| !forced.contains(v)).collect();
+        let mut distinct = forced.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let weights: Vec<f64> = draws.0.iter().map(|&i| [0.0, 0.25, 0.5, 1.0, 2.0][i]).collect();
+        let costs: Vec<f64> = draws.1.iter().map(|&i| [0.5, 1.0, 1.5, 3.0][i]).collect();
+        let costs = NodeCosts::per_node(costs.into());
+        // distinct forced seeds must fit k and the budget; k may exceed N
+        let k = distinct.len() + extra_k;
+        let budget = distinct.iter().map(|&v| costs.cost(v)).sum::<f64>() + extra_budget;
+
+        let view = CoverageView::build(&rc, range.clone());
+        let snap = GainSnapshot::build(&view);
+        let wsnap = WeightedGainSnapshot::build(&view, &weights);
+        // frozen inits select through the snapshots' O(1) views
+        let (frozen_view, wview) = (snap.view(&rc), wsnap.view(&rc));
+        let mut scratch = GreedyScratch::new();
+        let none = SeedConstraints::none();
+        let cons = SeedConstraints { forced: &forced, excluded: &excluded };
+        let weighted = Weighted { k, weights: &weights };
+        let ratio = Ratio { budget, costs: &costs };
+        for c in [&none, &cons] {
+            let count = view.select(Count { k }, GainInit::Histogram, c, &mut scratch);
+            let frozen = frozen_view.select(Count { k }, GainInit::Frozen(&snap), c, &mut scratch);
+            prop_assert_eq!(&count, &frozen);
+            let fresh = view.select(weighted, GainInit::Histogram, c, &mut scratch);
+            let frozen = wview.select(weighted, GainInit::Frozen(&wsnap), c, &mut scratch);
+            prop_assert_eq!(&fresh, &frozen);
+            let fresh = view.select(ratio, GainInit::Histogram, c, &mut scratch);
+            let frozen = frozen_view.select(ratio, GainInit::Frozen(&snap), c, &mut scratch);
+            prop_assert_eq!(&fresh, &frozen);
+
+            let unit = Ratio { budget: k as f64, costs: &NodeCosts::Uniform };
+            let unit = view.select(unit, GainInit::Frozen(&snap), c, &mut scratch);
+            prop_assert!(!unit.single_fallback);
+            prop_assert_eq!(
+                (unit.seeds, unit.covered, unit.marginal_gains),
+                (count.seeds.clone(), count.covered, count.marginal_gains.clone())
+            );
+        }
+        let count = view.select(Count { k }, GainInit::Histogram, &none, &mut scratch);
+        let oracle = max_coverage_naive(&rc, k, range.clone(), None);
+        prop_assert_eq!(WeightedCoverageResult::from(count), oracle);
+        let fresh = view.select(weighted, GainInit::Histogram, &none, &mut scratch);
+        prop_assert_eq!(fresh, max_coverage_naive(&rc, k, range, Some(&weights)));
+    }
+
     /// Two-tier index ≡ naive rescan: across random interleavings of
     /// pushes and forced epoch seals, `sets_containing_in` must return
     /// exactly the ids a linear scan of the arena finds, ascending, for
@@ -279,14 +345,13 @@ fn extend_parallel_bit_identical_across_thread_counts() {
     }
 }
 
-/// Acceptance criterion of the coverage-view refactor: on a 100k-node
-/// Barabási–Albert pool, `max_coverage` (and the ranged/scratch entry
-/// points SSA, D-SSA, IMM and TIM use) must return **bit-identical**
-/// seeds, marginal gains and coverage to the pre-refactor lazy-heap
-/// implementation — including on D-SSA-style half ranges and on a pool
-/// whose index still has a pending chain tail.
+/// On a 100k-node Barabási–Albert pool, `max_coverage` (and the
+/// ranged/scratch entry points SSA, D-SSA, IMM and TIM use) must return
+/// **bit-identical** seeds, marginal gains and coverage to the rescan
+/// oracle — including on D-SSA-style half ranges and on a pool whose
+/// index still has a pending chain tail.
 #[test]
-fn greedy_bit_identical_to_pre_refactor_on_100k_ba_pool() {
+fn greedy_bit_identical_to_rescan_oracle_on_100k_ba_pool() {
     use sns_diffusion::{Model, RootDist, RrSampler};
     use sns_graph::{gen, WeightModel};
 
@@ -296,8 +361,7 @@ fn greedy_bit_identical_to_pre_refactor_on_100k_ba_pool() {
     let sampler = RrSampler::with_config(&g, Model::IndependentCascade, RootDist::Uniform, 3);
     let mut rc = RrCollection::new(g.num_nodes());
     rc.extend_parallel(&sampler, 0, 15_000, 8);
-    // Leave a pending tail so the reference path also exercises the chain
-    // tier the view replaces.
+    // Leave a pending tail so both paths also exercise the chain tier.
     {
         let mut s = sampler.clone();
         let mut rr = Vec::new();
@@ -316,13 +380,13 @@ fn greedy_bit_identical_to_pre_refactor_on_100k_ba_pool() {
         (50, 0..total / 2),     // D-SSA find half
         (20, total / 3..total), // nonzero offset
     ] {
-        let reference = max_coverage_pre_refactor(&rc, k, range.clone());
+        let reference = max_coverage_naive(&rc, k, range.clone(), None);
         let plain = max_coverage_range(&rc, k, range.clone());
         let reused = max_coverage_with(&rc, k, range.clone(), &mut scratch);
-        assert_eq!(plain, reference, "k={k} range={range:?}");
-        assert_eq!(reused, reference, "k={k} range={range:?} (scratch reuse)");
+        assert_eq!(WeightedCoverageResult::from(plain.clone()), reference, "k={k} range={range:?}");
+        assert_eq!(reused, plain, "k={k} range={range:?} (scratch reuse)");
         if range == (0..total) {
-            assert_eq!(max_coverage(&rc, k), reference, "k={k} full-pool entry point");
+            assert_eq!(max_coverage(&rc, k), reused, "k={k} full-pool entry point");
         }
     }
 }

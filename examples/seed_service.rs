@@ -55,7 +55,7 @@ fn main() {
         // sensitivity: would half the samples have agreed?
         SeedQuery::top_k(25).over_range(0..engine.pool().len() as u32 / 2),
     ];
-    let answers = engine.answer_batch(&batch).expect("valid batch");
+    let answers = engine.answer_planned(&batch).expect("valid batch");
 
     let labels = [
         "top-5".to_string(),

@@ -430,8 +430,8 @@ mod store_faults {
             live.save(&dir).unwrap();
             let loaded = SeedQueryEngine::from_store(&dir, &ctx).unwrap();
             assert_eq!(
-                live.answer_batch(&queries).unwrap(),
-                loaded.answer_batch(&queries).unwrap(),
+                live.answer_planned(&queries).unwrap(),
+                loaded.answer_planned(&queries).unwrap(),
                 "layout {layout:?} must round-trip bit-identically"
             );
             let _ = fs::remove_dir_all(&dir);

@@ -1,5 +1,5 @@
 //! Property test for the batch planner: planned/grouped execution is
-//! **bit-identical** to the per-query `answer_batch` path — across epoch
+//! **bit-identical** to answering each query on its own — across epoch
 //! layouts, shuffled batch orders, and worker thread counts.
 //!
 //! The planner's whole contract is that it only changes *who pays* for
@@ -18,9 +18,14 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use stop_and_stare::graph::{gen, WeightModel};
-use stop_and_stare::{Model, NodeCosts, SamplingContext, SeedQuery, SeedQueryEngine};
+use stop_and_stare::{Model, NodeCosts, SamplingContext, SeedAnswer, SeedQuery, SeedQueryEngine};
 
 const POOL_SETS: u64 = 2400;
+
+/// The per-query path: every query answered on its own.
+fn answer_each(engine: &SeedQueryEngine, batch: &[SeedQuery]) -> Vec<SeedAnswer> {
+    batch.iter().map(|q| engine.answer(q).unwrap()).collect()
+}
 
 /// The same deterministic 2400-set pool frozen under four epoch
 /// layouts: [2400], [1200, 1200], [800 × 3], [600 × 4]. Sampling is
@@ -113,7 +118,7 @@ proptest! {
         batch.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
 
         // Reference: the per-query path on the single-epoch engine.
-        let reference = engines()[0].1.answer_batch(&batch).unwrap();
+        let reference = answer_each(&engines()[0].1, &batch);
         for (layout, single, threaded) in engines() {
             for (threads, engine) in [("1 thread", single), ("4 threads", threaded)] {
                 prop_assert_eq!(
@@ -124,7 +129,7 @@ proptest! {
                     threads
                 );
                 prop_assert_eq!(
-                    &engine.answer_batch(&batch).unwrap(),
+                    &answer_each(engine, &batch),
                     &reference,
                     "per-query path drifted on {} at {}",
                     layout,

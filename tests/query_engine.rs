@@ -6,7 +6,9 @@
 //! budget, pinned hit/miss/evict counters).
 
 use stop_and_stare::graph::{gen, WeightModel};
-use stop_and_stare::rrset::{max_coverage_range, CoverageView, GreedyScratch, SeedConstraints};
+use stop_and_stare::rrset::{
+    max_coverage_range, Count, CoverageView, GainInit, GreedyScratch, SeedConstraints, Weighted,
+};
 use stop_and_stare::tvm::TargetWeights;
 use stop_and_stare::{Model, SamplingContext, SeedQuery, SeedQueryEngine};
 
@@ -47,7 +49,7 @@ fn every_batched_answer_is_bit_identical_to_direct_selection() {
         TargetWeights::from_weights(w).unwrap()
     };
     let batch = mixed_batch(pool_len, &weights);
-    let answers = engine.answer_batch(&batch).unwrap();
+    let answers = engine.answer_planned(&batch).unwrap();
 
     let mut scratch = GreedyScratch::new();
     for (query, answer) in batch.iter().zip(&answers) {
@@ -58,14 +60,16 @@ fn every_batched_answer_is_bit_identical_to_direct_selection() {
         match &query.root_weights {
             Some(w) => {
                 // direct = fresh per-call weighted selection, no snapshot
-                let direct = view.select_weighted(query.k, w, &constraints, &mut scratch);
+                let weighted = Weighted { k: query.k, weights: w };
+                let direct = view.select(weighted, GainInit::Histogram, &constraints, &mut scratch);
                 assert_eq!(answer.seeds, direct.seeds, "weighted query {query:?}");
                 assert_eq!(answer.covered, direct.covered_weight);
                 assert_eq!(answer.marginal_gains, direct.marginal_gains);
             }
             None => {
                 // direct = fresh per-call histogram selection, no snapshot
-                let direct = view.select_constrained(query.k, &constraints, &mut scratch);
+                let count = Count { k: query.k };
+                let direct = view.select(count, GainInit::Histogram, &constraints, &mut scratch);
                 assert_eq!(answer.seeds, direct.seeds, "query {query:?}");
                 assert_eq!(answer.covered, direct.covered as f64);
                 if query.forced.is_empty() && query.excluded.is_empty() {
@@ -91,9 +95,9 @@ fn batch_answers_do_not_depend_on_thread_count_or_composition() {
     )
     .unwrap();
     let batch = mixed_batch(sequential_engine.pool().len() as u32, &weights);
-    let sequential = sequential_engine.answer_batch(&batch).unwrap();
+    let sequential = sequential_engine.answer_planned(&batch).unwrap();
     for threads in [2usize, 8] {
-        let parallel = fixture_engine(threads).answer_batch(&batch).unwrap();
+        let parallel = fixture_engine(threads).answer_planned(&batch).unwrap();
         assert_eq!(sequential, parallel, "{threads} worker threads");
     }
     // one-at-a-time answers equal the batch answers (no cross-query state)
