@@ -13,10 +13,12 @@
 //!
 //! The clone-extend-publish shape is what makes the reader side
 //! lock-free: readers never observe a pool mid-mutation because the pool
-//! they pinned is immutable forever. The clone costs `O(pool bytes)`,
-//! the same asymptotics as the seal's counting-sort rebuild that an
-//! in-place extension already paid — growth work stays proportional to
-//! the pool, queries stay wait-free.
+//! they pinned is immutable forever. The clone copies the set arena and
+//! its offsets; the sealed inverted index is shared, not copied. The
+//! seal then counting-sorts only the new sets and merges them with the
+//! shared index into a fresh one (one sequential copy), leaving the
+//! published pool's index untouched. Growth work is the arena copy plus
+//! that merge copy, both `memcpy`-speed; queries stay wait-free.
 //!
 //! Exclusive growth is enforced by a writer mutex on the engine
 //! ([`SeedQueryEngine::grower`](crate::SeedQueryEngine::grower) hands

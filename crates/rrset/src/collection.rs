@@ -8,11 +8,11 @@
 //! node→set-ids inverted index — the structure greedy Max-Coverage and
 //! every coverage query traverse — is **two-tiered**
 //! ([`crate::index`]): a *sealed* tier holding all sets up to the last
-//! compaction as flat CSR arrays (`index_offsets: Vec<u64>`,
-//! `index_data: Vec<u32>`), and a small *pending* tier of per-node
-//! chains absorbing appends since then. Queries concatenate the tiers;
-//! both yield ascending set ids, so range restriction stays a binary
-//! search plus a short chain skip.
+//! compaction as one immutable flat CSR (offsets plus 4-byte ids),
+//! shared by `Arc` between clones, and a small *pending* tier of
+//! per-node chains absorbing appends since then. Queries concatenate the
+//! tiers; both yield ascending set ids, so range restriction stays a
+//! binary search plus a short chain skip.
 //!
 //! Compared to the previous `node_to_sets: Vec<Vec<u32>>` layout this
 //! removes one heap allocation + 24-byte `Vec` header per node and the
@@ -22,13 +22,18 @@
 //!
 //! # Amortization
 //!
-//! A compaction costs `O(total entries)` (counting sort). It runs only
-//! when the pending tier exceeds `max(1024, total/4)` entries, so over a
-//! pool built by appends the total compaction work forms a geometric
-//! series bounded by `O(total entries)` — and under SSA/D-SSA's doubling
+//! A compaction counting-sorts only the sets added since the previous
+//! one — `O(new entries + n)` — and then copies the old sealed CSR and
+//! the new ids into the next CSR in one sequential merge pass, a
+//! `memcpy`-speed `O(total entries)`. It runs only when the pending tier
+//! exceeds `max(1024, total/4)` entries, so under SSA/D-SSA's doubling
 //! schedule (`Λ·2^(t−1)` sets at iteration `t`) every `extend_*` call
-//! crosses the threshold, so each epoch is sealed exactly once per
+//! crosses the threshold and each epoch is sealed exactly once per
 //! iteration.
+//!
+//! Cloning a pool copies the arena and its offsets; the sealed CSR is
+//! shared, and a seal on the clone builds a fresh one instead of writing
+//! to it, so a published pool never changes through its clones.
 //!
 //! # Determinism
 //!
@@ -91,8 +96,8 @@ pub struct RrCollection {
     total_edges_examined: u64,
     /// Cumulative `total_edges_examined` frozen at each sealed epoch
     /// boundary, parallel to [`RrCollection::epoch_boundaries`]. A seal
-    /// always covers the whole arena, so the entry for a boundary is the
-    /// pool total at the moment that boundary was recorded. The store
+    /// always reaches the end of the arena, so the entry for a boundary is
+    /// the pool total at the moment that boundary was recorded. The store
     /// serializes per-epoch deltas of this so a recovered prefix restores
     /// the exact sampling-cost accounting of its sets.
     epoch_edges: Vec<u64>,
@@ -201,7 +206,8 @@ impl RrCollection {
 
     /// Ids of the sets containing `v` restricted to an id `range`,
     /// ascending (the sealed tier is binary-searched; the pending chain
-    /// is short by the compaction invariant).
+    /// is short by the compaction invariant). An inverted range
+    /// (`start >= end`) is empty.
     pub fn sets_containing_in(&self, v: NodeId, range: Range<u32>) -> SetIds<'_> {
         self.index.sets_containing_in(v, range)
     }
@@ -227,8 +233,8 @@ impl RrCollection {
     }
 
     /// Freezes the cumulative sampling cost of any epoch boundary the
-    /// last index operation recorded. A seal covers the entire arena, so
-    /// the current total *is* the new boundary's total; called after
+    /// last index operation recorded. A seal reaches the end of the arena,
+    /// so the current total *is* the new boundary's total; called after
     /// every operation that can compact (threshold seals included).
     fn sync_epoch_edges(&mut self) {
         while self.epoch_edges.len() < self.index.epoch_bounds().len() {
@@ -295,12 +301,14 @@ impl RrCollection {
     }
 
     /// [`RrCollection::seal`] with a worker-thread budget for the
-    /// counting-sort rebuild. The resulting index is bit-identical for
-    /// every `threads` value. Sealing an already fully sealed pool is an
-    /// explicit no-op (no rebuild, no new epoch) reported as
-    /// [`SealOutcome::AlreadySealed`], so a grow loop can distinguish
-    /// "nothing pending" from "epoch published" without re-reading
-    /// [`RrCollection::epoch_boundaries`].
+    /// counting sort of the pending sets. The seal costs an `O(new
+    /// entries)` scatter plus one sequential merge copy of the index into
+    /// a fresh sealed CSR; clones sharing the old one are untouched. The
+    /// resulting index is bit-identical for every `threads` value.
+    /// Sealing an already fully sealed pool is an explicit no-op (no
+    /// rebuild, no new epoch) reported as [`SealOutcome::AlreadySealed`],
+    /// so a grow loop can distinguish "nothing pending" from "epoch
+    /// published" without re-reading [`RrCollection::epoch_boundaries`].
     pub fn seal_parallel(&mut self, threads: usize) -> SealOutcome {
         let sealed = self.index.sealed_sets() as usize;
         if sealed == self.len() {
@@ -382,14 +390,15 @@ impl RrCollection {
     /// paper, Eq. 1, restricted to a pool slice).
     ///
     /// `scratch` is a reusable `u64` bitset; it is resized to the range
-    /// length and cleared on entry.
+    /// length and cleared on entry. An inverted range (`start >= end`) is
+    /// empty: coverage 0, nothing allocated.
     pub fn coverage_of_range(
         &self,
         seeds: &[NodeId],
         range: Range<u32>,
         scratch: &mut Vec<u64>,
     ) -> u64 {
-        let len = (range.end - range.start) as usize;
+        let len = range.end.saturating_sub(range.start) as usize;
         scratch.clear();
         scratch.resize(len.div_ceil(64), 0);
         let mut covered = 0u64;
@@ -587,6 +596,35 @@ mod tests {
         assert_eq!(bounds.len() as u64, rc.compactions());
         assert!(bounds.windows(2).all(|w| w[0] < w[1]), "not ascending: {bounds:?}");
         assert_eq!(*bounds.last().unwrap(), rc.sealed_sets());
+    }
+
+    #[test]
+    fn sealing_a_grown_clone_leaves_the_source_alone() {
+        let mut source = RrCollection::new(16);
+        for i in 0..3000u32 {
+            source.push(&[i % 16, (i * 7 + 3) % 16], meta(0));
+        }
+        let _ = source.seal();
+        let answers: Vec<Vec<u32>> = (0..16).map(|v| source.sets_containing(v).to_vec()).collect();
+        let bytes = source.memory_bytes();
+
+        let mut grown = source.clone();
+        assert!(grown.index.shares_sealed_tier(&source.index), "a clone shares the sealed CSR");
+        for i in 0..500u32 {
+            grown.push(&[(i * 5) % 16], meta(0));
+        }
+        assert!(grown.pending_sets() > 0);
+        assert_eq!(grown.seal().epoch(), Some(3000..3500));
+        assert!(!grown.index.shares_sealed_tier(&source.index));
+
+        assert_eq!(source.memory_bytes(), bytes);
+        assert_eq!((source.len(), source.sealed_sets(), source.pending_sets()), (3000, 3000, 0));
+        for v in 0..16 {
+            assert_eq!(source.sets_containing(v).to_vec(), answers[v as usize], "node {v}");
+            let mut expect = answers[v as usize].clone();
+            expect.extend((0..500u32).filter(|i| (i * 5) % 16 == v).map(|i| 3000 + i));
+            assert_eq!(grown.sets_containing(v).to_vec(), expect, "node {v}");
+        }
     }
 
     #[test]

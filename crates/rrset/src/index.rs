@@ -1,8 +1,9 @@
 //! Two-tier (sealed CSR + pending chain) inverted node→set-id index.
 //!
-//! The *sealed* tier is a flat CSR pair (`index_offsets`, `index_data`)
-//! over all sets indexed at the last compaction: `index_data` holds, for
-//! each node in turn, the ascending ids of the sets containing it. The
+//! The *sealed* tier is one immutable flat CSR pair (offsets, ids) over
+//! all sets indexed at the last compaction: the ids hold, for each node
+//! in turn, the ascending ids of the sets containing it. It sits behind
+//! an `Arc`, so cloning a pool shares it instead of copying it. The
 //! *pending* tier absorbs appends that arrived since then as per-node
 //! singly-linked chains threaded through a columnar entry log; chains are
 //! appended at the tail, so walking a chain also yields ascending ids.
@@ -15,15 +16,20 @@
 //! 24-byte header per node (empty or not) plus power-of-two capacity
 //! slack per non-empty node.
 //!
-//! Compaction rebuilds the CSR from the set arena with a counting sort —
-//! optionally multi-threaded: the arena is split into chunks, workers
-//! emit per-chunk node histograms, an exclusive prefix over (node, chunk)
-//! turns those into disjoint write cursors, and workers scatter their
-//! chunks independently. The result is bit-identical for every worker
-//! count, which is what lets `RrCollection` keep its sequential ≡
-//! parallel reproducibility guarantee.
+//! Compaction counting-sorts only the unsealed tail of the set arena —
+//! optionally multi-threaded: the tail is split into chunks, workers
+//! emit per-chunk node histograms, an exclusive prefix turns those into
+//! disjoint write cursors, and workers scatter their node ranges
+//! independently. One sequential pass over the nodes then merges each
+//! node's sealed ids and new ids into a fresh CSR; the old one is never
+//! written to, so clones still holding it are unaffected. So a seal
+//! costs `O(new entries + n)` of sorting plus a `memcpy`-speed merge
+//! copy of the index. The result is bit-identical for every worker
+//! count and every seal schedule, which is what lets `RrCollection`
+//! keep its sequential ≡ parallel reproducibility guarantee.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use sns_graph::NodeId;
 
@@ -103,7 +109,7 @@ impl CsrOffsets {
     /// Width-adaptive packing of a dense `u64` offset array: narrows to
     /// `u32` whenever the final offset (= total entry count) fits, halving
     /// the fixed per-slot cost. Used by the inverted index's sealed tier,
-    /// whose counting sort needs the `u64` array anyway.
+    /// whose merge pass builds the `u64` array.
     pub(crate) fn from_wide(offsets: Vec<u64>) -> Self {
         if offsets.last().copied().unwrap_or(0) <= u32::MAX as u64 {
             CsrOffsets::Narrow(offsets.iter().map(|&o| o as u32).collect())
@@ -208,18 +214,25 @@ impl CsrOffsets {
     }
 }
 
+/// The sealed tier: one immutable node→set-ids CSR. A compaction builds
+/// a new one and never writes to an old one, so clones share it.
+#[derive(Debug, PartialEq, Eq)]
+struct SealedCsr {
+    /// Node `v`'s sealed ids live at `data[offsets[v]..offsets[v + 1]]`.
+    /// Empty until the first compaction.
+    offsets: CsrOffsets,
+    /// Concatenated ascending set ids, grouped by node.
+    data: Vec<u32>,
+}
+
 /// The two-tier inverted index of an [`crate::RrCollection`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct TwoTierIndex {
     n: u32,
     /// Number of sets covered by the sealed CSR tier (ids `0..sealed_sets`).
     sealed_sets: u32,
-    /// CSR offsets: node `v`'s sealed ids live at
-    /// `index_data[index_offsets[v]..index_offsets[v + 1]]`. Empty until
-    /// the first compaction.
-    index_offsets: CsrOffsets,
-    /// Concatenated ascending set ids, grouped by node.
-    index_data: Vec<u32>,
+    /// The sealed CSR over ids `0..sealed_sets`, shared by clones.
+    sealed: Arc<SealedCsr>,
     pending: PendingTier,
     /// Number of sets indexed in either tier (`sealed_sets` + pending).
     indexed_sets: u32,
@@ -252,8 +265,10 @@ impl TwoTierIndex {
         TwoTierIndex {
             n,
             sealed_sets: 0,
-            index_offsets: CsrOffsets::Narrow(Vec::new()),
-            index_data: Vec::new(),
+            sealed: Arc::new(SealedCsr {
+                offsets: CsrOffsets::Narrow(Vec::new()),
+                data: Vec::new(),
+            }),
             pending: PendingTier::default(),
             indexed_sets: 0,
             indexed_entries: 0,
@@ -306,38 +321,48 @@ impl TwoTierIndex {
         self.indexed_entries = data.len() as u64;
     }
 
-    /// Seals the current epoch: rebuilds the CSR tier over the whole arena
-    /// with a (optionally parallel) counting sort and frees the pending
-    /// tier.
+    /// Seals the current epoch: counting-sorts only the unsealed tail
+    /// `sealed_sets..len` (optionally multi-threaded), merges it behind
+    /// the sealed CSR into a fresh shared CSR, and frees the pending tier.
+    /// The previous sealed CSR is never written to, so clones sharing it
+    /// keep answering exactly as before.
     pub(crate) fn compact(&mut self, data: &[NodeId], offsets: &[u64], threads: usize) {
         let n = self.n as usize;
         let total_sets = offsets.len() - 1;
-        let entries = data.len();
+        let first = self.sealed_sets as usize;
+        // The tail: sets `first..total_sets`, entries `base..data.len()`.
+        let base = offsets[first];
+        let tail = &data[base as usize..];
+        let tail_offsets = &offsets[first..];
+        let tail_sets = total_sets - first;
+        let entries = tail.len();
         // Clamp to real hardware parallelism: the scatter pass streams
-        // the whole arena once *per worker* (cheap next to its random
-        // writes when workers run concurrently), so oversubscribing a
-        // small machine turns that read amplification into pure serial
+        // the tail once *per worker* (cheap next to its random writes
+        // when workers run concurrently), so oversubscribing a small
+        // machine turns that read amplification into pure serial
         // overhead. The result is worker-count-invariant either way.
         let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         let workers = if threads <= 1 || entries < PARALLEL_COMPACT_MIN_ENTRIES {
             1
         } else {
-            threads.min(hw).min(total_sets.max(1))
+            threads.min(hw).min(tail_sets.max(1))
         };
+        let at = |local: usize| (tail_offsets[local] - base) as usize;
+        let span = |local: usize| at(local)..at(local + 1);
 
-        // Pass 1 — per-chunk node histograms (workers own contiguous
-        // *set* ranges, balanced by entry count so no worker inherits all
-        // the long sets): hist[c][v] = entries of v in chunk c. Summed
-        // into the global per-node counts feeding the CSR offsets.
+        // Pass 1 — per-chunk node histograms of the tail (workers own
+        // contiguous *set* ranges, balanced by entry count so no worker
+        // inherits all the long sets): hist[c][v] = entries of v in chunk
+        // c. Summed into the per-node tail counts.
         let set_bounds: Vec<usize> = (0..=workers)
             .map(|w| {
-                let target = (entries as u64 * w as u64 / workers as u64).min(entries as u64);
-                offsets.partition_point(|&o| o < target).min(total_sets)
+                let target = base + (entries as u64 * w as u64 / workers as u64);
+                tail_offsets.partition_point(|&o| o < target).min(tail_sets)
             })
             .collect();
         let mut counts: Vec<u64> = if workers == 1 {
             let mut h = vec![0u64; n];
-            for &v in data {
+            for &v in tail {
                 h[v as usize] += 1;
             }
             h
@@ -345,8 +370,7 @@ impl TwoTierIndex {
             let hists: Vec<Vec<u64>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|c| {
-                        let (lo, hi) = (set_bounds[c], set_bounds[c + 1]);
-                        let chunk = &data[offsets[lo] as usize..offsets[hi] as usize];
+                        let chunk = &tail[at(set_bounds[c])..at(set_bounds[c + 1])];
                         scope.spawn(move || {
                             let mut h = vec![0u64; n];
                             for &v in chunk {
@@ -367,30 +391,30 @@ impl TwoTierIndex {
             total
         };
 
-        // Pass 2 — exclusive prefix sum over nodes: the CSR offsets.
-        let mut index_offsets = vec![0u64; n + 1];
+        // Pass 2 — exclusive prefix sum over nodes: the tail's CSR offsets.
+        let mut tail_index = vec![0u64; n + 1];
         for v in 0..n {
-            index_offsets[v + 1] = index_offsets[v] + counts[v];
+            tail_index[v + 1] = tail_index[v] + counts[v];
         }
-        debug_assert_eq!(index_offsets[n] as usize, entries);
+        debug_assert_eq!(tail_index[n] as usize, entries);
 
         // Pass 3 — scatter, parallel over *node* ranges: each worker owns
         // a contiguous node range balanced by entry count, hence a
-        // disjoint contiguous region of `index_data` (no sharing, no
-        // false sharing — a set-chunked scatter would interleave writes
-        // within each node's id list and thrash cache lines). Every
-        // worker streams the whole arena in ascending set-id order, which
-        // keeps per-node id lists ascending, at a read amplification of
-        // `workers` — cheap next to the random writes. `counts` is
-        // repurposed as the per-node write cursors.
-        let mut index_data = vec![0u32; entries];
+        // disjoint contiguous region of `tail_ids` (no sharing, no false
+        // sharing — a set-chunked scatter would interleave writes within
+        // each node's id list and thrash cache lines). Every worker
+        // streams the tail in ascending set-id order, which keeps
+        // per-node id lists ascending. `counts` is repurposed as the
+        // per-node write cursors.
+        let first_id = crate::narrow::set_count(first);
+        let tail_len = crate::narrow::set_count(tail_sets);
+        let mut tail_ids = vec![0u32; entries];
         if workers == 1 {
-            counts.copy_from_slice(&index_offsets[..n]);
+            counts.copy_from_slice(&tail_index[..n]);
             let cursors = &mut counts;
-            for id in 0..crate::narrow::set_count(total_sets) {
-                let span = offsets[id as usize] as usize..offsets[id as usize + 1] as usize;
-                for &v in &data[span] {
-                    index_data[cursors[v as usize] as usize] = id;
+            for local in 0..tail_len {
+                for &v in &tail[span(local as usize)] {
+                    tail_ids[cursors[v as usize] as usize] = first_id + local;
                     cursors[v as usize] += 1;
                 }
             }
@@ -398,33 +422,27 @@ impl TwoTierIndex {
             let node_bounds: Vec<usize> = (0..=workers)
                 .map(|w| {
                     let target = (entries as u64 * w as u64 / workers as u64).min(entries as u64);
-                    index_offsets.partition_point(|&o| o < target).min(n)
+                    tail_index.partition_point(|&o| o < target).min(n)
                 })
                 .collect();
             std::thread::scope(|scope| {
-                let mut rest: &mut [u32] = &mut index_data;
-                let mut consumed = 0u64;
+                let mut rest: &mut [u32] = &mut tail_ids;
                 for w in 0..workers {
                     let (lo, hi) = (node_bounds[w], node_bounds[w + 1]);
-                    let base = index_offsets[lo];
-                    let len = (index_offsets[hi] - base) as usize;
-                    debug_assert_eq!(base, consumed);
-                    let (mine, tail) = rest.split_at_mut(len);
-                    rest = tail;
-                    consumed += len as u64;
-                    let index_offsets = &index_offsets;
+                    let start = tail_index[lo];
+                    let (mine, after) = rest.split_at_mut((tail_index[hi] - start) as usize);
+                    rest = after;
+                    let (tail_index, span) = (&tail_index, &span);
                     scope.spawn(move || {
                         let mut cursors: Vec<u64> =
-                            index_offsets[lo..hi].iter().map(|&o| o - base).collect();
-                        for id in 0..crate::narrow::set_count(total_sets) {
-                            let span =
-                                offsets[id as usize] as usize..offsets[id as usize + 1] as usize;
-                            for &v in &data[span] {
+                            tail_index[lo..hi].iter().map(|&o| o - start).collect();
+                        for local in 0..tail_len {
+                            for &v in &tail[span(local as usize)] {
                                 let vi = v as usize;
                                 if vi < lo || vi >= hi {
                                     continue;
                                 }
-                                mine[cursors[vi - lo] as usize] = id;
+                                mine[cursors[vi - lo] as usize] = first_id + local;
                                 cursors[vi - lo] += 1;
                             }
                         }
@@ -433,11 +451,23 @@ impl TwoTierIndex {
             });
         }
 
-        self.index_offsets = CsrOffsets::from_wide(index_offsets);
-        self.index_data = index_data;
+        // Merge — one sequential pass over the nodes: node `v`'s sealed
+        // ids, then its tail ids. Every tail id exceeds every sealed id,
+        // so each list stays ascending. Allocated at exact size.
+        let mut merged_offsets = Vec::with_capacity(n + 1);
+        merged_offsets.push(0u64);
+        let mut merged = Vec::with_capacity(self.sealed.data.len() + entries);
+        for v in 0..n {
+            merged.extend_from_slice(self.sealed_slice(v as NodeId));
+            merged.extend_from_slice(&tail_ids[tail_index[v] as usize..tail_index[v + 1] as usize]);
+            merged_offsets.push(merged.len() as u64);
+        }
+        debug_assert_eq!(merged.len() as u64, data.len() as u64);
+        self.sealed =
+            Arc::new(SealedCsr { offsets: CsrOffsets::from_wide(merged_offsets), data: merged });
         self.sealed_sets = total_sets as u32;
         self.indexed_sets = total_sets as u32;
-        self.indexed_entries = entries as u64;
+        self.indexed_entries = data.len() as u64;
         self.pending.clear_and_free();
         self.compactions += 1;
         // A new epoch exists only if this seal advanced the sealed
@@ -449,17 +479,18 @@ impl TwoTierIndex {
 
     #[inline]
     fn sealed_slice(&self, v: NodeId) -> &[u32] {
-        if self.index_offsets.is_empty() {
+        if self.sealed.offsets.is_empty() {
             return &[];
         }
-        &self.index_data[self.index_offsets.span(v as usize)]
+        &self.sealed.data[self.sealed.offsets.span(v as usize)]
     }
 
     /// Ids of indexed sets containing `v` whose id falls in `range`,
     /// ascending. Sealed ids are binary-searched; the pending chain is
     /// skipped up to `range.start` (chains are short by the compaction
-    /// invariant).
+    /// invariant). An inverted range (`start >= end`) is empty.
     pub(crate) fn sets_containing_in(&self, v: NodeId, range: Range<u32>) -> SetIds<'_> {
+        let range = range.start..range.end.max(range.start);
         let sealed = self.sealed_slice(v);
         let lo = sealed.partition_point(|&id| id < range.start);
         let hi = sealed.partition_point(|&id| id < range.end);
@@ -476,10 +507,16 @@ impl TwoTierIndex {
         }
     }
 
+    /// Whether `self` and `other` share one sealed CSR allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_sealed_tier(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.sealed, &other.sealed)
+    }
+
     pub(crate) fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
-        self.index_offsets.memory_bytes()
-            + (self.index_data.capacity() * size_of::<u32>()) as u64
+        self.sealed.offsets.memory_bytes()
+            + (self.sealed.data.capacity() * size_of::<u32>()) as u64
             + self.pending.memory_bytes()
     }
 }
@@ -592,9 +629,10 @@ mod tests {
 
     #[test]
     fn compaction_is_thread_count_invariant() {
-        // Enough entries to exceed PARALLEL_COMPACT_MIN_ENTRIES so the
-        // multi-threaded path really runs.
-        const SETS: u32 = 4000;
+        // Large epochs exceed PARALLEL_COMPACT_MIN_ENTRIES on their own,
+        // so the multi-threaded tail sort really runs; the small ones
+        // take the sequential path.
+        const SETS: u32 = 8000;
         let sets: Vec<Vec<NodeId>> = (0..SETS)
             .map(|i| {
                 (0..64).filter(|v| (i.wrapping_mul(2654435761) >> (v % 17)) & 1 == 1).collect()
@@ -602,16 +640,33 @@ mod tests {
             .collect();
         let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
         let (data, offsets) = arena(&refs);
-        assert!(data.len() >= PARALLEL_COMPACT_MIN_ENTRIES);
-        let mut seq = TwoTierIndex::new(64);
-        seq.compact(&data, &offsets, 1);
-        for threads in [2, 4, 8] {
-            let mut par = TwoTierIndex::new(64);
-            par.compact(&data, &offsets, threads);
-            assert_eq!(seq, par, "compaction differs at {threads} threads");
+        // A few large epochs, then many small ones.
+        let mut bounds = vec![3000, 6000];
+        bounds.extend((6050..=SETS).step_by(50));
+        let (head, _) = arena(&refs[..3000]);
+        assert!(head.len() >= PARALLEL_COMPACT_MIN_ENTRIES);
+        let mut one_step = TwoTierIndex::new(64);
+        one_step.compact(&data, &offsets, 1);
+        for threads in [1, 2, 8] {
+            let mut once = TwoTierIndex::new(64);
+            once.compact(&data, &offsets, threads);
+            assert_eq!(one_step, once, "one-step seal differs at {threads} threads");
+            let mut stepped = TwoTierIndex::new(64);
+            for &b in &bounds {
+                let (data, offsets) = arena(&refs[..b as usize]);
+                stepped.compact(&data, &offsets, threads);
+            }
+            assert_eq!(stepped.sealed_sets(), SETS);
+            assert_eq!(stepped.epoch_bounds(), bounds.as_slice());
+            assert_eq!(
+                one_step.sealed,
+                stepped.sealed,
+                "{}-step seal differs from one step at {threads} threads",
+                bounds.len()
+            );
         }
         for v in 0..64 {
-            let ids = seq.sets_containing_in(v, 0..SETS).to_vec();
+            let ids = one_step.sets_containing_in(v, 0..SETS).to_vec();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "node {v} ids not ascending");
         }
     }

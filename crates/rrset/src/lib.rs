@@ -21,9 +21,10 @@
 //!   [`RrCollection::coverage_of`].
 //!
 //! [`RrCollection`] stores sets in a flat arena with a **two-tier**
-//! inverted node→set-id index — a sealed flat-CSR tier rebuilt by a
-//! parallel counting sort at epoch compactions, plus a small pending
-//! chain tier for fresh appends (see [`RrCollection`]'s docs). It
+//! inverted node→set-id index — a sealed flat-CSR tier, shared by
+//! clones and extended at epoch compactions by a parallel counting sort
+//! of the new sets only, plus a small pending chain tier for fresh
+//! appends (see [`RrCollection`]'s docs). It
 //! supports deterministic parallel growth and accounts its exact byte
 //! footprint (the quantity Figures 6–7 of the paper track).
 //!

@@ -263,12 +263,16 @@ proptest! {
     /// pushes and forced epoch seals, `sets_containing_in` must return
     /// exactly the ids a linear scan of the arena finds, ascending, for
     /// every node and query range — regardless of how the ids are split
-    /// between the sealed CSR tier and the pending chains.
+    /// between the sealed CSR tier and the pending chains — and
+    /// `coverage_of_range` must count exactly the rescanned sets. The
+    /// range bounds are drawn unordered: an inverted range is empty and
+    /// allocates no scratch.
     #[test]
     fn index_matches_naive_rescan(
         ops in vec((vec(0u32..N, 1..6), 0u32..8), 1..60),
         lo_frac in 0.0f64..=1.0,
         hi_frac in 0.0f64..=1.0,
+        seeds in vec(0u32..N, 0..5),
     ) {
         let mut rc = RrCollection::new(N);
         let mut sets: Vec<Vec<NodeId>> = Vec::new();
@@ -287,18 +291,26 @@ proptest! {
         let total = sets.len() as u32;
         let lo = (f64::from(total) * lo_frac) as u32;
         let hi = (f64::from(total) * hi_frac) as u32;
-        let (lo, hi) = (lo.min(hi), lo.max(hi));
+        let in_range = |id: &u32| *id >= lo && *id < hi;
+        let mut scratch = Vec::new();
         for v in 0..N {
             let expect_all: Vec<u32> = (0..total)
                 .filter(|&id| sets[id as usize].contains(&v))
                 .collect();
-            let expect_range: Vec<u32> =
-                expect_all.iter().copied().filter(|&id| id >= lo && id < hi).collect();
+            let expect_range: Vec<u32> = expect_all.iter().copied().filter(in_range).collect();
             prop_assert_eq!(rc.sets_containing(v).to_vec(), expect_all);
             let got = rc.sets_containing_in(v, lo..hi);
             prop_assert_eq!(got.len(), expect_range.len());
-            prop_assert_eq!(got.to_vec(), expect_range);
+            prop_assert_eq!(got.to_vec(), expect_range.clone());
+            let covered = rc.coverage_of_range(&[v], lo..hi, &mut scratch);
+            prop_assert_eq!(covered, expect_range.len() as u64);
         }
+        let expect_covered = (0..total)
+            .filter(in_range)
+            .filter(|&id| seeds.iter().any(|s| sets[id as usize].contains(s)))
+            .count() as u64;
+        prop_assert_eq!(rc.coverage_of_range(&seeds, lo..hi, &mut scratch), expect_covered);
+        prop_assert!(lo < hi || scratch.is_empty(), "an inverted range allocates nothing");
     }
 }
 
