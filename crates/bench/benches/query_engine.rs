@@ -2,19 +2,24 @@
 //!
 //! The regime the engine exists for: one sealed 60k-set pool answering
 //! query after query. Measures, on the shared 100k-node Barabási–Albert
-//! pool, (a) repeated `k = 50` selection through the engine (frozen
-//! [`GainSnapshot`], memcpy'd gains) vs `max_coverage_with` (per-call
-//! histogram + heap-seed rebuild) — full pool and a D-SSA-style half
-//! range; (b) the one-off snapshot build cost the fast path amortizes;
+//! pool, (a) one `k = 50` selection by the kernel from a frozen
+//! [`GainSnapshot`] (memcpy'd gains — the engine's cold per-select
+//! cost) vs `max_coverage_with` (per-call histogram + heap-seed
+//! rebuild) vs a repeated engine query answered from the snapshot-cache
+//! entry's greedy prefix memo — full pool and a D-SSA-style half range;
+//! (b) the one-off snapshot build cost the fast path amortizes;
 //! (c) a heterogeneous 16-query batch at 1 and 4 worker threads through
 //! the batch planner (`answer_planned`, which groups the 16 queries into
 //! 2 shared snapshot resolutions); and
-//! (d) a weighted (TVM root weights) query through the topic-keyed
-//! frozen-gain cache vs the per-call weighted init pass.
+//! (d) a weighted (TVM root weights) selection from a frozen
+//! topic snapshot (what the topic-keyed cache serves the kernel) vs the
+//! per-call weighted init pass. The batch rows go through the engine,
+//! so from their second iteration on they are answered from the memo.
 //!
 //! The `query_engine_grow` group covers grow-while-serving: an engine
 //! whose pool was extended epoch by epoch, measuring the steady-state
-//! multi-epoch query (cached merge, zero rebase), the one-off
+//! multi-epoch selection (the kernel on the cached merge, zero rebase),
+//! the one-off
 //! epoch-merge build it amortizes, and the per-call histogram rebuild a
 //! snapshot-less server would pay on the same grown pool.
 //!
@@ -39,7 +44,10 @@ use std::sync::Arc;
 
 use sns_core::{NodeCosts, SamplingContext, SeedAnswer, SeedQuery, SeedQueryEngine};
 use sns_diffusion::Model;
-use sns_rrset::{max_coverage_with, CoverageView, GainSnapshot, GreedyScratch};
+use sns_rrset::{
+    max_coverage_with, Count, CoverageView, GainInit, GainSnapshot, GreedyScratch, SeedConstraints,
+    Weighted, WeightedGainSnapshot,
+};
 
 #[path = "support/mod.rs"]
 mod support;
@@ -62,11 +70,27 @@ fn bench_queries(c: &mut Criterion, engine: &SeedQueryEngine, threaded: &SeedQue
         let direct = max_coverage_with(pool, K, range.clone(), &mut GreedyScratch::new());
         assert_eq!(engine_answer.seeds, direct.seeds, "engine and direct greedy disagree");
 
+        // The kernel from a frozen snapshot: what the engine pays for a
+        // query its prefix memo does not cover yet.
+        let snapshot = GainSnapshot::build(&CoverageView::build(pool, range.clone()));
+        let mut scratch = GreedyScratch::new();
+        let none = SeedConstraints::none();
+        group.bench_with_input(
+            BenchmarkId::new("engine-frozen-gains", label),
+            &snapshot,
+            |b, s| {
+                b.iter(|| {
+                    s.view(pool)
+                        .select(Count { k: K }, GainInit::Frozen(s), &none, &mut scratch)
+                        .covered
+                })
+            },
+        );
+        // The repeated query through the engine: sliced from the memo.
         let query = SeedQuery::top_k(K).over_range(range.clone());
-        group.bench_with_input(BenchmarkId::new("engine-frozen-gains", label), &query, |b, q| {
+        group.bench_with_input(BenchmarkId::new("engine-memo-hit", label), &query, |b, q| {
             b.iter(|| engine.answer(q).expect("valid query").covered)
         });
-        let mut scratch = GreedyScratch::new();
         group.bench_with_input(BenchmarkId::new("per-call-histogram", label), pool, |b, pool| {
             b.iter(|| max_coverage_with(pool, K, range.clone(), &mut scratch).covered)
         });
@@ -167,18 +191,28 @@ fn bench_queries(c: &mut Criterion, engine: &SeedQueryEngine, threaded: &SeedQue
     group.bench_with_input(BenchmarkId::new("weighted-query", "full"), &weighted, |b, q| {
         b.iter(|| engine.answer(q).expect("valid query").covered)
     });
-    // Same query through the topic-keyed frozen-gain cache (the
-    // repeated-TVM serving path; first call builds, the rest memcpy).
-    let topic = SeedQuery::top_k(K).with_root_weights(weights).with_topic(1);
+    // The kernel from the frozen topic snapshot the topic-keyed cache
+    // holds (the repeated-TVM serving path before its memo covers k).
+    let topic = SeedQuery::top_k(K).with_root_weights(weights.clone()).with_topic(1);
     assert_eq!(
         engine.answer(&topic).expect("valid query").seeds,
         engine.answer(&weighted).expect("valid query").seeds,
         "frozen and per-call weighted selection disagree"
     );
+    let snapshot = WeightedGainSnapshot::build(&CoverageView::build(pool, 0..total), &weights);
+    let mut scratch = GreedyScratch::new();
+    let none = SeedConstraints::none();
+    let objective = Weighted { k: K, weights: &weights };
     group.bench_with_input(
         BenchmarkId::new("weighted-query-topic-cached", "full"),
-        &topic,
-        |b, q| b.iter(|| engine.answer(q).expect("valid query").covered),
+        &snapshot,
+        |b, s| {
+            b.iter(|| {
+                s.view(pool)
+                    .select(objective, GainInit::Frozen(s), &none, &mut scratch)
+                    .covered_weight
+            })
+        },
     );
     group.finish();
 }
@@ -211,16 +245,21 @@ fn bench_grow_while_serving(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
     group.sample_size(10);
-    // Steady state: the merged snapshot is cached, the query is memcpy +
-    // selection, zero histogram and zero offset-rebase work.
-    group.bench_with_input(BenchmarkId::new("steady-state-merged", "full"), &full, |b, q| {
-        b.iter(|| engine.answer(q).expect("valid query").covered)
+    let parts: Vec<GainSnapshot> =
+        grown.epochs().map(|e| GainSnapshot::build(&CoverageView::build(&grown, e))).collect();
+    // Steady state: the kernel from the cached merged snapshot —
+    // memcpy + selection, zero histogram and zero offset-rebase work.
+    let merged = GainSnapshot::merge(&parts.iter().collect::<Vec<_>>());
+    let mut scratch = GreedyScratch::new();
+    let none = SeedConstraints::none();
+    group.bench_with_input(BenchmarkId::new("steady-state-merged", "full"), &merged, |b, s| {
+        b.iter(|| {
+            s.view(&grown).select(Count { k: K }, GainInit::Frozen(s), &none, &mut scratch).covered
+        })
     });
     // The one-off cost a pool extension adds to the *next* full-range
     // query: merging the per-epoch snapshots (histograms sum, heap seed
     // rebuilt) — what replaces a from-scratch histogram pass.
-    let parts: Vec<GainSnapshot> =
-        grown.epochs().map(|e| GainSnapshot::build(&CoverageView::build(&grown, e))).collect();
     group.bench_with_input(BenchmarkId::new("epoch-merge-build", "full"), &parts, |b, parts| {
         b.iter(|| {
             let refs: Vec<&GainSnapshot> = parts.iter().collect();

@@ -20,12 +20,44 @@
 //! locked cache reported (the engine's pinned counter tests keep
 //! passing unchanged), and under concurrency they are exact except for
 //! the documented racing double-build, which may count one extra miss.
+//!
+//! # The greedy prefix memo
+//!
+//! Lazy greedy is prefix-consistent: over one frozen snapshot, the top-k
+//! answer is the first `k` picks of the top-`K` run for every `k ≤ K`.
+//! Each entry therefore carries a [`PrefixMemo`] — the selection order
+//! and marginal gains of the deepest memo-eligible answer served from
+//! its snapshot so far — and the engine answers any query the memo
+//! covers by slicing it instead of running the selection kernel (which
+//! queries are eligible is the engine's call; see `engine.rs`). The
+//! kernel stays the only code that makes a selection: a memo only ever
+//! holds a kernel output, and it is replaced only by a longer one.
+//!
+//! Memo reads are lock-free like map reads: one [`EpochDirectory`] pin
+//! on the entry's memo. A publish runs under `try_lock` and is simply
+//! skipped when another worker holds the memo's writer — that worker is
+//! publishing an equally valid prefix, and a skipped offer only costs a
+//! later kernel run.
+//!
+//! Memo bytes are **not** charged against the byte budget: eviction
+//! order — and with it every hit, miss, merge and eviction count —
+//! stays exactly what it is without the memo. The bound is small: 12 B
+//! per memoized pick (a 4-byte id and an 8-byte gain), so at most
+//! 12 B × the deepest `k` served from the entry (itself at most the
+//! node count), plus a fixed few hundred bytes for the memo's directory
+//! and under 100 B for each superseded memo (its directory slot keeps a
+//! weak pointer to the emptied allocation). Every publish lengthens the
+//! memo, so an entry supersedes at most one memo per distinct depth
+//! served from it. A memo is dropped with its entry.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 
-use sns_rrset::{DirectoryWriter, EpochDirectory, GainSnapshot, WeightedGainSnapshot};
+use sns_graph::NodeId;
+use sns_rrset::{
+    DirectoryWriter, EpochDirectory, GainSnapshot, WeightedCoverageResult, WeightedGainSnapshot,
+};
 
 use crate::engine::QueryStats;
 
@@ -100,6 +132,71 @@ pub(crate) struct CacheEntry {
     bytes: u64,
     /// LRU stamp, updated in place by lock-free readers.
     last_used: AtomicU64,
+    /// Greedy picks already served from `snap` (not counted in `bytes`).
+    memo: Arc<PrefixMemo>,
+}
+
+/// One published memo state: the first `seeds.len()` greedy picks over
+/// an entry's snapshot and their marginal gains, as the kernel
+/// returned them.
+#[derive(Debug, Default)]
+struct Prefix {
+    seeds: Vec<NodeId>,
+    gains: Vec<f64>,
+}
+
+/// The greedy prefix memo of one cache entry (see the module docs).
+#[derive(Debug)]
+pub(crate) struct PrefixMemo {
+    /// The published prefix; readers pin it with one atomic load.
+    published: Arc<EpochDirectory<Prefix>>,
+    /// The publish handle, only ever taken with `try_lock`.
+    writer: Mutex<DirectoryWriter<Prefix>>,
+}
+
+impl PrefixMemo {
+    fn new() -> Self {
+        let (published, writer) = EpochDirectory::new(Arc::new(Prefix::default()));
+        PrefixMemo { published, writer: Mutex::new(writer) }
+    }
+
+    /// The first `depth` picks, if the memo holds that many — shaped as
+    /// the kernel shapes them: `covered_weight` is the left fold of the
+    /// gains from `0.0`, the same fold the weighted objective runs (and
+    /// exact for count gains, whose sums are integers), so a prefix
+    /// carries the kernel's bits. Lock-free: one directory pin.
+    pub(crate) fn prefix(&self, depth: usize) -> Option<WeightedCoverageResult> {
+        let (_, prefix) = self.published.pin();
+        let seeds = prefix.seeds.get(..depth)?;
+        let gains = prefix.gains.get(..depth)?;
+        Some(WeightedCoverageResult {
+            seeds: seeds.to_vec(),
+            covered_weight: gains.iter().fold(0.0, |s, &g| s + g),
+            marginal_gains: gains.to_vec(),
+        })
+    }
+
+    /// Offers the kernel's selection for a memo-eligible query over the
+    /// entry's snapshot — by prefix consistency, the first
+    /// `picked.seeds.len()` picks of the greedy order. It is published
+    /// only if it is longer than the current memo. Never
+    /// blocks: a contended writer means another worker is publishing,
+    /// and this offer is dropped. (A poisoned writer is recovered — the
+    /// memo is only ever replaced whole, so no half-written state
+    /// exists.)
+    pub(crate) fn offer(&self, picked: &WeightedCoverageResult) {
+        let mut writer = match self.writer.try_lock() {
+            Ok(writer) => writer,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return,
+        };
+        if picked.seeds.len() > writer.current().seeds.len() {
+            writer.publish(Arc::new(Prefix {
+                seeds: picked.seeds.clone(),
+                gains: picked.marginal_gains.clone(),
+            }));
+        }
+    }
 }
 
 /// The published, immutable cache state: a snapshot-keyed map whose
@@ -155,14 +252,15 @@ impl SnapshotCache {
     }
 
     /// Looks `key` up in the currently published map and refreshes its
-    /// LRU stamp — no locks, one atomic pin. Does not touch the hit/miss
-    /// counters; the query-level callers decide what counts.
-    pub(crate) fn get(&self, key: &CacheKey) -> Option<CachedSnapshot> {
+    /// LRU stamp — no locks, one atomic pin. Returns the snapshot and
+    /// the entry's prefix memo. Does not touch the hit/miss counters;
+    /// the query-level callers decide what counts.
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<(CachedSnapshot, Arc<PrefixMemo>)> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let (_, map) = self.map.pin();
         let entry = map.get(key)?;
         entry.last_used.store(now, Ordering::Relaxed);
-        Some(entry.snap.clone())
+        Some((entry.snap.clone(), Arc::clone(&entry.memo)))
     }
 
     /// Inserts (or replaces) `key` copy-on-write and publishes the new
@@ -172,13 +270,16 @@ impl SnapshotCache {
     /// writer mutex recovers from poisoning: cache contents are pure
     /// functions of the sealed pool (at worst a half-done publish costs
     /// a rebuild), so a worker that panicked mid-insert must not wedge
-    /// every subsequent miss.
-    pub(crate) fn insert(&self, key: CacheKey, snap: CachedSnapshot) {
+    /// every subsequent miss. Returns the new entry's (empty) prefix
+    /// memo.
+    pub(crate) fn insert(&self, key: CacheKey, snap: CachedSnapshot) -> Arc<PrefixMemo> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        let memo = Arc::new(PrefixMemo::new());
         let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let mut map: CacheMap = (**writer.current()).clone();
         let bytes = snap.bytes();
-        map.insert(key, Arc::new(CacheEntry { snap, bytes, last_used: AtomicU64::new(now) }));
+        let last_used = AtomicU64::new(now);
+        map.insert(key, Arc::new(CacheEntry { snap, bytes, last_used, memo: Arc::clone(&memo) }));
         let budget = self.budget.load(Ordering::Relaxed);
         let mut total: u64 = map.values().map(|e| e.bytes).sum();
         // `len > 1` guarantees a non-inserted entry exists, but the
@@ -197,6 +298,7 @@ impl SnapshotCache {
         }
         self.counters.cached_bytes.store(total, Ordering::Relaxed);
         writer.publish(Arc::new(map));
+        memo
     }
 
     /// Reconfigures the byte budget. Takes effect at the next insert;

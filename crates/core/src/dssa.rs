@@ -142,10 +142,7 @@ impl Dssa {
         let mut last = None;
 
         for t in 1..=t_max {
-            let scheduled = 2 * lambda
-                .checked_shl(t - 1)
-                .expect("pool target overflow: Nmax bounds preclude this");
-            let full = scheduled.min(cap_sets);
+            let full = schedule_target(lambda, t, cap_sets);
             let half = full / 2;
             let have = pool.len() as u64;
             if full > have {
@@ -222,10 +219,37 @@ impl Dssa {
     }
 }
 
+/// D-SSA's pool size at iteration `t ≥ 1`: `2Λ·2^(t−1) = Λ·2^t` sets,
+/// clamped at `cap_sets`. Saturating arithmetic: a schedule that
+/// outgrows `u64` is past any cap, so it reads as the cap instead of
+/// losing high bits or overflowing.
+fn schedule_target(lambda: u64, t: u32, cap_sets: u64) -> u64 {
+    lambda.saturating_mul(2u64.saturating_pow(t)).min(cap_sets)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds::ONE_MINUS_INV_E;
+
+    #[test]
+    fn schedule_doubles_and_saturates_at_the_cap() {
+        let cap = 1 << 40;
+        assert_eq!(schedule_target(3, 1, cap), 6);
+        assert_eq!(schedule_target(3, 4, cap), 48);
+        assert_eq!(schedule_target(3, 4, 40), 40);
+        // Shifts of 64 or more and products past u64 read as the cap.
+        for t in [63, 64, 65, u32::MAX] {
+            assert_eq!(schedule_target(1, t, cap), cap, "t = {t}");
+        }
+        for lambda in [1 << 62, (1 << 62) + 1, u64::MAX] {
+            for t in [1, 2, 3, 64] {
+                assert_eq!(schedule_target(lambda, t, cap), cap, "λ = {lambda}, t = {t}");
+            }
+            // Λ·2^t ≥ 2^64 from t = 2 on: saturated, not wrapped.
+            assert_eq!(schedule_target(lambda, 2, u64::MAX), u64::MAX);
+        }
+    }
     use sns_diffusion::Model;
     use sns_graph::{gen, Graph, GraphBuilder, WeightModel};
 

@@ -16,7 +16,8 @@
 //! selects from (one cache lookup — shared by a whole plan group), the
 //! selection kernel [`CoverageView::select`] runs the query's objective
 //! ([`Count`], [`Weighted`] or, for budgeted queries, [`Ratio`]) from
-//! it, and one tail builds the [`SeedAnswer`]. Results are
+//! it — unless the entry's greedy prefix memo already holds the answer
+//! (see below) — and one tail builds the [`SeedAnswer`]. Results are
 //! **bit-identical** to calling [`sns_rrset::max_coverage_range`] (or
 //! the kernel) directly, and batch answers are independent of thread
 //! count and batch composition.
@@ -44,6 +45,22 @@
 //! entries are evicted when the budget overflows, and hit/miss/evict
 //! counters are surfaced through [`QueryStats`]. Eviction only ever
 //! costs a rebuild, never correctness.
+//!
+//! Each cache entry also keeps a **greedy prefix memo**: lazy greedy is
+//! prefix-consistent, so the top-`k` answer over a frozen snapshot is
+//! the first `k` picks of the top-`K` run for any `k ≤ K`. The memo
+//! holds the selection order and marginal gains of the deepest
+//! memo-eligible answer served from the entry, and a query it covers is
+//! answered by slicing it instead of running the kernel. Eligible are
+//! queries with no forced and no excluded seeds that are top-`k`
+//! ([`Count`], or [`Weighted`] on a topic entry) at depth `min(k, n)`,
+//! or a [`NodeCosts::Uniform`] budget `B ≥ 1` — the bit-identical
+//! degeneration to top-`⌊B⌋` — at depth `min(⌊B⌋, n)`. Per-node costs,
+//! constraints and one-off weight vectors always run the kernel. The
+//! memo is read after the snapshot resolve, so [`QueryStats`] counts
+//! exactly what it counts without it; memo answers are bit-identical
+//! to kernel answers (see the `cache` module for the publish protocol
+//! and the memo's memory bound).
 //!
 //! # Grow-while-serving
 //!
@@ -78,7 +95,7 @@ use sns_rrset::{
     Weighted, WeightedCoverageResult, WeightedGainSnapshot,
 };
 
-use crate::cache::{CacheKey, CachedSnapshot, SnapshotCache};
+use crate::cache::{CacheKey, CachedSnapshot, PrefixMemo, SnapshotCache};
 use crate::grower::{Grower, GrowerState, GrowthOutcome};
 use crate::planner::BatchPlan;
 use crate::{CoreError, RunResult, SamplingContext};
@@ -280,11 +297,12 @@ fn collect_answers(slots: Vec<OnceLock<SeedAnswer>>) -> Result<Vec<SeedAnswer>, 
 /// cache lookup, shared by every member of a plan group it
 /// [serves](Resolved::serves).
 enum Resolved {
-    /// Top-k and budgeted queries: the range's plain snapshot.
-    Plain(Arc<GainSnapshot>),
-    /// Topic-weighted queries: the `(range, topic)` weighted snapshot and
-    /// the weights it was built with.
-    Topic(Arc<WeightedGainSnapshot>, Arc<[f64]>),
+    /// Top-k and budgeted queries: the range's plain snapshot and its
+    /// cache entry's prefix memo.
+    Plain(Arc<GainSnapshot>, Arc<PrefixMemo>),
+    /// Topic-weighted queries: the `(range, topic)` weighted snapshot,
+    /// the weights it was built with and the entry's prefix memo.
+    Topic(Arc<WeightedGainSnapshot>, Arc<[f64]>, Arc<PrefixMemo>),
     /// One-off weight vectors: nothing cached, a fresh weighted gain pass
     /// per query.
     Fresh(Arc<[f64]>),
@@ -297,9 +315,18 @@ impl Resolved {
     /// identity).
     fn serves(&self, query: &SeedQuery) -> bool {
         match (self, &query.root_weights) {
-            (Resolved::Plain(_), None) => true,
-            (Resolved::Topic(_, w) | Resolved::Fresh(w), Some(q)) => Arc::ptr_eq(w, q),
+            (Resolved::Plain(..), None) => true,
+            (Resolved::Topic(_, w, _) | Resolved::Fresh(w), Some(q)) => Arc::ptr_eq(w, q),
             _ => false,
+        }
+    }
+
+    /// The prefix memo of the cache entry this state came from — none
+    /// for one-off weights, which cache nothing.
+    fn memo(&self) -> Option<&PrefixMemo> {
+        match self {
+            Resolved::Plain(_, memo) | Resolved::Topic(_, _, memo) => Some(memo),
+            Resolved::Fresh(_) => None,
         }
     }
 }
@@ -782,19 +809,47 @@ impl SeedQueryEngine {
     /// weighted snapshot; one-off weight vectors cache nothing.
     fn resolve(&self, query: &SeedQuery, pool: &RrCollection, range: &Range<u32>) -> Resolved {
         match (&query.root_weights, query.topic) {
-            (Some(weights), Some(topic)) => Resolved::Topic(
-                self.weighted_snapshot_for(pool, range, topic, weights),
-                Arc::clone(weights),
-            ),
+            (Some(weights), Some(topic)) => {
+                let (snap, memo) = self.weighted_snapshot_for(pool, range, topic, weights);
+                Resolved::Topic(snap, Arc::clone(weights), memo)
+            }
             (Some(weights), None) => Resolved::Fresh(Arc::clone(weights)),
-            (None, _) => Resolved::Plain(self.snapshot_for(pool, range)),
+            (None, _) => {
+                let (snap, memo) = self.snapshot_for(pool, range);
+                Resolved::Plain(snap, memo)
+            }
         }
     }
 
-    /// The one answer tail: runs the selection kernel for a pre-validated
-    /// query from its resolved state — a frozen snapshot lends its
-    /// offsets, so a cache hit skips the `O(range_len)` view rebase too —
-    /// and builds the [`SeedAnswer`]. With uniform costs and
+    /// How many greedy picks `query` asks for, if its answer is a prefix
+    /// of the greedy order its resolved snapshot's memo records: no
+    /// forced or excluded seeds, and either a top-`k` query (plain or
+    /// topic-weighted) at depth `min(k, n)`, or a uniform-cost budget
+    /// `B ≥ 1` — the bit-identical degeneration to top-`⌊B⌋` — at depth
+    /// `min(⌊B⌋, n)`. Per-node costs and constrained queries keep running
+    /// the kernel, and so do budgets below one unit, which afford no seed.
+    fn memo_depth(query: &SeedQuery, n: u32) -> Option<usize> {
+        if !query.forced.is_empty() || !query.excluded.is_empty() {
+            return None;
+        }
+        let n = n as usize;
+        match (query.budget, &query.costs) {
+            (None, _) => Some(query.k.min(n)),
+            // `as` saturates, and a budget past the node count picks all n.
+            (Some(budget), NodeCosts::Uniform) if budget >= 1.0 => {
+                Some((budget.floor() as usize).min(n))
+            }
+            (Some(_), _) => None,
+        }
+    }
+
+    /// The one answer tail: answers a pre-validated query from its
+    /// resolved state and builds the [`SeedAnswer`]. A query whose
+    /// [memo depth](Self::memo_depth) the entry's prefix memo already
+    /// holds is answered by slicing the memo; every other query runs the
+    /// selection kernel — a frozen snapshot lends its offsets, so a
+    /// cache hit skips the `O(range_len)` view rebase too — and offers a
+    /// memo-eligible result back to the memo. With uniform costs and
     /// `budget = k`, a budgeted answer is bit-identical to the top-`k`
     /// one.
     fn answer_with(
@@ -805,26 +860,16 @@ impl SeedQueryEngine {
         resolved: &Resolved,
         scratch: &mut GreedyScratch,
     ) -> SeedAnswer {
-        let c = SeedConstraints { forced: &query.forced, excluded: &query.excluded };
-        let k = query.k;
-        let r: WeightedCoverageResult = match (resolved, query.budget) {
-            (Resolved::Plain(snap), Some(budget)) => {
-                let ratio = Ratio { budget, costs: &query.costs };
-                snap.view(pool).select(ratio, GainInit::Frozen(snap), &c, scratch).into()
+        let memo = resolved.memo().zip(Self::memo_depth(query, pool.num_nodes()));
+        let r = match memo.and_then(|(memo, depth)| memo.prefix(depth)) {
+            Some(prefix) => prefix,
+            None => {
+                let r = Self::select(query, pool, &range, resolved, scratch);
+                if let Some((memo, _)) = memo {
+                    memo.offer(&r);
+                }
+                r
             }
-            (Resolved::Plain(snap), None) => {
-                snap.view(pool).select(Count { k }, GainInit::Frozen(snap), &c, scratch).into()
-            }
-            (Resolved::Topic(snap, weights), _) => {
-                let weighted = Weighted { k, weights };
-                snap.view(pool).select(weighted, GainInit::Frozen(snap), &c, scratch)
-            }
-            (Resolved::Fresh(weights), _) => CoverageView::build(pool, range.clone()).select(
-                Weighted { k, weights },
-                GainInit::Histogram,
-                &c,
-                scratch,
-            ),
         };
         let len = f64::from(range.end - range.start);
         let influence_estimate = if len == 0.0 { 0.0 } else { self.gamma * r.covered_weight / len };
@@ -834,6 +879,38 @@ impl SeedQueryEngine {
             influence_estimate,
             marginal_gains: r.marginal_gains,
             range,
+        }
+    }
+
+    /// Runs the selection kernel for a pre-validated query from its
+    /// resolved state, with the query's own objective and constraints.
+    fn select(
+        query: &SeedQuery,
+        pool: &RrCollection,
+        range: &Range<u32>,
+        resolved: &Resolved,
+        scratch: &mut GreedyScratch,
+    ) -> WeightedCoverageResult {
+        let c = SeedConstraints { forced: &query.forced, excluded: &query.excluded };
+        let k = query.k;
+        match (resolved, query.budget) {
+            (Resolved::Plain(snap, _), Some(budget)) => {
+                let ratio = Ratio { budget, costs: &query.costs };
+                snap.view(pool).select(ratio, GainInit::Frozen(snap), &c, scratch).into()
+            }
+            (Resolved::Plain(snap, _), None) => {
+                snap.view(pool).select(Count { k }, GainInit::Frozen(snap), &c, scratch).into()
+            }
+            (Resolved::Topic(snap, weights, _), _) => {
+                let weighted = Weighted { k, weights };
+                snap.view(pool).select(weighted, GainInit::Frozen(snap), &c, scratch)
+            }
+            (Resolved::Fresh(weights), _) => CoverageView::build(pool, range.clone()).select(
+                Weighted { k, weights },
+                GainInit::Histogram,
+                &c,
+                scratch,
+            ),
         }
     }
 
@@ -881,12 +958,16 @@ impl SeedQueryEngine {
     /// building it — directly for single-segment ranges, by merging
     /// per-epoch snapshots (frozen once each, themselves cached) for
     /// ranges spanning several epochs. Counts one query-level hit or
-    /// miss per call.
-    fn snapshot_for(&self, pool: &RrCollection, range: &Range<u32>) -> Arc<GainSnapshot> {
+    /// miss per call. Returns the cache entry's prefix memo alongside.
+    fn snapshot_for(
+        &self,
+        pool: &RrCollection,
+        range: &Range<u32>,
+    ) -> (Arc<GainSnapshot>, Arc<PrefixMemo>) {
         let key = Self::plain_key(pool, range);
-        if let Some(CachedSnapshot::Plain(snap)) = self.cache.get(&key) {
+        if let Some((CachedSnapshot::Plain(snap), memo)) = self.cache.get(&key) {
             self.cache.note_snapshot_hit();
-            return snap;
+            return (snap, memo);
         }
         self.cache.note_snapshot_miss();
         let segments = Self::epoch_segments(pool, range);
@@ -911,8 +992,8 @@ impl SeedQueryEngine {
             self.cache.note_merge();
             merged
         };
-        self.cache.insert(key, CachedSnapshot::Plain(Arc::clone(&built)));
-        built
+        let memo = self.cache.insert(key, CachedSnapshot::Plain(Arc::clone(&built)));
+        (built, memo)
     }
 
     /// The frozen snapshot of one full epoch, from cache or built (and
@@ -920,7 +1001,7 @@ impl SeedQueryEngine {
     /// query-level hits/misses; builds count into `epochs_frozen`.
     fn epoch_snapshot(&self, pool: &RrCollection, epoch: &Range<u32>) -> Arc<GainSnapshot> {
         match self.cache.get(&Self::plain_key(pool, epoch)) {
-            Some(CachedSnapshot::Plain(snap)) => snap,
+            Some((CachedSnapshot::Plain(snap), _)) => snap,
             _ => self.freeze_epoch(pool, epoch),
         }
     }
@@ -956,19 +1037,20 @@ impl SeedQueryEngine {
     /// The frozen weighted snapshot for `(range, topic)`, verified
     /// against the query's weight vector by `Arc` identity — an id
     /// collision with different weights degrades to a rebuild, never a
-    /// wrong answer. Counts one weighted hit or miss per call.
+    /// wrong answer. Counts one weighted hit or miss per call. Returns
+    /// the cache entry's prefix memo alongside.
     fn weighted_snapshot_for(
         &self,
         pool: &RrCollection,
         range: &Range<u32>,
         topic: u64,
         weights: &Arc<[f64]>,
-    ) -> Arc<WeightedGainSnapshot> {
+    ) -> (Arc<WeightedGainSnapshot>, Arc<PrefixMemo>) {
         let key = CacheKey::Weighted { start: range.start, end: range.end, topic };
-        if let Some(CachedSnapshot::Weighted(snap, cached_weights)) = self.cache.get(&key) {
+        if let Some((CachedSnapshot::Weighted(snap, cached_weights), memo)) = self.cache.get(&key) {
             if Arc::ptr_eq(&cached_weights, weights) {
                 self.cache.note_weighted_hit();
-                return snap;
+                return (snap, memo);
             }
         }
         self.cache.note_weighted_miss();
@@ -976,8 +1058,10 @@ impl SeedQueryEngine {
             &CoverageView::build(pool, range.clone()),
             weights,
         ));
-        self.cache.insert(key, CachedSnapshot::Weighted(Arc::clone(&built), Arc::clone(weights)));
-        built
+        let memo = self
+            .cache
+            .insert(key, CachedSnapshot::Weighted(Arc::clone(&built), Arc::clone(weights)));
+        (built, memo)
     }
 }
 
@@ -1051,6 +1135,45 @@ mod tests {
         assert!(s.cached_bytes > 0);
         assert_eq!(s.budget_bytes, 128 << 20);
         assert_eq!(s.evictions, 0);
+
+        // Repeated top-k, uniform-budget and topic queries at growing k,
+        // singly and planned: the prefix memo answers most of them, and
+        // every counter stays exactly where the kernel-only engine left
+        // it for the same sequence.
+        let weights: Arc<[f64]> = (0..300u32).map(|v| f64::from(v % 7) * 0.3).collect();
+        let mut batch = Vec::new();
+        for k in [2usize, 5, 5, 9, 3, 12] {
+            for range in [0..500, 0..1000, 250..750] {
+                let queries = [
+                    SeedQuery::top_k(k).over_range(range.clone()),
+                    SeedQuery::budgeted(k as f64 + 0.5).over_range(range.clone()),
+                    SeedQuery::top_k(k)
+                        .over_range(range)
+                        .with_root_weights(Arc::clone(&weights))
+                        .with_topic(7),
+                ];
+                for q in &queries {
+                    e.answer(q).unwrap();
+                }
+                batch.extend(queries);
+            }
+        }
+        e.answer_planned(&batch).unwrap();
+        let expected = QueryStats {
+            snapshot_hits: 39,
+            snapshot_misses: 3,
+            weighted_hits: 18,
+            weighted_misses: 3,
+            evictions: 0,
+            epochs_frozen: 0,
+            merges: 0,
+            cached_bytes: 70_888,
+            budget_bytes: 128 << 20,
+            planned_batches: 1,
+            planner_groups: 6,
+            planner_builds_saved: 48,
+        };
+        assert_eq!(e.stats(), expected);
     }
 
     #[test]
