@@ -71,7 +71,7 @@ impl Imm {
             / (eps_prime * eps_prime);
 
         let mut pool = RrCollection::new(ctx.graph().num_nodes());
-        let mut sampler = ctx.sampler(0);
+        let sampler = ctx.sampler(0);
         // Selection scratch shared by every LB-guess round and phase 2.
         let mut cover_scratch = GreedyScratch::new();
         let mut peak_bytes = 0u64;
@@ -85,12 +85,9 @@ impl Imm {
             let theta_i = (lambda_prime / x).ceil() as u64;
             let have = pool.len() as u64;
             if theta_i > have {
-                if ctx.threads() > 1 {
-                    pool.extend_parallel(&sampler, have, theta_i - have, ctx.threads());
-                } else {
-                    pool.extend_sequential(&mut sampler, have, theta_i - have);
-                }
+                pool.extend_parallel(&sampler, have, theta_i - have, ctx.threads());
             }
+            let _ = pool.seal_parallel(ctx.threads());
             peak_bytes = peak_bytes.max(pool.memory_bytes());
             let cover = max_coverage_with(&pool, k, pool.id_range(), &mut cover_scratch);
             let est = gamma * cover.covered as f64 / pool.len() as f64;
@@ -107,12 +104,9 @@ impl Imm {
         let theta = (lambda_star / lb).ceil() as u64;
         let have = pool.len() as u64;
         if theta > have {
-            if ctx.threads() > 1 {
-                pool.extend_parallel(&sampler, have, theta - have, ctx.threads());
-            } else {
-                pool.extend_sequential(&mut sampler, have, theta - have);
-            }
+            pool.extend_parallel(&sampler, have, theta - have, ctx.threads());
         }
+        let _ = pool.seal_parallel(ctx.threads());
         peak_bytes = peak_bytes.max(pool.memory_bytes());
         iterations += 1;
 

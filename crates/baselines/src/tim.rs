@@ -98,12 +98,15 @@ impl Tim {
                 sum += kappa;
                 pool.push(&rr, meta);
             }
-            peak_bytes = peak_bytes.max(pool.memory_bytes());
             if sum / c_i as f64 > 1.0 / 2f64.powi(i) {
                 kpt_star = nf * sum / (2.0 * c_i as f64);
                 break 'estimate;
             }
         }
+
+        // The KPT sets stay in the pool: index them before any selection.
+        let _ = pool.seal_parallel(ctx.threads());
+        peak_bytes = peak_bytes.max(pool.memory_bytes());
 
         // ---- KPT refinement (TIM+ Algorithm 3) ------------------------
         let kpt = match self.variant {
@@ -140,12 +143,9 @@ impl Tim {
         let theta = (lambda / kpt).ceil() as u64;
         let have = pool.len() as u64;
         if theta > have {
-            if ctx.threads() > 1 {
-                pool.extend_parallel(&sampler, have, theta - have, ctx.threads());
-            } else {
-                pool.extend_sequential(&mut sampler, have, theta - have);
-            }
+            pool.extend_parallel(&sampler, have, theta - have, ctx.threads());
         }
+        let _ = pool.seal_parallel(ctx.threads());
         peak_bytes = peak_bytes.max(pool.memory_bytes());
         iterations += 1;
 

@@ -1,13 +1,14 @@
-//! Inverted-index ablation: two-tier (sealed CSR + pending chains) vs the
-//! pre-refactor per-node `Vec<Vec<u32>>` layout.
+//! Inverted-index ablation: the sealed CSR index vs the pre-refactor
+//! per-node `Vec<Vec<u32>>` layout.
 //!
 //! Measures (a) index **build** cost — a grower-sized seal (clone a
-//! sealed 60k-set pool carrying a 1k-set pending tail, then seal it) at
-//! 1/2/4 worker threads, a clone-only row to subtract, and the per-node
-//! push loop the old merge path used over all 60k sets — and (b)
-//! `sets_containing_in` **lookup** latency over a fully sealed pool, a
-//! mixed sealed+pending pool, and the old layout. Both tiers of the new
-//! index are exercised.
+//! sealed 60k-set pool carrying a 1k-set unsealed tail, then seal it)
+//! at 1/2/4 worker threads (`seal/t`), a clone-only row to subtract, and
+//! the per-node push loop the old merge path used over all 60k sets —
+//! and (b) `sets_containing_in` **lookup** latency over a fully sealed
+//! pool (`sealed`), the same pool plus a 2k-set tail read before any
+//! seal (`unsealed-tail`: the tail is found by scanning its arena slice,
+//! the cost of reading before a seal), and the old layout.
 //!
 //! Besides the human-readable criterion output, results are written as
 //! machine-readable JSON to `BENCH_rr_index.json` in the workspace root
@@ -26,11 +27,11 @@ mod support;
 
 use support::{NODES, SETS};
 
-/// Sets appended after the bulk load to populate the pending tier in the
-/// "mixed" lookup scenario (kept under the compaction threshold).
-const PENDING_SETS: u64 = 2_000;
+/// Sets appended after the bulk load, and left unsealed, in the
+/// `unsealed-tail` lookup scenario.
+const TAIL_SETS: u64 = 2_000;
 
-/// Pending sets each timed seal indexes: one grower-sized epoch.
+/// Unsealed sets each timed seal indexes: one grower-sized epoch.
 const SEAL_TAIL_SETS: u64 = 1_000;
 
 /// The pre-refactor layout, rebuilt here as the ablation baseline.
@@ -45,13 +46,13 @@ fn build_per_node_vecs(pool: &RrCollection) -> Vec<Vec<u32>> {
 }
 
 fn bench_index_build(c: &mut Criterion, pool: &RrCollection) {
-    // The sealed pool plus a pending 1k-set tail. Every timed iteration
-    // clones it and seals the clone, so each seal indexes real pending
-    // work; the clone-only row is the part to subtract.
+    // The sealed pool plus an unsealed 1k-set tail. Every timed
+    // iteration clones it and seals the clone, so each seal indexes real
+    // new sets; the clone-only row is the part to subtract.
     let g = support::ba_graph();
     let mut grown = pool.clone();
     grown.extend_parallel(&support::ic_sampler(&g), SETS, SEAL_TAIL_SETS, 1);
-    assert_eq!(grown.pending_sets() as u64, SEAL_TAIL_SETS, "the tail must stay pending");
+    assert_eq!(grown.pending_sets() as u64, SEAL_TAIL_SETS, "the tail must stay unsealed");
 
     let mut group = c.benchmark_group("rr_index_build_60k_sets");
     group.measurement_time(Duration::from_secs(3));
@@ -61,7 +62,7 @@ fn bench_index_build(c: &mut Criterion, pool: &RrCollection) {
         b.iter(|| p.clone().len())
     });
     for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("two-tier-seal", threads), &threads, |b, &t| {
+        group.bench_with_input(BenchmarkId::new("seal", threads), &threads, |b, &t| {
             b.iter(|| {
                 let mut p = grown.clone();
                 let _ = p.seal_parallel(t);
@@ -110,19 +111,11 @@ fn bench_lookup(c: &mut Criterion, pool: &RrCollection) {
     let sealed = pool.clone();
     assert_eq!(sealed.pending_sets(), 0);
 
-    // Mixed pool: same sets plus a pending chain tail.
+    // The same sets plus an unsealed tail, read through the tail scan.
     let g = support::ba_graph();
-    let sampler = support::ic_sampler(&g);
-    let mut mixed = pool.clone();
-    {
-        let mut s = sampler.clone();
-        let mut rr = Vec::new();
-        for i in 0..PENDING_SETS {
-            let meta = s.sample(SETS + i, &mut rr);
-            mixed.push(&rr, meta);
-        }
-    }
-    assert!(mixed.pending_sets() > 0, "mixed scenario must exercise the pending tier");
+    let mut tail = pool.clone();
+    tail.extend_parallel(&support::ic_sampler(&g), SETS, TAIL_SETS, 1);
+    assert_eq!(tail.pending_sets() as u64, TAIL_SETS, "the tail must stay unsealed");
 
     let old = build_per_node_vecs(&sealed);
 
@@ -130,10 +123,10 @@ fn bench_lookup(c: &mut Criterion, pool: &RrCollection) {
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
     group.sample_size(20);
-    group.bench_with_input(BenchmarkId::from_parameter("two-tier-sealed"), &sealed, |b, p| {
+    group.bench_with_input(BenchmarkId::from_parameter("sealed"), &sealed, |b, p| {
         b.iter(|| lookup_workload(p))
     });
-    group.bench_with_input(BenchmarkId::from_parameter("two-tier-mixed"), &mixed, |b, p| {
+    group.bench_with_input(BenchmarkId::from_parameter("unsealed-tail"), &tail, |b, p| {
         b.iter(|| lookup_workload(p))
     });
     group.bench_with_input(BenchmarkId::from_parameter("per-node-vecs"), &old, |b, old| {
@@ -149,7 +142,7 @@ fn bench_lookup(c: &mut Criterion, pool: &RrCollection) {
         })
         .sum();
     println!(
-        "index memory: two-tier {} B vs per-node-vecs {} B ({:.2}x)",
+        "index memory: sealed CSR {} B vs per-node-vecs {} B ({:.2}x)",
         sealed.index_memory_bytes(),
         old_bytes,
         old_bytes as f64 / sealed.index_memory_bytes() as f64
@@ -170,10 +163,10 @@ fn main() {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     println!(
         "host cores: {cores} (multi-thread seal variants only help beyond 1 core; \
-         each worker streams the pending tail, so expect some overhead otherwise)"
+         each worker streams the unsealed tail, so expect some overhead otherwise)"
     );
     println!(
-        "pool: {} sets, {} entries, sealed {} / pending {}, index {} B",
+        "pool: {} sets, {} entries, sealed {} / unsealed {}, index {} B",
         pool.len(),
         pool.total_nodes(),
         pool.sealed_sets(),

@@ -28,12 +28,14 @@ pub fn ic_sampler(g: &Graph) -> RrSampler<'_> {
 }
 
 /// The shared benchmark pool: [`SETS`] sets of [`ic_sampler`] over
-/// [`ba_graph`] (bit-identical regardless of worker count).
+/// [`ba_graph`], sealed as one epoch (bit-identical regardless of
+/// worker count).
 pub fn ba_pool() -> RrCollection {
     let g = ba_graph();
     let sampler = ic_sampler(&g);
     let mut pool = RrCollection::new(NODES);
     pool.extend_parallel(&sampler, 0, SETS, 8);
+    let _ = pool.seal_parallel(8);
     pool
 }
 

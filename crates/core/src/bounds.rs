@@ -111,6 +111,15 @@ pub fn max_iterations(n_max: f64, eps: f64, delta: f64) -> u32 {
     (ratio.log2().ceil() as u32).max(1)
 }
 
+/// One doubling-schedule checkpoint: `Λ·2^doublings` sets, clamped at
+/// `cap_sets` (pass `u64::MAX` for the uncapped value). Saturating: a
+/// schedule that outgrows `u64` is past any cap, so it reads as the cap
+/// instead of losing high bits or overflowing. SSA's iteration `t` pool
+/// is `doublings = t − 1`; D-SSA's `2Λ·2^(t−1)` is `doublings = t`.
+pub(crate) fn schedule_target(lambda: u64, doublings: u32, cap_sets: u64) -> u64 {
+    lambda.saturating_mul(2u64.saturating_pow(doublings)).min(cap_sets)
+}
+
 /// The RIS thresholds established by prior work, given an estimate of
 /// `OPT_k` (all are `Θ(n/OPT_k)`; their intractable dependence on `OPT_k`
 /// is exactly what SSA/D-SSA's stopping rules remove).

@@ -66,26 +66,20 @@ use crate::engine::QueryStats;
 /// must be deterministic, per the workspace determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum CacheKey {
-    /// Unweighted snapshot of `start..end`, built when `epochs` sealed
-    /// boundaries were ≤ `end`. With today's growth paths the signature
-    /// is constant per range — every constructor and the grower fully
-    /// seal the pool before publishing it, so no queried `end` ever
-    /// gains a later boundary at or below it. It is part of the key so
-    /// that a future non-sealing append path re-keys (rather than serves
-    /// forever) entries that covered then-pending sets: the stale entry
-    /// would still be *correct* (ranges are immutable), just built
-    /// without the epoch structure, and ages out by LRU.
+    /// Unweighted snapshot of `start..end`. The range alone is the key:
+    /// every pool the engine publishes is fully sealed and epoch
+    /// boundaries are append-only, so the epochs at or below `end` — and
+    /// with them the snapshot's contents — are the same in every
+    /// generation that contains the range.
     Plain {
         /// Range start (pool set id).
         start: u32,
         /// Range end (exclusive).
         end: u32,
-        /// Sealed-boundary count at or below `end` when built.
-        epochs: u32,
     },
     /// Weighted snapshot of `start..end` under the weight vector named
-    /// by `topic`. No epoch signature: weighted snapshots are built
-    /// whole-range and an id range's contents never change.
+    /// by `topic`. Weighted snapshots are built whole-range, and an id
+    /// range's contents never change.
     Weighted {
         /// Range start (pool set id).
         start: u32,

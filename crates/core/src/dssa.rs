@@ -132,7 +132,7 @@ impl Dssa {
         let cap_sets = (n_max.ceil() as u64).max(2) & !1;
 
         let mut pool = RrCollection::new(ctx.graph().num_nodes());
-        let mut sampler = ctx.sampler(0);
+        let sampler = ctx.sampler(0);
         // One selection scratch for the whole run: the per-round coverage
         // view's gain/heap/stamp buffers stay at high-water capacity.
         let mut cover_scratch = GreedyScratch::new();
@@ -142,16 +142,14 @@ impl Dssa {
         let mut last = None;
 
         for t in 1..=t_max {
-            let full = schedule_target(lambda, t, cap_sets);
+            // D-SSA's pool at iteration t: 2Λ·2^(t−1) = Λ·2^t sets.
+            let full = bounds::schedule_target(lambda, t, cap_sets);
             let half = full / 2;
             let have = pool.len() as u64;
             if full > have {
-                if ctx.threads() > 1 {
-                    pool.extend_parallel(&sampler, have, full - have, ctx.threads());
-                } else {
-                    pool.extend_sequential(&mut sampler, have, full - have);
-                }
+                pool.extend_parallel(&sampler, have, full - have, ctx.threads());
             }
+            let _ = pool.seal_parallel(ctx.threads());
             peak_bytes = peak_bytes.max(pool.memory_bytes());
 
             // Find on the first half, verify on the second.
@@ -219,18 +217,10 @@ impl Dssa {
     }
 }
 
-/// D-SSA's pool size at iteration `t ≥ 1`: `2Λ·2^(t−1) = Λ·2^t` sets,
-/// clamped at `cap_sets`. Saturating arithmetic: a schedule that
-/// outgrows `u64` is past any cap, so it reads as the cap instead of
-/// losing high bits or overflowing.
-fn schedule_target(lambda: u64, t: u32, cap_sets: u64) -> u64 {
-    lambda.saturating_mul(2u64.saturating_pow(t)).min(cap_sets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::ONE_MINUS_INV_E;
+    use crate::bounds::{schedule_target, ONE_MINUS_INV_E};
 
     #[test]
     fn schedule_doubles_and_saturates_at_the_cap() {

@@ -28,9 +28,9 @@
 //! [`RrCollection::epoch_boundaries`] exposes) and merged at query time
 //! for ranges spanning several epochs — gain histograms sum, the heap
 //! seed is rebuilt from the merged histogram, and the merged result is
-//! cached per `(range, epoch signature)`. Because epoch boundaries are
-//! append-only, [`SeedQueryEngine::extend`]ing the pool invalidates
-//! **nothing**: it freezes only the new epoch, and every previously
+//! cached per range. Because epoch boundaries are append-only,
+//! [`SeedQueryEngine::extend`]ing the pool invalidates **nothing**: it
+//! freezes only the new epoch, and every previously
 //! cached snapshot keeps serving (a full-pool query after growth merges
 //! the old epochs with the one new snapshot instead of rebuilding from
 //! scratch). Each snapshot also carries its slice's rebased CSR offsets,
@@ -375,8 +375,9 @@ pub struct SeedQueryEngine {
 }
 
 impl SeedQueryEngine {
-    /// Freezes `pool` (sealing its pending index tier) for serving as
-    /// directory generation 0. `gamma` is the universe mass behind
+    /// Freezes `pool` for serving as directory generation 0, sealing any
+    /// sets appended since its last seal as one more epoch (every
+    /// published pool is fully sealed). `gamma` is the universe mass behind
     /// influence estimates (`n` for uniform-root pools, `Σ b(v)` if the
     /// pool itself was WRIS-sampled).
     pub fn from_pool(mut pool: RrCollection, gamma: f64) -> Self {
@@ -401,12 +402,8 @@ impl SeedQueryEngine {
     /// then answer every follow-up question from the frozen samples.
     pub fn sample(ctx: &SamplingContext<'_>, count: u64) -> Self {
         let mut pool = RrCollection::new(ctx.graph().num_nodes());
-        if ctx.threads() > 1 {
-            pool.extend_parallel(&ctx.sampler(0), 0, count, ctx.threads());
-        } else {
-            let mut sampler = ctx.sampler(0);
-            pool.extend_sequential(&mut sampler, 0, count);
-        }
+        pool.extend_parallel(&ctx.sampler(0), 0, count, ctx.threads());
+        let _ = pool.seal_parallel(ctx.threads());
         let mut engine = Self::from_pool(pool, ctx.gamma()).with_threads(ctx.threads());
         engine.fingerprint = Some(Self::context_fingerprint(ctx));
         engine
@@ -914,16 +911,6 @@ impl SeedQueryEngine {
         }
     }
 
-    /// The sealed-epoch signature of a range end in `pool`: how many
-    /// epoch boundaries lie at or below it. Part of the plain cache key
-    /// (see [`CacheKey`]). Boundaries are append-only across
-    /// generations, so for any `end` within an older generation the
-    /// signature agrees across every generation containing it — which is
-    /// why cache entries are shared across generations.
-    fn epoch_signature(pool: &RrCollection, end: u32) -> u32 {
-        pool.epoch_boundaries().partition_point(|&b| b <= end) as u32
-    }
-
     /// Decomposes `range` against the sealed epoch boundaries into
     /// maximal segments: `(segment, is_full_epoch)`. Full epochs freeze
     /// reusable snapshots; partial head/tail segments (unaligned starts,
@@ -964,7 +951,7 @@ impl SeedQueryEngine {
         pool: &RrCollection,
         range: &Range<u32>,
     ) -> (Arc<GainSnapshot>, Arc<PrefixMemo>) {
-        let key = Self::plain_key(pool, range);
+        let key = Self::plain_key(range);
         if let Some((CachedSnapshot::Plain(snap), memo)) = self.cache.get(&key) {
             self.cache.note_snapshot_hit();
             return (snap, memo);
@@ -1000,7 +987,7 @@ impl SeedQueryEngine {
     /// cached) now. Epoch lookups refresh LRU order but do not count as
     /// query-level hits/misses; builds count into `epochs_frozen`.
     fn epoch_snapshot(&self, pool: &RrCollection, epoch: &Range<u32>) -> Arc<GainSnapshot> {
-        match self.cache.get(&Self::plain_key(pool, epoch)) {
+        match self.cache.get(&Self::plain_key(epoch)) {
             Some((CachedSnapshot::Plain(snap), _)) => snap,
             _ => self.freeze_epoch(pool, epoch),
         }
@@ -1019,14 +1006,13 @@ impl SeedQueryEngine {
     ) -> Arc<GainSnapshot> {
         let built = Self::build_plain(pool, epoch);
         self.cache.note_epoch_frozen();
-        self.cache.insert(Self::plain_key(pool, epoch), CachedSnapshot::Plain(Arc::clone(&built)));
+        self.cache.insert(Self::plain_key(epoch), CachedSnapshot::Plain(Arc::clone(&built)));
         built
     }
 
     /// The plain-snapshot cache key of `range` (see [`CacheKey`]).
-    fn plain_key(pool: &RrCollection, range: &Range<u32>) -> CacheKey {
-        let epochs = Self::epoch_signature(pool, range.end);
-        CacheKey::Plain { start: range.start, end: range.end, epochs }
+    fn plain_key(range: &Range<u32>) -> CacheKey {
+        CacheKey::Plain { start: range.start, end: range.end }
     }
 
     /// A from-scratch plain snapshot of `range`.

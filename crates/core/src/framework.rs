@@ -24,13 +24,8 @@ pub use crate::bounds::PriorThresholds as RisThresholds;
 pub fn ris_fixed_pool(ctx: &SamplingContext<'_>, k: usize, num_sets: u64) -> RunResult {
     let start = Instant::now();
     let mut pool = RrCollection::new(ctx.graph().num_nodes());
-    let sampler = ctx.sampler(0);
-    if ctx.threads() > 1 {
-        pool.extend_parallel(&sampler, 0, num_sets, ctx.threads());
-    } else {
-        let mut s = sampler;
-        pool.extend_sequential(&mut s, 0, num_sets);
-    }
+    pool.extend_parallel(&ctx.sampler(0), 0, num_sets, ctx.threads());
+    let _ = pool.seal_parallel(ctx.threads());
     let cover = max_coverage(&pool, k);
     let i_hat = cover.influence_estimate(ctx.gamma(), num_sets);
     RunResult {

@@ -89,8 +89,11 @@ impl<'e> Grower<'e> {
 
     /// Grows the published pool by `additional` sets (continuing the
     /// deterministic stream, so the result is bit-identical to having
-    /// sampled the final size up front), seals them as **one new
-    /// epoch**, pre-freezes that epoch's gain snapshot, and publishes
+    /// sampled the final size up front), seals them with one
+    /// [`RrCollection::seal_parallel`] as **one new epoch** (the
+    /// published pool is always fully sealed, so the seal's
+    /// [`SealOutcome`] is the growth's), pre-freezes that epoch's gain
+    /// snapshot, and publishes
     /// the grown pool as the next directory generation. Queries running
     /// concurrently keep answering from whatever generation they pinned;
     /// nothing cached is invalidated (epoch boundaries are append-only).
@@ -107,43 +110,27 @@ impl<'e> Grower<'e> {
     pub fn extend(&self, ctx: &SamplingContext<'_>, additional: u64) -> GrowthOutcome {
         let mut state = self.engine.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let mut pool: RrCollection = (**state.dir_writer.current()).clone();
-        let old_len = pool.len();
-        let bounds_before = pool.epoch_boundaries().len();
-        let from = state.next_sample_index;
         let threads = self.engine.threads;
-        if threads > 1 {
-            pool.extend_parallel(&ctx.sampler(0), from, additional, threads);
-        } else {
-            let mut sampler = ctx.sampler(0);
-            pool.extend_sequential(&mut sampler, from, additional);
-        }
-        // `extend_*` may already have sealed the tail (the index compacts
-        // once enough entries are pending), so this raw outcome can say
-        // `AlreadySealed` even though the pool grew. Publishing is
-        // therefore decided by growth, and the reported outcome covers
-        // the full appended range.
-        let _ = pool.seal_parallel(threads);
+        pool.extend_parallel(&ctx.sampler(0), state.next_sample_index, additional, threads);
+        // The published pool is fully sealed, so this one seal covers
+        // exactly the appended sets: one new epoch, or nothing pending.
+        let seal = pool.seal_parallel(threads);
         let pool_len = pool.len() as u64;
-        let (generation, seal) = if pool.len() > old_len {
-            let pool = Arc::new(pool);
-            // Freeze every newly sealed epoch's snapshot *before*
-            // publishing: the first query against the grown pool finds
-            // them cached (no query-level miss), and queries pinned to
-            // older generations never see the entries' keys.
-            let bounds = pool.epoch_boundaries().to_vec();
-            for e in bounds_before..bounds.len() {
-                let lo = if e == 0 { 0 } else { bounds[e - 1] };
-                self.engine.freeze_epoch(&pool, &(lo..bounds[e]));
+        let generation = match seal.epoch() {
+            Some(epoch) => {
+                let pool = Arc::new(pool);
+                // Freeze the new epoch's snapshot *before* publishing:
+                // the first query against the grown pool finds it cached
+                // (no query-level miss), and queries pinned to older
+                // generations never see its key.
+                self.engine.freeze_epoch(&pool, &epoch);
+                let generation = state.dir_writer.publish(pool);
+                state.next_sample_index += additional;
+                generation
             }
-            let generation = state.dir_writer.publish(Arc::clone(&pool));
-            state.next_sample_index += additional;
-            let epoch =
-                sns_rrset::narrow::set_count(old_len)..sns_rrset::narrow::set_count(pool.len());
-            (generation, SealOutcome::EpochSealed { epoch })
-        } else {
             // Nothing pending — keep serving the current generation
             // rather than publishing an identical clone.
-            (self.engine.directory.generation(), SealOutcome::AlreadySealed)
+            None => self.engine.directory.generation(),
         };
         GrowthOutcome { generation, seal, pool_len }
     }

@@ -114,7 +114,7 @@ impl Ssa {
         let cap_sets = (n_max.ceil() as u64).max(1);
 
         let mut pool = RrCollection::new(ctx.graph().num_nodes());
-        let mut main_sampler = ctx.sampler(0);
+        let main_sampler = ctx.sampler(0);
         // One selection scratch for the whole run: the per-round coverage
         // view's gain/heap/stamp buffers stay at high-water capacity.
         let mut cover_scratch = GreedyScratch::new();
@@ -128,17 +128,16 @@ impl Ssa {
         let mut last = None;
 
         for t in 1..=i_max {
-            let scheduled =
-                lambda.checked_shl(t - 1).expect("pool target overflow: Nmax bounds preclude this");
+            // SSA's pool at iteration t: Λ·2^(t−1) sets, saturating.
+            let scheduled = bounds::schedule_target(lambda, t - 1, u64::MAX);
             let target = scheduled.min(cap_sets);
             let have = pool.len() as u64;
             if target > have {
-                if ctx.threads() > 1 {
-                    pool.extend_parallel(&main_sampler, have, target - have, ctx.threads());
-                } else {
-                    pool.extend_sequential(&mut main_sampler, have, target - have);
-                }
+                pool.extend_parallel(&main_sampler, have, target - have, ctx.threads());
             }
+            // Unconditional: recycled verification sets were pushed after
+            // the last seal and must be indexed before selection too.
+            let _ = pool.seal_parallel(ctx.threads());
             peak_bytes = peak_bytes.max(pool.memory_bytes());
             // with verification recycling the pool can exceed the
             // schedule's target; estimates always use the real size
@@ -212,8 +211,31 @@ impl Ssa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::schedule_target;
     use sns_diffusion::Model;
     use sns_graph::{gen, Graph, GraphBuilder, WeightModel};
+
+    #[test]
+    fn schedule_saturates_instead_of_panicking() {
+        // SSA's iteration t pool is Λ·2^(t−1): the shared helper at
+        // doublings = t − 1.
+        let cap = 1 << 40;
+        assert_eq!(schedule_target(3, 0, cap), 3);
+        assert_eq!(schedule_target(3, 3, cap), 24);
+        // t − 1 ∈ {63, 64, 65}: a bare shift would drop high bits (63)
+        // or panic (≥ 64); the schedule reads as the cap, and the
+        // uncapped value saturates so `hit_cap` sees it exceed the cap.
+        for doublings in [63, 64, 65] {
+            assert_eq!(schedule_target(3, doublings, cap), cap, "t − 1 = {doublings}");
+            assert_eq!(schedule_target(3, doublings, u64::MAX), u64::MAX);
+        }
+        for lambda in [u64::MAX - 1, u64::MAX] {
+            for doublings in [0, 1, 63, 64, 65] {
+                assert_eq!(schedule_target(lambda, doublings, cap), cap, "λ = {lambda}");
+            }
+            assert_eq!(schedule_target(lambda, 1, u64::MAX), u64::MAX);
+        }
+    }
 
     /// A graph where node 0 trivially dominates: 0 reaches a large clique
     /// tail with certainty.

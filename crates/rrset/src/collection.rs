@@ -1,18 +1,17 @@
-//! Arena-backed RR-set pool with an epoch-compacted two-tier inverted
-//! index.
+//! Arena-backed RR-set pool with an epoch-sealed inverted index.
 //!
 //! # Storage layout
 //!
 //! Sets live in one flat node arena (`data`) addressed by per-set
 //! offsets, exactly like the CSR graph storage in `sns-graph`. The
 //! node→set-ids inverted index — the structure greedy Max-Coverage and
-//! every coverage query traverse — is **two-tiered**
-//! ([`crate::index`]): a *sealed* tier holding all sets up to the last
-//! compaction as one immutable flat CSR (offsets plus 4-byte ids),
-//! shared by `Arc` between clones, and a small *pending* tier of
-//! per-node chains absorbing appends since then. Queries concatenate the
-//! tiers; both yield ascending set ids, so range restriction stays a
-//! binary search plus a short chain skip.
+//! every coverage query traverse — is one immutable flat CSR (offsets
+//! plus 4-byte ids) over every set up to the last seal, shared by `Arc`
+//! between clones ([`crate::index`]). Sets appended since the last seal
+//! are not indexed: a query scans their arena slice in id order, so
+//! reads before a seal stay correct at `O(unsealed entries)` each. Both
+//! parts yield ascending set ids, so range restriction stays a binary
+//! search plus a clipped scan.
 //!
 //! Compared to the previous `node_to_sets: Vec<Vec<u32>>` layout this
 //! removes one heap allocation + 24-byte `Vec` header per node and the
@@ -22,14 +21,15 @@
 //!
 //! # Amortization
 //!
-//! A compaction counting-sorts only the sets added since the previous
-//! one — `O(new entries + n)` — and then copies the old sealed CSR and
-//! the new ids into the next CSR in one sequential merge pass, a
-//! `memcpy`-speed `O(total entries)`. It runs only when the pending tier
-//! exceeds `max(1024, total/4)` entries, so under SSA/D-SSA's doubling
-//! schedule (`Λ·2^(t−1)` sets at iteration `t`) every `extend_*` call
-//! crosses the threshold and each epoch is sealed exactly once per
-//! iteration.
+//! Appends ([`RrCollection::push`], [`RrCollection::extend_sequential`],
+//! [`RrCollection::extend_parallel`]) write only the arena. The index
+//! changes only in [`RrCollection::seal`] / [`RrCollection::seal_parallel`],
+//! which counting-sort the sets added since the previous seal —
+//! `O(new entries + n)` — and then copy the old sealed CSR and the new
+//! ids into the next CSR in one sequential merge pass, a `memcpy`-speed
+//! `O(total entries)`. SSA/D-SSA grow the pool only at their doubling
+//! checkpoints (`Λ·2^(t−1)` sets at iteration `t`) and seal once right
+//! after each growth, so each iteration costs exactly one seal.
 //!
 //! Cloning a pool copies the arena and its offsets; the sealed CSR is
 //! shared, and a seal on the clone builds a fresh one instead of writing
@@ -41,16 +41,16 @@
 //! `Λ·2^(t−1)` samples" semantics of SSA/D-SSA map directly onto id
 //! ranges. Pool growth is **bit-identical** across thread counts: each
 //! sample index owns its RNG stream, workers own contiguous index
-//! ranges merged in order, compaction thresholds depend only on entry
-//! counts, and the counting sort produces the same arrays for every
-//! worker count.
+//! ranges merged in order, epoch boundaries depend only on seal calls
+//! (each seal that finds unsealed sets records exactly one), and the
+//! counting sort produces the same arrays for every worker count.
 
 use std::ops::Range;
 
 use sns_diffusion::{RrMeta, RrSampler};
 use sns_graph::NodeId;
 
-use crate::index::{SetIds, TwoTierIndex};
+use crate::index::{SealedIndex, SetIds};
 
 /// What a seal actually did. [`RrCollection::seal`] on a fully-sealed
 /// pool is a silent success by design (sealing is idempotent), but a
@@ -61,11 +61,11 @@ use crate::index::{SetIds, TwoTierIndex};
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[must_use = "a grow loop must distinguish 'nothing pending' from 'epoch published'"]
 pub enum SealOutcome {
-    /// Every pooled set was already in the sealed tier: no rebuild ran,
-    /// no epoch boundary was added.
+    /// Every pooled set was already sealed: no rebuild ran, no epoch
+    /// boundary was added.
     AlreadySealed,
-    /// The pending sets were compacted into one new sealed epoch
-    /// covering this id range (its end is the pool length).
+    /// The unsealed sets were indexed as one new sealed epoch covering
+    /// this id range (its end is the pool length).
     EpochSealed {
         /// The id range of the newly sealed epoch.
         epoch: Range<u32>,
@@ -90,16 +90,16 @@ pub struct RrCollection {
     data: Vec<NodeId>,
     /// `offsets[i]..offsets[i+1]` spans set `i` in `data`.
     offsets: Vec<u64>,
-    /// Two-tier inverted node→set-ids index.
-    index: TwoTierIndex,
+    /// Sealed inverted node→set-ids index.
+    index: SealedIndex,
     /// Total in-edges examined while sampling all pooled sets.
     total_edges_examined: u64,
     /// Cumulative `total_edges_examined` frozen at each sealed epoch
     /// boundary, parallel to [`RrCollection::epoch_boundaries`]. A seal
     /// always reaches the end of the arena, so the entry for a boundary is
-    /// the pool total at the moment that boundary was recorded. The store
-    /// serializes per-epoch deltas of this so a recovered prefix restores
-    /// the exact sampling-cost accounting of its sets.
+    /// the pool total at the moment that seal ran. The store serializes
+    /// per-epoch deltas of this so a recovered prefix restores the exact
+    /// sampling-cost accounting of its sets.
     epoch_edges: Vec<u64>,
 }
 
@@ -110,7 +110,7 @@ impl RrCollection {
             n,
             data: Vec::new(),
             offsets: vec![0],
-            index: TwoTierIndex::new(n),
+            index: SealedIndex::new(n),
             total_edges_examined: 0,
             epoch_edges: Vec::new(),
         }
@@ -148,19 +148,20 @@ impl RrCollection {
         self.total_edges_examined
     }
 
-    /// Number of sets in the sealed (CSR) index tier.
+    /// Number of sets in the sealed CSR index (ids `0..sealed_sets`).
     pub fn sealed_sets(&self) -> u32 {
         self.index.sealed_sets()
     }
 
-    /// Number of sets in the pending (chain) index tier.
+    /// Number of sets appended since the last seal (not yet indexed).
     pub fn pending_sets(&self) -> u32 {
-        self.index.pending_sets()
+        crate::narrow::set_count(self.len()) - self.index.sealed_sets()
     }
 
-    /// Number of epoch seals (compactions) performed so far.
+    /// Number of epoch seals (compactions) performed so far — one per
+    /// recorded epoch boundary.
     pub fn compactions(&self) -> u64 {
-        self.index.compactions()
+        self.index.epoch_bounds().len() as u64
     }
 
     /// Cumulative set-id boundaries of the sealed epochs, strictly
@@ -205,41 +206,23 @@ impl RrCollection {
     }
 
     /// Ids of the sets containing `v` restricted to an id `range`,
-    /// ascending (the sealed tier is binary-searched; the pending chain
-    /// is short by the compaction invariant). An inverted range
-    /// (`start >= end`) is empty.
+    /// ascending. Sealed ids are binary-searched in the CSR; sets past
+    /// the sealed frontier are found by scanning their arena slice,
+    /// `O(unsealed entries)` — seal before reading a grown pool. An
+    /// inverted range (`start >= end`) is empty.
     pub fn sets_containing_in(&self, v: NodeId, range: Range<u32>) -> SetIds<'_> {
-        self.index.sets_containing_in(v, range)
+        self.index.sets_containing_in(v, range, &self.data, &self.offsets)
     }
 
     /// The single append routine every growth path funnels through:
     /// copies the set into the arena and accounts its sampling cost. The
-    /// inverted index picks the set up at the next [`Self::reindex`].
+    /// inverted index picks the set up at the next seal.
     #[inline]
     fn append_arena(&mut self, rr: &[NodeId], edges_examined: u64) {
         debug_assert!(self.len() < u32::MAX as usize, "set-id space exhausted");
         self.data.extend_from_slice(rr);
         self.offsets.push(self.data.len() as u64);
         self.total_edges_examined += edges_examined;
-    }
-
-    /// Brings the inverted index up to date with the arena: appended sets
-    /// either chain into the pending tier or, past the compaction
-    /// threshold, seal a new epoch. Deterministic in `threads`.
-    #[inline]
-    fn reindex(&mut self, threads: usize) {
-        self.index.index_tail(&self.data, &self.offsets, threads);
-        self.sync_epoch_edges();
-    }
-
-    /// Freezes the cumulative sampling cost of any epoch boundary the
-    /// last index operation recorded. A seal reaches the end of the arena,
-    /// so the current total *is* the new boundary's total; called after
-    /// every operation that can compact (threshold seals included).
-    fn sync_epoch_edges(&mut self) {
-        while self.epoch_edges.len() < self.index.epoch_bounds().len() {
-            self.epoch_edges.push(self.total_edges_examined);
-        }
     }
 
     /// Cumulative `total_edges_examined` at each sealed epoch boundary,
@@ -252,11 +235,8 @@ impl RrCollection {
     /// Restores one sealed epoch from its serialized form: appends the
     /// epoch's arena slice verbatim (`set_ends` are the per-set end
     /// offsets rebased to the epoch start, leading 0 implicit), accounts
-    /// its sampling cost, and seals exactly one new epoch. Appending the
-    /// whole epoch before sealing — instead of replaying `push` per set —
-    /// is what guarantees the restored pool's epoch boundaries match the
-    /// saved ones bit-for-bit (per-set pushes would cross the threshold
-    /// compaction at different points).
+    /// its sampling cost, and seals it — one seal, so exactly the saved
+    /// epoch boundary is recorded.
     pub(crate) fn restore_sealed_epoch(
         &mut self,
         data: &[NodeId],
@@ -286,22 +266,23 @@ impl RrCollection {
         self.epoch_edges.pop();
     }
 
-    /// Appends one sampled set.
+    /// Appends one sampled set (arena only; see [`RrCollection::seal`]).
     pub fn push(&mut self, rr: &[NodeId], meta: RrMeta) {
         self.append_arena(rr, meta.edges_examined);
-        self.reindex(1);
     }
 
-    /// Forces an epoch seal: compacts the pending index tier into the
-    /// sealed CSR tier regardless of the threshold. Queries are
-    /// unaffected; memory drops to the flat-CSR floor. Returns whether a
-    /// new epoch was actually published — see [`SealOutcome`].
+    /// Seals one epoch: indexes every set appended since the last seal
+    /// into the sealed CSR and records the pool end as a new epoch
+    /// boundary. This is the only operation that changes the index or the
+    /// boundaries. Query answers are unaffected; unsealed reads stop
+    /// scanning. Returns whether a new epoch was actually published — see
+    /// [`SealOutcome`].
     pub fn seal(&mut self) -> SealOutcome {
         self.seal_parallel(1)
     }
 
     /// [`RrCollection::seal`] with a worker-thread budget for the
-    /// counting sort of the pending sets. The seal costs an `O(new
+    /// counting sort of the unsealed sets. The seal costs an `O(new
     /// entries)` scatter plus one sequential merge copy of the index into
     /// a fresh sealed CSR; clones sharing the old one are untouched. The
     /// resulting index is bit-identical for every `threads` value.
@@ -314,30 +295,31 @@ impl RrCollection {
         if sealed == self.len() {
             return SealOutcome::AlreadySealed;
         }
-        self.index.compact(&self.data, &self.offsets, threads);
-        self.sync_epoch_edges();
+        self.index.seal(&self.data, &self.offsets, threads);
+        self.epoch_edges.push(self.total_edges_examined);
         SealOutcome::EpochSealed {
             epoch: crate::narrow::set_count(sealed)..crate::narrow::set_count(self.len()),
         }
     }
 
     /// Grows the pool with samples `from_index .. from_index + count` from
-    /// the sampler's deterministic stream, sequentially.
+    /// the sampler's deterministic stream, sequentially. Appends only;
+    /// [`RrCollection::seal`] indexes the new sets.
     pub fn extend_sequential(&mut self, sampler: &mut RrSampler<'_>, from_index: u64, count: u64) {
         let mut rr = Vec::new();
         for i in 0..count {
             let meta = sampler.sample(from_index + i, &mut rr);
             self.append_arena(&rr, meta.edges_examined);
         }
-        self.reindex(1);
     }
 
     /// Grows the pool with samples `from_index .. from_index + count`,
     /// fanning generation across `threads` workers. The result is
     /// **bit-identical** to [`RrCollection::extend_sequential`] because
-    /// each sample index owns its RNG stream, workers own contiguous
-    /// index ranges merged back in order, and the index build is
-    /// thread-count-invariant (see the module docs).
+    /// each sample index owns its RNG stream and workers own contiguous
+    /// index ranges merged back in order (see the module docs). With one
+    /// worker (or under 128 samples) it runs the sequential path.
+    /// Appends only; [`RrCollection::seal_parallel`] indexes the new sets.
     pub fn extend_parallel(
         &mut self,
         sampler: &RrSampler<'_>,
@@ -383,7 +365,6 @@ impl RrCollection {
             }
             self.total_edges_examined += edges;
         }
-        self.reindex(threads);
     }
 
     /// Number of sets in `range` covered by `seeds` (`Cov_R(S)` of the
@@ -421,9 +402,9 @@ impl RrCollection {
         self.coverage_of_range(seeds, self.id_range(), &mut scratch)
     }
 
-    /// Exact byte footprint of the pool (arena + offsets + both inverted
-    /// index tiers, counting capacities). This is the quantity the memory
-    /// experiments (Figs. 6–7) report.
+    /// Exact byte footprint of the pool (arena + offsets + the sealed
+    /// inverted index, counting capacities). This is the quantity the
+    /// memory experiments (Figs. 6–7) report.
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
         let arena = self.data.capacity() * size_of::<NodeId>();
@@ -431,9 +412,9 @@ impl RrCollection {
         (arena + offsets) as u64 + self.index.memory_bytes()
     }
 
-    /// Byte footprint of the inverted index alone (both tiers, counting
-    /// capacities) — the component the two-tier layout shrinks relative
-    /// to per-node `Vec`s.
+    /// Byte footprint of the inverted index alone (counting capacities) —
+    /// the component the sealed CSR layout shrinks relative to per-node
+    /// `Vec`s. Sets appended since the last seal are not indexed yet.
     pub fn index_memory_bytes(&self) -> u64 {
         self.index.memory_bytes()
     }
@@ -517,12 +498,14 @@ mod tests {
             let sampler = RrSampler::with_config(&g, model, sns_diffusion::RootDist::Uniform, 11);
             let mut seq = RrCollection::new(300);
             seq.extend_sequential(&mut sampler.clone(), 0, 1000);
+            let _ = seq.seal();
             let mut par = RrCollection::new(300);
             par.extend_parallel(&sampler, 0, 1000, 8);
+            let _ = par.seal_parallel(8);
             assert_eq!(seq.len(), par.len());
             assert_eq!(seq.data, par.data);
             assert_eq!(seq.offsets, par.offsets);
-            assert_eq!(seq.index, par.index, "index tiers must match bit-for-bit");
+            assert_eq!(seq.index, par.index, "sealed indexes must match bit-for-bit");
             assert_eq!(seq.total_edges_examined, par.total_edges_examined);
         }
     }
@@ -535,6 +518,7 @@ mod tests {
             rc.push(&[(i % 4) as u32, ((i + 1) % 4) as u32], meta(0));
         }
         assert!(rc.memory_bytes() > empty);
+        let _ = rc.seal();
         assert!(rc.index_memory_bytes() > 0);
     }
 
@@ -544,14 +528,12 @@ mod tests {
         for i in 0..2000 {
             rc.push(&[(i % 4) as u32, ((i + 1) % 4) as u32], meta(0));
         }
-        let before = rc.index_memory_bytes();
+        assert_eq!(rc.sets_containing(0).len(), 1000, "unsealed reads scan the arena");
         let _ = rc.seal();
         assert_eq!(rc.pending_sets(), 0);
-        assert!(
-            rc.index_memory_bytes() <= before,
-            "sealed CSR should not exceed chained layout: {} vs {before}",
-            rc.index_memory_bytes()
-        );
+        // the sealed index sits exactly at the flat-CSR floor: one u32
+        // offset per node (plus one) and one u32 id per entry
+        assert_eq!(rc.index_memory_bytes(), 4 * (4 + 1) + 4 * rc.total_nodes());
         // all queries still intact
         assert_eq!(rc.sets_containing(0).len(), 1000);
     }
@@ -584,18 +566,54 @@ mod tests {
     }
 
     #[test]
-    fn threshold_compactions_record_epoch_boundaries() {
-        // push-driven growth crosses the compaction threshold on its
-        // own; every automatic seal must leave a boundary at its
-        // then-frontier, strictly ascending.
+    fn an_epoch_is_one_seal() {
+        // Appends never index and never record a boundary, however much
+        // they add: 3000 pushes plus one bulk extend leave the pool fully
+        // unsealed, yet every read is already correct (tail scan).
+        let g = sns_graph::gen::erdos_renyi(8, 24, 3).build(WeightModel::WeightedCascade).unwrap();
+        let sampler = RrSampler::with_config(
+            &g,
+            Model::IndependentCascade,
+            sns_diffusion::RootDist::Uniform,
+            5,
+        );
         let mut rc = RrCollection::new(8);
         for i in 0..3000u32 {
             rc.push(&[i % 8, (i + 1) % 8], meta(0));
         }
-        let bounds = rc.epoch_boundaries().to_vec();
-        assert_eq!(bounds.len() as u64, rc.compactions());
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "not ascending: {bounds:?}");
-        assert_eq!(*bounds.last().unwrap(), rc.sealed_sets());
+        rc.extend_parallel(&sampler, 0, 2000, 2);
+        assert!(rc.epoch_boundaries().is_empty());
+        assert_eq!((rc.compactions(), rc.sealed_sets(), rc.pending_sets()), (0, 0, 5000));
+        assert_eq!(rc.index_memory_bytes(), 0, "appends write no index state");
+        let rescan = |rc: &RrCollection, v: NodeId, range: Range<u32>| -> Vec<u32> {
+            range.filter(|&id| rc.set(id as usize).contains(&v)).collect()
+        };
+        let check = |rc: &RrCollection| {
+            let len = rc.len() as u32;
+            for v in 0..8 {
+                for range in [0..len, 0..len / 2, 2999..len, 1234..4321, 4000..len + 7] {
+                    let got = rc.sets_containing_in(v, range.clone());
+                    let expect = rescan(rc, v, range.start..range.end.min(len));
+                    assert_eq!(got.len(), expect.len(), "node {v} range {range:?}");
+                    assert_eq!(got.to_vec(), expect, "node {v} range {range:?}");
+                }
+            }
+        };
+        check(&rc);
+        // Each seal records exactly one boundary at the pool end.
+        assert_eq!(rc.seal_parallel(2).epoch(), Some(0..5000));
+        assert_eq!((rc.epoch_boundaries(), rc.compactions()), (&[5000][..], 1));
+        check(&rc);
+        rc.extend_sequential(&mut sampler.clone(), 2000, 700);
+        for i in 0..300u32 {
+            rc.push(&[i % 8], meta(0));
+        }
+        assert_eq!(rc.epoch_boundaries(), &[5000], "appends record no boundary");
+        check(&rc);
+        assert_eq!(rc.seal().epoch(), Some(5000..6000));
+        assert_eq!((rc.epoch_boundaries(), rc.compactions()), (&[5000, 6000][..], 2));
+        assert_eq!(rc.epoch_edge_totals().len(), 2);
+        check(&rc);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! patterns:
 //!
 //! 1. the **gain initialization** — one inverted-index query per node
-//!    (`n` binary searches into the sealed CSR tier plus a
-//!    pointer-chasing pending-chain walk each); and
+//!    (`n` binary searches into the sealed CSR); and
 //! 2. the **decremental updates** — for every newly covered set, walk
 //!    its members and decrement their marginal gains, which chases `u64`
 //!    arena offsets spread over the *whole* pool even when the query
@@ -29,7 +28,7 @@
 //! contiguous `u32`-offset slice sweeps with half the offset traffic and
 //! no pool-wide stride. Gain initialization collapses to a single linear
 //! histogram pass over `set_data` — `O(entries)` streaming reads instead
-//! of `n` two-tier index queries. Only the `k` per-seed "which sets
+//! of `n` inverted-index queries. Only the `k` per-seed "which sets
 //! contain the winner" queries still consult the pool's inverted index
 //! (they touch exactly the sets being covered, and `k` is tiny).
 //!
@@ -691,9 +690,9 @@ mod tests {
 
     #[test]
     fn view_spans_sealed_and_pending_tiers() {
-        // The per-seed queries go through the two-tier index; the sweep
-        // goes through the arena copy — both must agree across a seal
-        // boundary.
+        // The per-seed queries go through the sealed index and the
+        // unsealed-tail scan; the sweep goes through the arena copy —
+        // both must agree across a seal boundary.
         let mut rc = pool(&[&[0, 1], &[0, 2]], 4);
         let _ = rc.seal();
         rc.push(&[0, 3], RrMeta { root: 0, edges_examined: 0 });

@@ -15,7 +15,7 @@
 //!   CSR with width-adaptive offsets rebased to the range (member data
 //!   borrowed zero-copy from the arena; dropped when selection returns) —
 //!   initializes gains with one streaming histogram pass instead of `n`
-//!   two-tier index queries, and runs every decremental gain update as a
+//!   inverted-index queries, and runs every decremental gain update as a
 //!   contiguous slice sweep over the snapshot with a generation-stamped
 //!   covered bitset, instead of chasing `u64` arena offsets spread over
 //!   the whole pool. Total work is `O(Σ|R_j| + n + heap traffic)`; seeds

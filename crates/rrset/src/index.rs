@@ -1,22 +1,17 @@
-//! Two-tier (sealed CSR + pending chain) inverted node→set-id index.
+//! The sealed inverted node→set-id index.
 //!
-//! The *sealed* tier is one immutable flat CSR pair (offsets, ids) over
-//! all sets indexed at the last compaction: the ids hold, for each node
-//! in turn, the ascending ids of the sets containing it. It sits behind
-//! an `Arc`, so cloning a pool shares it instead of copying it. The
-//! *pending* tier absorbs appends that arrived since then as per-node
-//! singly-linked chains threaded through a columnar entry log; chains are
-//! appended at the tail, so walking a chain also yields ascending ids.
+//! The index is one immutable flat CSR pair (offsets, ids) over every
+//! set sealed so far: the ids hold, for each node in turn, the ascending
+//! ids of the sets containing it. It sits behind an `Arc`, so cloning a
+//! pool shares it instead of copying it. Sets appended since the last
+//! seal are not indexed at all; a query scans their arena slice
+//! directly (see [`SetIds`]), which keeps the public "ascending ids,
+//! range-restricted" contract for pools read before a seal. The CSR
+//! costs 8 bytes/node + 4 bytes/entry exactly, while per-node `Vec`s
+//! cost a 24-byte header per node (empty or not) plus power-of-two
+//! capacity slack per non-empty node.
 //!
-//! A query concatenates the two tiers (sealed ids are all smaller than
-//! pending ids, because sets seal in id order), which keeps the public
-//! "ascending ids, binary-searchable by range" contract of the old
-//! `Vec<Vec<u32>>` layout at a fraction of its memory: the CSR tier costs
-//! 8 bytes/node + 4 bytes/entry exactly, while per-node `Vec`s cost a
-//! 24-byte header per node (empty or not) plus power-of-two capacity
-//! slack per non-empty node.
-//!
-//! Compaction counting-sorts only the unsealed tail of the set arena —
+//! A seal counting-sorts only the unsealed tail of the set arena —
 //! optionally multi-threaded: the tail is split into chunks, workers
 //! emit per-chunk node histograms, an exclusive prefix turns those into
 //! disjoint write cursors, and workers scatter their node ranges
@@ -33,67 +28,6 @@ use std::sync::Arc;
 
 use sns_graph::NodeId;
 
-/// Chain terminator / "no entry" sentinel.
-const NONE: u32 = u32::MAX;
-
-/// Pending tier: per-node chains through a columnar entry log.
-///
-/// `head`/`tail` are lazily (re-)allocated on the first append after a
-/// compaction and freed by compaction, so a fully sealed index pays zero
-/// bytes for this tier.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct PendingTier {
-    /// First entry index of node `v`'s chain, or `NONE`.
-    head: Vec<u32>,
-    /// Last entry index of node `v`'s chain, or `NONE`.
-    tail: Vec<u32>,
-    /// Set id of each entry, in append order.
-    entry_set: Vec<u32>,
-    /// Next entry in the same node's chain, or `NONE`.
-    entry_next: Vec<u32>,
-}
-
-impl PendingTier {
-    fn clear_and_free(&mut self) {
-        *self = PendingTier::default();
-    }
-
-    #[inline]
-    fn append(&mut self, n: u32, v: NodeId, set_id: u32) {
-        if self.head.is_empty() {
-            self.head = vec![NONE; n as usize];
-            self.tail = vec![NONE; n as usize];
-        }
-        let e = crate::narrow::entry_count(self.entry_set.len());
-        assert!(e != NONE, "pending entry space exhausted");
-        self.entry_set.push(set_id);
-        self.entry_next.push(NONE);
-        let vi = v as usize;
-        if self.tail[vi] == NONE {
-            self.head[vi] = e;
-        } else {
-            self.entry_next[self.tail[vi] as usize] = e;
-        }
-        self.tail[vi] = e;
-    }
-
-    #[inline]
-    fn head_of(&self, v: NodeId) -> u32 {
-        if self.head.is_empty() {
-            NONE
-        } else {
-            self.head[v as usize]
-        }
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        ((self.head.capacity() + self.tail.capacity()) * size_of::<u32>()
-            + (self.entry_set.capacity() + self.entry_next.capacity()) * size_of::<u32>())
-            as u64
-    }
-}
-
 /// CSR offset array, width-adaptive: `u32` as long as the entry count
 /// fits (true for any pool below 4 G index entries, i.e. everything but
 /// the extreme billion-scale runs), halving the fixed per-node cost.
@@ -108,8 +42,8 @@ pub(crate) enum CsrOffsets {
 impl CsrOffsets {
     /// Width-adaptive packing of a dense `u64` offset array: narrows to
     /// `u32` whenever the final offset (= total entry count) fits, halving
-    /// the fixed per-slot cost. Used by the inverted index's sealed tier,
-    /// whose merge pass builds the `u64` array.
+    /// the fixed per-slot cost. Used by the inverted index, whose merge
+    /// pass builds the `u64` array.
     pub(crate) fn from_wide(offsets: Vec<u64>) -> Self {
         if offsets.last().copied().unwrap_or(0) <= u32::MAX as u64 {
             CsrOffsets::Narrow(offsets.iter().map(|&o| o as u32).collect())
@@ -214,122 +148,70 @@ impl CsrOffsets {
     }
 }
 
-/// The sealed tier: one immutable node→set-ids CSR. A compaction builds
-/// a new one and never writes to an old one, so clones share it.
+/// One immutable node→set-ids CSR. A seal builds a new one and never
+/// writes to an old one, so clones share it.
 #[derive(Debug, PartialEq, Eq)]
 struct SealedCsr {
     /// Node `v`'s sealed ids live at `data[offsets[v]..offsets[v + 1]]`.
-    /// Empty until the first compaction.
+    /// Empty until the first seal.
     offsets: CsrOffsets,
     /// Concatenated ascending set ids, grouped by node.
     data: Vec<u32>,
 }
 
-/// The two-tier inverted index of an [`crate::RrCollection`].
+/// The inverted index of an [`crate::RrCollection`]: the sealed CSR over
+/// ids `0..sealed_sets()` and the epoch boundaries its seals recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct TwoTierIndex {
+pub(crate) struct SealedIndex {
     n: u32,
-    /// Number of sets covered by the sealed CSR tier (ids `0..sealed_sets`).
-    sealed_sets: u32,
-    /// The sealed CSR over ids `0..sealed_sets`, shared by clones.
+    /// The sealed CSR over ids `0..sealed_sets()`, shared by clones.
     sealed: Arc<SealedCsr>,
-    pending: PendingTier,
-    /// Number of sets indexed in either tier (`sealed_sets` + pending).
-    indexed_sets: u32,
-    /// Number of (node, set) entries indexed in either tier.
-    indexed_entries: u64,
-    /// Lifetime count of compactions (epoch seals).
-    compactions: u64,
     /// Cumulative set-id boundaries of the sealed epochs: epoch `e`
     /// covers ids `epoch_bounds[e - 1] .. epoch_bounds[e]` (with an
-    /// implicit leading 0). Strictly ascending; a compaction that seals
-    /// no new sets records no boundary. Append-only — once a boundary is
-    /// recorded it never moves, which is what lets per-epoch gain
-    /// snapshots stay valid across pool growth.
+    /// implicit leading 0). One boundary per seal, strictly ascending,
+    /// the last one being the sealed frontier. Append-only — once a
+    /// boundary is recorded it never moves, which is what lets per-epoch
+    /// gain snapshots stay valid across pool growth.
     epoch_bounds: Vec<u32>,
 }
 
-/// Compact only once the pending tier holds at least this many entries…
-const COMPACT_MIN_ENTRIES: u64 = 1024;
-/// …and it exceeds `1/COMPACT_DIV` of all indexed entries. Matched to the
-/// doubling schedule of SSA/D-SSA (each extend at least doubles the pool,
-/// so every extend seals) this amortizes compaction to `O(total entries)`
-/// over the life of the pool.
-const COMPACT_DIV: u64 = 4;
-/// Below this many arena entries a compaction is run single-threaded —
+/// Below this many arena entries a seal is run single-threaded —
 /// thread spawn plus per-chunk histograms would dominate.
 const PARALLEL_COMPACT_MIN_ENTRIES: usize = 1 << 16;
 
-impl TwoTierIndex {
+impl SealedIndex {
     pub(crate) fn new(n: u32) -> Self {
-        TwoTierIndex {
+        SealedIndex {
             n,
-            sealed_sets: 0,
             sealed: Arc::new(SealedCsr {
                 offsets: CsrOffsets::Narrow(Vec::new()),
                 data: Vec::new(),
             }),
-            pending: PendingTier::default(),
-            indexed_sets: 0,
-            indexed_entries: 0,
-            compactions: 0,
             epoch_bounds: Vec::new(),
         }
     }
 
+    /// Number of sets the sealed CSR covers (ids `0..sealed_sets`).
     pub(crate) fn sealed_sets(&self) -> u32 {
-        self.sealed_sets
-    }
-
-    pub(crate) fn pending_sets(&self) -> u32 {
-        self.indexed_sets - self.sealed_sets
-    }
-
-    pub(crate) fn compactions(&self) -> u64 {
-        self.compactions
+        self.epoch_bounds.last().copied().unwrap_or(0)
     }
 
     pub(crate) fn epoch_bounds(&self) -> &[u32] {
         &self.epoch_bounds
     }
 
-    /// Indexes every set in `sets_tail_of(arena)` that is not yet known,
-    /// choosing between chaining into the pending tier and sealing a new
-    /// epoch. `data`/`offsets` describe the **whole** arena; the decision
-    /// and the resulting index state depend only on entry counts, never on
-    /// `threads`, so growth stays bit-reproducible across thread counts.
-    pub(crate) fn index_tail(&mut self, data: &[NodeId], offsets: &[u64], threads: usize) {
-        let total_sets = offsets.len() - 1;
-        debug_assert!(self.indexed_sets as usize <= total_sets);
-        let unindexed_entries = data.len() as u64 - self.indexed_entries;
-        if unindexed_entries == 0 {
-            return;
-        }
-        let pending_after = self.pending.entry_set.len() as u64 + unindexed_entries;
-        let threshold = COMPACT_MIN_ENTRIES.max(data.len() as u64 / COMPACT_DIV);
-        if pending_after > threshold {
-            self.compact(data, offsets, threads);
-            return;
-        }
-        for id in self.indexed_sets..crate::narrow::set_count(total_sets) {
-            let span = offsets[id as usize] as usize..offsets[id as usize + 1] as usize;
-            for &v in &data[span] {
-                self.pending.append(self.n, v, id);
-            }
-        }
-        self.indexed_sets = crate::narrow::set_count(total_sets);
-        self.indexed_entries = data.len() as u64;
-    }
-
     /// Seals the current epoch: counting-sorts only the unsealed tail
     /// `sealed_sets..len` (optionally multi-threaded), merges it behind
-    /// the sealed CSR into a fresh shared CSR, and frees the pending tier.
+    /// the sealed CSR into a fresh shared CSR, and records the pool end
+    /// as the epoch's boundary. `data`/`offsets` describe the **whole**
+    /// arena, which must hold at least one set past the sealed frontier.
     /// The previous sealed CSR is never written to, so clones sharing it
     /// keep answering exactly as before.
-    pub(crate) fn compact(&mut self, data: &[NodeId], offsets: &[u64], threads: usize) {
+    pub(crate) fn seal(&mut self, data: &[NodeId], offsets: &[u64], threads: usize) {
         let n = self.n as usize;
         let total_sets = offsets.len() - 1;
-        let first = self.sealed_sets as usize;
+        let first = self.sealed_sets() as usize;
+        debug_assert!(first < total_sets, "a seal needs at least one unsealed set");
         // The tail: sets `first..total_sets`, entries `base..data.len()`.
         let base = offsets[first];
         let tail = &data[base as usize..];
@@ -465,16 +347,7 @@ impl TwoTierIndex {
         debug_assert_eq!(merged.len() as u64, data.len() as u64);
         self.sealed =
             Arc::new(SealedCsr { offsets: CsrOffsets::from_wide(merged_offsets), data: merged });
-        self.sealed_sets = total_sets as u32;
-        self.indexed_sets = total_sets as u32;
-        self.indexed_entries = data.len() as u64;
-        self.pending.clear_and_free();
-        self.compactions += 1;
-        // A new epoch exists only if this seal advanced the sealed
-        // frontier; re-sealing an already sealed pool records nothing.
-        if total_sets > 0 && self.epoch_bounds.last().copied().unwrap_or(0) < total_sets as u32 {
-            self.epoch_bounds.push(total_sets as u32);
-        }
+        self.epoch_bounds.push(crate::narrow::set_count(total_sets));
     }
 
     #[inline]
@@ -485,25 +358,30 @@ impl TwoTierIndex {
         &self.sealed.data[self.sealed.offsets.span(v as usize)]
     }
 
-    /// Ids of indexed sets containing `v` whose id falls in `range`,
-    /// ascending. Sealed ids are binary-searched; the pending chain is
-    /// skipped up to `range.start` (chains are short by the compaction
-    /// invariant). An inverted range (`start >= end`) is empty.
-    pub(crate) fn sets_containing_in(&self, v: NodeId, range: Range<u32>) -> SetIds<'_> {
+    /// Ids of the sets containing `v` whose id falls in `range`,
+    /// ascending, over the arena `data`/`offsets`. Sealed ids are
+    /// binary-searched; ids past the sealed frontier are found by
+    /// scanning the unsealed tail's arena slice, `O(tail entries)`. An
+    /// inverted range (`start >= end`) is empty.
+    pub(crate) fn sets_containing_in<'a>(
+        &'a self,
+        v: NodeId,
+        range: Range<u32>,
+        data: &'a [NodeId],
+        offsets: &'a [u64],
+    ) -> SetIds<'a> {
         let range = range.start..range.end.max(range.start);
         let sealed = self.sealed_slice(v);
         let lo = sealed.partition_point(|&id| id < range.start);
         let hi = sealed.partition_point(|&id| id < range.end);
-        let mut cursor = self.pending.head_of(v);
-        while cursor != NONE && self.pending.entry_set[cursor as usize] < range.start {
-            cursor = self.pending.entry_next[cursor as usize];
-        }
+        let len = crate::narrow::set_count(offsets.len() - 1);
         SetIds {
             sealed: &sealed[lo..hi],
-            entry_set: &self.pending.entry_set,
-            entry_next: &self.pending.entry_next,
-            cursor,
-            end: range.end,
+            v,
+            next: range.start.max(self.sealed_sets()),
+            end: range.end.min(len),
+            data,
+            offsets,
         }
     }
 
@@ -514,48 +392,66 @@ impl TwoTierIndex {
     }
 
     pub(crate) fn memory_bytes(&self) -> u64 {
-        use std::mem::size_of;
         self.sealed.offsets.memory_bytes()
-            + (self.sealed.data.capacity() * size_of::<u32>()) as u64
-            + self.pending.memory_bytes()
+            + (self.sealed.data.capacity() * std::mem::size_of::<u32>()) as u64
     }
 }
 
-/// Iterator over the (ascending) ids of the sets containing one node,
-/// concatenating the sealed CSR slice and the node's pending chain.
+/// Iterator over the (ascending) ids of the sets containing one node:
+/// the node's sealed CSR slice, then the matching sets of the unsealed
+/// tail, found by scanning their arena slices in id order.
 ///
 /// Returned by [`crate::RrCollection::sets_containing`] and
 /// [`crate::RrCollection::sets_containing_in`].
 #[derive(Debug, Clone)]
 pub struct SetIds<'a> {
     sealed: &'a [u32],
-    entry_set: &'a [u32],
-    entry_next: &'a [u32],
-    cursor: u32,
+    /// The node whose unsealed sets are scanned for.
+    v: NodeId,
+    /// Next unsealed set id to scan; the scan ends before `end`.
+    next: u32,
     end: u32,
+    data: &'a [NodeId],
+    offsets: &'a [u64],
 }
 
 impl SetIds<'_> {
     /// Number of ids this iterator will yield.
     pub fn len(&self) -> usize {
-        let mut pending = 0usize;
-        let mut cursor = self.cursor;
-        while cursor != NONE && self.entry_set[cursor as usize] < self.end {
-            pending += 1;
-            cursor = self.entry_next[cursor as usize];
-        }
-        self.sealed.len() + pending
+        let tail = SetIds { sealed: &[], ..self.clone() };
+        self.sealed.len() + tail.count()
     }
 
     /// Whether no ids will be yielded.
     pub fn is_empty(&self) -> bool {
-        self.sealed.is_empty()
-            && (self.cursor == NONE || self.entry_set[self.cursor as usize] >= self.end)
+        self.clone().next().is_none()
     }
 
     /// Collects the remaining ids (test/debug convenience).
     pub fn to_vec(&self) -> Vec<u32> {
         self.clone().collect()
+    }
+
+    /// The next unsealed set containing `v`: one pass over the remaining
+    /// tail entries up to the next match, then its entry position mapped
+    /// back to the set that owns it. Kept out of line so the sealed-only
+    /// `next` that selection runs stays small.
+    #[inline(never)]
+    fn scan_tail(&mut self) -> Option<u32> {
+        let stop = self.offsets[self.end as usize] as usize;
+        let mut p = self.offsets[self.next as usize] as usize;
+        while p < stop && self.data[p] != self.v {
+            p += 1;
+        }
+        if p == stop {
+            self.next = self.end;
+            return None;
+        }
+        while self.offsets[self.next as usize + 1] as usize <= p {
+            self.next += 1;
+        }
+        self.next += 1;
+        Some(self.next - 1)
     }
 }
 
@@ -568,21 +464,15 @@ impl Iterator for SetIds<'_> {
             self.sealed = rest;
             return Some(id);
         }
-        if self.cursor == NONE {
+        if self.next >= self.end {
             return None;
         }
-        let id = self.entry_set[self.cursor as usize];
-        if id >= self.end {
-            self.cursor = NONE;
-            return None;
-        }
-        self.cursor = self.entry_next[self.cursor as usize];
-        Some(id)
+        self.scan_tail()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let len = self.len();
-        (len, Some(len))
+        let unsealed = self.end.saturating_sub(self.next) as usize;
+        (self.sealed.len(), Some(self.sealed.len() + unsealed))
     }
 }
 
@@ -602,29 +492,31 @@ mod tests {
 
     #[test]
     fn pending_only_queries() {
-        let mut ix = TwoTierIndex::new(4);
+        let ix = SealedIndex::new(4);
         let (data, offsets) = arena(&[&[0, 1], &[1, 2], &[1]]);
-        ix.index_tail(&data, &offsets, 1);
-        assert_eq!(ix.sealed_sets(), 0, "small appends stay pending");
-        assert_eq!(ix.sets_containing_in(1, 0..3).to_vec(), vec![0, 1, 2]);
-        assert_eq!(ix.sets_containing_in(1, 1..2).to_vec(), vec![1]);
-        assert_eq!(ix.sets_containing_in(3, 0..3).to_vec(), Vec::<u32>::new());
-        assert_eq!(ix.sets_containing_in(1, 0..3).len(), 3);
+        assert_eq!(ix.sealed_sets(), 0, "appends stay unsealed until a seal");
+        let q = |v, range| ix.sets_containing_in(v, range, &data, &offsets);
+        assert_eq!(q(1, 0..3).to_vec(), vec![0, 1, 2]);
+        assert_eq!(q(1, 1..2).to_vec(), vec![1]);
+        assert_eq!(q(3, 0..3).to_vec(), Vec::<u32>::new());
+        assert_eq!(q(1, 0..3).len(), 3);
+        assert!(q(3, 0..3).is_empty());
     }
 
     #[test]
     fn sealed_then_pending_concatenate_ascending() {
-        let mut ix = TwoTierIndex::new(3);
+        let mut ix = SealedIndex::new(3);
         let (data, offsets) = arena(&[&[0, 1], &[1]]);
-        ix.index_tail(&data, &offsets, 1);
-        ix.compact(&data, &offsets, 1);
+        ix.seal(&data, &offsets, 1);
         assert_eq!(ix.sealed_sets(), 2);
         let (data, offsets) = arena(&[&[0, 1], &[1], &[1, 2]]);
-        ix.index_tail(&data, &offsets, 1);
-        assert_eq!(ix.pending_sets(), 1);
-        assert_eq!(ix.sets_containing_in(1, 0..3).to_vec(), vec![0, 1, 2]);
-        assert_eq!(ix.sets_containing_in(1, 2..3).to_vec(), vec![2]);
-        assert_eq!(ix.sets_containing_in(2, 0..3).to_vec(), vec![2]);
+        let q = |v, range| ix.sets_containing_in(v, range, &data, &offsets);
+        assert_eq!(q(1, 0..3).to_vec(), vec![0, 1, 2]);
+        assert_eq!(q(1, 0..3).len(), 3);
+        assert_eq!(q(1, 2..3).to_vec(), vec![2]);
+        assert_eq!(q(1, 1..2).to_vec(), vec![1]);
+        assert_eq!(q(2, 0..3).to_vec(), vec![2]);
+        assert_eq!(q(0, 1..3).to_vec(), Vec::<u32>::new());
     }
 
     #[test]
@@ -645,16 +537,16 @@ mod tests {
         bounds.extend((6050..=SETS).step_by(50));
         let (head, _) = arena(&refs[..3000]);
         assert!(head.len() >= PARALLEL_COMPACT_MIN_ENTRIES);
-        let mut one_step = TwoTierIndex::new(64);
-        one_step.compact(&data, &offsets, 1);
+        let mut one_step = SealedIndex::new(64);
+        one_step.seal(&data, &offsets, 1);
         for threads in [1, 2, 8] {
-            let mut once = TwoTierIndex::new(64);
-            once.compact(&data, &offsets, threads);
+            let mut once = SealedIndex::new(64);
+            once.seal(&data, &offsets, threads);
             assert_eq!(one_step, once, "one-step seal differs at {threads} threads");
-            let mut stepped = TwoTierIndex::new(64);
+            let mut stepped = SealedIndex::new(64);
             for &b in &bounds {
                 let (data, offsets) = arena(&refs[..b as usize]);
-                stepped.compact(&data, &offsets, threads);
+                stepped.seal(&data, &offsets, threads);
             }
             assert_eq!(stepped.sealed_sets(), SETS);
             assert_eq!(stepped.epoch_bounds(), bounds.as_slice());
@@ -666,19 +558,20 @@ mod tests {
             );
         }
         for v in 0..64 {
-            let ids = one_step.sets_containing_in(v, 0..SETS).to_vec();
+            let ids = one_step.sets_containing_in(v, 0..SETS, &data, &offsets).to_vec();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "node {v} ids not ascending");
         }
     }
 
     #[test]
     fn compaction_frees_the_pending_tier() {
-        let mut ix = TwoTierIndex::new(8);
+        let mut ix = SealedIndex::new(8);
         let (data, offsets) = arena(&[&[0, 1, 2], &[3, 4]]);
-        ix.index_tail(&data, &offsets, 1);
-        assert!(ix.pending.memory_bytes() > 0);
-        ix.compact(&data, &offsets, 1);
-        assert_eq!(ix.pending.memory_bytes(), 0);
-        assert_eq!(ix.sets_containing_in(3, 0..2).to_vec(), vec![1]);
+        assert_eq!(ix.memory_bytes(), 0, "nothing is indexed before the first seal");
+        let before = ix.sets_containing_in(3, 0..2, &data, &offsets).to_vec();
+        ix.seal(&data, &offsets, 1);
+        assert!(ix.memory_bytes() > 0);
+        assert_eq!(ix.sets_containing_in(3, 0..2, &data, &offsets).to_vec(), vec![1]);
+        assert_eq!(before, vec![1]);
     }
 }

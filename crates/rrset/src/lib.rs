@@ -20,11 +20,11 @@
 //! * **Coverage queries**: `Cov_R(S)` for the stopping conditions —
 //!   [`RrCollection::coverage_of`].
 //!
-//! [`RrCollection`] stores sets in a flat arena with a **two-tier**
-//! inverted node→set-id index — a sealed flat-CSR tier, shared by
-//! clones and extended at epoch compactions by a parallel counting sort
-//! of the new sets only, plus a small pending chain tier for fresh
-//! appends (see [`RrCollection`]'s docs). It
+//! [`RrCollection`] stores sets in a flat arena with a **sealed**
+//! inverted node→set-id index — one flat CSR, shared by clones and
+//! extended only by [`RrCollection::seal`], whose parallel counting sort
+//! touches the new sets only. Each seal records exactly one epoch;
+//! appends write the arena alone (see [`RrCollection`]'s docs). It
 //! supports deterministic parallel growth and accounts its exact byte
 //! footprint (the quantity Figures 6–7 of the paper track).
 //!

@@ -40,15 +40,6 @@ pub fn small_count(len: usize) -> u32 {
     u32::try_from(len).unwrap_or(u32::MAX)
 }
 
-/// A pending-tier entry index as `u32`. Entry ids reserve `u32::MAX` as
-/// the chain terminator sentinel; saturating there trips the caller's
-/// exhaustion assert instead of silently aliasing a live entry.
-#[inline]
-pub fn entry_count(len: usize) -> u32 {
-    debug_assert!(len <= u32::MAX as usize, "entry count {len} exceeds the u32 id domain");
-    u32::try_from(len).unwrap_or(u32::MAX)
-}
-
 /// Fallible narrowing for values with no structural bound (e.g. lengths
 /// read from a persisted file before validation). `None` means the value
 /// does not fit — callers turn that into their own typed error.

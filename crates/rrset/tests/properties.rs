@@ -1,5 +1,5 @@
-//! Property-based tests for the RR pool, its two-tier inverted index and
-//! greedy max-coverage.
+//! Property-based tests for the RR pool, its sealed inverted index (and
+//! the unsealed-tail scan) and greedy max-coverage.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -259,13 +259,14 @@ proptest! {
         prop_assert_eq!(fresh, max_coverage_naive(&rc, k, range, Some(&weights)));
     }
 
-    /// Two-tier index ≡ naive rescan: across random interleavings of
-    /// pushes and forced epoch seals, `sets_containing_in` must return
+    /// Inverted index ≡ naive rescan: `sets_containing_in` must return
     /// exactly the ids a linear scan of the arena finds, ascending, for
-    /// every node and query range — regardless of how the ids are split
-    /// between the sealed CSR tier and the pending chains — and
-    /// `coverage_of_range` must count exactly the rescanned sets. The
-    /// range bounds are drawn unordered: an inverted range is empty and
+    /// every node and query range, and `coverage_of_range` must count
+    /// exactly the rescanned sets — on the same pushes read before any
+    /// seal (all ids come from the tail scan), after random interleaved
+    /// seals (ids split between the sealed CSR and the tail), and fully
+    /// sealed. Ranges straddling the sealed frontier are checked too. The
+    /// drawn range bounds are unordered: an inverted range is empty and
     /// allocates no scratch.
     #[test]
     fn index_matches_naive_rescan(
@@ -274,50 +275,89 @@ proptest! {
         hi_frac in 0.0f64..=1.0,
         seeds in vec(0u32..N, 0..5),
     ) {
+        let sets: Vec<Vec<NodeId>> = ops
+            .iter()
+            .map(|(s, _)| {
+                let mut s = s.clone();
+                s.sort_unstable();
+                s.dedup();
+                s
+            })
+            .collect();
+        let unsealed = build(&sets);
+        prop_assert_eq!(unsealed.sealed_sets(), 0);
+        check_against_rescan(&unsealed, &sets, lo_frac, hi_frac, &seeds)?;
         let mut rc = RrCollection::new(N);
-        let mut sets: Vec<Vec<NodeId>> = Vec::new();
-        for (s, seal_die) in ops {
-            let mut s = s.clone();
-            s.sort_unstable();
-            s.dedup();
-            rc.push(&s, meta());
-            sets.push(s);
+        for (s, (_, seal_die)) in sets.iter().zip(&ops) {
+            rc.push(s, meta());
             // seal with probability 1/8 → interleavings cover pools that
-            // are fully sealed, fully pending, and everything between
-            if seal_die == 0 {
+            // are fully sealed, fully unsealed, and everything between
+            if *seal_die == 0 {
                 let _ = rc.seal();
             }
         }
-        let total = sets.len() as u32;
-        let lo = (f64::from(total) * lo_frac) as u32;
-        let hi = (f64::from(total) * hi_frac) as u32;
-        let in_range = |id: &u32| *id >= lo && *id < hi;
-        let mut scratch = Vec::new();
-        for v in 0..N {
-            let expect_all: Vec<u32> = (0..total)
-                .filter(|&id| sets[id as usize].contains(&v))
-                .collect();
-            let expect_range: Vec<u32> = expect_all.iter().copied().filter(in_range).collect();
-            prop_assert_eq!(rc.sets_containing(v).to_vec(), expect_all);
-            let got = rc.sets_containing_in(v, lo..hi);
-            prop_assert_eq!(got.len(), expect_range.len());
-            prop_assert_eq!(got.to_vec(), expect_range.clone());
-            let covered = rc.coverage_of_range(&[v], lo..hi, &mut scratch);
-            prop_assert_eq!(covered, expect_range.len() as u64);
-        }
-        let expect_covered = (0..total)
-            .filter(in_range)
-            .filter(|&id| seeds.iter().any(|s| sets[id as usize].contains(s)))
-            .count() as u64;
-        prop_assert_eq!(rc.coverage_of_range(&seeds, lo..hi, &mut scratch), expect_covered);
-        prop_assert!(lo < hi || scratch.is_empty(), "an inverted range allocates nothing");
+        check_against_rescan(&rc, &sets, lo_frac, hi_frac, &seeds)?;
+        let _ = rc.seal();
+        prop_assert_eq!(rc.pending_sets(), 0);
+        check_against_rescan(&rc, &sets, lo_frac, hi_frac, &seeds)?;
     }
+}
+
+/// The [`index_matches_naive_rescan`] oracle for one pool state: every
+/// node's `sets_containing`, and both queries over the drawn range and
+/// over ranges straddling the sealed frontier, against a linear scan of
+/// `sets`.
+fn check_against_rescan(
+    rc: &RrCollection,
+    sets: &[Vec<NodeId>],
+    lo_frac: f64,
+    hi_frac: f64,
+    seeds: &[NodeId],
+) -> TestCaseResult {
+    let total = sets.len() as u32;
+    let frontier = rc.sealed_sets();
+    let drawn = (f64::from(total) * lo_frac) as u32..(f64::from(total) * hi_frac) as u32;
+    let straddling = [
+        frontier.saturating_sub(2)..frontier + 2,
+        frontier.saturating_sub(1)..total,
+        0..frontier + 1,
+        frontier..total + 3,
+    ];
+    let mut scratch = Vec::new();
+    for v in 0..N {
+        let expect_all: Vec<u32> =
+            (0..total).filter(|&id| sets[id as usize].contains(&v)).collect();
+        prop_assert_eq!(rc.sets_containing(v).to_vec(), expect_all.clone());
+        for range in std::iter::once(drawn.clone()).chain(straddling.iter().cloned()) {
+            let expect: Vec<u32> =
+                expect_all.iter().copied().filter(|id| range.contains(id)).collect();
+            let got = rc.sets_containing_in(v, range.clone());
+            prop_assert_eq!(got.len(), expect.len(), "node {} range {:?}", v, range);
+            prop_assert_eq!(got.to_vec(), expect.clone(), "node {} range {:?}", v, range);
+            let covered = rc.coverage_of_range(&[v], range.clone(), &mut scratch);
+            prop_assert_eq!(covered, expect.len() as u64, "node {} range {:?}", v, range);
+        }
+    }
+    for range in std::iter::once(drawn.clone()).chain(straddling.iter().cloned()) {
+        let expect_covered = range
+            .clone()
+            .filter(|&id| id < total && seeds.iter().any(|s| sets[id as usize].contains(s)))
+            .count() as u64;
+        prop_assert_eq!(rc.coverage_of_range(seeds, range.clone(), &mut scratch), expect_covered);
+    }
+    let _ = rc.coverage_of_range(seeds, drawn.clone(), &mut scratch);
+    prop_assert!(
+        drawn.start < drawn.end || scratch.is_empty(),
+        "an inverted range allocates nothing"
+    );
+    Ok(())
 }
 
 /// `extend_parallel` must be observably bit-identical to
 /// `extend_sequential` for 1, 2 and 8 worker threads — same sets, same
 /// index responses, same accounting — including when growth happens in
-/// several increments (the SSA/D-SSA doubling schedule).
+/// several increments, each sealed (the SSA/D-SSA doubling schedule),
+/// with the seal run at the same thread count.
 #[test]
 fn extend_parallel_bit_identical_across_thread_counts() {
     use sns_diffusion::{Model, RootDist, RrSampler};
@@ -331,17 +371,20 @@ fn extend_parallel_bit_identical_across_thread_counts() {
         // grow in doubling increments like the algorithms do
         for (from, count) in [(0u64, 300u64), (300, 300), (600, 600)] {
             seq.extend_sequential(&mut s, from, count);
+            let _ = seq.seal();
         }
         for threads in [1usize, 2, 8] {
             let mut par = RrCollection::new(250);
             for (from, count) in [(0u64, 300u64), (300, 300), (600, 600)] {
                 par.extend_parallel(&sampler, from, count, threads);
+                let _ = par.seal_parallel(threads);
             }
             assert_eq!(seq.len(), par.len(), "{model}: {threads} threads");
             assert_eq!(seq.total_nodes(), par.total_nodes());
             assert_eq!(seq.total_edges_examined(), par.total_edges_examined());
             assert_eq!(seq.sealed_sets(), par.sealed_sets());
             assert_eq!(seq.pending_sets(), par.pending_sets());
+            assert_eq!(seq.epoch_boundaries(), par.epoch_boundaries());
             assert_eq!(seq.memory_bytes(), par.memory_bytes());
             for id in 0..seq.len() {
                 assert_eq!(seq.set(id), par.set(id), "{model}: set {id} differs");
@@ -360,8 +403,8 @@ fn extend_parallel_bit_identical_across_thread_counts() {
 /// On a 100k-node Barabási–Albert pool, `max_coverage` (and the
 /// ranged/scratch entry points SSA, D-SSA, IMM and TIM use) must return
 /// **bit-identical** seeds, marginal gains and coverage to the rescan
-/// oracle — including on D-SSA-style half ranges and on a pool whose
-/// index still has a pending chain tail.
+/// oracle — including on D-SSA-style half ranges and on a pool that
+/// still has an unsealed tail (read through the tail scan).
 #[test]
 fn greedy_bit_identical_to_rescan_oracle_on_100k_ba_pool() {
     use sns_diffusion::{Model, RootDist, RrSampler};
@@ -373,7 +416,8 @@ fn greedy_bit_identical_to_rescan_oracle_on_100k_ba_pool() {
     let sampler = RrSampler::with_config(&g, Model::IndependentCascade, RootDist::Uniform, 3);
     let mut rc = RrCollection::new(g.num_nodes());
     rc.extend_parallel(&sampler, 0, 15_000, 8);
-    // Leave a pending tail so both paths also exercise the chain tier.
+    let _ = rc.seal_parallel(8);
+    // Leave an unsealed tail so both paths also exercise the tail scan.
     {
         let mut s = sampler.clone();
         let mut rr = Vec::new();
@@ -382,7 +426,7 @@ fn greedy_bit_identical_to_rescan_oracle_on_100k_ba_pool() {
             rc.push(&rr, meta);
         }
     }
-    assert!(rc.pending_sets() > 0, "pool must end with a pending chain tail");
+    assert_eq!(rc.pending_sets(), 500, "pool must end with an unsealed tail");
 
     let total = rc.len() as u32;
     let mut scratch = GreedyScratch::new();
@@ -403,7 +447,7 @@ fn greedy_bit_identical_to_rescan_oracle_on_100k_ba_pool() {
     }
 }
 
-/// Acceptance criterion of the two-tier layout: on a 100k-node
+/// Acceptance criterion of the sealed CSR layout: on a 100k-node
 /// Barabási–Albert pool the inverted index must cost at most half of
 /// what the previous `Vec<Vec<u32>>` layout would (headers + capacity
 /// slack measured on an actually-built per-node-Vec index).
@@ -418,7 +462,8 @@ fn index_memory_halves_vs_per_node_vecs() {
     let sampler = RrSampler::with_config(&g, Model::IndependentCascade, RootDist::Uniform, 3);
     let mut rc = RrCollection::new(g.num_nodes());
     rc.extend_parallel(&sampler, 0, 15_000, 8);
-    assert_eq!(rc.pending_sets(), 0, "a bulk extend past the threshold must seal");
+    assert!(rc.seal_parallel(8).epoch().is_some(), "the seal indexes the bulk extend");
+    assert_eq!(rc.pending_sets(), 0);
 
     // Rebuild the pre-refactor index layout and measure it exactly.
     let mut node_to_sets: Vec<Vec<u32>> = vec![Vec::new(); g.num_nodes() as usize];
@@ -436,6 +481,6 @@ fn index_memory_halves_vs_per_node_vecs() {
     let new_bytes = rc.index_memory_bytes();
     assert!(
         2 * new_bytes <= old_bytes,
-        "two-tier index {new_bytes} B not ≥2× smaller than Vec<Vec<u32>> {old_bytes} B"
+        "sealed index {new_bytes} B not ≥2× smaller than Vec<Vec<u32>> {old_bytes} B"
     );
 }
