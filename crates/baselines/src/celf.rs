@@ -359,7 +359,6 @@ fn build_result(
         rr_sets_verify: 0,
         iterations,
         hit_cap: timed_out,
-        stopping_rule: None,
         binding: if timed_out { StopCondition::Cap } else { StopCondition::Schedule },
         wall_time: start.elapsed(),
         peak_pool_bytes: 0,

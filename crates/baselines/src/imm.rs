@@ -122,7 +122,6 @@ impl Imm {
             rr_sets_verify: 0,
             iterations,
             hit_cap: false,
-            stopping_rule: None,
             binding: StopCondition::Schedule,
             wall_time: start.elapsed(),
             peak_pool_bytes: peak_bytes,

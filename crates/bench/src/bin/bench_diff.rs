@@ -1,9 +1,9 @@
-//! `bench_diff` — sample-count regression check (CI).
+//! `bench_diff` — sample-count regression report (CI).
 //!
 //! Timing numbers drift with hardware, but the `"counters"` fields of
 //! the `BENCH_*.json` snapshots (algorithm RR-set totals on fixed
-//! fixtures, under both stopping rules, plus the serving front end's
-//! `traffic_sim_*` admission/planner counters) are deterministic:
+//! fixtures, plus the serving front end's `traffic_sim_*`
+//! admission/planner counters) are deterministic:
 //! seeded RNG streams, thread-invariant pools, virtual-clock admission.
 //! This binary recomputes them from scratch
 //! ([`sns_bench::sample_counts::counters`]) and diffs them — and
@@ -21,12 +21,15 @@
 //! Any mismatch prints a GitHub-annotation warning, lands in the
 //! workflow's step summary as an expected-vs-realized table
 //! (`$GITHUB_STEP_SUMMARY`), and makes the process **exit nonzero** so
-//! drift is visible in the checks UI. The CI step still runs with
-//! `continue-on-error: true` — drift flags loudly but never blocks a
-//! merge; the right response is a human judgement plus
-//! `bench_diff --write`. This is the guard that would have caught the
-//! Λ-dropped D-SSA stopping rule (~4× over-sampling at identical
-//! wall-time per sample) mechanically.
+//! drift is visible in the checks UI. The recomputed counters are also
+//! a hard gate in the test suite
+//! (`sample_counts::tests::counters_are_deterministic`, which shares
+//! [`sns_bench::sample_counts::parse_counters`] with this binary), so
+//! this binary's role is the readable report and the rebaseline: a
+//! counter change needs a human judgement plus `bench_diff --write`.
+//! This is the guard that would have caught the Λ-dropped D-SSA
+//! stopping rule (~4× over-sampling at identical wall-time per sample)
+//! mechanically.
 //!
 //! ```sh
 //! cargo run --release -p sns-bench --bin bench_diff          # check
@@ -37,7 +40,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-const BASELINE: &str = "results/bench_baselines/sample_counts.json";
+use sns_bench::sample_counts::{parse_counters, BASELINE};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -45,27 +48,6 @@ fn workspace_root() -> PathBuf {
         .nth(2)
         .expect("workspace root exists")
         .to_path_buf()
-}
-
-/// Extracts the `"name": integer` pairs of a top-level `"counters"`
-/// object from our fixed-layout snapshot JSON (one pair per line — the
-/// format `write_bench_json_with_counters` and `--write` emit).
-fn parse_counters(json: &str) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    let Some(start) = json.find("\"counters\"") else { return out };
-    for line in json[start..].lines().skip(1) {
-        let line = line.trim().trim_end_matches(',');
-        if line.starts_with('}') {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().trim_matches('"');
-            if let Ok(value) = value.trim().parse::<u64>() {
-                out.insert(name.to_string(), value);
-            }
-        }
-    }
-    out
 }
 
 /// Counters named `*_speedup` are timing-derived **floors**: the

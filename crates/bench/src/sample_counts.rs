@@ -8,22 +8,48 @@
 //! deterministic (seeded RNG streams, thread-invariant pools), so they
 //! can be diffed exactly against checked-in baselines. [`counters`]
 //! computes the totals on the `tests/paper_claims.rs` regression
-//! fixtures — under both stopping rules since PR 5, so a drift in either
-//! the historical `Conservative` anchor or the erratum-anchored
-//! `DssaFix` one is caught — plus the cache hit/miss/evict counters of a fixed
+//! fixtures, plus the cache hit/miss/evict counters of a fixed
 //! grow-while-serving query script ([`serving_counters`] — the same bug
 //! class in serving clothes: a cache that silently stops hitting stays
-//! exactly as *correct* and exactly as slow as no cache). The
-//! `bench_diff` binary compares them (warn-only) in CI, and the
-//! `query_engine` bench embeds them in `BENCH_query_engine.json`.
+//! exactly as *correct* and exactly as slow as no cache). This module's
+//! `counters_are_deterministic` test requires them to equal the
+//! [`BASELINE`] file exactly, so a drift fails the test suite. The
+//! `bench_diff` binary reports the same diff as an expected-vs-realized
+//! table, and the `query_engine` bench embeds the counters in
+//! `BENCH_query_engine.json`.
+
+use std::collections::BTreeMap;
 
 use sns_core::{
     Dssa, Params, QueryStats, Recovery, SamplingContext, SeedQuery, SeedQueryEngine, Ssa,
-    StoppingRule,
 };
 use sns_diffusion::Model;
 use sns_graph::{gen, WeightModel};
 use sns_tvm::TargetWeights;
+
+/// The checked-in counter baseline, relative to the workspace root.
+pub const BASELINE: &str = "results/bench_baselines/sample_counts.json";
+
+/// Extracts the `"name": integer` pairs of a top-level `"counters"`
+/// object from our fixed-layout snapshot JSON (one pair per line — the
+/// format the `BENCH_*.json` writers and `bench_diff --write` emit).
+pub fn parse_counters(json: &str) -> BTreeMap<String, u64> {
+    let mut out = BTreeMap::new();
+    let Some(start) = json.find("\"counters\"") else { return out };
+    for line in json[start..].lines().skip(1) {
+        let line = line.trim().trim_end_matches(',');
+        if line.starts_with('}') {
+            break;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            let name = name.trim().trim_matches('"');
+            if let Ok(value) = value.trim().parse::<u64>() {
+                out.insert(name.to_string(), value);
+            }
+        }
+    }
+    out
+}
 
 /// Cache counters of a fixed grow-while-serving script: sample 2000
 /// sets, then three rounds of (repeated full-pool queries + a ranged
@@ -186,22 +212,16 @@ fn oracle_counter_name(name: &'static str) -> &'static str {
 /// (seconds of work; all streams seeded). Names are stable — `bench_diff`
 /// treats a missing baseline entry as "new counter, record it".
 pub fn counters() -> Vec<(&'static str, u64)> {
-    // Fixture A: the D2-bound instance of the Λ regression test —
-    // ER(400, 2400), IC, k = 80, ε = 0.1, δ = 0.1. Pre-fix: 19184.
+    // Fixture A: the D2-bound instance — ER(400, 2400), IC, k = 80,
+    // ε = 0.1, δ = 0.1, where the certified D2 anchor binds (19184).
     let er = gen::erdos_renyi(400, 2400, 3).build(WeightModel::WeightedCascade).unwrap();
     let params_a = Params::new(80, 0.1, 0.1).unwrap();
     let ctx_a = SamplingContext::new(&er, Model::IndependentCascade).with_seed(9);
     let dssa_er = Dssa::new(params_a).run(&ctx_a).unwrap();
     let ssa_er = Ssa::new(params_a).run(&ctx_a).unwrap();
-    // The same fixture under the erratum-anchored rule (PR 5): the
-    // re-anchoring is tracked exactly like the PR-3 fix was. On this
-    // D2-bound instance DssaFix recovers the pre-PR-3 total (19184).
-    let dssa_er_fix =
-        Dssa::new(params_a.with_stopping_rule(StoppingRule::DssaFix)).run(&ctx_a).unwrap();
 
     // Fixture B: the D1-bound instance — RMAT(2000, 12000), LT, k = 10,
-    // ε = 0.3, δ = 0.1. The fix must leave it untouched (1200) — and so
-    // must the DssaFix rule (coverage, not precision, is binding).
+    // ε = 0.3, δ = 0.1, where coverage, not precision, binds (1200).
     let rmat = gen::rmat(2000, 12_000, gen::RmatParams::GRAPH500, 7)
         .build(WeightModel::WeightedCascade)
         .unwrap();
@@ -209,15 +229,11 @@ pub fn counters() -> Vec<(&'static str, u64)> {
     let ctx_b = SamplingContext::new(&rmat, Model::LinearThreshold).with_seed(5);
     let dssa_rmat = Dssa::new(params_b).run(&ctx_b).unwrap();
     let ssa_rmat = Ssa::new(params_b).run(&ctx_b).unwrap();
-    let dssa_rmat_fix =
-        Dssa::new(params_b.with_stopping_rule(StoppingRule::DssaFix)).run(&ctx_b).unwrap();
 
     let mut out = vec![
         ("dssa_er_ic_k80_rr_sets_total", dssa_er.rr_sets_total()),
-        ("dssa_er_ic_k80_rr_sets_total_dssafix", dssa_er_fix.rr_sets_total()),
         ("ssa_er_ic_k80_rr_sets_total", ssa_er.rr_sets_total()),
         ("dssa_rmat_lt_k10_rr_sets_total", dssa_rmat.rr_sets_total()),
-        ("dssa_rmat_lt_k10_rr_sets_total_dssafix", dssa_rmat_fix.rr_sets_total()),
         ("ssa_rmat_lt_k10_rr_sets_total", ssa_rmat.rr_sets_total()),
     ];
     out.extend(serving_counters());
@@ -250,5 +266,15 @@ mod tests {
         // timing-derived floor counters (`*_speedup`) are bench-side
         // only — they must never enter the deterministic set
         assert!(a.iter().all(|(name, _)| !name.ends_with("_speedup")));
+
+        // and every counter equals its checked-in baseline: a drift is a
+        // test failure, mended by a judged `bench_diff --write`
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let json = std::fs::read_to_string(root.join(BASELINE))
+            .expect("the counter baseline is checked in");
+        let mut want = parse_counters(&json);
+        want.retain(|name, _| !name.ends_with("_speedup"));
+        let got: BTreeMap<String, u64> = a.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+        assert_eq!(got, want, "counters drifted from {BASELINE}");
     }
 }

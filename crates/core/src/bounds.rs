@@ -12,9 +12,8 @@
 //! Chernoff bounds of Lemma 2).
 //!
 //! The [`certificate`] submodule turns these bounds into the runtime
-//! stopping-rule engine shared by SSA and D-SSA — including the
-//! selectable D2 anchor ([`certificate::StoppingRule`]) that settles the
-//! D-SSA-Fix dispute (`docs/DERIVATIONS.md` §4).
+//! stopping-rule engine shared by SSA and D-SSA, with D-SSA's D2 anchor
+//! at the certified D-SSA-Fix constants (`docs/DERIVATIONS.md` §4).
 
 pub mod certificate;
 

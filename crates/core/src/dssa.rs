@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use sns_rrset::{max_coverage_with, GreedyScratch, RrCollection};
 
-use crate::bounds::certificate::{Certificate, StopCondition, StoppingRule};
+use crate::bounds::certificate::{Certificate, StopCondition};
 use crate::bounds::{self, upsilon};
 use crate::{CoreError, Params, RunResult, SamplingContext};
 
@@ -26,19 +26,12 @@ use crate::{CoreError, Params, RunResult, SamplingContext};
 ///   coverage for an (ε, δ/3tmax)-estimate of `I(Ŝ_k)` (stopping-rule
 ///   condition of Dagum et al.);
 /// * **D2** `ε_t = (ε₁ + ε₂ + ε₁ε₂)(1 − 1/e − ε) + (1 − 1/e)ε₃ ≤ ε` with
-///   `ε₁ = max(0, Î_t/Î^c_t − 1)` and ε₂/ε₃ depending on the selected
-///   [`StoppingRule`] (`Params::rule`):
-///   - [`StoppingRule::Conservative`] (default): the closed forms
-///     `ε₂ = ε·√(Γ(1+ε)/(Λ·2^(t−1)·Î^c_t))`,
-///     `ε₃ = ε·√(Γ(1+ε)(1−1/e−ε)/((1+ε/3)·Λ·2^(t−1)·Î^c_t))` — the
-///     find-half size in the denominator, i.e. the repository's
-///     historical (PR-3) rule, kept bit-exact;
-///   - [`StoppingRule::DssaFix`]: ε₂ solved numerically from the
-///     stopping-rule count `Cov_{R^c_t} ≥ (1+ε₂)·Υ(ε₂, δ/3tmax)` with
-///     the analogous gap-adjusted ε₃ — the erratum-corrected anchor,
-///     which demands strictly more evidence (never stops earlier than
-///     the conservative rule; `docs/DERIVATIONS.md` §4 settles the
-///     dispute and quantifies the gap at √Λ).
+///   `ε₁ = max(0, Î_t/Î^c_t − 1)`, ε₂ the smallest precision the verify
+///   coverage certifies under the stopping-rule count
+///   `Cov_{R^c_t} ≥ (1+ε₂)·Υ(ε₂, δ/3tmax)`, and the gap-adjusted
+///   `ε₃ = ε₂·√((1−1/e−ε)/(1+ε₂/3))` — the D-SSA-Fix anchor, which
+///   carries the `(1 − 1/e − ε, 1 − δ)` guarantee
+///   (`docs/DERIVATIONS.md` §4).
 ///
 /// The final pool extension is clamped at `⌈Nmax⌉` — the doubling
 /// schedule is not allowed to overshoot the nominal cap by up to 2× as
@@ -68,13 +61,10 @@ pub struct DssaIteration {
     /// Influence estimate from the verify half (`None` while condition
     /// D1 — enough verify coverage — has not fired yet).
     pub influence_verify: Option<f64>,
-    /// Dynamic `(ε₁, ε₂, ε₃)` (only once D1 holds). ε₁ is clamped at 0;
-    /// ε₂/ε₃ follow [`DssaIteration::rule`].
+    /// Dynamic `(ε₁, ε₂, ε₃)` (only once D1 holds). ε₁ is clamped at 0.
     pub epsilons: Option<(f64, f64, f64)>,
     /// The realized `ε_t` checked against ε (only once D1 holds).
     pub eps_t: Option<f64>,
-    /// The stopping rule this checkpoint was evaluated under.
-    pub rule: StoppingRule,
 }
 
 impl Dssa {
@@ -122,9 +112,9 @@ impl Dssa {
         let t_max = bounds::max_iterations(n_max, eps, delta);
         let delta_iter = delta / (3.0 * f64::from(t_max));
         let lambda = upsilon(eps, delta_iter).ceil().max(1.0) as u64;
-        // D1's Λ₁ threshold and D2's rule-dependent ε-split: one audited
-        // code path shared with SSA.
-        let cert = Certificate::dssa(self.params.rule, eps, delta_iter, gamma);
+        // D1's Λ₁ threshold and D2's certified ε-split: one audited code
+        // path shared with SSA.
+        let cert = Certificate::dssa(eps, delta_iter, gamma);
         // The last extension must not overshoot the nominal cap: the
         // schedule is clamped at ⌈Nmax⌉ sets (kept even so the find and
         // verify halves stay equal-sized). `as` saturates for the huge
@@ -166,11 +156,10 @@ impl Dssa {
                 influence_verify: None,
                 epsilons: None,
                 eps_t: None,
-                rule: cert.rule(),
             };
             if cert.coverage_met(cov_c) {
-                // Condition D1 met: derive the dynamic ε-split under the
-                // selected rule and check condition D2.
+                // Condition D1 met: derive the dynamic ε-split and check
+                // condition D2.
                 coverage_first_met.get_or_insert(t);
                 let check = cert.dssa_precision(i_t, cov_c, half);
                 record.influence_verify = Some(check.i_verify);
@@ -202,7 +191,6 @@ impl Dssa {
                 rr_sets_verify: 0, // the verify half is recycled, not extra
                 iterations: t,
                 hit_cap: hit_cap && !stop,
-                stopping_rule: Some(cert.rule()),
                 binding,
                 wall_time: start.elapsed(),
                 peak_pool_bytes: peak_bytes,
@@ -220,6 +208,7 @@ impl Dssa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::certificate::certified_precision;
     use crate::bounds::{schedule_target, ONE_MINUS_INV_E};
 
     #[test]
@@ -336,22 +325,23 @@ mod tests {
         assert!(!traced.hit_cap);
         let eps_t = last.eps_t.expect("D1 fired at the stopping iteration");
         assert!(eps_t <= 0.3, "stopping eps_t = {eps_t}");
-        // Pin the Λ-corrected Algorithm-4 split: each passing checkpoint's
-        // ε₂/ε₃ must equal the closed forms with the *find-half size*
-        // Λ·2^(t−1) = pool_size/2 in the denominator. (The Λ-dropped
-        // variant this repairs yields values √Λ ≈ 12× larger here.)
-        let gamma = 400.0;
-        let (eps, gap) = (0.3, ONE_MINUS_INV_E - 0.3);
+        // Pin the certified Algorithm-4 split: each passing checkpoint's
+        // ε₂ is what its verify coverage certifies at δ′ = δ/(3·tmax), and
+        // ε₃ the gap-adjusted anchor of that ε₂.
+        let (gamma, eps, delta) = (400.0, 0.3, 0.1);
+        let gap = ONE_MINUS_INV_E - eps;
+        let t_max =
+            bounds::max_iterations(bounds::nmax(400, 5, eps, delta, ctx.cap_ratio(5)), eps, delta);
+        let delta_iter = delta / (3.0 * f64::from(t_max));
         for r in &trace {
             let Some((_, e2, e3)) = r.epsilons else { continue };
             let half = r.pool_size as f64 / 2.0;
             let i_c = r.influence_verify.expect("epsilons imply D1 fired");
-            let want_e2 = eps * (gamma * (1.0 + eps) / (half * i_c)).sqrt();
-            let want_e3 =
-                eps * (gamma * (1.0 + eps) * gap / ((1.0 + eps / 3.0) * half * i_c)).sqrt();
-            assert!((e2 - want_e2).abs() < 1e-12, "e2 = {e2}, want {want_e2}");
-            assert!((e3 - want_e3).abs() < 1e-12, "e3 = {e3}, want {want_e3}");
-            assert!(e2 < eps / 5.0, "Λ-corrected e2 must be far below ε, got {e2}");
+            let cov = (i_c * half / gamma).round();
+            let want_e2 = certified_precision(cov, delta_iter);
+            assert_eq!(e2, want_e2, "t = {}", r.t);
+            assert_eq!(e3, want_e2 * (gap / (1.0 + want_e2 / 3.0)).sqrt(), "t = {}", r.t);
+            assert!(e2 < eps, "D1 coverage certifies better than ε, got {e2}");
         }
         // ε₂, ε₃ must shrink monotonically across D1-passing checkpoints
         let passing: Vec<_> = trace.iter().filter_map(|r| r.epsilons).collect();

@@ -438,14 +438,12 @@ impl SeedQueryEngine {
 
     /// Attaches stopping-rule provenance from a solver run to the
     /// engine's fingerprint, so a saved store records *why* the pool has
-    /// its size (rule, binding condition, iterations, set counts). No
+    /// its size (binding condition, iterations, set counts). No
     /// effect on [`SeedQueryEngine::from_pool`] engines — they carry no
     /// fingerprint and cannot be saved in the first place.
     pub fn with_run_metadata(mut self, run: &RunResult) -> Self {
         if let Some(fp) = &mut self.fingerprint {
-            let rule = run.stopping_rule.map_or("fixed-schedule", |r| r.label());
             fp.meta.extend([
-                ("stopping_rule".to_string(), rule.to_string()),
                 ("binding".to_string(), format!("{:?}", run.binding)),
                 ("iterations".to_string(), run.iterations.to_string()),
                 ("rr_sets_main".to_string(), run.rr_sets_main.to_string()),
@@ -1573,7 +1571,7 @@ mod tests {
         );
         // stopping-rule provenance survives the round trip
         let fp = served.fingerprint().unwrap();
-        assert!(fp.meta.iter().any(|(k, v)| k == "stopping_rule" && !v.is_empty()), "{fp:?}");
+        assert!(fp.meta.iter().any(|(k, v)| k == "binding" && !v.is_empty()), "{fp:?}");
         assert!(fp.meta.iter().any(|(k, _)| k == "rr_sets_main"));
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -94,14 +94,14 @@ pub fn estimate_inf(
     )
 }
 
-/// [`estimate_inf`] that optionally appends every generated RR set to a
-/// pool — the sample-recycling strategy the paper's §5.2 flags as future
-/// work ("the samples in R′ … are only used once and then discarded").
-/// Recycling voids the independence assumption of Lemma 5, so it is an
-/// explicitly heuristic mode; see [`crate::Ssa::with_verification_recycling`].
+/// [`estimate_inf`] with a caller-held `scratch` for the seed-membership
+/// table; callers that verify round after round (SSA) hold one scratch
+/// for the whole run.
 ///
-/// `scratch` supplies the seed-membership table; callers that verify
-/// round after round (SSA) hold one scratch for the whole run.
+/// The `_sink` parameter is ignored. It remains only for the benchmark
+/// that passes `None`: the generated RR sets are always discarded, since
+/// recycling them into the find pool would void Lemma 5's independence
+/// between pool and validation.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's parameter list
 pub fn estimate_inf_with_sink(
     sampler: &mut RrSampler<'_>,
@@ -110,7 +110,7 @@ pub fn estimate_inf_with_sink(
     delta_prime: f64,
     t_max: u64,
     gamma: f64,
-    mut sink: Option<&mut sns_rrset::RrCollection>,
+    _sink: Option<&mut sns_rrset::RrCollection>,
     scratch: &mut EstimateScratch,
 ) -> EstimateInfOutcome {
     let lambda2 = 1.0 + (1.0 + eps_prime) * upsilon(eps_prime, delta_prime);
@@ -130,9 +130,6 @@ pub fn estimate_inf_with_sink(
     for t in 1..=t_max {
         let meta = sampler.sample(t - 1, &mut rr);
         edges += meta.edges_examined;
-        if let Some(pool) = sink.as_deref_mut() {
-            pool.push(&rr, meta);
-        }
         if rr.iter().any(|&v| is_seed[v as usize] == generation) {
             covered += 1;
             if covered >= needed {

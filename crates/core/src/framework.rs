@@ -35,7 +35,6 @@ pub fn ris_fixed_pool(ctx: &SamplingContext<'_>, k: usize, num_sets: u64) -> Run
         rr_sets_verify: 0,
         iterations: 1,
         hit_cap: false,
-        stopping_rule: None,
         binding: StopCondition::Schedule,
         wall_time: start.elapsed(),
         peak_pool_bytes: pool.memory_bytes(),

@@ -19,9 +19,9 @@
 //!   bound, the RIS thresholds of TIM/IMM (Eqs. 12–15), the sample cap
 //!   `Nmax`, and the concentration inequalities behind them. Its
 //!   [`bounds::certificate`] submodule is the runtime stopping-rule
-//!   engine both algorithms consult — including the selectable
-//!   [`StoppingRule`] (`Conservative` vs the erratum-anchored `DssaFix`)
-//!   that settles the D2 dispute of `docs/DERIVATIONS.md` §4.
+//!   engine both algorithms consult: one certified stopping path each,
+//!   with D-SSA's D2 anchor at the D-SSA-Fix constants
+//!   (`docs/DERIVATIONS.md` §4).
 //! * [`SamplingContext`] — bundles graph, diffusion model, root
 //!   distribution and seeding. With uniform roots the algorithms solve
 //!   classic IM; with weighted roots (WRIS) they solve targeted viral

@@ -1,5 +1,5 @@
-//! Algorithm parameters: the `(k, ε, δ)` triple, the stopping-rule
-//! selection, and SSA's precision split `(ε₁, ε₂, ε₃)`.
+//! Algorithm parameters: the `(k, ε, δ)` triple and SSA's precision
+//! split `(ε₁, ε₂, ε₃)`.
 
 use crate::bounds::certificate::StoppingRule;
 use crate::bounds::ONE_MINUS_INV_E;
@@ -18,18 +18,13 @@ pub struct Params {
     /// Failure probability `δ ∈ (0, 1)`. The paper's experiments use
     /// `δ = 1/n`.
     pub delta: f64,
-    /// Which reading of the D2 precision anchor the stopping engine
-    /// certifies against (`docs/DERIVATIONS.md` §4). Defaults to
-    /// [`StoppingRule::Conservative`], the repository's historical rule;
-    /// select [`StoppingRule::DssaFix`] via
-    /// [`Params::with_stopping_rule`] for the erratum-corrected
-    /// constants. Fixed-schedule baselines (IMM/TIM) ignore it.
+    /// Always [`StoppingRule::DssaFix`], and read by no library code: it
+    /// stays only for the benchmark that names it.
     pub rule: StoppingRule,
 }
 
 impl Params {
-    /// Validates and constructs a parameter triple (with the default
-    /// [`StoppingRule::Conservative`]).
+    /// Validates and constructs a parameter triple.
     pub fn new(k: usize, epsilon: f64, delta: f64) -> Result<Self, CoreError> {
         if k == 0 {
             return Err(CoreError::InvalidParams("k must be >= 1".into()));
@@ -42,7 +37,7 @@ impl Params {
         if !(delta > 0.0 && delta < 1.0) {
             return Err(CoreError::InvalidParams(format!("delta must be in (0, 1), got {delta}")));
         }
-        Ok(Params { k, epsilon, delta, rule: StoppingRule::default() })
+        Ok(Params { k, epsilon, delta, rule: StoppingRule::DssaFix })
     }
 
     /// The paper's default `δ = 1/n` for a graph with `n` nodes (§7.1).
@@ -50,8 +45,8 @@ impl Params {
         Self::new(k, epsilon, 1.0 / n.max(2) as f64)
     }
 
-    /// Selects the stopping rule the run's [`crate::bounds::certificate::Certificate`]
-    /// evaluates under.
+    /// Sets [`Params::rule`]; it changes nothing, since the rule has one
+    /// variant. Kept only for the benchmark that calls it.
     pub fn with_stopping_rule(mut self, rule: StoppingRule) -> Self {
         self.rule = rule;
         self

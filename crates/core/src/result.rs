@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use sns_graph::NodeId;
 
-use crate::bounds::certificate::{StopCondition, StoppingRule};
+use crate::bounds::certificate::StopCondition;
 
 /// Output of one SSA/D-SSA (or baseline) run, with the statistics the
 /// paper's evaluation reports: running time (Figs. 4–5), RR-set counts
@@ -25,10 +25,6 @@ pub struct RunResult {
     /// Whether the nominal cap `Nmax` terminated the run instead of the
     /// statistical stopping conditions (rare by design).
     pub hit_cap: bool,
-    /// The [`StoppingRule`] the run's certificate evaluated under; `None`
-    /// for fixed-schedule algorithms (IMM, TIM/TIM+, fixed-pool RIS,
-    /// CELF++), which consult no stopping rule.
-    pub stopping_rule: Option<StoppingRule>,
     /// Which check was binding at termination: [`StopCondition::Coverage`]
     /// when D1/S1 fired at the stopping iteration itself,
     /// [`StopCondition::Precision`] when coverage had been met earlier
@@ -55,17 +51,13 @@ impl std::fmt::Display for RunResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} seeds, Î = {:.1}, {} RR sets ({} verify), {} iterations{}{}, {:.3}s, {:.1} MB pool",
+            "{} seeds, Î = {:.1}, {} RR sets ({} verify), {} iterations{}, {:.3}s, {:.1} MB pool",
             self.seeds.len(),
             self.influence_estimate,
             self.rr_sets_total(),
             self.rr_sets_verify,
             self.iterations,
             if self.hit_cap { " (hit cap)" } else { "" },
-            match self.stopping_rule {
-                Some(StoppingRule::DssaFix) => " [dssa-fix]",
-                _ => "",
-            },
             self.wall_time.as_secs_f64(),
             self.peak_pool_bytes as f64 / (1024.0 * 1024.0),
         )
@@ -85,7 +77,6 @@ mod tests {
             rr_sets_verify: 20,
             iterations: 3,
             hit_cap: false,
-            stopping_rule: Some(StoppingRule::Conservative),
             binding: StopCondition::Precision,
             wall_time: Duration::from_millis(1500),
             peak_pool_bytes: 2 * 1024 * 1024,
@@ -96,8 +87,7 @@ mod tests {
         assert!(s.contains("2 seeds"));
         assert!(s.contains("120 RR sets"));
         assert!(!s.contains("hit cap"));
-        assert!(!s.contains("dssa-fix"), "conservative runs stay untagged: {s}");
-        let tagged = RunResult { stopping_rule: Some(StoppingRule::DssaFix), ..r }.to_string();
-        assert!(tagged.contains("[dssa-fix]"), "{tagged}");
+        let capped = RunResult { hit_cap: true, ..r }.to_string();
+        assert!(capped.contains("3 iterations (hit cap)"), "{capped}");
     }
 }

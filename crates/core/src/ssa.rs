@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use sns_rrset::{max_coverage_with, GreedyScratch, RrCollection};
 
-use crate::bounds::certificate::{Certificate, StopCondition};
+use crate::bounds::certificate::{Certificate, StopCondition, StoppingRule};
 use crate::bounds::{self, upsilon};
 use crate::estimate_inf::EstimateScratch;
 use crate::{CoreError, Params, RunResult, SamplingContext, SsaEpsilons};
@@ -33,15 +33,14 @@ pub(crate) fn t_max_samples(pool_size: u64, e: SsaEpsilons) -> u64 {
 /// Per iteration `t` the pool holds `Λ·2^(t−1)` RR sets (clamped at
 /// `⌈Nmax⌉` on the final doubling). After running Max-Coverage the
 /// algorithm stops only when both hold (evaluated by the shared
-/// [`crate::bounds::certificate::Certificate`]; the
-/// [`crate::StoppingRule`] selection is recorded but cannot change
-/// SSA's behavior, since its ε-split is static):
+/// [`crate::bounds::certificate::Certificate`] from the static ε-split):
 ///
 /// * **C1** `Cov_R(Ŝ_k) ≥ Λ₁` — enough coverage mass that the optimum's
 ///   influence is estimated within relative error ε₃ (Lemmas 5–6);
 /// * **C2** `Î(Ŝ_k) ≤ (1+ε₁)·I_c(Ŝ_k)` — the pool estimate agrees with an
 ///   *independent* [`crate::estimate_inf`] validation of relative error
-///   ε₂.
+///   ε₂. Its RR sets are discarded after the check: the pool and the
+///   validation must stay independent for the guarantee to hold.
 ///
 /// A nominal cap `Nmax` (never binding in expectation) bounds the worst
 /// case. SSA meets a type-1 minimum RIS threshold within a constant
@@ -50,34 +49,19 @@ pub(crate) fn t_max_samples(pool_size: u64, e: SsaEpsilons) -> u64 {
 pub struct Ssa {
     params: Params,
     epsilons: SsaEpsilons,
-    recycle_verification: bool,
 }
 
 impl Ssa {
     /// SSA with the paper's recommended ε-split (Eqs. 19–20).
     pub fn new(params: Params) -> Self {
-        Ssa {
-            params,
-            epsilons: SsaEpsilons::recommended(params.epsilon),
-            recycle_verification: false,
-        }
+        Ssa { params, epsilons: SsaEpsilons::recommended(params.epsilon) }
     }
 
     /// SSA with a custom ε-split; the split must satisfy Eq. 18 for the
     /// target ε.
     pub fn with_epsilons(params: Params, epsilons: SsaEpsilons) -> Result<Self, CoreError> {
         epsilons.validate(params.epsilon)?;
-        Ok(Ssa { params, epsilons, recycle_verification: false })
-    }
-
-    /// Enables the §5.2 future-work heuristic: RR sets generated by
-    /// Estimate-Inf are recycled into the find pool instead of being
-    /// discarded, reducing total samples at the cost of the formal
-    /// independence between pool and verification (the guarantee becomes
-    /// heuristic — D-SSA is the principled way to get sample reuse).
-    pub fn with_verification_recycling(mut self, on: bool) -> Self {
-        self.recycle_verification = on;
-        self
+        Ok(Ssa { params, epsilons })
     }
 
     /// The configured parameters.
@@ -104,11 +88,9 @@ impl Ssa {
         let i_max = bounds::max_iterations(n_max, eps, delta);
         let delta_iter = delta / (3.0 * f64::from(i_max));
         // Λ: initial pool size. The C1 threshold Λ₁ and the C2 agreement
-        // check live in the shared stopping-rule certificate (the
-        // StoppingRule selection is recorded but cannot change SSA's
-        // behavior — its ε-split is static, so both readings coincide).
+        // check live in the shared stopping-rule certificate.
         let lambda = upsilon(eps, delta_iter).ceil().max(1.0) as u64;
-        let cert = Certificate::ssa(self.params.rule, eps, self.epsilons, delta_iter, gamma);
+        let cert = Certificate::ssa(StoppingRule::DssaFix, eps, self.epsilons, delta_iter, gamma);
         // Clamp the schedule at ⌈Nmax⌉: the final doubling must not
         // overshoot the nominal cap (same fix as D-SSA's).
         let cap_sets = (n_max.ceil() as u64).max(1);
@@ -135,12 +117,8 @@ impl Ssa {
             if target > have {
                 pool.extend_parallel(&main_sampler, have, target - have, ctx.threads());
             }
-            // Unconditional: recycled verification sets were pushed after
-            // the last seal and must be indexed before selection too.
             let _ = pool.seal_parallel(ctx.threads());
             peak_bytes = peak_bytes.max(pool.memory_bytes());
-            // with verification recycling the pool can exceed the
-            // schedule's target; estimates always use the real size
             let pool_size = pool.len() as u64;
 
             let cover = max_coverage_with(&pool, k, pool.id_range(), &mut cover_scratch);
@@ -159,7 +137,7 @@ impl Ssa {
                     delta_iter,
                     t_max,
                     gamma,
-                    if self.recycle_verification { Some(&mut pool) } else { None },
+                    None,
                     &mut verify_scratch,
                 );
                 verify_samples += outcome.samples_used;
@@ -170,11 +148,8 @@ impl Ssa {
                 }
             }
 
-            // The cap is on *real* samples: with verification recycling
-            // the pool can outgrow the schedule `target`, and comparing
-            // the target would keep looping past Nmax. A schedule the
-            // clamp trimmed counts as capped too.
-            let hit_cap = target < scheduled || pool.len() as f64 >= n_max;
+            // A schedule the clamp trimmed counts as capped too.
+            let hit_cap = target < scheduled || pool_size as f64 >= n_max;
             let binding = if stop {
                 if coverage_first_met == Some(t) {
                     StopCondition::Coverage
@@ -188,12 +163,9 @@ impl Ssa {
                 seeds: cover.seeds,
                 influence_estimate: i_hat,
                 rr_sets_main: pool_size,
-                // recycled verification sets already live in the pool;
-                // counting them again would double-count total samples
-                rr_sets_verify: if self.recycle_verification { 0 } else { verify_samples },
+                rr_sets_verify: verify_samples,
                 iterations: t,
                 hit_cap: hit_cap && !stop,
-                stopping_rule: Some(cert.rule()),
                 binding,
                 wall_time: start.elapsed(),
                 peak_pool_bytes: peak_bytes,
@@ -303,26 +275,6 @@ mod tests {
 
         let bad = SsaEpsilons { e1: 1.0, e2: 0.9, e3: 0.9 };
         assert!(Ssa::with_epsilons(params, bad).is_err());
-    }
-
-    #[test]
-    fn verification_recycling_reduces_total_samples() {
-        let g = gen::rmat(1500, 9000, gen::RmatParams::GRAPH500, 7)
-            .build(WeightModel::WeightedCascade)
-            .unwrap();
-        let params = Params::new(10, 0.25, 0.1).unwrap();
-        let ctx = SamplingContext::new(&g, Model::LinearThreshold).with_seed(3);
-        let plain = Ssa::new(params).run(&ctx).unwrap();
-        let recycled = Ssa::new(params).with_verification_recycling(true).run(&ctx).unwrap();
-        assert_eq!(recycled.rr_sets_verify, 0);
-        assert!(
-            recycled.rr_sets_total() <= plain.rr_sets_total(),
-            "recycling used {} sets vs plain {}",
-            recycled.rr_sets_total(),
-            plain.rr_sets_total()
-        );
-        // quality stays comparable (heuristic mode, but empirically fine)
-        assert_eq!(recycled.seeds.len(), 10);
     }
 
     #[test]

@@ -59,8 +59,7 @@ pub use sns_core::{
     AdmissionQueue, AdmissionStats, BatchPlan, Certificate, Dssa, DssaIteration, EpochDirectory,
     GroupKey, Grower, GrowthOutcome, NodeCosts, Params, Pending, PlanGroup, PoolStore, Priority,
     Recovery, RejectReason, RunResult, SamplingContext, SaveStats, SealOutcome, SeedAnswer,
-    SeedQuery, SeedQueryEngine, Ssa, SsaEpsilons, StopCondition, StoppingRule, StoreError,
-    StoreFingerprint,
+    SeedQuery, SeedQueryEngine, Ssa, SsaEpsilons, StopCondition, StoreError, StoreFingerprint,
 };
 pub use sns_diffusion::{Model, SpreadEstimator};
 pub use sns_graph::{Graph, GraphBuilder, WeightModel};

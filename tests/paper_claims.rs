@@ -3,11 +3,11 @@
 //! guard for "did we actually reproduce the paper".
 
 use stop_and_stare::baselines::{Imm, Tim};
-use stop_and_stare::core::bounds;
+use stop_and_stare::core::{bounds, StoppingRule};
 use stop_and_stare::graph::{gen, WeightModel};
 use stop_and_stare::{
-    Dssa, Graph, GraphBuilder, Model, Params, SamplingContext, SpreadEstimator, Ssa, StopCondition,
-    StoppingRule,
+    Dssa, Graph, GraphBuilder, Model, Params, RunResult, SamplingContext, SpreadEstimator, Ssa,
+    StopCondition,
 };
 
 fn social_graph(seed: u64) -> Graph {
@@ -112,60 +112,6 @@ fn influence_saturates_with_k() {
     );
 }
 
-/// Regression (PR 3): Algorithm 4's ε₂/ε₃ must divide by the find-half
-/// size `Λ·2^(t−1)`, not by `2^(t−1)` alone. The Λ-dropped variant
-/// (present up to commit 12c1870) inflated ε₂/ε₃ by √Λ and made D-SSA
-/// pay needless doublings after condition D1 was already satisfied. The
-/// constants below are that variant's measured behavior on these
-/// fixtures; the corrected rule must beat them by ≥4× where D2 was
-/// binding and never do worse where D1 was.
-#[test]
-fn lambda_corrected_stopping_rule_cuts_samples() {
-    // ER fixture where the dropped Λ cost two full doublings (t = 4
-    // instead of t = 2): ≥4× fewer RR sets at unchanged (ε, δ), with the
-    // influence estimate preserved within ε.
-    let g = gen::erdos_renyi(400, 2400, 3).build(WeightModel::WeightedCascade).unwrap();
-    let params = Params::new(80, 0.1, 0.1).unwrap();
-    let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(9);
-    let r = Dssa::new(params).run(&ctx).unwrap();
-    const PRE_FIX_ER_TOTAL: u64 = 19_184;
-    const PRE_FIX_ER_INFLUENCE: f64 = 265.3;
-    assert!(
-        4 * r.rr_sets_total() <= PRE_FIX_ER_TOTAL,
-        "expected a ≥4x sample drop: {} vs pre-fix {}",
-        r.rr_sets_total(),
-        PRE_FIX_ER_TOTAL
-    );
-    assert!(
-        (r.influence_estimate - PRE_FIX_ER_INFLUENCE).abs() / PRE_FIX_ER_INFLUENCE
-            <= params.epsilon,
-        "influence moved beyond ε: {} vs pre-fix {}",
-        r.influence_estimate,
-        PRE_FIX_ER_INFLUENCE
-    );
-
-    // RMAT fixture where condition D1 (verify-half coverage), not D2,
-    // was binding: here the fix changes nothing, and must not regress.
-    let g = gen::rmat(2000, 12_000, gen::RmatParams::GRAPH500, 7)
-        .build(WeightModel::WeightedCascade)
-        .unwrap();
-    let params = Params::new(10, 0.3, 0.1).unwrap();
-    let ctx = SamplingContext::new(&g, Model::LinearThreshold).with_seed(5);
-    let d = Dssa::new(params).run(&ctx).unwrap();
-    const PRE_FIX_RMAT_TOTAL: u64 = 1200;
-    const PRE_FIX_RMAT_INFLUENCE: f64 = 980.0;
-    assert!(
-        d.rr_sets_total() <= PRE_FIX_RMAT_TOTAL,
-        "D1-bound fixture regressed: {} vs {}",
-        d.rr_sets_total(),
-        PRE_FIX_RMAT_TOTAL
-    );
-    assert!(
-        (d.influence_estimate - PRE_FIX_RMAT_INFLUENCE).abs() / PRE_FIX_RMAT_INFLUENCE
-            <= params.epsilon
-    );
-}
-
 /// Claim (§3.2/Theorem 1): the paper's worked thresholds are ordered —
 /// IMM's Eq. 13 improves on TIM's Eq. 12 for identical inputs, and the
 /// type-2 threshold D-SSA realizes is below both.
@@ -192,49 +138,149 @@ fn threshold_hierarchy() {
     );
 }
 
-/// Claim (abstract): SSA/D-SSA keep the (1 − 1/e − ε) guarantee with
-/// probability 1 − δ. Empirical check: over repeated runs on a graph with
-/// known OPT, failures stay rare.
+/// Every live-edge world of a tiny IC graph with its probability and each
+/// node's reach bitmask in it — an exact spread oracle that never calls
+/// the production sampler. `edges` are `(from, to, p)` with `p` exactly
+/// the weight handed to the graph builder; `n ≤ 32`, and 2^|edges|
+/// worlds are enumerated.
+fn live_edge_worlds(n: usize, edges: &[(u32, u32, f32)]) -> Vec<(f64, Vec<u32>)> {
+    (0u32..1 << edges.len())
+        .map(|world| {
+            let mut prob = 1.0;
+            let mut out = vec![0u32; n]; // live out-neighbours per node
+            for (i, &(u, v, p)) in edges.iter().enumerate() {
+                if world >> i & 1 == 1 {
+                    prob *= f64::from(p);
+                    out[u as usize] |= 1 << v;
+                } else {
+                    prob *= 1.0 - f64::from(p);
+                }
+            }
+            // reach = self ∪ reach of live out-neighbours, to a fixed point
+            let mut reach: Vec<u32> = (0..n).map(|v| 1 << v).collect();
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for v in 0..n {
+                    let mut r = reach[v];
+                    let mut live = out[v];
+                    while live != 0 {
+                        r |= reach[live.trailing_zeros() as usize];
+                        live &= live - 1;
+                    }
+                    changed |= r != reach[v];
+                    reach[v] = r;
+                }
+            }
+            (prob, reach)
+        })
+        .collect()
+}
+
+/// Exact σ(S): the expected number of nodes the seeds reach.
+fn exact_spread(worlds: &[(f64, Vec<u32>)], seeds: &[u32]) -> f64 {
+    worlds
+        .iter()
+        .map(|(prob, reach)| {
+            let covered = seeds.iter().fold(0u32, |acc, &s| acc | reach[s as usize]);
+            prob * f64::from(covered.count_ones())
+        })
+        .sum()
+}
+
+/// Exact OPT_k for k ∈ {1, 2}, by enumerating every k-subset.
+fn exact_opt(worlds: &[(f64, Vec<u32>)], n: u32, k: usize) -> f64 {
+    let subsets: Vec<Vec<u32>> = match k {
+        1 => (0..n).map(|a| vec![a]).collect(),
+        2 => (0..n).flat_map(|a| (a + 1..n).map(move |b| vec![a, b])).collect(),
+        _ => unreachable!("OPT is enumerated for k ∈ {{1, 2}} only"),
+    };
+    subsets.iter().map(|s| exact_spread(worlds, s)).fold(0.0, f64::max)
+}
+
+/// One solver behind a common signature.
+type Solve = fn(Params, &SamplingContext<'_>) -> RunResult;
+
+/// D-SSA and SSA, for the claims both must meet.
+const SOLVERS: [(&str, Solve); 2] = [
+    ("D-SSA", |params, ctx| Dssa::new(params).run(ctx).unwrap()),
+    ("SSA", |params, ctx| Ssa::new(params).run(ctx).unwrap()),
+];
+
+/// The smallest `q` with `Pr[Binomial(runs, p) > q] ≤ tail`.
+fn binomial_upper_quantile(runs: u64, p: f64, tail: f64) -> u64 {
+    let mut pmf = (1.0 - p).powf(runs as f64); // Pr[X = 0]
+    let mut cdf = pmf;
+    let mut q = 0;
+    while 1.0 - cdf > tail {
+        pmf *= (runs - q) as f64 / (q + 1) as f64 * p / (1.0 - p);
+        q += 1;
+        cdf += pmf;
+    }
+    q
+}
+
+/// Claim (abstract): SSA and D-SSA return a `(1 − 1/e − ε)`-approximate
+/// seed set with probability at least `1 − δ`. Checked exactly: σ and
+/// OPT are enumerated over every live-edge world, and over 200 stream
+/// seeds per algorithm the violations must stay within the upper
+/// quantile of Binomial(200, δ) at tail 10⁻⁶.
+///
+/// The fixtures have power. At k = 1 a hub with σ = 2.375 stands among
+/// 11 leaves of σ = 1, and a leaf misses the bar (1 − 1/e − 0.2)·2.375 ≈
+/// 1.026. At k = 2 two disjoint hubs give OPT = 5, and a pair of leaves
+/// (σ = 2) misses the bar ≈ 2.16. A solver that claims ε but derives
+/// every threshold from F·ε picks leaves often enough to fail at k = 1:
+/// from F = 8 for D-SSA and from F = 12 for SSA.
 #[test]
 fn guarantee_holds_empirically() {
-    // Star graph: OPT_1 = 1 + 30·0.5 = 16 exactly (IC closed form).
-    let mut b = stop_and_stare::GraphBuilder::new();
-    for v in 1..=30 {
-        b.add_edge(0, v, 0.5);
-    }
-    let g = b.build(WeightModel::Provided).unwrap();
-    let est = SpreadEstimator::new(&g, Model::IndependentCascade);
-    let opt = 16.0;
-    let (eps, delta) = (0.3, 0.2);
-    let params = Params::new(1, eps, delta).unwrap();
-    let mut failures = 0;
-    let runs = 40;
-    for seed in 0..runs {
-        let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(seed);
-        let r = Dssa::new(params).run(&ctx).unwrap();
-        let spread = est.estimate(&r.seeds, 20_000, 1000 + seed);
-        if spread < (1.0 - 1.0 / std::f64::consts::E - eps) * opt {
-            failures += 1;
+    let one_hub: Vec<(u32, u32, f32)> = (1..12).map(|v| (0, v, 0.125)).collect();
+    let two_hubs: Vec<(u32, u32, f32)> =
+        (2..12).map(|v| (if v < 7 { 0 } else { 1 }, v, 0.3)).collect();
+    let (eps, delta, runs) = (0.2, 0.01, 200);
+    let q = binomial_upper_quantile(runs, delta, 1e-6);
+    assert_eq!(q, 12, "Binomial(200, 0.01) upper quantile at 1e-6");
+    for (edges, k, want_opt) in [(&one_hub, 1, 2.375), (&two_hubs, 2, 5.0)] {
+        let mut b = GraphBuilder::new();
+        b.set_num_nodes(12);
+        for &(u, v, p) in edges.iter() {
+            b.add_edge(u, v, p);
+        }
+        let g = b.build(WeightModel::Provided).unwrap();
+        let worlds = live_edge_worlds(12, edges);
+        let opt = exact_opt(&worlds, 12, k);
+        assert!((opt - want_opt).abs() < 1e-6, "k = {k}: exact OPT {opt}, closed form {want_opt}");
+        let bar = (1.0 - 1.0 / std::f64::consts::E - eps) * opt;
+        let params = Params::new(k, eps, delta).unwrap();
+        for (name, solve) in SOLVERS {
+            let failures = (0..runs)
+                .filter(|&seed| {
+                    let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(seed);
+                    exact_spread(&worlds, &solve(params, &ctx).seeds) < bar
+                })
+                .count() as u64;
+            assert!(
+                failures <= q,
+                "{name}, k = {k}: {failures}/{runs} runs missed (1 − 1/e − ε)·OPT, more than \
+                 the Binomial({runs}, δ = {delta}) quantile {q}"
+            );
         }
     }
-    // δ = 0.2 ⇒ expect ≤ 8 failures; in practice the only node with
-    // influence > 1 is the hub, so failures should be ~0
-    assert!(failures <= runs / 5, "{failures}/{runs} guarantee violations");
 }
 
 // ---------------------------------------------------------------------------
-// PR 5: the selectable stopping-rule engine (docs/DERIVATIONS.md §4).
+// The stopping-rule engine (docs/DERIVATIONS.md §4).
 // ---------------------------------------------------------------------------
 
-/// The D2-bound regression fixture of PR 3: ER(400, 2400), IC, k = 80,
-/// ε = 0.1, δ = 0.1, stream seed 9.
+/// The D2-bound regression fixture: ER(400, 2400), IC, k = 80, ε = 0.1,
+/// δ = 0.1, stream seed 9.
 fn er_fixture() -> (Graph, Params, u64) {
     let g = gen::erdos_renyi(400, 2400, 3).build(WeightModel::WeightedCascade).unwrap();
     (g, Params::new(80, 0.1, 0.1).unwrap(), 9)
 }
 
-/// The D1-bound regression fixture of PR 3: RMAT(2000, 12 000), LT,
-/// k = 10, ε = 0.3, δ = 0.1, stream seed 5.
+/// The D1-bound regression fixture: RMAT(2000, 12 000), LT, k = 10,
+/// ε = 0.3, δ = 0.1, stream seed 5.
 fn rmat_fixture() -> (Graph, Params, u64) {
     let g = gen::rmat(2000, 12_000, gen::RmatParams::GRAPH500, 7)
         .build(WeightModel::WeightedCascade)
@@ -242,115 +288,124 @@ fn rmat_fixture() -> (Graph, Params, u64) {
     (g, Params::new(10, 0.3, 0.1).unwrap(), 5)
 }
 
-/// Pinned dual-mode sample counts (mirrored by `bench_diff`'s baseline
-/// `results/bench_baselines/sample_counts.json`):
+/// Pinned sample counts of the certificate's two modes — D-SSA's dynamic
+/// split and SSA's static one — mirrored by `bench_diff`'s baseline
+/// `results/bench_baselines/sample_counts.json`:
 ///
-/// * `Conservative` must reproduce the repository's historical counts
-///   bit-exactly — the certificate refactor is a pure reorganization for
-///   that mode;
-/// * `DssaFix` on the D2-bound ER fixture recovers *exactly* the
-///   pre-PR-3 constants (19 184 sets, Î = 265.3): the numerically solved
-///   stopping-rule anchor reproduces the Λ-cancelled closed form, which
-///   is the settlement of DERIVATIONS §4 in one number;
-/// * on the D1-bound RMAT fixture the two rules coincide (coverage, not
-///   precision, is binding there).
+/// * on the D2-bound ER fixture D-SSA pays two doublings after D1 holds
+///   (19 184 sets, t = 4, Î = 265.3): the certified ε₂ needs that much
+///   verify coverage;
+/// * on the D1-bound RMAT fixture coverage, not precision, binds (1 200);
+/// * SSA's totals on the same fixtures (173 043 and 1 832).
 #[test]
 fn stopping_rule_engine_dual_mode_pinned_counts() {
     let (g, params, seed) = er_fixture();
     let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(seed);
-    let cons = Dssa::new(params).run(&ctx).unwrap();
-    assert_eq!(cons.rr_sets_total(), 4_796, "conservative ER count must stay bit-exact");
-    assert_eq!(cons.iterations, 2);
-    assert_eq!(cons.stopping_rule, Some(StoppingRule::Conservative));
-    assert_eq!(cons.binding, StopCondition::Coverage, "D1 fires at the stopping iteration");
-
-    let fix = Dssa::new(params.with_stopping_rule(StoppingRule::DssaFix)).run(&ctx).unwrap();
-    assert_eq!(fix.rr_sets_total(), 19_184, "DssaFix ER count (== the pre-PR-3 total)");
-    assert_eq!(fix.iterations, 4);
-    assert_eq!(fix.stopping_rule, Some(StoppingRule::DssaFix));
-    assert_eq!(fix.binding, StopCondition::Precision, "D2 lags D1 by two doublings");
-    const PRE_FIX_ER_INFLUENCE: f64 = 265.3;
-    assert!(
-        (fix.influence_estimate - PRE_FIX_ER_INFLUENCE).abs() < 0.1,
-        "DssaFix must recover the pre-PR-3 influence estimate: {}",
-        fix.influence_estimate
-    );
+    let d = Dssa::new(params).run(&ctx).unwrap();
+    assert_eq!(d.rr_sets_total(), 19_184, "D-SSA ER count");
+    assert_eq!(d.iterations, 4);
+    assert_eq!(d.binding, StopCondition::Precision, "D2 lags D1 by two doublings");
+    assert!((d.influence_estimate - 265.3).abs() < 0.1, "Î = {}", d.influence_estimate);
+    assert_eq!(Ssa::new(params).run(&ctx).unwrap().rr_sets_total(), 173_043, "SSA ER count");
 
     let (g, params, seed) = rmat_fixture();
     let ctx = SamplingContext::new(&g, Model::LinearThreshold).with_seed(seed);
-    let cons = Dssa::new(params).run(&ctx).unwrap();
-    let fix = Dssa::new(params.with_stopping_rule(StoppingRule::DssaFix)).run(&ctx).unwrap();
-    assert_eq!(cons.rr_sets_total(), 1_200, "conservative RMAT count must stay bit-exact");
-    assert_eq!(fix.rr_sets_total(), 1_200, "D1-bound: the rules coincide");
-    assert_eq!(cons.seeds, fix.seeds);
-    assert_eq!(cons.binding, StopCondition::Coverage);
-    assert_eq!(fix.binding, StopCondition::Coverage);
+    let d = Dssa::new(params).run(&ctx).unwrap();
+    assert_eq!(d.rr_sets_total(), 1_200, "D-SSA RMAT count");
+    assert_eq!(d.binding, StopCondition::Coverage);
+    assert_eq!(Ssa::new(params).run(&ctx).unwrap().rr_sets_total(), 1_832, "SSA RMAT count");
 }
 
-/// Property (the §4 settlement, direction included): on the same sample
-/// stream the `DssaFix` anchor demands strictly more evidence than the
-/// conservative closed forms — per checkpoint its certified ε₂ is never
-/// smaller, so it can never stop *earlier*. Wherever both rules stop at
-/// the same iteration they have seen identical pools and must select
-/// identical seeds.
-///
-/// (ROADMAP's open item conjectured the opposite ordering — that the
-/// stopping-rule-count reading was the optimistic one. The engine
-/// settles it mechanically: conservative ≤ DssaFix on samples, always.)
+/// Regression (PR 3): Algorithm 4's checkpoint estimates must divide by
+/// the find-half size `Λ·2^(t−1)`, not by `2^(t−1)` alone. The Λ-dropped
+/// variant (present up to commit 12c1870) paid 19 184 sets on the ER
+/// fixture under the since-deleted closed-form rule; that rule was
+/// optimistic by the same √Λ the bug inflated ε₂ by, so the certified
+/// rule lands on exactly that count — it must never pay more, and must
+/// keep the influence estimate within ε of the pre-fix one. A Λ-dropped
+/// divisor would now show as a verify-half estimate Λ× the find-half one.
+/// On the D1-bound RMAT fixture coverage binds, and nothing may regress.
 #[test]
-fn dssafix_never_stops_before_conservative() {
-    let cases: &[(u64, Model, usize, f64)] = &[
-        (1, Model::IndependentCascade, 10, 0.2),
-        (2, Model::LinearThreshold, 25, 0.25),
-        (3, Model::IndependentCascade, 80, 0.1),
-        (4, Model::LinearThreshold, 5, 0.3),
-        (5, Model::IndependentCascade, 40, 0.15),
-    ];
-    for &(seed, model, k, eps) in cases {
-        let g = gen::erdos_renyi(400, 2400, seed).build(WeightModel::WeightedCascade).unwrap();
-        let params = Params::new(k, eps, 0.1).unwrap();
-        let ctx = SamplingContext::new(&g, model).with_seed(seed + 7);
-        let (cons, cons_trace) = Dssa::new(params).run_traced(&ctx).unwrap();
-        let (fix, fix_trace) =
-            Dssa::new(params.with_stopping_rule(StoppingRule::DssaFix)).run_traced(&ctx).unwrap();
-        assert!(
-            cons.rr_sets_total() <= fix.rr_sets_total(),
-            "seed {seed} {model}: conservative {} > DssaFix {}",
-            cons.rr_sets_total(),
-            fix.rr_sets_total()
-        );
-        if cons.iterations == fix.iterations {
-            assert_eq!(cons.seeds, fix.seeds, "same stream + same stop ⇒ same seeds");
-            assert_eq!(cons.rr_sets_total(), fix.rr_sets_total());
-        }
-        // Per-checkpoint: identical evidence (same stream), ε₂ᶠ ≥ ε₂ᶜ.
-        for (c, f) in cons_trace.iter().zip(&fix_trace) {
-            assert_eq!(c.pool_size, f.pool_size);
-            assert_eq!(c.influence_find, f.influence_find);
-            if let (Some((_, e2c, _)), Some((_, e2f, _))) = (c.epsilons, f.epsilons) {
-                assert!(
-                    e2f >= e2c,
-                    "seed {seed} t={}: DssaFix certified a tighter ε₂ ({e2f}) than the \
-                     conservative claim ({e2c})",
-                    c.t
-                );
-            }
-        }
+fn lambda_corrected_stopping_rule_cuts_samples() {
+    let (g, params, seed) = er_fixture();
+    let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(seed);
+    let (r, trace) = Dssa::new(params).run_traced(&ctx).unwrap();
+    const PRE_FIX_ER_TOTAL: u64 = 19_184;
+    const PRE_FIX_ER_INFLUENCE: f64 = 265.3;
+    assert!(
+        r.rr_sets_total() <= PRE_FIX_ER_TOTAL,
+        "certified rule paid more than the Λ-dropped variant: {} vs {}",
+        r.rr_sets_total(),
+        PRE_FIX_ER_TOTAL
+    );
+    assert!(
+        (r.influence_estimate - PRE_FIX_ER_INFLUENCE).abs() / PRE_FIX_ER_INFLUENCE
+            <= params.epsilon,
+        "influence moved beyond ε: {} vs pre-fix {}",
+        r.influence_estimate,
+        PRE_FIX_ER_INFLUENCE
+    );
+    // Pool sizes double from Λ·2 and both halves are read over Λ·2^(t−1)
+    // sets: the verify estimate agrees with the find estimate within ε.
+    let first = trace[0].pool_size;
+    for it in &trace {
+        assert_eq!(it.pool_size, first << (it.t - 1), "t={}: pool off the doubling", it.t);
     }
+    let last = trace.last().unwrap();
+    let i_verify = last.influence_verify.expect("D1 holds at the stopping checkpoint");
+    assert!(
+        (last.influence_find - i_verify).abs() / i_verify <= params.epsilon,
+        "verify half {i_verify} disagrees with find half {}",
+        last.influence_find
+    );
+    assert!(last.eps_t.unwrap() <= params.epsilon);
+
+    let (g, params, seed) = rmat_fixture();
+    let ctx = SamplingContext::new(&g, Model::LinearThreshold).with_seed(seed);
+    let d = Dssa::new(params).run(&ctx).unwrap();
+    const PRE_FIX_RMAT_TOTAL: u64 = 1200;
+    const PRE_FIX_RMAT_INFLUENCE: f64 = 980.0;
+    assert!(
+        d.rr_sets_total() <= PRE_FIX_RMAT_TOTAL,
+        "D1-bound fixture regressed: {} vs {}",
+        d.rr_sets_total(),
+        PRE_FIX_RMAT_TOTAL
+    );
+    assert!(
+        (d.influence_estimate - PRE_FIX_RMAT_INFLUENCE).abs() / PRE_FIX_RMAT_INFLUENCE
+            <= params.epsilon
+    );
+}
+
+/// SSA's ε-split is chosen up front, so the benchmark-only
+/// [`Params::with_stopping_rule`] must not change its behavior: both
+/// parameter sets produce identical runs.
+#[test]
+fn ssa_is_stopping_rule_invariant() {
+    let (g, params, seed) = rmat_fixture();
+    let ctx = SamplingContext::new(&g, Model::LinearThreshold).with_seed(seed);
+    let plain = Ssa::new(params).run(&ctx).unwrap();
+    let fix = Ssa::new(params.with_stopping_rule(StoppingRule::DssaFix)).run(&ctx).unwrap();
+    assert_eq!(plain.seeds, fix.seeds);
+    assert_eq!(plain.rr_sets_main, fix.rr_sets_main);
+    assert_eq!(plain.rr_sets_verify, fix.rr_sets_verify);
+    assert_eq!(plain.iterations, fix.iterations);
+    assert_eq!(plain.influence_estimate, fix.influence_estimate);
+    assert_eq!(plain.binding, fix.binding);
 }
 
 /// Satellite regression: `ε₁ = Î/Î^c − 1` is clamped at 0. Pinned flip
 /// fixture — ER(300, 1800, graph seed 4), LT, k = 5, ε = 0.07, stream
-/// seed 44 under `DssaFix`: at t = 2 the verify half over-estimates
-/// (raw ε₁ ≈ −0.0055) and the *unclamped* composition would fire D2
-/// (`ε_t ≈ 0.0675 ≤ ε`), while the clamped one correctly refuses
-/// (`ε_t ≈ 0.0708 > ε`) and the run pays one more doubling.
+/// seed 44: at t = 2 the verify half over-estimates (raw ε₁ ≈ −0.0055)
+/// and the *unclamped* composition would fire D2 (`ε_t ≈ 0.0675 ≤ ε`),
+/// while the clamped one correctly refuses (`ε_t ≈ 0.0708 > ε`) and the
+/// run pays one more doubling.
 #[test]
 fn negative_eps1_clamp_changes_the_stopping_iteration() {
     let one_minus_inv_e = 1.0 - 1.0 / std::f64::consts::E;
     let eps = 0.07;
     let g = gen::erdos_renyi(300, 1800, 4).build(WeightModel::WeightedCascade).unwrap();
-    let params = Params::new(5, eps, 0.1).unwrap().with_stopping_rule(StoppingRule::DssaFix);
+    let params = Params::new(5, eps, 0.1).unwrap();
     let ctx = SamplingContext::new(&g, Model::LinearThreshold).with_seed(44);
     let (r, trace) = Dssa::new(params).run_traced(&ctx).unwrap();
 
@@ -371,43 +426,14 @@ fn negative_eps1_clamp_changes_the_stopping_iteration() {
     assert_eq!(r.iterations, 3, "unclamped would have stopped at t = 2");
     assert_eq!(r.rr_sets_total(), 19_672);
 
-    // And the invariant behind the clamp: no recorded ε₁ is ever negative,
-    // under either rule, on the pinned regression fixtures.
+    // And the invariant behind the clamp: no recorded ε₁ is ever negative
+    // on the pinned regression fixture.
     let (g, params, seed) = er_fixture();
     let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(seed);
-    for rule in [StoppingRule::Conservative, StoppingRule::DssaFix] {
-        let (_, trace) = Dssa::new(params.with_stopping_rule(rule)).run_traced(&ctx).unwrap();
-        for it in &trace {
-            if let Some((e1, ..)) = it.epsilons {
-                assert!(e1 >= 0.0, "{rule} t={}: negative ε₁ escaped the clamp", it.t);
-            }
-        }
-    }
-}
-
-/// Under the conservative rule the clamp can *never* move a stop: once
-/// D1 holds, the ε₁ = 0 floor of the composition is already below ε
-/// (ε₂ ≤ ε·√((1+ε)/Λ₁) ≪ ε, likewise ε₃), so zeroing a negative ε₁
-/// still stops. Checked on every D1-passing checkpoint the regression
-/// fixtures produce.
-#[test]
-fn conservative_zero_eps1_floor_always_stops() {
-    let one_minus_inv_e = 1.0 - 1.0 / std::f64::consts::E;
-    for (g, params, seed, model) in [
-        (er_fixture().0, er_fixture().1, er_fixture().2, Model::IndependentCascade),
-        (rmat_fixture().0, rmat_fixture().1, rmat_fixture().2, Model::LinearThreshold),
-    ] {
-        let ctx = SamplingContext::new(&g, model).with_seed(seed);
-        let (_, trace) = Dssa::new(params).run_traced(&ctx).unwrap();
-        let gap = one_minus_inv_e - params.epsilon;
-        for it in &trace {
-            let Some((_, e2, e3)) = it.epsilons else { continue };
-            let floor = e2 * gap + one_minus_inv_e * e3;
-            assert!(
-                floor <= params.epsilon,
-                "t={}: conservative ε₁=0 floor {floor} exceeds ε — the clamp could bind",
-                it.t
-            );
+    let (_, trace) = Dssa::new(params).run_traced(&ctx).unwrap();
+    for it in &trace {
+        if let Some((e1, ..)) = it.epsilons {
+            assert!(e1 >= 0.0, "t={}: negative ε₁ escaped the clamp", it.t);
         }
     }
 }
@@ -416,7 +442,7 @@ fn conservative_zero_eps1_floor_always_stops() {
 /// On this cap-hitting fixture (uniform singleton RR sets, so D1 needs
 /// ≈ n·Λ₁ sets — more than the cap allows) the pre-fix schedule would
 /// have extended to `Λ·2^t ≈ 2×` past the cap; the clamp pins the pool
-/// to at most `⌈Nmax⌉` for both rules, and for SSA too.
+/// to at most `⌈Nmax⌉` for D-SSA, and for SSA too.
 #[test]
 fn cap_clamps_the_final_extension() {
     let mut b = GraphBuilder::new();
@@ -428,25 +454,19 @@ fn cap_clamps_the_final_extension() {
     let n_max = bounds::nmax(30, 1, 0.5, 0.5, ctx.cap_ratio(1));
     let cap = n_max.ceil() as u64;
 
-    for rule in [StoppingRule::Conservative, StoppingRule::DssaFix] {
-        let r = Dssa::new(params.with_stopping_rule(rule)).run(&ctx).unwrap();
-        assert!(
-            r.rr_sets_total() <= cap,
-            "{rule}: pool {} overshot ⌈Nmax⌉ = {cap}",
-            r.rr_sets_total()
-        );
-        assert!(r.hit_cap, "{rule}: this fixture must terminate at the cap");
-        assert_eq!(r.binding, StopCondition::Cap);
-        // The clamp actually bound: the schedule wanted ≥ 2× more.
-        let t_max = bounds::max_iterations(n_max, 0.5, 0.5);
-        let delta_iter = 0.5 / (3.0 * f64::from(t_max));
-        let lambda = bounds::upsilon(0.5, delta_iter).ceil().max(1.0) as u64;
-        let scheduled = 2 * (lambda << (r.iterations - 1));
-        assert!(
-            scheduled > cap,
-            "{rule}: schedule {scheduled} never exceeded the cap {cap} — fixture too weak"
-        );
-    }
+    let r = Dssa::new(params).run(&ctx).unwrap();
+    assert!(r.rr_sets_total() <= cap, "pool {} overshot ⌈Nmax⌉ = {cap}", r.rr_sets_total());
+    assert!(r.hit_cap, "this fixture must terminate at the cap");
+    assert_eq!(r.binding, StopCondition::Cap);
+    // The clamp actually bound: the schedule wanted ≥ 2× more.
+    let t_max = bounds::max_iterations(n_max, 0.5, 0.5);
+    let delta_iter = 0.5 / (3.0 * f64::from(t_max));
+    let lambda = bounds::upsilon(0.5, delta_iter).ceil().max(1.0) as u64;
+    let scheduled = 2 * (lambda << (r.iterations - 1));
+    assert!(
+        scheduled > cap,
+        "schedule {scheduled} never exceeded the cap {cap} — fixture too weak"
+    );
 
     let s = Ssa::new(params).run(&ctx).unwrap();
     assert!(s.rr_sets_main <= cap, "SSA pool {} overshot ⌈Nmax⌉ = {cap}", s.rr_sets_main);
@@ -455,41 +475,20 @@ fn cap_clamps_the_final_extension() {
 }
 
 /// Satellite regression: bit-identity across worker-thread counts for
-/// *both* stopping rules (per-index RNG streams make pool growth
-/// parallelism-invariant; the certificate must not break that).
+/// both stopping rules — D-SSA's and SSA's (per-index RNG streams make
+/// pool growth parallelism-invariant; the certificate must not break
+/// that).
 #[test]
 fn thread_bit_identity_for_both_rules() {
     let g = gen::erdos_renyi(400, 2400, 3).build(WeightModel::WeightedCascade).unwrap();
-    for rule in [StoppingRule::Conservative, StoppingRule::DssaFix] {
-        let params = Params::new(5, 0.3, 0.1).unwrap().with_stopping_rule(rule);
-        let r1 = Dssa::new(params)
-            .run(&SamplingContext::new(&g, Model::LinearThreshold).with_seed(9).with_threads(1))
-            .unwrap();
-        let r4 = Dssa::new(params)
-            .run(&SamplingContext::new(&g, Model::LinearThreshold).with_seed(9).with_threads(4))
-            .unwrap();
-        assert_eq!(r1.seeds, r4.seeds, "{rule}: seeds diverged across thread counts");
-        assert_eq!(r1.rr_sets_main, r4.rr_sets_main, "{rule}: sample counts diverged");
+    let params = Params::new(5, 0.3, 0.1).unwrap();
+    for (name, solve) in SOLVERS {
+        let ctx = SamplingContext::new(&g, Model::LinearThreshold).with_seed(9);
+        let r1 = solve(params, &ctx.clone().with_threads(1));
+        let r4 = solve(params, &ctx.with_threads(4));
+        assert_eq!(r1.seeds, r4.seeds, "{name}: seeds diverged across thread counts");
+        assert_eq!(r1.rr_sets_total(), r4.rr_sets_total(), "{name}: sample counts diverged");
         assert_eq!(r1.influence_estimate, r4.influence_estimate);
         assert_eq!(r1.binding, r4.binding);
     }
-}
-
-/// SSA's ε-split is chosen up front, so the rule selection is recorded
-/// but cannot change its behavior: both readings must produce identical
-/// runs.
-#[test]
-fn ssa_is_stopping_rule_invariant() {
-    let (g, params, seed) = rmat_fixture();
-    let ctx = SamplingContext::new(&g, Model::LinearThreshold).with_seed(seed);
-    let cons = Ssa::new(params).run(&ctx).unwrap();
-    let fix = Ssa::new(params.with_stopping_rule(StoppingRule::DssaFix)).run(&ctx).unwrap();
-    assert_eq!(cons.seeds, fix.seeds);
-    assert_eq!(cons.rr_sets_main, fix.rr_sets_main);
-    assert_eq!(cons.rr_sets_verify, fix.rr_sets_verify);
-    assert_eq!(cons.iterations, fix.iterations);
-    assert_eq!(cons.influence_estimate, fix.influence_estimate);
-    assert_eq!(cons.binding, fix.binding);
-    assert_eq!(cons.stopping_rule, Some(StoppingRule::Conservative));
-    assert_eq!(fix.stopping_rule, Some(StoppingRule::DssaFix));
 }
