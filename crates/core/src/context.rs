@@ -52,37 +52,17 @@ impl<'g> SamplingContext<'g> {
     }
 
     /// Switches to weighted (WRIS) root sampling for targeted viral
-    /// marketing. `weights[v]` is the relevance `b(v) ≥ 0` of node `v`;
-    /// the slice length must equal the node count.
+    /// marketing. `weights[v]` is the relevance `b(v) ≥ 0` of node `v`
+    /// (or its benefit, for cost-aware campaigns); the slice length must
+    /// equal the node count, else [`GraphError::LengthMismatch`].
     pub fn with_weighted_roots(mut self, weights: &[f64]) -> Result<Self, GraphError> {
-        assert_eq!(
-            weights.len(),
-            self.graph.num_nodes() as usize,
-            "weight vector length must equal the node count"
-        );
+        let expected = self.graph.num_nodes() as usize;
+        if weights.len() != expected {
+            return Err(GraphError::LengthMismatch { expected, found: weights.len() });
+        }
         self.roots = RootDist::weighted(weights)?;
         let mut sorted: Vec<f64> = weights.to_vec();
         sorted.sort_unstable_by(|a, b| b.partial_cmp(a).expect("weights validated finite"));
-        self.sorted_weights_desc = Some(sorted);
-        Ok(self)
-    }
-
-    /// Switches to benefit-proportional (CTVM-style) root sampling via
-    /// the prefix-sum inverse CDF — the sampler backing budgeted,
-    /// cost-aware campaigns where `b(v)` is the benefit of influencing
-    /// node `v`. Semantically equivalent to [`Self::with_weighted_roots`]
-    /// (same Γ, same cap ratio, a different draw mechanism with the same
-    /// one-draw-per-sample determinism contract). The slice length must
-    /// equal the node count.
-    pub fn with_benefit_weighted_roots(mut self, benefits: &[f64]) -> Result<Self, GraphError> {
-        assert_eq!(
-            benefits.len(),
-            self.graph.num_nodes() as usize,
-            "benefit vector length must equal the node count"
-        );
-        self.roots = RootDist::benefit_weighted(benefits)?;
-        let mut sorted: Vec<f64> = benefits.to_vec();
-        sorted.sort_unstable_by(|a, b| b.partial_cmp(a).expect("benefits validated finite"));
         self.sorted_weights_desc = Some(sorted);
         Ok(self)
     }
@@ -117,7 +97,7 @@ impl<'g> SamplingContext<'g> {
         self.roots.gamma(self.graph)
     }
 
-    /// Content checksum of the root weight/benefit vector, `None` for
+    /// Content checksum of the root weight vector, `None` for
     /// uniform roots. Recorded in pool-store fingerprints so a persisted
     /// weighted pool refuses to reload under a different vector — even
     /// one whose total Γ happens to match.
@@ -199,6 +179,7 @@ mod tests {
         let ctx = SamplingContext::new(&g, Model::LinearThreshold)
             .with_weighted_roots(&[4.0, 3.0, 2.0, 1.0])
             .unwrap();
+        assert!(matches!(ctx.roots(), RootDist::Weighted(_)));
         assert_eq!(ctx.gamma(), 10.0);
         // top-2 = 7 → cap = 10/7
         assert!((ctx.cap_ratio(2) - 10.0 / 7.0).abs() < 1e-12);
@@ -225,17 +206,10 @@ mod tests {
     }
 
     #[test]
-    fn benefit_weighted_context_matches_weighted_semantics() {
+    fn weighted_roots_never_draw_zero_weight_nodes() {
         let g = g4();
-        let ctx = SamplingContext::new(&g, Model::LinearThreshold)
-            .with_benefit_weighted_roots(&[4.0, 3.0, 2.0, 1.0])
-            .unwrap();
-        assert_eq!(ctx.gamma(), 10.0);
-        assert!((ctx.cap_ratio(2) - 10.0 / 7.0).abs() < 1e-12);
-        assert!(matches!(ctx.roots(), sns_diffusion::RootDist::Benefit(_)));
-        // zero-benefit nodes are never drawn as roots
         let mut sampler = SamplingContext::new(&g, Model::IndependentCascade)
-            .with_benefit_weighted_roots(&[0.0, 1.0, 1.0, 0.0])
+            .with_weighted_roots(&[0.0, 1.0, 1.0, 0.0])
             .unwrap()
             .sampler(0);
         let mut rr = Vec::new();
@@ -246,9 +220,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length must equal")]
     fn weight_length_checked() {
         let g = g4();
-        let _ = SamplingContext::new(&g, Model::IndependentCascade).with_weighted_roots(&[1.0]);
+        let err = SamplingContext::new(&g, Model::IndependentCascade)
+            .with_weighted_roots(&[1.0])
+            .unwrap_err();
+        assert!(matches!(err, GraphError::LengthMismatch { expected: 4, found: 1 }), "{err}");
     }
 }

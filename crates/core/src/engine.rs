@@ -199,8 +199,9 @@ impl SeedQuery {
     /// budget is set; with [`NodeCosts::Uniform`] and `budget = k` the
     /// answer is bit-identical to the plain top-`k` path. Incompatible
     /// with `root_weights`/`topic` — per-node *benefits* fold into
-    /// sampling instead (`RootDist::benefit_weighted`), keeping the
-    /// selection objective a plain coverage count.
+    /// sampling instead (WRIS roots drawn ∝ `b(v)` via
+    /// [`SamplingContext::with_weighted_roots`]), keeping the selection
+    /// objective a plain coverage count.
     pub fn with_budget(mut self, budget: f64) -> Self {
         self.budget = Some(budget);
         self
@@ -416,10 +417,9 @@ impl SeedQueryEngine {
         let roots = match ctx.roots() {
             RootDist::Uniform => "uniform",
             RootDist::Weighted(_) => "weighted",
-            RootDist::Benefit(_) => "benefit",
         };
         let mut meta = vec![("roots".to_string(), roots.to_string())];
-        // Content checksum of the weight/benefit vector: Γ alone cannot
+        // Content checksum of the root weight vector: Γ alone cannot
         // distinguish two vectors with equal mass, so a persisted
         // weighted pool must refuse to reload under a permuted vector
         // loudly instead of silently mis-serving.
@@ -727,7 +727,8 @@ impl SeedQueryEngine {
             if query.root_weights.is_some() {
                 return err(
                     "budgeted queries run on uniform-root pools; per-node benefits fold into \
-                     sampling (RootDist::benefit_weighted), not into the selection objective"
+                     sampling (SamplingContext::with_weighted_roots), not into the selection \
+                     objective"
                         .into(),
                 );
             }
@@ -1525,24 +1526,24 @@ mod tests {
     }
 
     #[test]
-    fn store_refuses_a_permuted_benefit_vector() {
+    fn store_refuses_a_permuted_root_weight_vector() {
         let g = gen::erdos_renyi(300, 1800, 42).build(WeightModel::WeightedCascade).unwrap();
-        let benefits: Vec<f64> = (0..300).map(|v| f64::from(v % 5 + 1)).collect();
-        let mut permuted = benefits.clone();
+        let weights: Vec<f64> = (0..300).map(|v| f64::from(v % 5 + 1)).collect();
+        let mut permuted = weights.clone();
         permuted.reverse();
         let ctx = SamplingContext::new(&g, Model::IndependentCascade)
             .with_seed(42)
-            .with_benefit_weighted_roots(&benefits)
+            .with_weighted_roots(&weights)
             .unwrap();
         let e = SeedQueryEngine::sample(&ctx, 300);
-        let dir = temp_dir("permuted-benefits");
+        let dir = temp_dir("permuted-weights");
         e.save(&dir).unwrap();
         // same Γ (small-integer partial sums are exact in f64), same
         // graph, model and seed — only the content checksum can tell
         // the two vectors apart
         let wrong = SamplingContext::new(&g, Model::IndependentCascade)
             .with_seed(42)
-            .with_benefit_weighted_roots(&permuted)
+            .with_weighted_roots(&permuted)
             .unwrap();
         assert_eq!(ctx.gamma().to_bits(), wrong.gamma().to_bits());
         let err = SeedQueryEngine::from_store(&dir, &wrong).unwrap_err();

@@ -2,10 +2,13 @@
 //!
 //! Every RIS method reduces to: (1) generate *some* number of RR sets,
 //! (2) run greedy Max-Coverage. What distinguishes TIM/TIM+/IMM/SSA/D-SSA
-//! is only *how many* sets step (1) produces. [`ris_fixed_pool`] is the
-//! two-step algorithm with an explicitly given pool size; the baselines
-//! (`sns-baselines`) drive it with their respective thresholds, and tests
-//! use it as the "ground RIS" oracle.
+//! is only *how many* sets step (1) produces. [`ris_fixed_pool`] is that
+//! two-step algorithm with the pool size chosen by the caller: sample
+//! `num_sets` RR sets, seal them, take `k` seeds by greedy max-coverage.
+//! It is a public entry point for callers who size the pool themselves,
+//! for example from one of the prior-work thresholds in
+//! [`RisThresholds`]; no solver in the workspace calls it (SSA, D-SSA
+//! and the baselines each grow their own pools).
 
 // Sanctioned wall-clock read: report-only elapsed-time stat (see lint-allow.toml).
 #![allow(clippy::disallowed_methods)]

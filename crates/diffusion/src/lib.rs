@@ -48,7 +48,6 @@
 pub mod forward;
 pub mod rng;
 pub mod rr;
-pub mod trace;
 
 mod model;
 mod root;
@@ -56,7 +55,6 @@ mod spread;
 
 pub use forward::{CascadeBuffers, CascadeSimulator};
 pub use model::Model;
-pub use root::{BenefitTable, RootDist};
+pub use root::RootDist;
 pub use rr::{RrMeta, RrSampler};
 pub use spread::SpreadEstimator;
-pub use trace::{trace_cascade, Activation, CascadeTrace};

@@ -5,116 +5,17 @@
 //! WRIS: the root is drawn proportional to per-node relevance weights
 //! `b(v)`, giving `I_T(S) = Γ · Pr[S covers R]` with `Γ = Σ_v b(v)`.
 //!
-//! Two weighted implementations coexist: [`AliasTable`]-backed draws
-//! (constant time, two-level indirection) and the [`BenefitTable`]
-//! prefix-sum inverse CDF used by the benefit-weighted (CTVM) sampler —
-//! a single binary search whose draw consumes exactly one `f64` from the
-//! per-sample stream, which keeps the sample-index determinism contract
-//! trivially auditable.
+//! The weighted draw goes through an [`AliasTable`]: constant time, and
+//! exactly one `f64` from the per-sample stream per root, so sample `i`
+//! sees the same stream on any thread count. Per-node *benefits* of
+//! cost-aware (CTVM-style) campaigns are the same `b(v)` and use the same
+//! table.
 
 use std::sync::Arc;
 
 use rand::{Rng, RngCore};
 
 use sns_graph::{AliasTable, Graph, GraphError, NodeId};
-
-/// Prefix-sum table for benefit-proportional root choice via inverse
-/// CDF — the root sampler of cost-aware/benefit-weighted (CTVM-style)
-/// viral marketing.
-///
-/// `prefix[v] = Σ_{u ≤ v} b(u)` is frozen at construction; a draw takes
-/// one uniform `f64`, scales it by the total mass and binary-searches
-/// the prefix array. Zero-benefit nodes occupy zero-length CDF segments
-/// and are never returned. Each draw consumes **exactly one** `f64`
-/// from the generator, so the per-sample-index streams of
-/// [`crate::rng::Xoshiro256pp`] stay aligned with the uniform sampler's
-/// accounting: sample `i` sees the same stream on any thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenefitTable {
-    /// Inclusive prefix sums of the benefits, strictly increasing at
-    /// every positive-benefit node.
-    prefix: Vec<f64>,
-    /// Total benefit mass `Γ = Σ_v b(v)` (the last prefix entry).
-    total: f64,
-    /// Largest node id with positive benefit — the clamp target for the
-    /// measure-zero case where `u · total` rounds up to `total`.
-    last_positive: NodeId,
-}
-
-impl BenefitTable {
-    /// Builds the table from per-node benefits `b(v) ≥ 0`.
-    ///
-    /// Returns [`GraphError::ZeroTotalWeight`] if the slice is empty or
-    /// sums to zero, and [`GraphError::InvalidWeight`] if any benefit is
-    /// negative or non-finite.
-    pub fn new(benefits: &[f64]) -> Result<Self, GraphError> {
-        let mut prefix = Vec::with_capacity(benefits.len());
-        let mut total = 0.0f64;
-        let mut last_positive: Option<NodeId> = None;
-        for (i, &b) in benefits.iter().enumerate() {
-            if !b.is_finite() || b < 0.0 {
-                return Err(GraphError::InvalidWeight {
-                    from: (i) as NodeId,
-                    to: (i) as NodeId,
-                    weight: (b) as f32,
-                });
-            }
-            if b > 0.0 {
-                last_positive = Some((i) as NodeId);
-            }
-            total += b;
-            prefix.push(total);
-        }
-        let Some(last_positive) = last_positive else {
-            return Err(GraphError::ZeroTotalWeight);
-        };
-        Ok(BenefitTable { prefix, total, last_positive })
-    }
-
-    /// Draws a node with probability proportional to its benefit, via
-    /// inverse CDF: one uniform draw, one binary search.
-    #[inline]
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> NodeId {
-        let target = rng.gen::<f64>() * self.total;
-        // First node whose prefix exceeds the target; zero-benefit nodes
-        // share their predecessor's prefix and therefore never win.
-        let idx = self.prefix.partition_point(|&p| p <= target);
-        idx.min(self.last_positive as usize) as NodeId
-    }
-
-    /// Total benefit mass `Γ = Σ_v b(v)` (the estimator's normalizer).
-    #[inline]
-    pub fn total_benefit(&self) -> f64 {
-        self.total
-    }
-
-    /// Number of nodes the table spans.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.prefix.len()
-    }
-
-    /// Whether the table is empty (never true for a successfully built
-    /// table, provided for API completeness).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.prefix.is_empty()
-    }
-
-    /// FNV-1a checksum over the exact f64 bits of the prefix sums. The
-    /// prefix array determines the benefit vector (and vice versa, up to
-    /// bit identity), so two tables agree iff they were built from
-    /// bit-identical benefits — the content fingerprint the pool store
-    /// records so a persisted benefit-weighted pool refuses to serve
-    /// under a different vector, even one with the same total Γ.
-    pub fn content_checksum(&self) -> u64 {
-        let mut h = sns_graph::Fnv64::new();
-        for &p in &self.prefix {
-            h.write_u64(p.to_bits());
-        }
-        h.finish()
-    }
-}
 
 /// Distribution of RR-set roots.
 #[derive(Debug, Clone)]
@@ -125,10 +26,6 @@ pub enum RootDist {
     /// Wrapped in [`Arc`] so cloning a sampler for another thread shares
     /// the table.
     Weighted(Arc<AliasTable>),
-    /// Proportional to per-node benefits via the [`BenefitTable`]
-    /// prefix-sum inverse CDF — the benefit-weighted (CTVM) sampler
-    /// backing budgeted, cost-aware queries.
-    Benefit(Arc<BenefitTable>),
 }
 
 impl RootDist {
@@ -138,35 +35,26 @@ impl RootDist {
         Ok(RootDist::Weighted(Arc::new(AliasTable::new(weights)?)))
     }
 
-    /// Builds a benefit-proportional distribution (prefix-sum inverse
-    /// CDF) from per-node benefits (length must equal the node count of
-    /// the graph the sampler will run on).
-    pub fn benefit_weighted(benefits: &[f64]) -> Result<Self, GraphError> {
-        Ok(RootDist::Benefit(Arc::new(BenefitTable::new(benefits)?)))
-    }
-
     /// Draws a root.
     #[inline]
     pub fn sample<R: RngCore>(&self, n: u32, rng: &mut R) -> NodeId {
         match self {
             RootDist::Uniform => rng.gen_range(0..n),
             RootDist::Weighted(table) => table.sample(rng) as NodeId,
-            RootDist::Benefit(table) => table.sample(rng),
         }
     }
 
     /// The universe mass Γ scaling coverage into influence: `n` for
-    /// uniform RIS, `Σ_v b(v)` for the weighted samplers.
+    /// uniform RIS, `Σ_v b(v)` for weighted RIS.
     #[inline]
     pub fn gamma(&self, graph: &Graph) -> f64 {
         match self {
             RootDist::Uniform => f64::from(graph.num_nodes()),
             RootDist::Weighted(table) => table.total_weight(),
-            RootDist::Benefit(table) => table.total_benefit(),
         }
     }
 
-    /// A content checksum of the weight/benefit vector behind this
+    /// A content checksum of the weight vector behind this
     /// distribution, or `None` for the parameterless uniform case.
     /// Recorded in pool-store fingerprints: Γ alone cannot distinguish
     /// two different vectors with equal mass, this can (up to hash
@@ -176,7 +64,6 @@ impl RootDist {
         match self {
             RootDist::Uniform => None,
             RootDist::Weighted(table) => Some(table.content_checksum()),
-            RootDist::Benefit(table) => Some(table.content_checksum()),
         }
     }
 }
@@ -232,70 +119,5 @@ mod tests {
     #[test]
     fn degenerate_weights_rejected() {
         assert!(RootDist::weighted(&[0.0, 0.0]).is_err());
-    }
-
-    #[test]
-    fn benefit_table_rejects_degenerate_inputs() {
-        assert!(matches!(BenefitTable::new(&[]), Err(sns_graph::GraphError::ZeroTotalWeight)));
-        assert!(matches!(
-            BenefitTable::new(&[0.0, 0.0]),
-            Err(sns_graph::GraphError::ZeroTotalWeight)
-        ));
-        assert!(matches!(
-            BenefitTable::new(&[1.0, -0.5]),
-            Err(sns_graph::GraphError::InvalidWeight { .. })
-        ));
-        assert!(matches!(
-            BenefitTable::new(&[f64::NAN]),
-            Err(sns_graph::GraphError::InvalidWeight { .. })
-        ));
-    }
-
-    #[test]
-    fn benefit_sampling_respects_zeros_and_mass() {
-        let d = RootDist::benefit_weighted(&[0.0, 1.0, 0.0, 3.0]).unwrap();
-        let mut rng = Xoshiro256pp::seed_from_u64(4);
-        let mut counts = [0u32; 4];
-        for _ in 0..20_000 {
-            counts[d.sample(4, &mut rng) as usize] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        assert_eq!(counts[2], 0);
-        // 3:1 mass ratio within sampling noise
-        let ratio = f64::from(counts[3]) / f64::from(counts[1]);
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio} off");
-    }
-
-    #[test]
-    fn benefit_draws_are_per_sample_deterministic() {
-        // One f64 per draw: replaying the same per-sample generator must
-        // reproduce the root, independent of any other stream state.
-        let d = RootDist::benefit_weighted(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        for idx in 0..50u64 {
-            let a = d.sample(4, &mut Xoshiro256pp::for_sample(9, idx));
-            let b = d.sample(4, &mut Xoshiro256pp::for_sample(9, idx));
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn benefit_table_edges_are_clamped_to_positive_mass() {
-        // Trailing zero-benefit node: even a draw landing at the very top
-        // of the CDF must clamp to the last positive-benefit node.
-        let t = BenefitTable::new(&[1.0, 2.0, 0.0]).unwrap();
-        assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
-        assert!((t.total_benefit() - 3.0).abs() < 1e-12);
-        let mut rng = Xoshiro256pp::seed_from_u64(11);
-        for _ in 0..5_000 {
-            assert!(t.sample(&mut rng) < 2);
-        }
-    }
-
-    #[test]
-    fn benefit_gamma_is_total_benefit() {
-        let g = tiny_graph();
-        let d = RootDist::benefit_weighted(&[1.0, 2.0, 0.0, 1.0]).unwrap();
-        assert_eq!(d.gamma(&g), 4.0);
     }
 }

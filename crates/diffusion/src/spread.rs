@@ -32,10 +32,15 @@ impl<'g> SpreadEstimator<'g> {
     }
 
     /// Estimates `I(seeds)` as the mean activated-node count over
-    /// `simulations` cascades (deterministic in `master_seed`).
+    /// `simulations` cascades (deterministic in `master_seed`). With zero
+    /// simulations the estimate is the number of distinct seeds, the
+    /// activations every cascade starts from.
     pub fn estimate(&self, seeds: &[NodeId], simulations: u64, master_seed: u64) -> f64 {
         if simulations == 0 || seeds.is_empty() {
-            return if seeds.is_empty() { 0.0 } else { seeds.len() as f64 };
+            let mut distinct = seeds.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            return distinct.len() as f64;
         }
         let total = if self.threads <= 1 || simulations < 64 {
             self.run_range(seeds, master_seed, 0, simulations)
@@ -119,8 +124,11 @@ mod tests {
     #[test]
     fn zero_simulations_defensible() {
         let g = fanout(0.5, 5);
-        let est = SpreadEstimator::new(&g, Model::LinearThreshold).estimate(&[0], 0, 1);
-        assert_eq!(est, 1.0); // seeds are always active
+        let e = SpreadEstimator::new(&g, Model::LinearThreshold);
+        // seeds are always active; a duplicate seed is one activation,
+        // as in every cascade
+        assert_eq!(e.estimate(&[0], 0, 1), 1.0);
+        assert_eq!(e.estimate(&[0, 0], 0, 1), 1.0);
     }
 
     #[test]

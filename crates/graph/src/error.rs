@@ -36,6 +36,14 @@ pub enum GraphError {
     /// A discrete distribution summed to zero (or was empty) where a
     /// positive total was required, e.g. in [`crate::AliasTable::new`].
     ZeroTotalWeight,
+    /// A per-node vector (e.g. root weights) does not have one entry per
+    /// node.
+    LengthMismatch {
+        /// The node count the vector must match.
+        expected: usize,
+        /// The vector's length.
+        found: usize,
+    },
     /// Text edge-list parsing failed.
     Parse {
         /// 1-based line number in the input.
@@ -64,6 +72,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::ZeroTotalWeight => {
                 write!(f, "distribution has zero total weight; nothing to sample")
+            }
+            GraphError::LengthMismatch { expected, found } => {
+                write!(f, "per-node vector has {found} entries for {expected} nodes")
             }
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
@@ -101,6 +112,9 @@ mod tests {
 
         let e = GraphError::LtWeightOverflow { node: 1, sum: 1.5 };
         assert!(e.to_string().contains("1.5"));
+
+        let e = GraphError::LengthMismatch { expected: 4, found: 1 };
+        assert!(e.to_string().contains("1 entries for 4 nodes"));
 
         let e = GraphError::Parse { line: 4, message: "bad token".into() };
         assert!(e.to_string().contains("line 4"));

@@ -268,10 +268,10 @@ pub struct StoreFingerprint {
     /// stores of the same samples with different notes still match),
     /// with two exceptions checked by
     /// [`StoreFingerprint::matches_sampling`]: the `"roots"` kind and
-    /// the `"roots_checksum"` content hash of the weight/benefit
-    /// vector. Γ alone cannot tell two vectors with equal mass apart;
-    /// the checksum makes reloading a weighted pool under a different
-    /// vector fail loudly instead of via silent Γ-compatible drift.
+    /// the `"roots_checksum"` content hash of the root weight vector.
+    /// Γ alone cannot tell two vectors with equal mass apart; the
+    /// checksum makes reloading a weighted pool under a different vector
+    /// fail loudly instead of via silent Γ-compatible drift.
     pub meta: Vec<(String, String)>,
 }
 
@@ -317,7 +317,7 @@ impl StoreFingerprint {
             return fail("gamma", self.gamma.to_string(), expected.gamma.to_string());
         }
         // Root-distribution identity rides in `meta`: the "roots" kind and
-        // the "roots_checksum" content hash of the weight/benefit vector.
+        // the "roots_checksum" content hash of the root weight vector.
         // Present-vs-absent counts as a mismatch — an old store without a
         // checksum cannot prove it was sampled under the caller's vector.
         let meta_value = |fp: &StoreFingerprint, key: &str| -> Option<String> {
@@ -663,10 +663,16 @@ impl PoolStore {
         if width != 4 && width != 8 {
             return bad(format!("offset width {width} (expected 4 or 8)"));
         }
-        let expect_len =
-            SEGMENT_HEADER_BYTES + sets as u64 * width as u64 + entries * 4 + SEGMENT_FOOTER_BYTES;
-        if bytes.len() as u64 != expect_len {
-            return bad(format!("{} bytes for a declared layout of {expect_len}", bytes.len()));
+        // Checked: a header that hashes clean can still declare an entry
+        // count whose byte size overflows (a save-time bug or a forged
+        // checksum); that is a malformed layout, not a panic.
+        let expect_len = entries
+            .checked_mul(4)
+            .and_then(|data| data.checked_add(sets as u64 * width as u64))
+            .and_then(|body| body.checked_add(SEGMENT_HEADER_BYTES + SEGMENT_FOOTER_BYTES));
+        if expect_len != Some(bytes.len() as u64) {
+            let declared = expect_len.map_or_else(|| "over 2^64".to_string(), |l| l.to_string());
+            return bad(format!("{} bytes for a declared layout of {declared}", bytes.len()));
         }
 
         // Offsets: rebased per-set ends, nondecreasing, closing exactly
@@ -1135,7 +1141,7 @@ mod tests {
     fn roots_meta_keys_are_sampling_identity() {
         let base = fp();
         let mut with_ck = base.clone();
-        with_ck.meta.push(("roots".into(), "benefit-weighted".into()));
+        with_ck.meta.push(("roots".into(), "weighted".into()));
         with_ck.meta.push(("roots_checksum".into(), "0x00000000deadbeef".into()));
         with_ck.matches_sampling(&with_ck.clone()).unwrap();
 

@@ -112,7 +112,7 @@ impl KbTim {
 mod tests {
     use super::*;
     use crate::TargetedSpreadEstimator;
-    use sns_graph::{gen, GraphBuilder, WeightModel};
+    use sns_graph::{gen, GraphBuilder, GraphError, WeightModel};
 
     /// Two communities; only community B is targeted. TVM must seed B's
     /// hub even though A's hub has higher raw influence.
@@ -217,5 +217,28 @@ mod tests {
         let est = TargetedSpreadEstimator::new(&g, Model::IndependentCascade, &w);
         let spread = est.estimate(&r.seeds, 2000, 8);
         assert!(spread >= 21.0 - 1e-9, "targeted spread {spread}");
+    }
+
+    #[test]
+    fn weights_for_another_graph_are_an_error() {
+        // An audience built for a 50-node graph against the 72-node
+        // two-community graph: the solvers must refuse it with a typed
+        // error, not panic.
+        let (g, _) = two_communities();
+        let foreign = TargetWeights::uniform_all(50);
+        let params = Params::new(1, 0.3, 0.1).unwrap();
+        let model = Model::IndependentCascade;
+        for err in [
+            DssaTvm::new(params).run(&g, model, &foreign, 4, 1).unwrap_err(),
+            SsaTvm::new(params).run(&g, model, &foreign, 4, 1).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    CoreError::Graph(GraphError::LengthMismatch { expected: 72, found: 50 })
+                ),
+                "{err}"
+            );
+        }
     }
 }

@@ -144,16 +144,20 @@ mod store_faults {
     use std::collections::HashMap;
     use std::fs;
     use std::path::{Path, PathBuf};
+    use std::sync::{Arc, OnceLock};
 
     use proptest::prelude::*;
-    use stop_and_stare::graph::{gen, Graph, WeightModel};
+    use proptest::test_runner::TestCaseError;
+    use stop_and_stare::graph::{fnv64, gen, Graph, WeightModel};
+    use stop_and_stare::rrset::RrCollection;
     use stop_and_stare::{
-        Model, Recovery, SamplingContext, SeedAnswer, SeedQuery, SeedQueryEngine,
+        Model, PoolStore, Recovery, SamplingContext, SeedAnswer, SeedQuery, SeedQueryEngine,
     };
 
     const MANIFEST: &str = "MANIFEST";
     const SEG0: &str = "epoch-00000.rr";
     const SEG1: &str = "epoch-00001.rr";
+    const SEG2: &str = "epoch-00002.rr";
     /// 300 + 200 + 100 sets across three sealed epochs.
     const TOTAL_SETS: u64 = 600;
 
@@ -477,6 +481,186 @@ mod store_faults {
             let again = SeedQueryEngine::from_store(&dir, &ctx).unwrap();
             prop_assert_eq!(live.answer(&probe).unwrap(), again.answer(&probe).unwrap());
             let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The 3-epoch store of the corruption sweep (300 + 200 + 100 sets),
+    /// held in memory as `(file name, bytes)`, plus the pool it was saved
+    /// from. Baked once; every fuzz case writes a fresh copy.
+    struct Pristine {
+        files: Vec<(&'static str, Vec<u8>)>,
+        pool: Arc<RrCollection>,
+    }
+
+    fn pristine() -> &'static Pristine {
+        static PRISTINE: OnceLock<Pristine> = OnceLock::new();
+        PRISTINE.get_or_init(|| {
+            let g = small_graph();
+            let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(33);
+            let mut baked = SeedQueryEngine::sample(&ctx, 300);
+            baked.extend(&ctx, 200);
+            baked.extend(&ctx, 100);
+            let dir = scratch("fuzz-pristine");
+            baked.save(&dir).unwrap();
+            let files = [MANIFEST, SEG0, SEG1, SEG2]
+                .into_iter()
+                .map(|name| (name, fs::read(dir.join(name)).unwrap()))
+                .collect();
+            fs::remove_dir_all(&dir).unwrap();
+            Pristine { files, pool: baked.pool() }
+        })
+    }
+
+    fn pristine_bytes(file: &str) -> Vec<u8> {
+        let (_, bytes) = pristine().files.iter().find(|(name, _)| *name == file).unwrap();
+        bytes.clone()
+    }
+
+    /// `loaded` must be an epoch prefix of the saved pool, set for set.
+    fn check_prefix(loaded: &RrCollection) -> Result<(), TestCaseError> {
+        let saved = &pristine().pool;
+        let bounds = loaded.epoch_boundaries();
+        prop_assert!(
+            saved.epoch_boundaries().starts_with(bounds),
+            "boundaries {:?} are not a prefix of {:?}",
+            bounds,
+            saved.epoch_boundaries()
+        );
+        prop_assert_eq!(loaded.len(), bounds.last().map_or(0, |&b| b as usize));
+        for id in 0..loaded.len() {
+            prop_assert_eq!(loaded.set(id), saved.set(id), "set {} differs", id);
+        }
+        Ok(())
+    }
+
+    /// Writes the pristine store with the `replaced` files swapped in and
+    /// loads it through `PoolStore::load` and `PoolStore::load_recovering`.
+    /// Neither may panic; each must return a typed error or a verified
+    /// prefix of the saved pool. Unless the checksums were `forged`, a
+    /// changed file must never load strictly and a changed manifest must
+    /// never load at all.
+    fn check_decoder(
+        tag: &str,
+        replaced: &[(&str, &[u8])],
+        forged: bool,
+    ) -> Result<(), TestCaseError> {
+        let dir = scratch(tag);
+        fs::create_dir_all(&dir).unwrap();
+        for (name, original) in &pristine().files {
+            let written =
+                replaced.iter().find(|(file, _)| file == name).map_or(&original[..], |r| r.1);
+            fs::write(dir.join(name), written).unwrap();
+        }
+        let store = PoolStore::at(&dir);
+        let strict = store.load(1);
+        let recovering = store.load_recovering(1);
+        let _ = fs::remove_dir_all(&dir);
+
+        let changed: Vec<&str> = replaced
+            .iter()
+            .filter(|(file, bytes)| *bytes != pristine_bytes(file))
+            .map(|(file, _)| *file)
+            .collect();
+        match strict {
+            Ok((pool, _)) => {
+                prop_assert!(forged || changed.is_empty(), "{}: strict load of {:?}", tag, changed);
+                check_prefix(&pool)?;
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+        match recovering {
+            Ok((pool, _, recovery)) => {
+                prop_assert!(
+                    forged || !changed.contains(&MANIFEST),
+                    "{}: recovered past a bad manifest",
+                    tag
+                );
+                check_prefix(&pool)?;
+                let lost = match recovery {
+                    Recovery::Intact => 0,
+                    Recovery::Recovered { sets_lost, .. } => sets_lost,
+                };
+                prop_assert_eq!(pool.len() as u64 + lost, TOTAL_SETS);
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+        Ok(())
+    }
+
+    /// Rewrites the footer checksum of epoch segment `epoch` and its
+    /// manifest entry (file length, checksum) so that `segment` passes
+    /// every checksum: the structural checks behind them then see the
+    /// damaged header fields as if a save had written them.
+    fn forge_checksums(epoch: usize, segment: &mut [u8]) -> Vec<u8> {
+        let footer = segment.len() - 12;
+        let checksum = fnv64(&segment[..footer]);
+        segment[footer..footer + 8].copy_from_slice(&checksum.to_le_bytes());
+        // Manifest tail: 3 entries of (boundary u32, edges u64, file_len
+        // u64, checksum u64), then the manifest's own u64 checksum.
+        let mut manifest = pristine_bytes(MANIFEST);
+        let man_body = manifest.len() - 8;
+        let entry = man_body - 28 * (3 - epoch);
+        manifest[entry + 12..entry + 20].copy_from_slice(&(segment.len() as u64).to_le_bytes());
+        manifest[entry + 20..entry + 28].copy_from_slice(&checksum.to_le_bytes());
+        let sealed = fnv64(&manifest[..man_body]);
+        manifest[man_body..].copy_from_slice(&sealed.to_le_bytes());
+        manifest
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Arbitrary bytes as the `MANIFEST` of a valid store.
+        #[test]
+        fn store_decoder_survives_an_arbitrary_manifest(
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+        ) {
+            check_decoder("fuzz-manifest", &[(MANIFEST, &bytes)], false)?;
+        }
+
+        /// Arbitrary bytes as one segment of a valid 3-epoch store.
+        #[test]
+        fn store_decoder_survives_an_arbitrary_segment(
+            epoch in 0usize..3,
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+        ) {
+            let file = [SEG0, SEG1, SEG2][epoch];
+            check_decoder("fuzz-segment", &[(file, &bytes)], false)?;
+        }
+
+        /// A random splice (cut `cut` bytes at a random position, insert
+        /// arbitrary bytes there) into one file of a valid store.
+        #[test]
+        fn store_decoder_survives_random_splices(
+            file in 0usize..4,
+            at in 0.0f64..1.0,
+            cut in 0usize..48,
+            insert in proptest::collection::vec(0u8..=255, 0..48),
+        ) {
+            let file = [MANIFEST, SEG0, SEG1, SEG2][file];
+            let mut bytes = pristine_bytes(file);
+            let pos = ((bytes.len() as f64 * at) as usize).min(bytes.len());
+            let end = (pos + cut).min(bytes.len());
+            bytes.splice(pos..end, insert);
+            check_decoder("fuzz-splice", &[(file, &bytes)], false)?;
+        }
+
+        /// Arbitrary values in one header field or offset of segment 1,
+        /// with every checksum forged to match: the decoder's structural
+        /// cross-checks, not the checksums, must reject (or accept) it.
+        #[test]
+        fn store_decoder_survives_forged_segment_headers(
+            field in 0usize..8,
+            value in proptest::collection::vec(0u8..=255, 8),
+        ) {
+            // (offset, width) of epoch, start, sets, entries, edges
+            // delta, offset width, and the first two set offsets.
+            let (at, width) = [(8, 4), (12, 4), (16, 4), (20, 8), (28, 8), (36, 4), (40, 4), (44, 4)]
+                [field];
+            let mut segment = pristine_bytes(SEG1);
+            segment[at..at + width].copy_from_slice(&value[..width]);
+            let manifest = forge_checksums(1, &mut segment);
+            check_decoder("fuzz-forged", &[(MANIFEST, &manifest), (SEG1, &segment)], true)?;
         }
     }
 }
