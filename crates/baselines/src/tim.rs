@@ -45,6 +45,13 @@ impl Tim {
     }
 
     /// TIM+ for the given `(k, ε, δ)`.
+    ///
+    /// Run on a `SamplingContext::with_weighted_roots` context, this is
+    /// KB-TIM (Li, Zhang, Tan — VLDB'15), the prior best targeted viral
+    /// marketing method and the baseline of the paper's Figure 8: TIM+
+    /// with roots drawn ∝ `b(v)`. (The original also keeps disk-resident
+    /// per-keyword sample indexes for real-time queries; the sampling and
+    /// guarantee core is what Figure 8 measures.)
     pub fn plus(params: Params) -> Self {
         Tim { params, variant: TimVariant::Plus }
     }

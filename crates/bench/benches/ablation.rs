@@ -1,6 +1,6 @@
-//! Ablations called out in DESIGN.md §7: SSA ε-preset sensitivity
-//! (§4.2 of the paper), uniform vs weighted (alias-table) root sampling,
-//! and sequential vs multi-threaded pool growth.
+//! Three ablations: SSA ε-preset sensitivity (§4.2 of the paper), uniform
+//! vs weighted (alias-table) root sampling, and sequential vs
+//! multi-threaded pool growth.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -33,7 +33,7 @@ fn effective_scale(spec: &DatasetSpec, cfg: &Config) -> f64 {
     let quick_factor = if cfg.quick { 0.25 } else { 1.0 };
     // The figure-grid datasets DBLP and Twitter get an extra reduction in
     // full mode so the complete grid stays laptop-sized; Table 3's giants
-    // already carry default scales (DESIGN.md §4).
+    // already carry default scales (`sns_graph::gen::datasets`).
     (spec.default_scale * cfg.scale * quick_factor).min(1.0)
 }
 

@@ -63,6 +63,6 @@ fn banner(cfg: &Config) {
         },
     );
     println!(
-        "# datasets are R-MAT stand-ins (DESIGN.md §4); compare shapes, not absolute values\n"
+        "# datasets are R-MAT stand-ins (sns_graph::gen::datasets); compare shapes, not absolute values\n"
     );
 }

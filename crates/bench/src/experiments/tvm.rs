@@ -1,8 +1,15 @@
 //! Table 4 and Figure 8 — the Targeted Viral Marketing experiments.
+//!
+//! TVM is influence maximization over weighted roots (§7.3.1): D-SSA-TVM
+//! and SSA-TVM are [`Dssa`] and [`Ssa`], and KB-TIM (Li, Zhang, Tan —
+//! VLDB'15) is [`Tim::plus`], each run on a sampling context whose RR-set
+//! roots are drawn ∝ `b(v)` ([`SamplingContext::with_weighted_roots`]).
 
-use sns_core::Params;
-use sns_diffusion::Model;
-use sns_tvm::{DssaTvm, KbTim, SsaTvm, TargetWeights, TOPIC_1, TOPIC_2};
+use sns_baselines::Tim;
+use sns_core::{Dssa, Params, SamplingContext, Ssa};
+use sns_diffusion::{Model, SpreadEstimator};
+use sns_graph::Graph;
+use sns_tvm::{TargetWeights, TOPIC_1, TOPIC_2};
 
 use crate::config::Config;
 use crate::datasets::{tvm_dataset, tvm_k_grid};
@@ -27,7 +34,10 @@ pub fn run_table4(cfg: &Config) {
             format!("{:.1}", weights.gamma()),
         ]);
     }
-    println!("(target groups synthesized on {} — DESIGN.md §4)\n", dataset.label());
+    println!(
+        "(target groups synthesized on {} — see TargetWeights::synthetic_topic)\n",
+        dataset.label()
+    );
     table.emit(&cfg.out_dir);
 }
 
@@ -49,19 +59,14 @@ pub fn run_fig8(cfg: &Config) {
             ),
             &["k", "D-SSA", "SSA", "KB-TIM", "D-SSA #RR", "SSA #RR", "KB-TIM #RR"],
         );
+        let ctx = wris_context(&dataset.graph, &weights, cfg);
         for &k in &ks {
             let params = Params::with_paper_delta(k, cfg.epsilon, u64::from(n))
                 .expect("harness parameters are valid");
             eprintln!("[fig8] {} k={k} ...", topic.name);
-            let d = DssaTvm::new(params)
-                .run(&dataset.graph, Model::LinearThreshold, &weights, cfg.seed, cfg.threads)
-                .expect("D-SSA-TVM run failed");
-            let s = SsaTvm::new(params)
-                .run(&dataset.graph, Model::LinearThreshold, &weights, cfg.seed, cfg.threads)
-                .expect("SSA-TVM run failed");
-            let kb = KbTim::new(params)
-                .run(&dataset.graph, Model::LinearThreshold, &weights, cfg.seed, cfg.threads)
-                .expect("KB-TIM run failed");
+            let d = Dssa::new(params).run(&ctx).expect("D-SSA-TVM run failed");
+            let s = Ssa::new(params).run(&ctx).expect("SSA-TVM run failed");
+            let kb = Tim::plus(params).run(&ctx).expect("KB-TIM run failed");
             table.push_row(vec![
                 k.to_string(),
                 fmt_secs(d.wall_time.as_secs_f64()),
@@ -77,27 +82,39 @@ pub fn run_fig8(cfg: &Config) {
     let _ = topic_sanity(&dataset.graph, cfg);
 }
 
+/// The LT sampling context every Figure 8 run shares, with WRIS roots.
+fn wris_context<'g>(
+    graph: &'g Graph,
+    weights: &TargetWeights,
+    cfg: &Config,
+) -> SamplingContext<'g> {
+    SamplingContext::new(graph, Model::LinearThreshold)
+        .with_seed(cfg.seed)
+        .with_threads(cfg.threads)
+        .with_weighted_roots(weights.weights())
+        .expect("topic weights are synthesized on this graph")
+}
+
 /// Cross-check printed under Figure 8: the TVM seeds of topic 1 must
 /// score higher *targeted* influence than generic IM seeds of the same
 /// budget (otherwise targeting is not doing anything).
-fn topic_sanity(graph: &sns_graph::Graph, cfg: &Config) -> Option<()> {
-    use sns_core::SamplingContext;
+fn topic_sanity(graph: &Graph, cfg: &Config) -> Option<()> {
     let n = graph.num_nodes();
     let weights = TargetWeights::from_topic(graph, &TOPIC_1, cfg.seed).ok()?;
     let k = 20.min(n as usize / 2);
     let params = Params::with_paper_delta(k, cfg.epsilon.max(0.2), u64::from(n)).ok()?;
-    let tvm = DssaTvm::new(params)
-        .run(graph, Model::LinearThreshold, &weights, cfg.seed, cfg.threads)
-        .ok()?;
-    let im = sns_core::Dssa::new(params)
+    let tvm = Dssa::new(params).run(&wris_context(graph, &weights, cfg)).ok()?;
+    let im = Dssa::new(params)
         .run(
             &SamplingContext::new(graph, Model::LinearThreshold)
                 .with_seed(cfg.seed)
                 .with_threads(cfg.threads),
         )
         .ok()?;
-    let est = sns_tvm::TargetedSpreadEstimator::new(graph, Model::LinearThreshold, &weights)
-        .with_threads(cfg.threads);
+    let est = SpreadEstimator::new(graph, Model::LinearThreshold)
+        .with_threads(cfg.threads)
+        .with_weights(weights.weights())
+        .ok()?;
     let tvm_score = est.estimate(&tvm.seeds, cfg.simulations.min(2000), cfg.seed ^ 0xF168);
     let im_score = est.estimate(&im.seeds, cfg.simulations.min(2000), cfg.seed ^ 0xF168);
     println!(

@@ -15,8 +15,8 @@
 //! | `repro celf-anecdote` | the §1 CELF++ speedup anecdote, measured + extrapolated |
 //! | `repro all` | everything above |
 //!
-//! Real SNAP/KONECT snapshots are replaced by R-MAT stand-ins
-//! (`DESIGN.md` §4); absolute numbers therefore differ from the paper,
+//! Real SNAP/KONECT snapshots are replaced by R-MAT stand-ins (see the
+//! `sns_graph::gen::datasets` module docs); absolute numbers therefore differ from the paper,
 //! but the comparisons the paper draws — who wins, by how many orders of
 //! magnitude, and how the curves bend with k — are reproduced. Results
 //! stream to stdout as aligned tables and to `results/*.csv`.

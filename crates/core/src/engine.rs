@@ -484,13 +484,16 @@ impl SeedQueryEngine {
     /// resampling. Every epoch is checksum-verified, and the store's
     /// fingerprint must match `ctx`'s sampling identity (same graph
     /// content, model, seed, Γ), so a store can never silently serve
-    /// answers for a different network. Strict: any damage is a typed
-    /// [`CoreError::Store`]; see
+    /// answers for a different network. The fingerprint is checked on
+    /// the manifest alone before any epoch is read, so a store baked for
+    /// another sampling identity is refused without being decoded.
+    /// Strict: any damage is a typed [`CoreError::Store`]; see
     /// [`SeedQueryEngine::from_store_recovering`] for the
     /// salvage-the-prefix alternative.
     pub fn from_store(dir: impl AsRef<Path>, ctx: &SamplingContext<'_>) -> Result<Self, CoreError> {
-        let (pool, fingerprint) = PoolStore::at(dir.as_ref()).load(ctx.threads())?;
-        Self::engine_from_loaded(pool, fingerprint, ctx)
+        let (store, expected) = Self::matching_store(dir.as_ref(), ctx)?;
+        let (pool, fingerprint) = store.load(ctx.threads())?;
+        Self::engine_from_loaded(pool, fingerprint, &expected, ctx)
     }
 
     /// Like [`SeedQueryEngine::from_store`], but recovers the longest
@@ -503,17 +506,33 @@ impl SeedQueryEngine {
         dir: impl AsRef<Path>,
         ctx: &SamplingContext<'_>,
     ) -> Result<(Self, Recovery), CoreError> {
-        let (pool, fingerprint, recovery) =
-            PoolStore::at(dir.as_ref()).load_recovering(ctx.threads())?;
-        Ok((Self::engine_from_loaded(pool, fingerprint, ctx)?, recovery))
+        let (store, expected) = Self::matching_store(dir.as_ref(), ctx)?;
+        let (pool, fingerprint, recovery) = store.load_recovering(ctx.threads())?;
+        Ok((Self::engine_from_loaded(pool, fingerprint, &expected, ctx)?, recovery))
+    }
+
+    /// Opens the store at `dir` after checking its manifest's fingerprint
+    /// against `ctx`'s, before any epoch is decoded; returns the
+    /// expected fingerprint for the recheck after loading.
+    fn matching_store(
+        dir: &Path,
+        ctx: &SamplingContext<'_>,
+    ) -> Result<(PoolStore, StoreFingerprint), CoreError> {
+        let store = PoolStore::at(dir);
+        let expected = Self::context_fingerprint(ctx);
+        store.read_fingerprint()?.matches_sampling(&expected)?;
+        Ok((store, expected))
     }
 
     fn engine_from_loaded(
         pool: RrCollection,
         fingerprint: StoreFingerprint,
+        expected: &StoreFingerprint,
         ctx: &SamplingContext<'_>,
     ) -> Result<Self, CoreError> {
-        fingerprint.matches_sampling(&Self::context_fingerprint(ctx))?;
+        // Checked again on the manifest `load` read: a save may have
+        // committed between the two reads.
+        fingerprint.matches_sampling(expected)?;
         let mut engine = Self::from_pool(pool, fingerprint.gamma).with_threads(ctx.threads());
         engine.fingerprint = Some(fingerprint);
         Ok(engine)
@@ -1056,7 +1075,7 @@ mod tests {
     use crate::{Dssa, Params};
     use sns_diffusion::Model;
     use sns_graph::{gen, WeightModel};
-    use sns_rrset::max_coverage_range;
+    use sns_rrset::{max_coverage_range, StoreError};
 
     fn engine(sets: u64, seed: u64) -> SeedQueryEngine {
         let g = gen::erdos_renyi(300, 1800, seed).build(WeightModel::WeightedCascade).unwrap();
@@ -1657,6 +1676,36 @@ mod tests {
         ));
         // the right context still loads
         assert!(SeedQueryEngine::from_store(&dir, &ctx).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_fingerprint_is_checked_before_any_epoch_is_read() {
+        let g = gen::erdos_renyi(300, 1800, 16).build(WeightModel::WeightedCascade).unwrap();
+        let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(26);
+        let mut e = SeedQueryEngine::sample(&ctx, 300);
+        e.extend(&ctx, 300); // two epochs on disk
+        let dir = temp_dir("fingerprint-first");
+        e.save(&dir).unwrap();
+        std::fs::remove_file(dir.join("epoch-00001.rr")).unwrap();
+        // a context for another graph is refused on the manifest alone,
+        // before the missing epoch is ever looked for
+        let g2 = gen::erdos_renyi(300, 1800, 98).build(WeightModel::WeightedCascade).unwrap();
+        let other = SamplingContext::new(&g2, Model::IndependentCascade).with_seed(26);
+        for err in [
+            SeedQueryEngine::from_store(&dir, &other).unwrap_err(),
+            SeedQueryEngine::from_store_recovering(&dir, &other).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, CoreError::Store(StoreError::FingerprintMismatch { .. })),
+                "{err}"
+            );
+        }
+        // the matching context gets as far as the damage
+        assert!(matches!(
+            SeedQueryEngine::from_store(&dir, &ctx),
+            Err(CoreError::Store(StoreError::Missing { .. }))
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

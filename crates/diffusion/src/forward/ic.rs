@@ -6,7 +6,8 @@ use sns_graph::{Graph, NodeId};
 
 use super::CascadeBuffers;
 
-/// Runs one IC cascade, returning the number of activated nodes.
+/// Runs one IC cascade, leaving the activated nodes in
+/// `buf.queue` in activation order (distinct seeds first).
 ///
 /// Standard BFS over live edges: when `u` activates it flips one coin per
 /// out-edge `(u, v)` with success probability `w(u, v)`. The coin order is
@@ -16,13 +17,11 @@ pub(super) fn simulate<R: RngCore>(
     seeds: &[NodeId],
     rng: &mut R,
     buf: &mut CascadeBuffers,
-) -> u64 {
-    let mut activated = 0u64;
+) {
     for &s in seeds {
         if !buf.is_active(s) {
             buf.activate(s);
             buf.queue.push(s);
-            activated += 1;
         }
     }
     let mut head = 0usize;
@@ -33,30 +32,14 @@ pub(super) fn simulate<R: RngCore>(
             if !buf.is_active(v) && rng.gen::<f32>() < w {
                 buf.activate(v);
                 buf.queue.push(v);
-                activated += 1;
             }
         }
     }
-    activated
-}
-
-/// Like [`simulate`], also appending every activated node to `out`.
-pub(super) fn simulate_collect<R: RngCore>(
-    graph: &Graph,
-    seeds: &[NodeId],
-    rng: &mut R,
-    buf: &mut CascadeBuffers,
-    out: &mut Vec<NodeId>,
-) {
-    simulate(graph, seeds, rng, buf);
-    out.extend_from_slice(&buf.queue);
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::rng::Xoshiro256pp;
     use crate::{CascadeSimulator, Model};
-    use rand::SeedableRng;
     use sns_graph::{GraphBuilder, WeightModel};
 
     /// Fan-out graph: seed 0 points at 1..=100 with p = 0.5. The expected
@@ -71,7 +54,7 @@ mod tests {
         let g = b.build(WeightModel::Provided).unwrap();
         let mut sim = CascadeSimulator::new(&g, Model::IndependentCascade);
         let runs = 20_000u64;
-        let total: u64 = (0..runs).map(|i| sim.run(&[0], 11, i)).sum();
+        let total: u64 = (0..runs).map(|i| sim.run(&[0], 11, i).len() as u64).sum();
         let mean = total as f64 / runs as f64;
         assert!((mean - 51.0).abs() < 0.5, "mean {mean}, expected ~51");
     }
@@ -86,7 +69,7 @@ mod tests {
         let g = b.build(WeightModel::Provided).unwrap();
         let mut sim = CascadeSimulator::new(&g, Model::IndependentCascade);
         let runs = 40_000u64;
-        let total: u64 = (0..runs).map(|i| sim.run(&[0], 5, i)).sum();
+        let total: u64 = (0..runs).map(|i| sim.run(&[0], 5, i).len() as u64).sum();
         let mean = total as f64 / runs as f64;
         assert!((mean - 1.75).abs() < 0.03, "mean {mean}, expected ~1.75");
     }
@@ -99,11 +82,9 @@ mod tests {
         b.add_edge(2, 3, 0.3);
         let g = b.build(WeightModel::Provided).unwrap();
         let mut sim = CascadeSimulator::new(&g, Model::IndependentCascade);
-        let mut rng_a = Xoshiro256pp::seed_from_u64(1);
-        let mut rng_b = Xoshiro256pp::seed_from_u64(1);
         // same RNG stream: adding a disconnected seed adds exactly 1..=2
-        let a = sim.run_with_rng(&[0], &mut rng_a);
-        let b2 = sim.run_with_rng(&[0, 2], &mut rng_b);
+        let a = sim.run(&[0], 1, 0).len();
+        let b2 = sim.run(&[0, 2], 1, 0).len();
         assert!(b2 > a);
     }
 }

@@ -6,7 +6,8 @@ use sns_graph::{Graph, NodeId};
 
 use super::CascadeBuffers;
 
-/// Runs one LT cascade, returning the number of activated nodes.
+/// Runs one LT cascade, leaving the activated nodes in
+/// `buf.queue` in activation order (distinct seeds first).
 ///
 /// Thresholds `λ_v` are drawn lazily the first time a node receives active
 /// in-weight, which is equivalent to drawing all thresholds upfront but
@@ -18,13 +19,11 @@ pub(super) fn simulate<R: RngCore>(
     seeds: &[NodeId],
     rng: &mut R,
     buf: &mut CascadeBuffers,
-) -> u64 {
-    let mut activated = 0u64;
+) {
     for &s in seeds {
         if !buf.is_active(s) {
             buf.activate(s);
             buf.queue.push(s);
-            activated += 1;
         }
     }
     let mut head = 0usize;
@@ -48,23 +47,9 @@ pub(super) fn simulate<R: RngCore>(
             if buf.incoming[vi] >= buf.threshold[vi] {
                 buf.activate(v);
                 buf.queue.push(v);
-                activated += 1;
             }
         }
     }
-    activated
-}
-
-/// Like [`simulate`], also appending every activated node to `out`.
-pub(super) fn simulate_collect<R: RngCore>(
-    graph: &Graph,
-    seeds: &[NodeId],
-    rng: &mut R,
-    buf: &mut CascadeBuffers,
-    out: &mut Vec<NodeId>,
-) {
-    simulate(graph, seeds, rng, buf);
-    out.extend_from_slice(&buf.queue);
 }
 
 #[cfg(test)]
@@ -82,7 +67,7 @@ mod tests {
         let g = b.build(WeightModel::Provided).unwrap();
         let mut sim = CascadeSimulator::new(&g, Model::LinearThreshold);
         let runs = 40_000u64;
-        let total: u64 = (0..runs).map(|i| sim.run(&[0], 21, i)).sum();
+        let total: u64 = (0..runs).map(|i| sim.run(&[0], 21, i).len() as u64).sum();
         let mean = total as f64 / runs as f64;
         assert!((mean - 1.3).abs() < 0.02, "mean {mean}, expected ~1.3");
     }
@@ -98,7 +83,7 @@ mod tests {
         let g = b.build(WeightModel::WeightedCascade).unwrap();
         let mut sim = CascadeSimulator::new(&g, Model::LinearThreshold);
         for i in 0..50 {
-            assert_eq!(sim.run(&[0, 1, 2], 4, i), 4);
+            assert_eq!(sim.run(&[0, 1, 2], 4, i).len(), 4);
         }
     }
 
@@ -112,7 +97,7 @@ mod tests {
         let g = b.build(WeightModel::WeightedCascade).unwrap();
         let mut sim = CascadeSimulator::new(&g, Model::LinearThreshold);
         let runs = 40_000u64;
-        let total: u64 = (0..runs).map(|i| sim.run(&[0], 33, i)).sum();
+        let total: u64 = (0..runs).map(|i| sim.run(&[0], 33, i).len() as u64).sum();
         let mean = total as f64 / runs as f64;
         assert!((mean - 1.5).abs() < 0.02, "mean {mean}, expected ~1.5");
     }
@@ -129,7 +114,7 @@ mod tests {
         let g = b.build(WeightModel::WeightedCascade).unwrap();
         let mut sim = CascadeSimulator::new(&g, Model::LinearThreshold);
         for i in 0..20 {
-            assert_eq!(sim.run(&[0], 8, i), 4);
+            assert_eq!(sim.run(&[0], 8, i).len(), 4);
         }
     }
 }

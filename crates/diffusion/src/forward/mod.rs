@@ -1,14 +1,13 @@
 //! Forward cascade simulation under IC and LT.
 //!
-//! A [`CascadeSimulator`] owns reusable per-node scratch arrays
-//! ([`CascadeBuffers`]) so consecutive simulations perform zero
-//! allocations: activation marks use an epoch counter instead of clearing,
-//! and the BFS queue is recycled.
+//! A [`CascadeSimulator`] owns reusable per-node scratch arrays so
+//! consecutive simulations perform zero allocations: activation marks use
+//! an epoch counter instead of clearing, and the BFS queue is recycled.
+//! The queue doubles as the cascade's result — every activated node once,
+//! in activation order.
 
 mod ic;
 mod lt;
-
-use rand::RngCore;
 
 use sns_graph::{Graph, NodeId};
 
@@ -18,7 +17,7 @@ use crate::Model;
 /// Reusable scratch space for cascade simulation over a graph with `n`
 /// nodes.
 #[derive(Debug, Clone)]
-pub struct CascadeBuffers {
+pub(crate) struct CascadeBuffers {
     /// Epoch stamp marking active nodes (`active[v] == epoch`).
     pub(crate) active: Vec<u32>,
     /// Epoch stamp marking nodes whose LT threshold has been drawn.
@@ -27,7 +26,7 @@ pub struct CascadeBuffers {
     pub(crate) threshold: Vec<f32>,
     /// Accumulated active in-weight per node (LT).
     pub(crate) incoming: Vec<f32>,
-    /// BFS frontier queue.
+    /// BFS queue; after a run, the activated nodes in activation order.
     pub(crate) queue: Vec<NodeId>,
     /// Current epoch; bumped per simulation.
     pub(crate) epoch: u32,
@@ -35,7 +34,7 @@ pub struct CascadeBuffers {
 
 impl CascadeBuffers {
     /// Allocates buffers for an `n`-node graph.
-    pub fn new(n: u32) -> Self {
+    pub(crate) fn new(n: u32) -> Self {
         let n = n as usize;
         CascadeBuffers {
             active: vec![0; n],
@@ -90,40 +89,20 @@ impl<'g> CascadeSimulator<'g> {
     }
 
     /// Runs one cascade from `seeds` using the RNG for logical sample
-    /// `index` under `master_seed`, returning the number of activated
-    /// nodes (seeds included). Duplicate seeds are counted once.
-    pub fn run(&mut self, seeds: &[NodeId], master_seed: u64, index: u64) -> u64 {
+    /// `index` under `master_seed`, returning the activated nodes in
+    /// activation (BFS) order: the distinct seeds first, each node once.
+    /// The cascade's spread is the slice's `len()`; the slice lives in
+    /// the simulator's buffers until the next run.
+    pub fn run(&mut self, seeds: &[NodeId], master_seed: u64, index: u64) -> &[NodeId] {
         let mut rng = Xoshiro256pp::for_sample(master_seed, index);
-        self.run_with_rng(seeds, &mut rng)
-    }
-
-    /// Runs one cascade with a caller-provided RNG.
-    pub fn run_with_rng<R: RngCore>(&mut self, seeds: &[NodeId], rng: &mut R) -> u64 {
-        self.buffers.next_epoch();
-        match self.model {
-            Model::IndependentCascade => ic::simulate(self.graph, seeds, rng, &mut self.buffers),
-            Model::LinearThreshold => lt::simulate(self.graph, seeds, rng, &mut self.buffers),
-        }
-    }
-
-    /// Runs one cascade and reports the set of activated nodes (for
-    /// callers that need more than the count, e.g. targeted spread).
-    pub fn run_collect<R: RngCore>(
-        &mut self,
-        seeds: &[NodeId],
-        rng: &mut R,
-        out: &mut Vec<NodeId>,
-    ) {
-        out.clear();
         self.buffers.next_epoch();
         match self.model {
             Model::IndependentCascade => {
-                ic::simulate_collect(self.graph, seeds, rng, &mut self.buffers, out)
+                ic::simulate(self.graph, seeds, &mut rng, &mut self.buffers)
             }
-            Model::LinearThreshold => {
-                lt::simulate_collect(self.graph, seeds, rng, &mut self.buffers, out)
-            }
+            Model::LinearThreshold => lt::simulate(self.graph, seeds, &mut rng, &mut self.buffers),
         }
+        &self.buffers.queue
     }
 }
 
@@ -147,7 +126,7 @@ mod tests {
         for model in [Model::IndependentCascade, Model::LinearThreshold] {
             let mut sim = CascadeSimulator::new(&g, model);
             for i in 0..20 {
-                assert_eq!(sim.run(&[0], 7, i), 4, "{model}");
+                assert_eq!(sim.run(&[0], 7, i).len(), 4, "{model}");
             }
         }
     }
@@ -157,8 +136,8 @@ mod tests {
         let g = line(0.0);
         for model in [Model::IndependentCascade, Model::LinearThreshold] {
             let mut sim = CascadeSimulator::new(&g, model);
-            assert_eq!(sim.run(&[0], 7, 0), 1, "{model}");
-            assert_eq!(sim.run(&[0, 2], 7, 1), 2, "{model}");
+            assert_eq!(sim.run(&[0], 7, 0), [0], "{model}");
+            assert_eq!(sim.run(&[0, 2], 7, 1), [0, 2], "{model}");
         }
     }
 
@@ -166,19 +145,18 @@ mod tests {
     fn duplicate_seeds_counted_once() {
         let g = line(0.0);
         let mut sim = CascadeSimulator::new(&g, Model::IndependentCascade);
-        assert_eq!(sim.run(&[1, 1, 1], 7, 0), 1);
+        assert_eq!(sim.run(&[1, 1, 1], 7, 0), [1]);
     }
 
     #[test]
     fn collect_matches_count() {
         let g = line(1.0);
-        let mut sim = CascadeSimulator::new(&g, Model::LinearThreshold);
-        let mut out = Vec::new();
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        use rand::SeedableRng;
-        sim.run_collect(&[0], &mut rng, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1, 2, 3]);
+        for model in [Model::IndependentCascade, Model::LinearThreshold] {
+            let mut sim = CascadeSimulator::new(&g, model);
+            // BFS order along the line, seeds first
+            assert_eq!(sim.run(&[0], 3, 0), [0, 1, 2, 3], "{model}");
+            assert_eq!(sim.run(&[2, 0], 3, 1), [2, 0, 3, 1], "{model}");
+        }
     }
 
     #[test]
@@ -187,7 +165,7 @@ mod tests {
         let g = line(1.0);
         let mut sim = CascadeSimulator::new(&g, Model::IndependentCascade);
         for i in 0..200 {
-            assert_eq!(sim.run(&[3], 9, i), 1); // sink node: nothing downstream
+            assert_eq!(sim.run(&[3], 9, i), [3]); // sink node: nothing downstream
         }
     }
 }

@@ -53,7 +53,7 @@ mod model;
 mod root;
 mod spread;
 
-pub use forward::{CascadeBuffers, CascadeSimulator};
+pub use forward::CascadeSimulator;
 pub use model::Model;
 pub use root::RootDist;
 pub use rr::{RrMeta, RrSampler};

@@ -2,27 +2,36 @@
 //!
 //! `I(S)` is a #P-hard expectation (Chen et al.); every evaluation number
 //! in the paper's Figures 2–3 is a sample mean over forward cascades. The
-//! estimator here is embarrassingly parallel and — because each simulation
-//! index owns its RNG stream — returns bit-identical results for any
-//! thread count.
+//! same mean with each activated node scored by a relevance weight `b(v)`
+//! is the targeted influence `I_T(S) = Σ_v b(v)·Pr[v activated]` of TVM
+//! (§7.3). The estimator is embarrassingly parallel and — because each
+//! simulation index owns its RNG stream and partial sums are combined in
+//! a fixed order — returns bit-identical results for any thread count.
 
-use sns_graph::{Graph, NodeId};
+use sns_graph::{Graph, GraphError, NodeId};
 
 use crate::forward::CascadeSimulator;
 use crate::Model;
 
-/// Monte Carlo estimator of the influence spread `I(S)`.
+/// Cascades per partial sum. Each block is summed sequentially and the
+/// blocks are added in block order, so the float rounding, and with it
+/// the estimate, does not depend on how blocks are spread over threads.
+const BLOCK: u64 = 1024;
+
+/// Monte Carlo estimator of the influence spread `I(S)`, or of the
+/// targeted spread `I_T(S)` under [`SpreadEstimator::with_weights`].
 pub struct SpreadEstimator<'g> {
     graph: &'g Graph,
     model: Model,
     threads: usize,
+    weights: Option<&'g [f64]>,
 }
 
 impl<'g> SpreadEstimator<'g> {
     /// Creates an estimator that uses all available parallelism.
     pub fn new(graph: &'g Graph, model: Model) -> Self {
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        SpreadEstimator { graph, model, threads }
+        SpreadEstimator { graph, model, threads, weights: None }
     }
 
     /// Overrides the worker-thread count (1 = sequential).
@@ -31,49 +40,70 @@ impl<'g> SpreadEstimator<'g> {
         self
     }
 
-    /// Estimates `I(seeds)` as the mean activated-node count over
-    /// `simulations` cascades (deterministic in `master_seed`). With zero
-    /// simulations the estimate is the number of distinct seeds, the
-    /// activations every cascade starts from.
+    /// Scores each activated node `v` by `weights[v]` instead of 1, so
+    /// the estimate is the targeted influence `I_T(S)`. The slice length
+    /// must equal the node count, else [`GraphError::LengthMismatch`].
+    pub fn with_weights(mut self, weights: &'g [f64]) -> Result<Self, GraphError> {
+        let expected = self.graph.num_nodes() as usize;
+        if weights.len() != expected {
+            return Err(GraphError::LengthMismatch { expected, found: weights.len() });
+        }
+        self.weights = Some(weights);
+        Ok(self)
+    }
+
+    /// Estimates `I(seeds)` (or `I_T(seeds)`) as the mean score of the
+    /// activated nodes over `simulations` cascades, deterministic in
+    /// `master_seed`. With zero simulations the estimate is the score of
+    /// the distinct seeds, the activations every cascade starts from.
     pub fn estimate(&self, seeds: &[NodeId], simulations: u64, master_seed: u64) -> f64 {
         if simulations == 0 || seeds.is_empty() {
             let mut distinct = seeds.to_vec();
             distinct.sort_unstable();
             distinct.dedup();
-            return distinct.len() as f64;
+            return self.score(&distinct);
         }
-        let total = if self.threads <= 1 || simulations < 64 {
-            self.run_range(seeds, master_seed, 0, simulations)
+        let mut block_sums = vec![0.0f64; simulations.div_ceil(BLOCK) as usize];
+        let workers = self.threads.min(block_sums.len());
+        if workers <= 1 {
+            self.run_blocks(seeds, simulations, master_seed, 0, &mut block_sums);
         } else {
-            self.run_parallel(seeds, simulations, master_seed)
-        };
-        total as f64 / simulations as f64
-    }
-
-    fn run_range(&self, seeds: &[NodeId], master_seed: u64, start: u64, end: u64) -> u64 {
-        let mut sim = CascadeSimulator::new(self.graph, self.model);
-        (start..end).map(|i| sim.run(seeds, master_seed, i)).sum()
-    }
-
-    fn run_parallel(&self, seeds: &[NodeId], simulations: u64, master_seed: u64) -> u64 {
-        let workers = self.threads.min(simulations as usize).max(1);
-        let chunk = simulations.div_ceil(workers as u64);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers as u64)
-                .map(|w| {
-                    let start = w * chunk;
-                    let end = ((w + 1) * chunk).min(simulations);
+            let per_worker = block_sums.len().div_ceil(workers);
+            std::thread::scope(|scope| {
+                for (w, chunk) in block_sums.chunks_mut(per_worker).enumerate() {
+                    let first = (w * per_worker) as u64;
                     scope.spawn(move || {
-                        if start >= end {
-                            0
-                        } else {
-                            self.run_range(seeds, master_seed, start, end)
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("spread worker panicked")).sum()
-        })
+                        self.run_blocks(seeds, simulations, master_seed, first, chunk)
+                    });
+                }
+            });
+        }
+        block_sums.iter().sum::<f64>() / simulations as f64
+    }
+
+    /// Fills `sums[i]` with the total score of the cascades in block
+    /// `first + i`.
+    fn run_blocks(
+        &self,
+        seeds: &[NodeId],
+        simulations: u64,
+        master_seed: u64,
+        first: u64,
+        sums: &mut [f64],
+    ) {
+        let mut sim = CascadeSimulator::new(self.graph, self.model);
+        for (b, slot) in (first..).zip(sums) {
+            let end = ((b + 1) * BLOCK).min(simulations);
+            *slot = (b * BLOCK..end).map(|i| self.score(sim.run(seeds, master_seed, i))).sum();
+        }
+    }
+
+    /// The activated count, or the activated nodes' total weight.
+    fn score(&self, activated: &[NodeId]) -> f64 {
+        match self.weights {
+            None => activated.len() as f64,
+            Some(w) => activated.iter().map(|&v| w[v as usize]).sum(),
+        }
     }
 }
 
@@ -129,6 +159,12 @@ mod tests {
         // as in every cascade
         assert_eq!(e.estimate(&[0], 0, 1), 1.0);
         assert_eq!(e.estimate(&[0, 0], 0, 1), 1.0);
+        // weighted: the seeds' total weight, a duplicate counted once
+        let w = [0.0, 2.5, 0.0, 0.0, 0.0, 1.0];
+        let e = e.with_weights(&w).unwrap();
+        assert_eq!(e.estimate(&[1, 1], 0, 1), 2.5);
+        assert_eq!(e.estimate(&[1, 5, 1], 0, 1), 3.5);
+        assert_eq!(e.estimate(&[], 0, 1), 0.0);
     }
 
     #[test]
@@ -138,5 +174,85 @@ mod tests {
         let one = e.estimate(&[1], 4000, 5);
         let two = e.estimate(&[1, 2, 3], 4000, 5);
         assert!(two > one);
+    }
+
+    #[test]
+    fn only_targeted_nodes_count() {
+        // 0 -> 1 -> 2 deterministic; only node 2 is targeted.
+        let mut b = GraphBuilder::new();
+        b.add_edge(0, 1, 1.0);
+        b.add_edge(1, 2, 1.0);
+        let g = b.build(WeightModel::Provided).unwrap();
+        let w = [0.0, 0.0, 5.0];
+        let est = SpreadEstimator::new(&g, Model::IndependentCascade).with_weights(&w).unwrap();
+        let v = est.estimate(&[0], 200, 1);
+        assert!((v - 5.0).abs() < 1e-9, "got {v}");
+        // seeding the target directly scores the same
+        assert!((est.estimate(&[2], 200, 1) - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn uniform_weights_match_plain_spread() {
+        let g =
+            sns_graph::gen::erdos_renyi(150, 900, 4).build(WeightModel::WeightedCascade).unwrap();
+        let w = vec![1.0; 150];
+        let targeted = SpreadEstimator::new(&g, Model::LinearThreshold)
+            .with_weights(&w)
+            .unwrap()
+            .estimate(&[0, 1], 20_000, 9);
+        let plain = SpreadEstimator::new(&g, Model::LinearThreshold).estimate(&[0, 1], 20_000, 9);
+        assert_eq!(targeted, plain, "uniform TVM must equal IM on identical streams");
+    }
+
+    #[test]
+    fn parallel_matches_sequential() {
+        let g =
+            sns_graph::gen::erdos_renyi(100, 600, 4).build(WeightModel::WeightedCascade).unwrap();
+        // irregular non-integer weights, so block order matters for rounding
+        let w: Vec<f64> = (0..100u32).map(|v| f64::from(v * 37 % 11) / 7.0).collect();
+        let est = |threads| {
+            SpreadEstimator::new(&g, Model::IndependentCascade)
+                .with_threads(threads)
+                .with_weights(&w)
+                .unwrap()
+                .estimate(&[3, 4], 2000, 11)
+        };
+        assert_eq!(est(1), est(8));
+    }
+
+    #[test]
+    fn unweighted_estimate_is_the_per_index_cascade_mean() {
+        // The block reduction must not move a bit: integer-valued f64
+        // partial sums are exact, so the estimate equals the mean of the
+        // per-index cascade sizes computed in integers.
+        let er = sns_graph::gen::erdos_renyi(120, 700, 3).build(WeightModel::WeightedCascade);
+        for g in [fanout(0.5, 50), er.unwrap()] {
+            for model in [Model::IndependentCascade, Model::LinearThreshold] {
+                let simulations = 2500; // three blocks, the last one partial
+                let mut sim = CascadeSimulator::new(&g, model);
+                let total: u64 =
+                    (0..simulations).map(|i| sim.run(&[0, 7], 13, i).len() as u64).sum();
+                let reference = total as f64 / simulations as f64;
+                for threads in [1, 8] {
+                    let est = SpreadEstimator::new(&g, model).with_threads(threads).estimate(
+                        &[0, 7],
+                        simulations,
+                        13,
+                    );
+                    assert_eq!(est.to_bits(), reference.to_bits(), "{model}, {threads} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weights_for_another_graph_are_rejected() {
+        let g = fanout(0.5, 71); // 72 nodes
+        let foreign = vec![1.0; 50];
+        let err = SpreadEstimator::new(&g, Model::IndependentCascade)
+            .with_weights(&foreign)
+            .err()
+            .expect("a 50-entry weight vector on a 72-node graph");
+        assert!(matches!(err, GraphError::LengthMismatch { expected: 72, found: 50 }), "{err}");
     }
 }

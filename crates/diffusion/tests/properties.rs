@@ -77,12 +77,13 @@ proptest! {
     fn cascade_size_bounds(g in graph_strategy(), seeds in vec(0u32..N, 1..4), idx in 0u64..100) {
         for model in [Model::IndependentCascade, Model::LinearThreshold] {
             let mut sim = CascadeSimulator::new(&g, model);
-            let size = sim.run(&seeds, 3, idx);
+            let activated = sim.run(&seeds, 3, idx);
             let mut unique = seeds.clone();
             unique.sort_unstable();
             unique.dedup();
-            prop_assert!(size >= unique.len() as u64);
-            prop_assert!(size <= u64::from(N));
+            prop_assert!(activated.len() >= unique.len());
+            prop_assert!(activated.len() <= N as usize);
+            prop_assert!(unique.iter().all(|s| activated[..unique.len()].contains(s)));
         }
     }
 

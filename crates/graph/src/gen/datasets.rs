@@ -4,7 +4,13 @@
 //! a Twitter crawl). This module reproduces each row of Table 2 — node
 //! count, edge count, directedness, degree skew — with R-MAT generators at
 //! a configurable scale so every experiment in the harness runs on a
-//! laptop. See `DESIGN.md` §4 for the substitution rationale.
+//! laptop.
+//!
+//! Why R-MAT: the snapshots are not shipped with this repository, and
+//! what drives the paper's comparisons is the degree skew (it sets RR-set
+//! sizes and how concentrated the coverage is), which R-MAT reproduces.
+//! Absolute times and spreads therefore differ from the paper; who wins,
+//! by how much, and how the curves bend with `k` carry over.
 
 use super::rmat::{rmat, RmatParams};
 use crate::{Graph, GraphError, WeightModel};

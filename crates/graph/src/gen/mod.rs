@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on SNAP/KONECT snapshots that are not shipped with
 //! this repository; these generators produce structurally comparable
-//! stand-ins (see `DESIGN.md` §4). All generators are deterministic for a
+//! stand-ins (the rationale is in the [`datasets`] module docs). All generators are deterministic for a
 //! given seed and return a [`crate::GraphBuilder`] so the caller picks the
 //! edge-weight model.
 

@@ -1,118 +1,24 @@
-//! The TVM algorithms: SSA-TVM, D-SSA-TVM and the KB-TIM baseline.
-//!
-//! All three are the IM algorithms run over the weighted (WRIS) sampling
-//! context — exactly the paper's §7.3.1 construction: "In the same way,
-//! we incorporate WRIS into D-SSA and SSA for solving TVM". The core
-//! crate's algorithms are universe-generic (they consume `Γ` and a root
-//! distribution through [`SamplingContext`]), so each wrapper here just
-//! assembles the weighted context.
+//! TVM through the IM solvers, tested: D-SSA, SSA and TIM+ (KB-TIM)
+//! run unchanged on a sampling context with weighted (WRIS) roots —
+//! exactly the paper's §7.3.1 construction: "In the same way, we
+//! incorporate WRIS into D-SSA and SSA for solving TVM".
 
-use sns_baselines::Tim;
-use sns_core::{CoreError, Dssa, Params, RunResult, SamplingContext, Ssa};
-use sns_diffusion::Model;
-use sns_graph::Graph;
-
-use crate::TargetWeights;
-
-/// Builds the weighted sampling context shared by the TVM algorithms.
-fn weighted_ctx<'g>(
-    graph: &'g Graph,
-    model: Model,
-    weights: &TargetWeights,
-    seed: u64,
-    threads: usize,
-) -> Result<SamplingContext<'g>, CoreError> {
-    Ok(SamplingContext::new(graph, model)
-        .with_seed(seed)
-        .with_threads(threads)
-        .with_weighted_roots(weights.weights())?)
-}
-
-/// SSA over weighted RIS — the paper's SSA-TVM.
-#[derive(Debug, Clone)]
-pub struct SsaTvm {
-    inner: Ssa,
-}
-
-impl SsaTvm {
-    /// SSA-TVM with the recommended ε-split.
-    pub fn new(params: Params) -> Self {
-        SsaTvm { inner: Ssa::new(params) }
-    }
-
-    /// Runs SSA-TVM; the returned influence estimates are targeted
-    /// influences in `[0, Γ]`.
-    pub fn run(
-        &self,
-        graph: &Graph,
-        model: Model,
-        weights: &TargetWeights,
-        seed: u64,
-        threads: usize,
-    ) -> Result<RunResult, CoreError> {
-        self.inner.run(&weighted_ctx(graph, model, weights, seed, threads)?)
-    }
-}
-
-/// D-SSA over weighted RIS — the paper's D-SSA-TVM.
-#[derive(Debug, Clone)]
-pub struct DssaTvm {
-    inner: Dssa,
-}
-
-impl DssaTvm {
-    /// D-SSA-TVM for the given `(k, ε, δ)`.
-    pub fn new(params: Params) -> Self {
-        DssaTvm { inner: Dssa::new(params) }
-    }
-
-    /// Runs D-SSA-TVM.
-    pub fn run(
-        &self,
-        graph: &Graph,
-        model: Model,
-        weights: &TargetWeights,
-        seed: u64,
-        threads: usize,
-    ) -> Result<RunResult, CoreError> {
-        self.inner.run(&weighted_ctx(graph, model, weights, seed, threads)?)
-    }
-}
-
-/// KB-TIM (Li, Zhang, Tan — VLDB'15): the prior best TVM method, i.e.
-/// TIM+ with weighted RIS sampling. (The original additionally maintains
-/// disk-resident per-keyword sample indexes for real-time queries; the
-/// sampling/guarantee core reproduced here is what the paper's Figure 8
-/// measures against.)
-#[derive(Debug, Clone)]
-pub struct KbTim {
-    inner: Tim,
-}
-
-impl KbTim {
-    /// KB-TIM for the given `(k, ε, δ)`.
-    pub fn new(params: Params) -> Self {
-        KbTim { inner: Tim::plus(params) }
-    }
-
-    /// Runs KB-TIM.
-    pub fn run(
-        &self,
-        graph: &Graph,
-        model: Model,
-        weights: &TargetWeights,
-        seed: u64,
-        threads: usize,
-    ) -> Result<RunResult, CoreError> {
-        self.inner.run(&weighted_ctx(graph, model, weights, seed, threads)?)
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::TargetedSpreadEstimator;
-    use sns_graph::{gen, GraphBuilder, GraphError, WeightModel};
+    use crate::TargetWeights;
+    use sns_baselines::Tim;
+    use sns_core::{CoreError, Dssa, Params, RunResult, SamplingContext, Ssa};
+    use sns_diffusion::{Model, SpreadEstimator};
+    use sns_graph::{gen, Graph, GraphBuilder, GraphError, WeightModel};
+
+    /// The WRIS context every TVM run uses: roots drawn ∝ `b(v)`.
+    fn wris<'g>(
+        g: &'g Graph,
+        model: Model,
+        w: &TargetWeights,
+        seed: u64,
+    ) -> Result<SamplingContext<'g>, GraphError> {
+        SamplingContext::new(g, model).with_seed(seed).with_weighted_roots(w.weights())
+    }
 
     /// Two communities; only community B is targeted. TVM must seed B's
     /// hub even though A's hub has higher raw influence.
@@ -139,11 +45,12 @@ mod tests {
     fn tvm_targets_the_right_community() {
         let (g, w) = two_communities();
         let params = Params::new(1, 0.3, 0.1).unwrap();
+        let ctx = wris(&g, Model::IndependentCascade, &w, 4).unwrap();
         for name in ["ssa", "dssa", "kbtim"] {
-            let r = match name {
-                "ssa" => SsaTvm::new(params).run(&g, Model::IndependentCascade, &w, 4, 1),
-                "dssa" => DssaTvm::new(params).run(&g, Model::IndependentCascade, &w, 4, 1),
-                _ => KbTim::new(params).run(&g, Model::IndependentCascade, &w, 4, 1),
+            let r: RunResult = match name {
+                "ssa" => Ssa::new(params).run(&ctx),
+                "dssa" => Dssa::new(params).run(&ctx),
+                _ => Tim::plus(params).run(&ctx),
             }
             .unwrap();
             assert_eq!(r.seeds, vec![1], "{name} picked {:?}", r.seeds);
@@ -161,13 +68,13 @@ mod tests {
         let g = gen::erdos_renyi(300, 1800, 6).build(WeightModel::WeightedCascade).unwrap();
         let w = TargetWeights::uniform_all(300);
         let params = Params::new(5, 0.3, 0.1).unwrap();
-        let tvm = DssaTvm::new(params).run(&g, Model::LinearThreshold, &w, 9, 1).unwrap();
+        let tvm = Dssa::new(params).run(&wris(&g, Model::LinearThreshold, &w, 9).unwrap()).unwrap();
         // compare seed *quality* (not identity: root streams differ
         // between uniform and alias sampling)
-        let im = sns_core::Dssa::new(params)
+        let im = Dssa::new(params)
             .run(&SamplingContext::new(&g, Model::LinearThreshold).with_seed(9))
             .unwrap();
-        let est = sns_diffusion::SpreadEstimator::new(&g, Model::LinearThreshold);
+        let est = SpreadEstimator::new(&g, Model::LinearThreshold);
         let st = est.estimate(&tvm.seeds, 20_000, 5);
         let si = est.estimate(&im.seeds, 20_000, 5);
         assert!(
@@ -183,8 +90,9 @@ mod tests {
             .unwrap();
         let w = TargetWeights::synthetic_topic(&g, 0.05, 1.0, 3).unwrap();
         let params = Params::new(10, 0.3, 0.1).unwrap();
-        let d = DssaTvm::new(params).run(&g, Model::LinearThreshold, &w, 6, 1).unwrap();
-        let kb = KbTim::new(params).run(&g, Model::LinearThreshold, &w, 6, 1).unwrap();
+        let ctx = wris(&g, Model::LinearThreshold, &w, 6).unwrap();
+        let d = Dssa::new(params).run(&ctx).unwrap();
+        let kb = Tim::plus(params).run(&ctx).unwrap();
         assert!(
             d.rr_sets_total() < kb.rr_sets_total(),
             "D-SSA-TVM {} vs KB-TIM {}",
@@ -213,8 +121,10 @@ mod tests {
     fn seed_quality_verified_by_targeted_forward_simulation() {
         let (g, w) = two_communities();
         let params = Params::new(2, 0.3, 0.1).unwrap();
-        let r = DssaTvm::new(params).run(&g, Model::IndependentCascade, &w, 4, 1).unwrap();
-        let est = TargetedSpreadEstimator::new(&g, Model::IndependentCascade, &w);
+        let r =
+            Dssa::new(params).run(&wris(&g, Model::IndependentCascade, &w, 4).unwrap()).unwrap();
+        let est =
+            SpreadEstimator::new(&g, Model::IndependentCascade).with_weights(w.weights()).unwrap();
         let spread = est.estimate(&r.seeds, 2000, 8);
         assert!(spread >= 21.0 - 1e-9, "targeted spread {spread}");
     }
@@ -228,10 +138,13 @@ mod tests {
         let foreign = TargetWeights::uniform_all(50);
         let params = Params::new(1, 0.3, 0.1).unwrap();
         let model = Model::IndependentCascade;
-        for err in [
-            DssaTvm::new(params).run(&g, model, &foreign, 4, 1).unwrap_err(),
-            SsaTvm::new(params).run(&g, model, &foreign, 4, 1).unwrap_err(),
-        ] {
+        let dssa = || -> Result<RunResult, CoreError> {
+            Dssa::new(params).run(&wris(&g, model, &foreign, 4)?)
+        };
+        let ssa = || -> Result<RunResult, CoreError> {
+            Ssa::new(params).run(&wris(&g, model, &foreign, 4)?)
+        };
+        for err in [dssa().unwrap_err(), ssa().unwrap_err()] {
             assert!(
                 matches!(
                     err,

@@ -106,7 +106,8 @@ impl TargetWeights {
     }
 
     /// Synthesizes a topic's target group on `graph` — the stand-in for
-    /// the paper's tweet-keyword mining (`DESIGN.md` §4):
+    /// the paper's tweet-keyword mining, which needs a tweet corpus this
+    /// repository does not ship:
     ///
     /// * a `fraction` of nodes is targeted, selected with bias toward
     ///   high out-degree nodes (keyword activity correlates with account

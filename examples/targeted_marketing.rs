@@ -3,19 +3,20 @@
 //!
 //! A political campaign cares only about users interested in its topic.
 //! This example synthesizes a Table 4-style target group, runs
-//! D-SSA-TVM / SSA-TVM / KB-TIM, and shows that (1) the TVM seeds beat
-//! generic IM seeds on *targeted* reach and (2) the stop-and-stare
-//! algorithms beat KB-TIM on samples.
+//! D-SSA-TVM / SSA-TVM / KB-TIM — the IM solvers D-SSA, SSA and TIM+ on
+//! a sampling context whose RR-set roots are drawn ∝ the audience
+//! weights — and shows that (1) the TVM seeds beat generic IM seeds on
+//! *targeted* reach and (2) the stop-and-stare algorithms beat KB-TIM on
+//! samples.
 //!
 //! ```sh
 //! cargo run --release --example targeted_marketing
 //! ```
 
+use stop_and_stare::baselines::Tim;
 use stop_and_stare::graph::gen::datasets;
-use stop_and_stare::tvm::{
-    DssaTvm, KbTim, SsaTvm, TargetWeights, TargetedSpreadEstimator, TOPIC_1,
-};
-use stop_and_stare::{Model, Params, SamplingContext};
+use stop_and_stare::tvm::{TargetWeights, TOPIC_1};
+use stop_and_stare::{Dssa, Model, Params, SamplingContext, SpreadEstimator, Ssa};
 
 fn main() {
     let graph =
@@ -36,18 +37,19 @@ fn main() {
     let k = 25;
     let params = Params::with_paper_delta(k, 0.1, u64::from(n)).expect("parameters in range");
 
-    let dssa = DssaTvm::new(params)
-        .run(&graph, Model::LinearThreshold, &audience, 7, 1)
-        .expect("run succeeds");
-    let ssa = SsaTvm::new(params)
-        .run(&graph, Model::LinearThreshold, &audience, 7, 1)
-        .expect("run succeeds");
-    let kb = KbTim::new(params)
-        .run(&graph, Model::LinearThreshold, &audience, 7, 1)
-        .expect("run succeeds");
+    // Weighted RIS: roots drawn ∝ b(v), and Γ = Σ b(v) replaces n.
+    let wris = SamplingContext::new(&graph, Model::LinearThreshold)
+        .with_seed(7)
+        .with_weighted_roots(audience.weights())
+        .expect("audience covers the graph");
+    let dssa = Dssa::new(params).run(&wris).expect("run succeeds");
+    let ssa = Ssa::new(params).run(&wris).expect("run succeeds");
+    let kb = Tim::plus(params).run(&wris).expect("run succeeds");
 
     println!("\n{:>10} {:>12} {:>12} {:>14}", "algorithm", "time", "RR sets", "targeted reach");
-    let scorer = TargetedSpreadEstimator::new(&graph, Model::LinearThreshold, &audience);
+    let scorer = SpreadEstimator::new(&graph, Model::LinearThreshold)
+        .with_weights(audience.weights())
+        .expect("audience covers the graph");
     for (name, r) in [("D-SSA-TVM", &dssa), ("SSA-TVM", &ssa), ("KB-TIM", &kb)] {
         let reach = scorer.estimate(&r.seeds, 5_000, 9);
         println!(
@@ -61,7 +63,7 @@ fn main() {
 
     // Compare against untargeted IM seeds: same budget pointed at the
     // whole network instead of the audience.
-    let generic = stop_and_stare::Dssa::new(params)
+    let generic = Dssa::new(params)
         .run(&SamplingContext::new(&graph, Model::LinearThreshold).with_seed(7))
         .expect("run succeeds");
     let generic_reach = scorer.estimate(&generic.seeds, 5_000, 9);

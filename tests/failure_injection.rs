@@ -669,7 +669,7 @@ mod store_faults {
 /// works.
 #[test]
 fn tvm_weight_edge_cases() {
-    use stop_and_stare::tvm::{DssaTvm, TargetWeights};
+    use stop_and_stare::tvm::TargetWeights;
     let g = gen::erdos_renyi(50, 250, 2).build(WeightModel::WeightedCascade).unwrap();
     assert!(TargetWeights::from_weights(vec![0.0; 50]).is_err());
     assert!(TargetWeights::from_weights(vec![]).is_err());
@@ -678,8 +678,156 @@ fn tvm_weight_edge_cases() {
     w[17] = 2.5;
     let audience = TargetWeights::from_weights(w).unwrap();
     let params = Params::new(1, 0.3, 0.1).unwrap();
-    let r = DssaTvm::new(params).run(&g, Model::IndependentCascade, &audience, 4, 1).unwrap();
+    let ctx = SamplingContext::new(&g, Model::IndependentCascade)
+        .with_seed(4)
+        .with_weighted_roots(audience.weights())
+        .unwrap();
+    let r = Dssa::new(params).run(&ctx).unwrap();
     assert_eq!(r.seeds.len(), 1);
     // the only mass is on node 17; influence can't exceed Γ = 2.5
     assert!(r.influence_estimate <= 2.5 + 1e-9);
+}
+
+/// `SeedQuery` robustness: no query a caller can build may panic the
+/// engine. Every field is drawn from a table of edge values (k of 0, 1
+/// and `usize::MAX`; NaN, infinite, negative, zero, tiny and huge
+/// budgets; inverted, empty and out-of-bounds ranges; out-of-universe,
+/// duplicate and overlapping forced/excluded seeds; wrong-length, NaN
+/// and negative weights and costs; a topic without weights). Each query
+/// is answered alone and through the batch planner, on a two-epoch
+/// engine: both must agree on `Ok` — at most `n` distinct in-universe
+/// seeds, none excluded, bit-identical on both paths — or both refuse it
+/// with `CoreError::InvalidParams`.
+mod seed_query_robustness {
+    use std::sync::{Arc, OnceLock};
+
+    use proptest::prelude::*;
+    use stop_and_stare::core::CoreError;
+    use stop_and_stare::graph::{gen, WeightModel};
+    use stop_and_stare::{
+        Model, NodeCosts, SamplingContext, SeedAnswer, SeedQuery, SeedQueryEngine,
+    };
+
+    const N: u32 = 40;
+    const SETS: u32 = 500;
+
+    fn engine() -> &'static SeedQueryEngine {
+        static ENGINE: OnceLock<SeedQueryEngine> = OnceLock::new();
+        ENGINE.get_or_init(|| {
+            let g = gen::erdos_renyi(N, 200, 5).build(WeightModel::WeightedCascade).unwrap();
+            let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(5);
+            let mut e = SeedQueryEngine::sample(&ctx, 300);
+            e.extend(&ctx, u64::from(SETS) - 300); // two epochs
+            e
+        })
+    }
+
+    const KS: [usize; 6] = [0, 1, 3, N as usize + 5, 1 << 40, usize::MAX];
+
+    const BUDGETS: [Option<f64>; 10] = [
+        Some(f64::NAN),
+        Some(f64::INFINITY),
+        Some(f64::NEG_INFINITY),
+        Some(-1.0),
+        Some(0.0),
+        Some(1e-300),
+        Some(0.5),
+        Some(2.5),
+        Some(1e300),
+        Some(f64::MAX),
+    ];
+
+    // Each field is drawn from a pick range wider than its edge-value
+    // table; picks past the table leave the field at its default, so
+    // about a third of the queries are valid and reach selection.
+
+    fn range(pick: u32, a: u32, b: u32) -> Option<std::ops::Range<u32>> {
+        let (lo, hi) = (a.min(b), a.max(b));
+        match pick {
+            0 => Some(lo..hi),             // valid, maybe empty
+            1 => Some(hi..lo),             // inverted unless equal
+            2 => Some(lo..SETS + 1 + hi),  // past the pool's end
+            3 => Some(u32::MAX..u32::MAX), // empty, far out of bounds
+            4 => Some(0..SETS),            // the whole pool, explicitly
+            5 => Some(SETS..SETS),         // empty, at the end
+            _ => None,
+        }
+    }
+
+    /// A per-node vector: valid, wrong length, NaN, negative, zero-led,
+    /// or infinite.
+    fn vector(pick: u32, base: &[f64]) -> Option<Arc<[f64]>> {
+        let mut v = base.to_vec();
+        match pick {
+            0 => {}
+            1 => v.truncate(N as usize - 1),
+            2 => v.push(1.0),
+            3 => v[7] = f64::NAN,
+            4 => v[7] = -1.0,
+            5 => v[7] = 0.0,
+            6 => v[7] = f64::INFINITY,
+            7 => v.clear(),
+            _ => return None,
+        }
+        Some(v.into())
+    }
+
+    fn same_bits(a: &SeedAnswer, b: &SeedAnswer) -> bool {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        a.seeds == b.seeds
+            && a.range == b.range
+            && a.covered.to_bits() == b.covered.to_bits()
+            && a.influence_estimate.to_bits() == b.influence_estimate.to_bits()
+            && bits(&a.marginal_gains) == bits(&b.marginal_gains)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn seed_query_never_panics(
+            picks in (0usize..6, 0usize..20, 0u32..14, (0u32..SETS, 0u32..SETS)),
+            seeds in (
+                proptest::collection::vec(0u32..N + 2, 0..3),
+                proptest::collection::vec(0u32..N + 2, 0..4),
+            ),
+            vectors in (0u32..40, 0u32..40, 0u32..10),
+            base in proptest::collection::vec(0.0f64..4.0, N as usize),
+        ) {
+            let (k, budget, range_pick, (a, b)) = picks;
+            let (forced, excluded) = seeds;
+            let (weight_pick, cost_pick, topic_pick) = vectors;
+            let mut q = SeedQuery::top_k(KS[k]).with_forced(forced).with_excluded(excluded);
+            q.range = range(range_pick, a, b);
+            q.budget = BUDGETS.get(budget).copied().flatten();
+            q.root_weights = vector(weight_pick, &base);
+            // costs must be positive: shift the base off zero
+            let costs: Vec<f64> = base.iter().map(|c| c + 0.25).collect();
+            if let Some(c) = vector(cost_pick, &costs) {
+                q.costs = NodeCosts::per_node(c);
+            }
+            q.topic = [3, 1 << 62].get(topic_pick as usize).copied();
+
+            let e = engine();
+            let alone = e.answer(&q);
+            let planned = e.answer_planned(std::slice::from_ref(&q)).map(|mut v| v.remove(0));
+            match (alone, planned) {
+                (Ok(x), Ok(y)) => {
+                    prop_assert!(same_bits(&x, &y), "paths differ for {q:?}: {x:?} vs {y:?}");
+                    let mut distinct = x.seeds.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    prop_assert_eq!(distinct.len(), x.seeds.len(), "duplicate seeds for {:?}", q);
+                    prop_assert!(x.seeds.len() <= N as usize, "{} seeds", x.seeds.len());
+                    prop_assert!(x.seeds.iter().all(|&v| v < N), "seed outside the universe");
+                    prop_assert!(
+                        x.seeds.iter().all(|v| !q.excluded.contains(v)),
+                        "excluded seed answered for {q:?}"
+                    );
+                }
+                (Err(CoreError::InvalidParams(_)), Err(CoreError::InvalidParams(_))) => {}
+                (x, y) => prop_assert!(false, "{q:?}: answer {x:?}, planned {y:?}"),
+            }
+        }
+    }
 }
