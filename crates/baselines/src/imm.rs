@@ -87,7 +87,6 @@ impl Imm {
             if theta_i > have {
                 pool.extend_parallel(&sampler, have, theta_i - have, ctx.threads());
             }
-            let _ = pool.seal_parallel(ctx.threads());
             peak_bytes = peak_bytes.max(pool.memory_bytes());
             let cover = max_coverage_with(&pool, k, pool.id_range(), &mut cover_scratch);
             let est = gamma * cover.covered as f64 / pool.len() as f64;
@@ -106,7 +105,6 @@ impl Imm {
         if theta > have {
             pool.extend_parallel(&sampler, have, theta - have, ctx.threads());
         }
-        let _ = pool.seal_parallel(ctx.threads());
         peak_bytes = peak_bytes.max(pool.memory_bytes());
         iterations += 1;
 

@@ -85,7 +85,7 @@ impl Tim {
         // κ(R) = 1 − (1 − w(R)/m)^k with w(R) the number of arcs into R;
         // E[κ] relates to the influence of a random size-k seed sample.
         let mut pool = RrCollection::new(g.num_nodes());
-        let mut sampler = ctx.sampler(0);
+        let sampler = ctx.sampler(0);
         // Selection scratch shared by the TIM+ refinement and phase 2.
         let mut cover_scratch = GreedyScratch::new();
         let mut rr = Vec::new();
@@ -97,13 +97,11 @@ impl Tim {
             iterations += 1;
             let c_i = ((6.0 * l * ln_n + 6.0 * log2n.ln()) * 2f64.powi(i)).ceil() as u64;
             let mut sum = 0.0f64;
-            let from = pool.len() as u64;
-            for j in 0..c_i {
-                let meta = sampler.sample(from + j, &mut rr);
-                let width = g.width_of(&rr) as f64;
-                let kappa = 1.0 - (1.0 - width / m).powi(k as i32);
-                sum += kappa;
-                pool.push(&rr, meta);
+            let from = pool.len();
+            pool.extend_parallel(&sampler, from as u64, c_i, ctx.threads());
+            for id in from..pool.len() {
+                let width = g.width_of(pool.set(id)) as f64;
+                sum += 1.0 - (1.0 - width / m).powi(k as i32);
             }
             if sum / c_i as f64 > 1.0 / 2f64.powi(i) {
                 kpt_star = nf * sum / (2.0 * c_i as f64);
@@ -111,8 +109,7 @@ impl Tim {
             }
         }
 
-        // The KPT sets stay in the pool: index them before any selection.
-        let _ = pool.seal_parallel(ctx.threads());
+        // The KPT sets stay in the pool, one sealed epoch per round.
         peak_bytes = peak_bytes.max(pool.memory_bytes());
 
         // ---- KPT refinement (TIM+ Algorithm 3) ------------------------
@@ -152,7 +149,6 @@ impl Tim {
         if theta > have {
             pool.extend_parallel(&sampler, have, theta - have, ctx.threads());
         }
-        let _ = pool.seal_parallel(ctx.threads());
         peak_bytes = peak_bytes.max(pool.memory_bytes());
         iterations += 1;
 
@@ -237,6 +233,28 @@ mod tests {
             tim.rr_sets_main,
             imm.rr_sets_main
         );
+    }
+
+    #[test]
+    fn kpt_epochs_keep_seeds_and_sample_counts() {
+        // Pinned seeds and sample counts: each KPT round is one sealed
+        // epoch whose κ is summed over its sets in id order, so θ and the
+        // seeds must not depend on the thread count.
+        let g = gen::erdos_renyi(300, 1800, 4).build(WeightModel::WeightedCascade).unwrap();
+        let params = Params::new(5, 0.3, 0.1).unwrap();
+        for threads in [1, 2] {
+            let ctx = SamplingContext::new(&g, Model::IndependentCascade)
+                .with_seed(6)
+                .with_threads(threads);
+            let plain = Tim::new(params).run(&ctx).unwrap();
+            assert_eq!(plain.seeds, vec![123, 224, 181, 173, 22], "{threads} threads");
+            assert_eq!((plain.rr_sets_main, plain.total_edges_examined), (36_754, 2_577_599));
+            assert_eq!(plain.iterations, 4);
+            let plus = Tim::plus(params).run(&ctx).unwrap();
+            assert_eq!(plus.seeds, vec![123, 224, 181, 22, 173], "{threads} threads");
+            assert_eq!((plus.rr_sets_main, plus.total_edges_examined), (22_291, 1_550_867));
+            assert_eq!(plus.iterations, 5);
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Three ablations: SSA ε-preset sensitivity (§4.2 of the paper), uniform
 //! vs weighted (alias-table) root sampling, and sequential vs
-//! multi-threaded pool growth.
+//! multi-threaded pool growth (sampling plus the seal that ends every
+//! growth).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

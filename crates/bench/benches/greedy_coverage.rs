@@ -72,11 +72,10 @@ fn main() {
     let mut c = Criterion::default().test_mode(test_mode);
     let pool = support::ba_pool();
     println!(
-        "pool: {} sets, {} entries, sealed {} / pending {}",
+        "pool: {} sets, {} entries, {} epochs",
         pool.len(),
         pool.total_nodes(),
-        pool.sealed_sets(),
-        pool.pending_sets()
+        pool.epoch_boundaries().len()
     );
     bench_selection(&mut c, &pool);
     if !test_mode {

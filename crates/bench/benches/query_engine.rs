@@ -357,11 +357,10 @@ fn main() {
     let mut c = Criterion::default().test_mode(test_mode);
     let pool = support::ba_pool();
     println!(
-        "pool: {} sets, {} entries, sealed {} / pending {}",
+        "pool: {} sets, {} entries, {} epochs",
         pool.len(),
         pool.total_nodes(),
-        pool.sealed_sets(),
-        pool.pending_sets()
+        pool.epoch_boundaries().len()
     );
     let gamma = f64::from(pool.num_nodes());
     let engine = SeedQueryEngine::from_pool(pool.clone(), gamma);

@@ -1,14 +1,13 @@
 //! Inverted-index ablation: the sealed CSR index vs the pre-refactor
 //! per-node `Vec<Vec<u32>>` layout.
 //!
-//! Measures (a) index **build** cost — a grower-sized seal (clone a
-//! sealed 60k-set pool carrying a 1k-set unsealed tail, then seal it)
-//! at 1/2/4 worker threads (`seal/t`), a clone-only row to subtract, and
-//! the per-node push loop the old merge path used over all 60k sets —
-//! and (b) `sets_containing_in` **lookup** latency over a fully sealed
-//! pool (`sealed`), the same pool plus a 2k-set tail read before any
-//! seal (`unsealed-tail`: the tail is found by scanning its arena slice,
-//! the cost of reading before a seal), and the old layout.
+//! Measures (a) index **build** cost — a grower-sized growth (clone the
+//! sealed 60k-set pool, then one `extend_parallel` of 1k sets, which
+//! samples them and seals them as one epoch) at 1/2/4 worker threads
+//! (`clone-grow-1k/t`), a clone-only row to subtract, and the per-node
+//! push loop the old merge path used over all 60k sets — and (b)
+//! `sets_containing_in` **lookup** latency over the sealed pool
+//! (`sealed`) and over the old layout.
 //!
 //! Besides the human-readable criterion output, results are written as
 //! machine-readable JSON to `BENCH_rr_index.json` in the workspace root
@@ -27,12 +26,8 @@ mod support;
 
 use support::{NODES, SETS};
 
-/// Sets appended after the bulk load, and left unsealed, in the
-/// `unsealed-tail` lookup scenario.
-const TAIL_SETS: u64 = 2_000;
-
-/// Unsealed sets each timed seal indexes: one grower-sized epoch.
-const SEAL_TAIL_SETS: u64 = 1_000;
+/// Sets each timed growth samples and seals: one grower-sized epoch.
+const GROW_SETS: u64 = 1_000;
 
 /// The pre-refactor layout, rebuilt here as the ablation baseline.
 fn build_per_node_vecs(pool: &RrCollection) -> Vec<Vec<u32>> {
@@ -46,27 +41,25 @@ fn build_per_node_vecs(pool: &RrCollection) -> Vec<Vec<u32>> {
 }
 
 fn bench_index_build(c: &mut Criterion, pool: &RrCollection) {
-    // The sealed pool plus an unsealed 1k-set tail. Every timed
-    // iteration clones it and seals the clone, so each seal indexes real
-    // new sets; the clone-only row is the part to subtract.
+    // Every timed growth clones the sealed pool and grows the clone by
+    // one 1k-set epoch, so each seal indexes real new sets; the
+    // clone-only row is the part to subtract.
     let g = support::ba_graph();
-    let mut grown = pool.clone();
-    grown.extend_parallel(&support::ic_sampler(&g), SETS, SEAL_TAIL_SETS, 1);
-    assert_eq!(grown.pending_sets() as u64, SEAL_TAIL_SETS, "the tail must stay unsealed");
+    let sampler = support::ic_sampler(&g);
 
     let mut group = c.benchmark_group("rr_index_build_60k_sets");
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
     group.sample_size(10);
-    group.bench_with_input(BenchmarkId::from_parameter("clone-only"), &grown, |b, p| {
+    group.bench_with_input(BenchmarkId::from_parameter("clone-only"), pool, |b, p| {
         b.iter(|| p.clone().len())
     });
     for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("seal", threads), &threads, |b, &t| {
+        group.bench_with_input(BenchmarkId::new("clone-grow-1k", threads), &threads, |b, &t| {
             b.iter(|| {
-                let mut p = grown.clone();
-                let _ = p.seal_parallel(t);
-                p.sealed_sets()
+                let mut p = pool.clone();
+                p.extend_parallel(&sampler, SETS, GROW_SETS, t);
+                p.len()
             })
         });
     }
@@ -106,27 +99,14 @@ fn lookup_workload_old(index: &[Vec<u32>], total: u32) -> u64 {
     acc
 }
 
-fn bench_lookup(c: &mut Criterion, pool: &RrCollection) {
-    // Fully sealed pool.
-    let sealed = pool.clone();
-    assert_eq!(sealed.pending_sets(), 0);
-
-    // The same sets plus an unsealed tail, read through the tail scan.
-    let g = support::ba_graph();
-    let mut tail = pool.clone();
-    tail.extend_parallel(&support::ic_sampler(&g), SETS, TAIL_SETS, 1);
-    assert_eq!(tail.pending_sets() as u64, TAIL_SETS, "the tail must stay unsealed");
-
-    let old = build_per_node_vecs(&sealed);
+fn bench_lookup(c: &mut Criterion, sealed: &RrCollection) {
+    let old = build_per_node_vecs(sealed);
 
     let mut group = c.benchmark_group("rr_index_lookup_10k_queries");
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
     group.sample_size(20);
-    group.bench_with_input(BenchmarkId::from_parameter("sealed"), &sealed, |b, p| {
-        b.iter(|| lookup_workload(p))
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("unsealed-tail"), &tail, |b, p| {
+    group.bench_with_input(BenchmarkId::from_parameter("sealed"), sealed, |b, p| {
         b.iter(|| lookup_workload(p))
     });
     group.bench_with_input(BenchmarkId::from_parameter("per-node-vecs"), &old, |b, old| {
@@ -162,15 +142,14 @@ fn main() {
     let pool = support::ba_pool();
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     println!(
-        "host cores: {cores} (multi-thread seal variants only help beyond 1 core; \
-         each worker streams the unsealed tail, so expect some overhead otherwise)"
+        "host cores: {cores} (multi-thread growth variants only help beyond 1 core; \
+         each seal worker streams the new sets, so expect some overhead otherwise)"
     );
     println!(
-        "pool: {} sets, {} entries, sealed {} / unsealed {}, index {} B",
+        "pool: {} sets, {} entries, {} epochs, index {} B",
         pool.len(),
         pool.total_nodes(),
-        pool.sealed_sets(),
-        pool.pending_sets(),
+        pool.epoch_boundaries().len(),
         pool.index_memory_bytes()
     );
     bench_index_build(&mut c, &pool);

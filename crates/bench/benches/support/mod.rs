@@ -35,7 +35,6 @@ pub fn ba_pool() -> RrCollection {
     let sampler = ic_sampler(&g);
     let mut pool = RrCollection::new(NODES);
     pool.extend_parallel(&sampler, 0, SETS, 8);
-    let _ = pool.seal_parallel(8);
     pool
 }
 

@@ -15,7 +15,6 @@
 //! it never touches [`CoverageView`]'s gain tables, heaps or stamps — so
 //! agreement between the two is evidence, not tautology.
 
-use sns_diffusion::RrMeta;
 use sns_rrset::{
     BudgetedCoverageResult, CoverageView, GainInit, GreedyScratch, NodeCosts, Ratio, RrCollection,
     SeedConstraints,
@@ -177,10 +176,9 @@ pub fn fixtures() -> Vec<OracleFixture> {
 /// path, no constraints) and returns its result.
 pub fn greedy_on(fixture: &OracleFixture) -> BudgetedCoverageResult {
     let mut rc = RrCollection::new(fixture.n);
-    for s in &fixture.sets {
-        rc.push(s, RrMeta { root: s.first().copied().unwrap_or(0), edges_examined: 0 });
-    }
-    let view = CoverageView::build(&rc, 0..sns_rrset::narrow::set_count(fixture.sets.len()));
+    let sets: Vec<&[u32]> = fixture.sets.iter().map(Vec::as_slice).collect();
+    rc.append_epoch(&sets, 0);
+    let view = CoverageView::build(&rc, rc.id_range());
     let costs = NodeCosts::per_node(fixture.costs.clone().into());
     view.select(
         Ratio { budget: fixture.budget, costs: &costs },

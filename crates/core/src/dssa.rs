@@ -139,7 +139,6 @@ impl Dssa {
             if full > have {
                 pool.extend_parallel(&sampler, have, full - have, ctx.threads());
             }
-            let _ = pool.seal_parallel(ctx.threads());
             peak_bytes = peak_bytes.max(pool.memory_bytes());
 
             // Find on the first half, verify on the second.

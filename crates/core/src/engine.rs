@@ -7,7 +7,7 @@
 //! "what if these influencers are unavailable" (excluded seeds), "we
 //! already signed these" (forced seeds), and "how does it look for
 //! *this* target group" (per-query weighted universes via TVM root
-//! weights). [`SeedQueryEngine`] seals a pool, freezes initial-gain
+//! weights). [`SeedQueryEngine`] keeps a pool, freezes initial-gain
 //! state in [`sns_rrset::GainSnapshot`]s, and answers [`SeedQuery`]
 //! batches through the batch planner, thread-parallel across plan
 //! groups with per-worker [`GreedyScratch`]es.
@@ -376,13 +376,10 @@ pub struct SeedQueryEngine {
 }
 
 impl SeedQueryEngine {
-    /// Freezes `pool` for serving as directory generation 0, sealing any
-    /// sets appended since its last seal as one more epoch (every
-    /// published pool is fully sealed). `gamma` is the universe mass behind
-    /// influence estimates (`n` for uniform-root pools, `Σ b(v)` if the
-    /// pool itself was WRIS-sampled).
-    pub fn from_pool(mut pool: RrCollection, gamma: f64) -> Self {
-        let _ = pool.seal();
+    /// Freezes `pool` for serving as directory generation 0. `gamma` is
+    /// the universe mass behind influence estimates (`n` for uniform-root
+    /// pools, `Σ b(v)` if the pool itself was WRIS-sampled).
+    pub fn from_pool(pool: RrCollection, gamma: f64) -> Self {
         let next_sample_index = pool.len() as u64;
         let (directory, dir_writer) = EpochDirectory::new(Arc::new(pool));
         SeedQueryEngine {
@@ -404,7 +401,6 @@ impl SeedQueryEngine {
     pub fn sample(ctx: &SamplingContext<'_>, count: u64) -> Self {
         let mut pool = RrCollection::new(ctx.graph().num_nodes());
         pool.extend_parallel(&ctx.sampler(0), 0, count, ctx.threads());
-        let _ = pool.seal_parallel(ctx.threads());
         let mut engine = Self::from_pool(pool, ctx.gamma()).with_threads(ctx.threads());
         engine.fingerprint = Some(Self::context_fingerprint(ctx));
         engine
@@ -1501,7 +1497,7 @@ mod tests {
         // growth recovers the poisoned writer mutex too: the directory
         // and sample cursor were only mutated after fallible work
         let grown = e.extend(&ctx, 100);
-        assert_eq!(grown.seal().epoch(), Some(600..700));
+        assert_eq!(grown.epoch(), Some(600..700));
         assert_eq!(grown.pool_len(), 700);
         assert_eq!(e.generation(), 1);
     }
@@ -1514,12 +1510,12 @@ mod tests {
         assert_eq!(e.generation(), 0);
         let grown = e.extend(&ctx, 250);
         assert_eq!(grown.generation(), 1);
-        assert_eq!(grown.seal().epoch(), Some(500..750));
+        assert_eq!(grown.epoch(), Some(500..750));
         assert_eq!(grown.pool_len(), 750);
         assert_eq!(e.generation(), 1);
         // nothing pending: no epoch sealed, no generation churn
         let noop = e.extend(&ctx, 0);
-        assert_eq!(noop.seal().epoch(), None);
+        assert_eq!(noop.epoch(), None);
         assert_eq!(noop.generation(), 1);
         assert_eq!(noop.pool_len(), 750);
         assert_eq!(e.generation(), 1);
@@ -1714,7 +1710,7 @@ mod tests {
         let g = gen::erdos_renyi(50, 200, 17).build(WeightModel::WeightedCascade).unwrap();
         let ctx = SamplingContext::new(&g, Model::IndependentCascade);
         let mut pool = sns_rrset::RrCollection::new(50);
-        pool.extend_sequential(&mut ctx.sampler(0), 0, 50);
+        pool.extend_parallel(&ctx.sampler(0), 0, 50, 1);
         let e = SeedQueryEngine::from_pool(pool, 50.0);
         assert!(e.fingerprint().is_none());
         // fails before touching the filesystem — the path is never created

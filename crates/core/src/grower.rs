@@ -1,9 +1,10 @@
 //! The single-writer growth handle: grow the pool while queries keep
 //! serving, without a reader-side lock anywhere.
 //!
-//! [`Grower::extend`] clones the currently published (fully sealed)
-//! pool, appends `additional` deterministically sampled sets, seals them
-//! as one new epoch, pre-freezes the epoch's
+//! [`Grower::extend`] clones the currently published pool, grows it by
+//! `additional` deterministically sampled sets — one
+//! [`RrCollection::extend_parallel`], which seals them as one new epoch —
+//! pre-freezes the epoch's
 //! [`GainSnapshot`](sns_rrset::GainSnapshot) into the engine's cache,
 //! and publishes the grown pool as the next generation of the engine's
 //! [`EpochDirectory`](sns_rrset::EpochDirectory). Query workers that
@@ -15,9 +16,9 @@
 //! lock-free: readers never observe a pool mid-mutation because the pool
 //! they pinned is immutable forever. The clone copies the set arena and
 //! its offsets; the sealed inverted index is shared, not copied. The
-//! seal then counting-sorts only the new sets and merges them with the
-//! shared index into a fresh one (one sequential copy), leaving the
-//! published pool's index untouched. Growth work is the arena copy plus
+//! growth's seal then counting-sorts only the new sets and merges them
+//! with the shared index into a fresh one (one sequential copy), leaving
+//! the published pool's index untouched. Growth work is the arena copy plus
 //! that merge copy, both `memcpy`-speed; queries stay wait-free.
 //!
 //! Exclusive growth is enforced by a writer mutex on the engine
@@ -25,9 +26,10 @@
 //! out borrows freely; concurrent `extend` calls serialize). That mutex
 //! is the *only* lock growth takes, and no query path ever touches it.
 
+use std::ops::Range;
 use std::sync::{Arc, PoisonError};
 
-use sns_rrset::{DirectoryWriter, RrCollection, SealOutcome};
+use sns_rrset::{DirectoryWriter, RrCollection};
 
 use crate::{SamplingContext, SeedQueryEngine};
 
@@ -37,7 +39,7 @@ use crate::{SamplingContext, SeedQueryEngine};
 #[derive(Debug)]
 pub(crate) struct GrowerState {
     /// Publish handle of the engine's pool directory. Its `current()`
-    /// value is always the latest published, fully sealed pool.
+    /// value is always the latest published pool.
     pub(crate) dir_writer: DirectoryWriter<RrCollection>,
     /// Next sample index of the deterministic stream — growth continues
     /// where the constructor stopped, so a grown engine's pool is
@@ -45,13 +47,13 @@ pub(crate) struct GrowerState {
     pub(crate) next_sample_index: u64,
 }
 
-/// What one [`Grower::extend`] call did. Carries the [`SealOutcome`] so
-/// a grow loop can distinguish "nothing was pending" from "a new epoch
-/// was published".
+/// What one [`Grower::extend`] call did: the new epoch, if any, so a
+/// grow loop can distinguish "nothing to add" from "a new epoch was
+/// published".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrowthOutcome {
     generation: u64,
-    seal: SealOutcome,
+    epoch: Option<Range<u32>>,
     pool_len: u64,
 }
 
@@ -62,10 +64,10 @@ impl GrowthOutcome {
         self.generation
     }
 
-    /// Whether the call sealed (and published) a new epoch, and its id
-    /// range if so.
-    pub fn seal(&self) -> &SealOutcome {
-        &self.seal
+    /// The id range of the epoch the call sealed and published, or
+    /// `None` if it added no sets.
+    pub fn epoch(&self) -> Option<Range<u32>> {
+        self.epoch.clone()
     }
 
     /// Sets in the pool this call left published.
@@ -89,18 +91,16 @@ impl<'e> Grower<'e> {
 
     /// Grows the published pool by `additional` sets (continuing the
     /// deterministic stream, so the result is bit-identical to having
-    /// sampled the final size up front), seals them with one
-    /// [`RrCollection::seal_parallel`] as **one new epoch** (the
-    /// published pool is always fully sealed, so the seal's
-    /// [`SealOutcome`] is the growth's), pre-freezes that epoch's gain
-    /// snapshot, and publishes
-    /// the grown pool as the next directory generation. Queries running
-    /// concurrently keep answering from whatever generation they pinned;
-    /// nothing cached is invalidated (epoch boundaries are append-only).
+    /// sampled the final size up front) as **one new epoch** — one
+    /// [`RrCollection::extend_parallel`] — pre-freezes that epoch's gain
+    /// snapshot, and publishes the grown pool as the next directory
+    /// generation. Queries running concurrently keep answering from
+    /// whatever generation they pinned; nothing cached is invalidated
+    /// (epoch boundaries are append-only).
     ///
-    /// With `additional == 0` nothing is pending: no epoch is sealed, no
-    /// generation is published, and the returned
-    /// [`GrowthOutcome::seal`] is [`SealOutcome::AlreadySealed`].
+    /// With `additional == 0` there is nothing to add: no epoch is
+    /// sealed, no generation is published, and the returned
+    /// [`GrowthOutcome::epoch`] is `None`.
     ///
     /// Concurrent `extend` calls serialize on the engine's writer mutex.
     /// The mutex recovers from poisoning: all writer state is mutated
@@ -111,27 +111,25 @@ impl<'e> Grower<'e> {
         let mut state = self.engine.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let mut pool: RrCollection = (**state.dir_writer.current()).clone();
         let threads = self.engine.threads;
-        pool.extend_parallel(&ctx.sampler(0), state.next_sample_index, additional, threads);
-        // The published pool is fully sealed, so this one seal covers
-        // exactly the appended sets: one new epoch, or nothing pending.
-        let seal = pool.seal_parallel(threads);
+        let epoch =
+            pool.extend_parallel(&ctx.sampler(0), state.next_sample_index, additional, threads);
         let pool_len = pool.len() as u64;
-        let generation = match seal.epoch() {
+        let generation = match &epoch {
             Some(epoch) => {
                 let pool = Arc::new(pool);
                 // Freeze the new epoch's snapshot *before* publishing:
                 // the first query against the grown pool finds it cached
                 // (no query-level miss), and queries pinned to older
                 // generations never see its key.
-                self.engine.freeze_epoch(&pool, &epoch);
+                self.engine.freeze_epoch(&pool, epoch);
                 let generation = state.dir_writer.publish(pool);
                 state.next_sample_index += additional;
                 generation
             }
-            // Nothing pending — keep serving the current generation
+            // Nothing added — keep serving the current generation
             // rather than publishing an identical clone.
             None => self.engine.directory.generation(),
         };
-        GrowthOutcome { generation, seal, pool_len }
+        GrowthOutcome { generation, epoch, pool_len }
     }
 }

@@ -26,7 +26,7 @@
 //!   distribution and seeding. With uniform roots the algorithms solve
 //!   classic IM; with weighted roots (WRIS) they solve targeted viral
 //!   marketing — the generalization used by the `sns-tvm` crate.
-//! * [`SeedQueryEngine`] — the frozen-pool serving layer: seal one RR
+//! * [`SeedQueryEngine`] — the frozen-pool serving layer: keep one RR
 //!   pool, snapshot its initial gains per queried slice, and answer
 //!   batches of heterogeneous [`SeedQuery`]s (varying `k`, id ranges,
 //!   forced/excluded seeds, per-query target weights) thread-parallel
@@ -72,7 +72,6 @@ mod dssa;
 mod engine;
 mod error;
 mod estimate_inf;
-mod framework;
 mod grower;
 mod params;
 mod result;
@@ -84,7 +83,6 @@ pub use dssa::{Dssa, DssaIteration};
 pub use engine::{QueryStats, SeedAnswer, SeedQuery, SeedQueryEngine};
 pub use error::CoreError;
 pub use estimate_inf::{estimate_inf, estimate_inf_with_sink, EstimateInfOutcome, EstimateScratch};
-pub use framework::{ris_fixed_pool, RisThresholds};
 pub use grower::{Grower, GrowthOutcome};
 pub use params::{Params, SsaEpsilons};
 pub use planner::{
@@ -100,6 +98,5 @@ pub use ssa::Ssa;
 // re-exported so engine callers don't need a direct `sns_rrset`
 // dependency to handle their outcomes.
 pub use sns_rrset::{
-    EpochDirectory, NodeCosts, PoolStore, Recovery, SaveStats, SealOutcome, StoreError,
-    StoreFingerprint,
+    EpochDirectory, NodeCosts, PoolStore, Recovery, SaveStats, StoreError, StoreFingerprint,
 };

@@ -117,7 +117,6 @@ impl Ssa {
             if target > have {
                 pool.extend_parallel(&main_sampler, have, target - have, ctx.threads());
             }
-            let _ = pool.seal_parallel(ctx.threads());
             peak_bytes = peak_bytes.max(pool.memory_bytes());
             let pool_size = pool.len() as u64;
 

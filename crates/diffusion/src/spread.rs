@@ -5,18 +5,20 @@
 //! same mean with each activated node scored by a relevance weight `b(v)`
 //! is the targeted influence `I_T(S) = Σ_v b(v)·Pr[v activated]` of TVM
 //! (§7.3). The estimator is embarrassingly parallel and — because each
-//! simulation index owns its RNG stream and partial sums are combined in
-//! a fixed order — returns bit-identical results for any thread count.
+//! simulation index owns its RNG stream and its score slot, and partial
+//! sums are combined in a fixed order — returns bit-identical results
+//! for any thread count.
 
 use sns_graph::{Graph, GraphError, NodeId};
 
 use crate::forward::CascadeSimulator;
 use crate::Model;
 
-/// Cascades per partial sum. Each block is summed sequentially and the
-/// blocks are added in block order, so the float rounding, and with it
-/// the estimate, does not depend on how blocks are spread over threads.
-const BLOCK: u64 = 1024;
+/// Cascades per partial sum. Each block of per-cascade scores is summed
+/// sequentially and the blocks are added in block order, so the float
+/// rounding, and with it the estimate, does not depend on how the
+/// cascades are spread over threads.
+const BLOCK: usize = 1024;
 
 /// Monte Carlo estimator of the influence spread `I(S)`, or of the
 /// targeted spread `I_T(S)` under [`SpreadEstimator::with_weights`].
@@ -63,38 +65,30 @@ impl<'g> SpreadEstimator<'g> {
             distinct.dedup();
             return self.score(&distinct);
         }
-        let mut block_sums = vec![0.0f64; simulations.div_ceil(BLOCK) as usize];
-        let workers = self.threads.min(block_sums.len());
+        // Workers own contiguous simulation ranges and write each
+        // cascade's score into its own slot.
+        let mut scores = vec![0.0f64; simulations as usize];
+        let workers = self.threads.min(scores.len());
         if workers <= 1 {
-            self.run_blocks(seeds, simulations, master_seed, 0, &mut block_sums);
+            self.run_range(seeds, master_seed, 0, &mut scores);
         } else {
-            let per_worker = block_sums.len().div_ceil(workers);
+            let per_worker = scores.len().div_ceil(workers);
             std::thread::scope(|scope| {
-                for (w, chunk) in block_sums.chunks_mut(per_worker).enumerate() {
+                for (w, chunk) in scores.chunks_mut(per_worker).enumerate() {
                     let first = (w * per_worker) as u64;
-                    scope.spawn(move || {
-                        self.run_blocks(seeds, simulations, master_seed, first, chunk)
-                    });
+                    scope.spawn(move || self.run_range(seeds, master_seed, first, chunk));
                 }
             });
         }
-        block_sums.iter().sum::<f64>() / simulations as f64
+        let total: f64 = scores.chunks(BLOCK).map(|block| block.iter().sum::<f64>()).sum();
+        total / simulations as f64
     }
 
-    /// Fills `sums[i]` with the total score of the cascades in block
-    /// `first + i`.
-    fn run_blocks(
-        &self,
-        seeds: &[NodeId],
-        simulations: u64,
-        master_seed: u64,
-        first: u64,
-        sums: &mut [f64],
-    ) {
+    /// Fills `scores[i]` with the score of cascade `first + i`.
+    fn run_range(&self, seeds: &[NodeId], master_seed: u64, first: u64, scores: &mut [f64]) {
         let mut sim = CascadeSimulator::new(self.graph, self.model);
-        for (b, slot) in (first..).zip(sums) {
-            let end = ((b + 1) * BLOCK).min(simulations);
-            *slot = (b * BLOCK..end).map(|i| self.score(sim.run(seeds, master_seed, i))).sum();
+        for (i, slot) in (first..).zip(scores) {
+            *slot = self.score(sim.run(seeds, master_seed, i));
         }
     }
 
@@ -241,6 +235,50 @@ mod tests {
                     );
                     assert_eq!(est.to_bits(), reference.to_bits(), "{model}, {threads} threads");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn estimates_are_pinned_and_thread_count_invariant() {
+        // Pinned one-thread bits: per-simulation score slots summed in
+        // 1024-slot blocks must reproduce them at every thread count,
+        // also below one block (1000 simulations).
+        let er = |n, m, seed| {
+            sns_graph::gen::erdos_renyi(n, m, seed).build(WeightModel::WeightedCascade).unwrap()
+        };
+        let (fan, er120, er100) = (fanout(0.5, 50), er(120, 700, 3), er(100, 600, 4));
+        let w: Vec<f64> = (0..100u32).map(|v| f64::from(v * 37 % 11) / 7.0).collect();
+        let pins: [(u64, Model, [u64; 3]); 4] = [
+            (
+                1000,
+                Model::IndependentCascade,
+                [0x4039fbe76c8b4396, 0x4034cd4fdf3b645a, 0x40278ccccccccccd],
+            ),
+            (
+                1000,
+                Model::LinearThreshold,
+                [0x4039fbe76c8b4396, 0x4042ecac083126e9, 0x4033e58f1142ffb1],
+            ),
+            (
+                5000,
+                Model::IndependentCascade,
+                [0x4039eee631f8a090, 0x4035181d7dbf4880, 0x4027b28330642d2f],
+            ),
+            (
+                5000,
+                Model::LinearThreshold,
+                [0x4039eee631f8a090, 0x404333dd97f62b6b, 0x40342e631f8a0905],
+            ),
+        ];
+        for (sims, model, [fan_bits, er_bits, weighted_bits]) in pins {
+            for threads in [1, 2, 8] {
+                let est = |g| SpreadEstimator::new(g, model).with_threads(threads);
+                let case = format!("{sims} {model} at {threads} threads");
+                assert_eq!(est(&fan).estimate(&[0], sims, 7).to_bits(), fan_bits, "fan {case}");
+                assert_eq!(est(&er120).estimate(&[0, 7], sims, 13).to_bits(), er_bits, "{case}");
+                let weighted = est(&er100).with_weights(&w).unwrap().estimate(&[3, 4], sims, 11);
+                assert_eq!(weighted.to_bits(), weighted_bits, "weighted {case}");
             }
         }
     }

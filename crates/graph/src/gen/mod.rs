@@ -10,13 +10,11 @@ pub mod datasets;
 
 mod barabasi_albert;
 mod erdos_renyi;
-mod forest_fire;
 mod rmat;
 mod watts_strogatz;
 
 pub use barabasi_albert::barabasi_albert;
 pub use erdos_renyi::erdos_renyi;
-pub use forest_fire::forest_fire;
 pub use rmat::{rmat, RmatParams};
 pub use watts_strogatz::watts_strogatz;
 

@@ -51,7 +51,6 @@ pub mod gen;
 pub mod hash;
 pub mod io;
 mod stats;
-mod transform;
 mod weights;
 
 pub use alias::AliasTable;
@@ -59,8 +58,7 @@ pub use builder::{DedupPolicy, GraphBuilder};
 pub use csr::{Graph, InEdgeIter, OutEdgeIter};
 pub use error::GraphError;
 pub use hash::{fnv64, Fnv64};
-pub use stats::{largest_weak_component, DegreeHistogram, GraphStats};
-pub use transform::{induced_subgraph, transpose};
+pub use stats::GraphStats;
 pub use weights::WeightModel;
 
 /// Identifier of a node. Dense in `0..Graph::num_nodes()`.

@@ -52,7 +52,7 @@ impl GraphStats {
 
 /// Size of the largest weakly connected component (union-find with path
 /// halving and union by size).
-pub fn largest_weak_component(g: &Graph) -> u32 {
+fn largest_weak_component(g: &Graph) -> u32 {
     let n = g.num_nodes() as usize;
     if n == 0 {
         return 0;
@@ -101,58 +101,6 @@ impl std::fmt::Display for GraphStats {
             self.isolated_nodes,
             self.largest_wcc
         )
-    }
-}
-
-/// Log₂-binned out-degree histogram, for eyeballing power-law shape.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeHistogram {
-    /// `buckets[i]` counts nodes with out-degree in `[2^i, 2^(i+1))`;
-    /// `buckets[0]` additionally includes degree 0 and 1.
-    pub buckets: Vec<u64>,
-}
-
-impl DegreeHistogram {
-    /// Builds the histogram of out-degrees.
-    pub fn out_degrees(g: &Graph) -> Self {
-        let mut buckets = vec![0u64; 33];
-        for v in 0..g.num_nodes() {
-            let d = g.out_degree(v);
-            let b = if d <= 1 { 0 } else { (31 - d.leading_zeros()) as usize };
-            buckets[b] += 1;
-        }
-        while buckets.len() > 1 && *buckets.last().unwrap() == 0 {
-            buckets.pop();
-        }
-        DegreeHistogram { buckets }
-    }
-
-    /// Builds the histogram of in-degrees.
-    pub fn in_degrees(g: &Graph) -> Self {
-        let mut buckets = vec![0u64; 33];
-        for v in 0..g.num_nodes() {
-            let d = g.in_degree(v);
-            let b = if d <= 1 { 0 } else { (31 - d.leading_zeros()) as usize };
-            buckets[b] += 1;
-        }
-        while buckets.len() > 1 && *buckets.last().unwrap() == 0 {
-            buckets.pop();
-        }
-        DegreeHistogram { buckets }
-    }
-}
-
-impl std::fmt::Display for DegreeHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, &count) in self.buckets.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let lo = if i == 0 { 0 } else { 1u64 << i };
-            let hi = (1u64 << (i + 1)) - 1;
-            writeln!(f, "  deg {lo:>8}..={hi:<8} : {count}")?;
-        }
-        Ok(())
     }
 }
 
@@ -207,19 +155,5 @@ mod tests {
         let s = GraphStats::compute(&g);
         assert_eq!(s.largest_wcc, 3);
         assert!(s.to_string().contains("largest WCC 3"));
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let g = star(11);
-        let h = DegreeHistogram::out_degrees(&g);
-        // node 0 has degree 10 -> bucket 3 ([8, 15]); others degree 0 -> bucket 0
-        assert_eq!(h.buckets[0], 10);
-        assert_eq!(h.buckets[3], 1);
-        let shown = h.to_string();
-        assert!(shown.contains(": 10"));
-
-        let h_in = DegreeHistogram::in_degrees(&g);
-        assert_eq!(h_in.buckets[0], 11); // ten nodes of in-degree 1, one of 0
     }
 }

@@ -6,12 +6,9 @@
 //! offsets, exactly like the CSR graph storage in `sns-graph`. The
 //! node→set-ids inverted index — the structure greedy Max-Coverage and
 //! every coverage query traverse — is one immutable flat CSR (offsets
-//! plus 4-byte ids) over every set up to the last seal, shared by `Arc`
-//! between clones ([`crate::index`]). Sets appended since the last seal
-//! are not indexed: a query scans their arena slice in id order, so
-//! reads before a seal stay correct at `O(unsealed entries)` each. Both
-//! parts yield ascending set ids, so range restriction stays a binary
-//! search plus a clipped scan.
+//! plus 4-byte ids) over every pooled set, shared by `Arc` between
+//! clones ([`crate::index`]). Ids come out ascending, so range
+//! restriction is a binary search into one slice.
 //!
 //! Compared to the previous `node_to_sets: Vec<Vec<u32>>` layout this
 //! removes one heap allocation + 24-byte `Vec` header per node and the
@@ -19,20 +16,20 @@
 //! billion scale), and it turns index construction into a parallel
 //! counting sort instead of per-node `push` calls.
 //!
-//! # Amortization
+//! # Growth is one sealed epoch
 //!
-//! Appends ([`RrCollection::push`], [`RrCollection::extend_sequential`],
-//! [`RrCollection::extend_parallel`]) write only the arena. The index
-//! changes only in [`RrCollection::seal`] / [`RrCollection::seal_parallel`],
-//! which counting-sort the sets added since the previous seal —
-//! `O(new entries + n)` — and then copy the old sealed CSR and the new
-//! ids into the next CSR in one sequential merge pass, a `memcpy`-speed
-//! `O(total entries)`. SSA/D-SSA grow the pool only at their doubling
-//! checkpoints (`Λ·2^(t−1)` sets at iteration `t`) and seal once right
-//! after each growth, so each iteration costs exactly one seal.
+//! A pool grows only through [`RrCollection::extend_parallel`] (sampled
+//! sets) and [`RrCollection::append_epoch`] (given sets), and each call
+//! appends its sets to the arena and seals them as **one epoch** before
+//! it returns, so no reader ever sees an unindexed set. A seal
+//! counting-sorts only the new sets — `O(new entries + n)` — and then
+//! copies the old CSR and the new ids into the next CSR in one
+//! sequential merge pass, a `memcpy`-speed `O(total entries)`. SSA/D-SSA
+//! grow the pool only at their doubling checkpoints (`Λ·2^(t−1)` sets at
+//! iteration `t`), so each iteration costs exactly one seal.
 //!
 //! Cloning a pool copies the arena and its offsets; the sealed CSR is
-//! shared, and a seal on the clone builds a fresh one instead of writing
+//! shared, and growing the clone builds a fresh one instead of writing
 //! to it, so a published pool never changes through its clones.
 //!
 //! # Determinism
@@ -41,46 +38,16 @@
 //! `Λ·2^(t−1)` samples" semantics of SSA/D-SSA map directly onto id
 //! ranges. Pool growth is **bit-identical** across thread counts: each
 //! sample index owns its RNG stream, workers own contiguous index
-//! ranges merged in order, epoch boundaries depend only on seal calls
-//! (each seal that finds unsealed sets records exactly one), and the
-//! counting sort produces the same arrays for every worker count.
+//! ranges merged in order, epoch boundaries depend only on the growth
+//! calls (each non-empty one records exactly one), and the counting sort
+//! produces the same arrays for every worker count.
 
 use std::ops::Range;
 
-use sns_diffusion::{RrMeta, RrSampler};
+use sns_diffusion::RrSampler;
 use sns_graph::NodeId;
 
-use crate::index::{SealedIndex, SetIds};
-
-/// What a seal actually did. [`RrCollection::seal`] on a fully-sealed
-/// pool is a silent success by design (sealing is idempotent), but a
-/// grow-while-serving loop needs to know whether there is a *new* epoch
-/// to freeze and publish — this makes the no-op explicit instead of
-/// forcing callers to diff [`RrCollection::epoch_boundaries`] around the
-/// call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[must_use = "a grow loop must distinguish 'nothing pending' from 'epoch published'"]
-pub enum SealOutcome {
-    /// Every pooled set was already sealed: no rebuild ran, no epoch
-    /// boundary was added.
-    AlreadySealed,
-    /// The unsealed sets were indexed as one new sealed epoch covering
-    /// this id range (its end is the pool length).
-    EpochSealed {
-        /// The id range of the newly sealed epoch.
-        epoch: Range<u32>,
-    },
-}
-
-impl SealOutcome {
-    /// The newly sealed epoch's id range, if one was published.
-    pub fn epoch(&self) -> Option<Range<u32>> {
-        match self {
-            SealOutcome::AlreadySealed => None,
-            SealOutcome::EpochSealed { epoch } => Some(epoch.clone()),
-        }
-    }
-}
+use crate::index::SealedIndex;
 
 /// A growing pool of RR sets (see the module docs for the layout).
 #[derive(Debug, Clone)]
@@ -148,16 +115,6 @@ impl RrCollection {
         self.total_edges_examined
     }
 
-    /// Number of sets in the sealed CSR index (ids `0..sealed_sets`).
-    pub fn sealed_sets(&self) -> u32 {
-        self.index.sealed_sets()
-    }
-
-    /// Number of sets appended since the last seal (not yet indexed).
-    pub fn pending_sets(&self) -> u32 {
-        crate::narrow::set_count(self.len()) - self.index.sealed_sets()
-    }
-
     /// Number of epoch seals (compactions) performed so far — one per
     /// recorded epoch boundary.
     pub fn compactions(&self) -> u64 {
@@ -167,9 +124,9 @@ impl RrCollection {
     /// Cumulative set-id boundaries of the sealed epochs, strictly
     /// ascending: epoch `e` covers ids
     /// `boundaries[e - 1] .. boundaries[e]` (with an implicit leading 0),
-    /// and ids at or past the last boundary are still pending. The list
-    /// is **append-only** — a seal only adds a boundary past the previous
-    /// frontier, never moves an existing one — so anything frozen against
+    /// and the last boundary is [`RrCollection::len`]. The list is
+    /// **append-only** — a growth only adds a boundary past the previous
+    /// one, never moves an existing one — so anything frozen against
     /// a past epoch (per-epoch [`crate::GainSnapshot`]s in particular)
     /// stays valid as the pool grows.
     pub fn epoch_boundaries(&self) -> &[u32] {
@@ -201,28 +158,15 @@ impl RrCollection {
     }
 
     /// Ids of the sets containing `v`, ascending.
-    pub fn sets_containing(&self, v: NodeId) -> SetIds<'_> {
-        self.sets_containing_in(v, self.id_range())
+    pub fn sets_containing(&self, v: NodeId) -> &[u32] {
+        self.index.sets_containing_in(v, self.id_range())
     }
 
     /// Ids of the sets containing `v` restricted to an id `range`,
-    /// ascending. Sealed ids are binary-searched in the CSR; sets past
-    /// the sealed frontier are found by scanning their arena slice,
-    /// `O(unsealed entries)` — seal before reading a grown pool. An
-    /// inverted range (`start >= end`) is empty.
-    pub fn sets_containing_in(&self, v: NodeId, range: Range<u32>) -> SetIds<'_> {
-        self.index.sets_containing_in(v, range, &self.data, &self.offsets)
-    }
-
-    /// The single append routine every growth path funnels through:
-    /// copies the set into the arena and accounts its sampling cost. The
-    /// inverted index picks the set up at the next seal.
-    #[inline]
-    fn append_arena(&mut self, rr: &[NodeId], edges_examined: u64) {
-        debug_assert!(self.len() < u32::MAX as usize, "set-id space exhausted");
-        self.data.extend_from_slice(rr);
-        self.offsets.push(self.data.len() as u64);
-        self.total_edges_examined += edges_examined;
+    /// ascending: a binary-searched slice of the sealed CSR. An inverted
+    /// range (`start >= end`) is empty.
+    pub fn sets_containing_in(&self, v: NodeId, range: Range<u32>) -> &[u32] {
+        self.index.sets_containing_in(v, range)
     }
 
     /// Cumulative `total_edges_examined` at each sealed epoch boundary,
@@ -232,11 +176,80 @@ impl RrCollection {
         &self.epoch_edges
     }
 
+    /// Grows the pool with samples `from_index .. from_index + count` of
+    /// the sampler's deterministic stream and seals them as one new
+    /// epoch, whose id range it returns (`None` when `count == 0`: no
+    /// sets, no epoch). Generation fans out across `threads` workers;
+    /// the pool is **bit-identical** for every `threads` value because
+    /// each sample index owns its RNG stream and workers own contiguous
+    /// index ranges merged back in order (see the module docs). Under
+    /// 128 samples it runs one worker on the calling thread.
+    pub fn extend_parallel(
+        &mut self,
+        sampler: &RrSampler<'_>,
+        from_index: u64,
+        count: u64,
+        threads: usize,
+    ) -> Option<Range<u32>> {
+        if count == 0 {
+            return None;
+        }
+        let workers = if count < 128 { 1 } else { threads.clamp(1, count as usize) };
+        let chunk = count.div_ceil(workers as u64);
+        // Worker `w` fills a private mini-arena with its contiguous index
+        // range; merging in worker order makes the pool layout identical
+        // for every worker count.
+        let sample_chunk = |w: u64| {
+            let end = (from_index + (w + 1) * chunk).min(from_index + count);
+            let mut local = sampler.clone();
+            let (mut data, mut offsets, mut edges) = (Vec::new(), vec![0u64], 0u64);
+            let mut rr = Vec::new();
+            for i in from_index + w * chunk..end {
+                edges += local.sample(i, &mut rr).edges_examined;
+                data.extend_from_slice(&rr);
+                offsets.push(data.len() as u64);
+            }
+            (data, offsets, edges)
+        };
+        let batches: Vec<(Vec<NodeId>, Vec<u64>, u64)> = if workers == 1 {
+            vec![sample_chunk(0)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> =
+                    (0..workers as u64).map(|w| scope.spawn(move || sample_chunk(w))).collect();
+                handles.into_iter().map(|h| h.join().expect("rr worker panicked")).collect()
+            })
+        };
+        for (data, offsets, edges) in batches {
+            for w in offsets.windows(2) {
+                self.append_arena(&data[w[0] as usize..w[1] as usize]);
+            }
+            self.total_edges_examined += edges;
+        }
+        Some(self.seal(threads))
+    }
+
+    /// Appends the given `sets` in order and seals them as one new epoch,
+    /// whose id range it returns (`None` for no sets: no epoch).
+    /// `edges_examined` is the sampling cost of the whole batch. This is
+    /// how pools are built from sets that were not sampled by an
+    /// [`RrSampler`] stream — fixtures, oracles, hand-made examples.
+    pub fn append_epoch(&mut self, sets: &[&[NodeId]], edges_examined: u64) -> Option<Range<u32>> {
+        if sets.is_empty() {
+            return None;
+        }
+        for rr in sets {
+            self.append_arena(rr);
+        }
+        self.total_edges_examined += edges_examined;
+        Some(self.seal(1))
+    }
+
     /// Restores one sealed epoch from its serialized form: appends the
     /// epoch's arena slice verbatim (`set_ends` are the per-set end
     /// offsets rebased to the epoch start, leading 0 implicit), accounts
     /// its sampling cost, and seals it — one seal, so exactly the saved
-    /// epoch boundary is recorded.
+    /// epoch boundary is recorded. `set_ends` must be non-empty.
     pub(crate) fn restore_sealed_epoch(
         &mut self,
         data: &[NodeId],
@@ -248,13 +261,41 @@ impl RrCollection {
         self.data.extend_from_slice(data);
         self.offsets.extend(set_ends.iter().map(|&e| base + e));
         self.total_edges_examined += edges_delta;
-        let _ = self.seal_parallel(threads);
+        let _ = self.seal(threads);
+    }
+
+    /// No-op: every growth already seals its sets. Kept only because the
+    /// end-to-end benchmark still calls it; the paired benchmark change
+    /// (ROADMAP C′) deletes it.
+    #[doc(hidden)]
+    pub fn seal_parallel(&mut self, _threads: usize) {}
+
+    /// Copies one set into the arena. Every growth path funnels through
+    /// here and then through [`RrCollection::seal`].
+    #[inline]
+    fn append_arena(&mut self, rr: &[NodeId]) {
+        debug_assert!(self.len() < u32::MAX as usize, "set-id space exhausted");
+        self.data.extend_from_slice(rr);
+        self.offsets.push(self.data.len() as u64);
+    }
+
+    /// Seals the sets appended since the previous seal as one epoch: the
+    /// one place the index and the epoch boundaries change. Indexes them
+    /// into a fresh sealed CSR (a counting sort over `threads` workers,
+    /// bit-identical for every value), records the pool end as the new
+    /// boundary with its cumulative edge total, and returns the epoch's
+    /// id range. Callers append at least one set first.
+    fn seal(&mut self, threads: usize) -> Range<u32> {
+        let first = self.index.indexed_sets();
+        self.index.seal(&self.data, &self.offsets, threads);
+        self.epoch_edges.push(self.total_edges_examined);
+        first..crate::narrow::set_count(self.len())
     }
 
     /// Test-only drift hooks for the save-time metadata guard: desync the
-    /// arena offsets / the per-epoch edge totals the way a bookkeeping
-    /// bug would, so tests can prove the guard turns the mismatch into a
-    /// typed error instead of serializing garbage.
+    /// arena offsets / the per-epoch edge totals / the sealed frontier the
+    /// way a bookkeeping bug would, so tests can prove the guard turns the
+    /// mismatch into a typed error instead of serializing garbage.
     #[cfg(test)]
     pub(crate) fn corrupt_last_offset_for_test(&mut self) {
         *self.offsets.last_mut().expect("offsets non-empty") += 1;
@@ -266,105 +307,11 @@ impl RrCollection {
         self.epoch_edges.pop();
     }
 
-    /// Appends one sampled set (arena only; see [`RrCollection::seal`]).
-    pub fn push(&mut self, rr: &[NodeId], meta: RrMeta) {
-        self.append_arena(rr, meta.edges_examined);
-    }
-
-    /// Seals one epoch: indexes every set appended since the last seal
-    /// into the sealed CSR and records the pool end as a new epoch
-    /// boundary. This is the only operation that changes the index or the
-    /// boundaries. Query answers are unaffected; unsealed reads stop
-    /// scanning. Returns whether a new epoch was actually published — see
-    /// [`SealOutcome`].
-    pub fn seal(&mut self) -> SealOutcome {
-        self.seal_parallel(1)
-    }
-
-    /// [`RrCollection::seal`] with a worker-thread budget for the
-    /// counting sort of the unsealed sets. The seal costs an `O(new
-    /// entries)` scatter plus one sequential merge copy of the index into
-    /// a fresh sealed CSR; clones sharing the old one are untouched. The
-    /// resulting index is bit-identical for every `threads` value.
-    /// Sealing an already fully sealed pool is an explicit no-op (no
-    /// rebuild, no new epoch) reported as [`SealOutcome::AlreadySealed`],
-    /// so a grow loop can distinguish "nothing pending" from "epoch
-    /// published" without re-reading [`RrCollection::epoch_boundaries`].
-    pub fn seal_parallel(&mut self, threads: usize) -> SealOutcome {
-        let sealed = self.index.sealed_sets() as usize;
-        if sealed == self.len() {
-            return SealOutcome::AlreadySealed;
-        }
-        self.index.seal(&self.data, &self.offsets, threads);
-        self.epoch_edges.push(self.total_edges_examined);
-        SealOutcome::EpochSealed {
-            epoch: crate::narrow::set_count(sealed)..crate::narrow::set_count(self.len()),
-        }
-    }
-
-    /// Grows the pool with samples `from_index .. from_index + count` from
-    /// the sampler's deterministic stream, sequentially. Appends only;
-    /// [`RrCollection::seal`] indexes the new sets.
-    pub fn extend_sequential(&mut self, sampler: &mut RrSampler<'_>, from_index: u64, count: u64) {
-        let mut rr = Vec::new();
-        for i in 0..count {
-            let meta = sampler.sample(from_index + i, &mut rr);
-            self.append_arena(&rr, meta.edges_examined);
-        }
-    }
-
-    /// Grows the pool with samples `from_index .. from_index + count`,
-    /// fanning generation across `threads` workers. The result is
-    /// **bit-identical** to [`RrCollection::extend_sequential`] because
-    /// each sample index owns its RNG stream and workers own contiguous
-    /// index ranges merged back in order (see the module docs). With one
-    /// worker (or under 128 samples) it runs the sequential path.
-    /// Appends only; [`RrCollection::seal_parallel`] indexes the new sets.
-    pub fn extend_parallel(
-        &mut self,
-        sampler: &RrSampler<'_>,
-        from_index: u64,
-        count: u64,
-        threads: usize,
-    ) {
-        let workers = threads.clamp(1, count.max(1) as usize);
-        if workers == 1 || count < 128 {
-            let mut local = sampler.clone();
-            self.extend_sequential(&mut local, from_index, count);
-            return;
-        }
-        let chunk = count.div_ceil(workers as u64);
-        // Each worker fills a private mini-arena; merging preserves index
-        // order so the pool layout matches the sequential build.
-        let batches: Vec<(Vec<NodeId>, Vec<u64>, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers as u64)
-                .map(|w| {
-                    let start = from_index + w * chunk;
-                    let end = (from_index + (w + 1) * chunk).min(from_index + count);
-                    let mut local = sampler.clone();
-                    scope.spawn(move || {
-                        let mut data = Vec::new();
-                        let mut offsets = vec![0u64];
-                        let mut edges = 0u64;
-                        let mut rr = Vec::new();
-                        for i in start..end {
-                            let meta = local.sample(i, &mut rr);
-                            data.extend_from_slice(&rr);
-                            offsets.push(data.len() as u64);
-                            edges += meta.edges_examined;
-                        }
-                        (data, offsets, edges)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("rr worker panicked")).collect()
-        });
-        for (data, offsets, edges) in batches {
-            for w in offsets.windows(2) {
-                self.append_arena(&data[w[0] as usize..w[1] as usize], 0);
-            }
-            self.total_edges_examined += edges;
-        }
+    /// See [`RrCollection::corrupt_last_offset_for_test`]: appends one
+    /// set without sealing it, leaving the pool with an unsealed tail.
+    #[cfg(test)]
+    pub(crate) fn append_unsealed_for_test(&mut self, rr: &[NodeId]) {
+        self.append_arena(rr);
     }
 
     /// Number of sets in `range` covered by `seeds` (`Cov_R(S)` of the
@@ -384,7 +331,7 @@ impl RrCollection {
         scratch.resize(len.div_ceil(64), 0);
         let mut covered = 0u64;
         for &s in seeds {
-            for id in self.sets_containing_in(s, range.clone()) {
+            for &id in self.sets_containing_in(s, range.clone()) {
                 let slot = (id - range.start) as usize;
                 let (word, bit) = (slot / 64, 1u64 << (slot % 64));
                 if scratch[word] & bit == 0 {
@@ -414,7 +361,7 @@ impl RrCollection {
 
     /// Byte footprint of the inverted index alone (counting capacities) —
     /// the component the sealed CSR layout shrinks relative to per-node
-    /// `Vec`s. Sets appended since the last seal are not indexed yet.
+    /// `Vec`s.
     pub fn index_memory_bytes(&self) -> u64 {
         self.index.memory_bytes()
     }
@@ -426,31 +373,28 @@ mod tests {
     use sns_diffusion::{Model, RrSampler};
     use sns_graph::WeightModel;
 
-    fn meta(root: NodeId) -> RrMeta {
-        RrMeta { root, edges_examined: 1 }
+    /// A pool holding `sets` as one epoch, one examined edge per set.
+    fn pool(n: u32, sets: &[&[NodeId]]) -> RrCollection {
+        let mut rc = RrCollection::new(n);
+        rc.append_epoch(sets, sets.len() as u64);
+        rc
     }
 
     #[test]
     fn push_and_query() {
-        let mut rc = RrCollection::new(5);
-        rc.push(&[0, 1, 2], meta(0));
-        rc.push(&[1], meta(1));
-        rc.push(&[3, 1], meta(3));
+        let rc = pool(5, &[&[0, 1, 2], &[1], &[3, 1]]);
         assert_eq!(rc.len(), 3);
         assert_eq!(rc.total_nodes(), 6);
         assert_eq!(rc.set(0), &[0, 1, 2]);
         assert_eq!(rc.set(1), &[1]);
-        assert_eq!(rc.sets_containing(1).to_vec(), vec![0, 1, 2]);
-        assert_eq!(rc.sets_containing(4).to_vec(), Vec::<u32>::new());
+        assert_eq!(rc.sets_containing(1), &[0, 1, 2]);
+        assert!(rc.sets_containing(4).is_empty());
         assert_eq!(rc.total_edges_examined(), 3);
     }
 
     #[test]
     fn coverage_counts_each_set_once() {
-        let mut rc = RrCollection::new(5);
-        rc.push(&[0, 1], meta(0));
-        rc.push(&[1, 2], meta(1));
-        rc.push(&[3], meta(3));
+        let rc = pool(5, &[&[0, 1], &[1, 2], &[3]]);
         // seeds {0, 1}: sets 0 and 1 covered (set 0 via both nodes, once)
         assert_eq!(rc.coverage_of(&[0, 1]), 2);
         assert_eq!(rc.coverage_of(&[3]), 1);
@@ -460,12 +404,8 @@ mod tests {
 
     #[test]
     fn range_restricted_queries() {
-        let mut rc = RrCollection::new(3);
-        rc.push(&[0], meta(0)); // id 0
-        rc.push(&[0, 1], meta(0)); // id 1
-        rc.push(&[1], meta(1)); // id 2
-        rc.push(&[0, 2], meta(0)); // id 3
-        assert_eq!(rc.sets_containing_in(0, 1..4).to_vec(), vec![1, 3]);
+        let rc = pool(3, &[&[0], &[0, 1], &[1], &[0, 2]]);
+        assert_eq!(rc.sets_containing_in(0, 1..4), &[1, 3]);
         let mut scratch = Vec::new();
         assert_eq!(rc.coverage_of_range(&[0], 0..2, &mut scratch), 2);
         assert_eq!(rc.coverage_of_range(&[0], 2..4, &mut scratch), 1);
@@ -474,17 +414,12 @@ mod tests {
 
     #[test]
     fn queries_agree_across_seal_boundaries() {
-        let mut rc = RrCollection::new(3);
-        rc.push(&[0], meta(0)); // id 0
-        rc.push(&[0, 1], meta(0)); // id 1
-        let _ = rc.seal(); // ids 0..2 now sealed
-        rc.push(&[1], meta(1)); // id 2 (pending)
-        rc.push(&[0, 2], meta(0)); // id 3 (pending)
-        assert_eq!(rc.sealed_sets(), 2);
-        assert_eq!(rc.pending_sets(), 2);
-        assert_eq!(rc.sets_containing(0).to_vec(), vec![0, 1, 3]);
-        assert_eq!(rc.sets_containing_in(0, 1..4).to_vec(), vec![1, 3]);
-        assert_eq!(rc.sets_containing_in(1, 1..3).to_vec(), vec![1, 2]);
+        let mut rc = pool(3, &[&[0], &[0, 1]]);
+        assert_eq!(rc.append_epoch(&[&[1], &[0, 2]], 2), Some(2..4));
+        assert_eq!(rc.epoch_boundaries(), &[2, 4]);
+        assert_eq!(rc.sets_containing(0), &[0, 1, 3]);
+        assert_eq!(rc.sets_containing_in(0, 1..4), &[1, 3]);
+        assert_eq!(rc.sets_containing_in(1, 1..3), &[1, 2]);
         let mut scratch = Vec::new();
         assert_eq!(rc.coverage_of_range(&[0], 2..4, &mut scratch), 1);
         assert_eq!(rc.coverage_of(&[1]), 2);
@@ -497,16 +432,15 @@ mod tests {
         for model in [Model::IndependentCascade, Model::LinearThreshold] {
             let sampler = RrSampler::with_config(&g, model, sns_diffusion::RootDist::Uniform, 11);
             let mut seq = RrCollection::new(300);
-            seq.extend_sequential(&mut sampler.clone(), 0, 1000);
-            let _ = seq.seal();
+            assert_eq!(seq.extend_parallel(&sampler, 0, 1000, 1), Some(0..1000));
             let mut par = RrCollection::new(300);
-            par.extend_parallel(&sampler, 0, 1000, 8);
-            let _ = par.seal_parallel(8);
+            assert_eq!(par.extend_parallel(&sampler, 0, 1000, 8), Some(0..1000));
             assert_eq!(seq.len(), par.len());
             assert_eq!(seq.data, par.data);
             assert_eq!(seq.offsets, par.offsets);
             assert_eq!(seq.index, par.index, "sealed indexes must match bit-for-bit");
             assert_eq!(seq.total_edges_examined, par.total_edges_examined);
+            assert_eq!(seq.epoch_edges, par.epoch_edges);
         }
     }
 
@@ -514,27 +448,23 @@ mod tests {
     fn memory_accounting_grows() {
         let mut rc = RrCollection::new(4);
         let empty = rc.memory_bytes();
-        for i in 0..100 {
-            rc.push(&[(i % 4) as u32, ((i + 1) % 4) as u32], meta(0));
-        }
+        let sets: Vec<[NodeId; 2]> = (0..100u32).map(|i| [i % 4, (i + 1) % 4]).collect();
+        let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
+        rc.append_epoch(&refs, 0);
         assert!(rc.memory_bytes() > empty);
-        let _ = rc.seal();
         assert!(rc.index_memory_bytes() > 0);
     }
 
     #[test]
     fn sealing_shrinks_the_index() {
         let mut rc = RrCollection::new(4);
-        for i in 0..2000 {
-            rc.push(&[(i % 4) as u32, ((i + 1) % 4) as u32], meta(0));
-        }
-        assert_eq!(rc.sets_containing(0).len(), 1000, "unsealed reads scan the arena");
-        let _ = rc.seal();
-        assert_eq!(rc.pending_sets(), 0);
+        assert_eq!(rc.index_memory_bytes(), 0, "an empty pool indexes nothing");
+        let sets: Vec<[NodeId; 2]> = (0..2000u32).map(|i| [i % 4, (i + 1) % 4]).collect();
+        let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
+        rc.append_epoch(&refs, 0);
         // the sealed index sits exactly at the flat-CSR floor: one u32
         // offset per node (plus one) and one u32 id per entry
         assert_eq!(rc.index_memory_bytes(), 4 * (4 + 1) + 4 * rc.total_nodes());
-        // all queries still intact
         assert_eq!(rc.sets_containing(0).len(), 1000);
     }
 
@@ -542,34 +472,27 @@ mod tests {
     fn epoch_boundaries_are_append_only_and_tile_the_sealed_prefix() {
         let mut rc = RrCollection::new(4);
         assert!(rc.epoch_boundaries().is_empty());
-        rc.push(&[0, 1], meta(0));
-        rc.push(&[1, 2], meta(1));
-        let _ = rc.seal();
+        assert_eq!(rc.append_epoch(&[&[0, 1], &[1, 2]], 2), Some(0..2));
         assert_eq!(rc.epoch_boundaries(), &[2]);
         assert_eq!(rc.epochs().collect::<Vec<_>>(), vec![0..2]);
-        // sealing a fully sealed pool is a no-op: no rebuild, no epoch
+        // an empty growth is a no-op: no rebuild, no epoch
         let compactions = rc.compactions();
-        let _ = rc.seal();
+        assert_eq!(rc.append_epoch(&[], 0), None);
         assert_eq!(rc.compactions(), compactions);
         assert_eq!(rc.epoch_boundaries(), &[2]);
-        // growth + seal freezes exactly one new epoch; old bounds move
+        // a growth freezes exactly one new epoch; old bounds move
         // nowhere (the append-only contract per-epoch snapshots rely on)
-        rc.push(&[2, 3], meta(2));
-        rc.push(&[3], meta(3));
-        let _ = rc.seal();
+        assert_eq!(rc.append_epoch(&[&[2, 3], &[3]], 2), Some(2..4));
         assert_eq!(rc.epoch_boundaries(), &[2, 4]);
         assert_eq!(rc.epochs().collect::<Vec<_>>(), vec![0..2, 2..4]);
-        // pending sets past the last boundary belong to no epoch yet
-        rc.push(&[0], meta(0));
-        assert_eq!(rc.epoch_boundaries(), &[2, 4]);
-        assert_eq!(rc.len(), 5);
+        assert_eq!(rc.epoch_edge_totals(), &[2, 4]);
     }
 
     #[test]
     fn an_epoch_is_one_seal() {
-        // Appends never index and never record a boundary, however much
-        // they add: 3000 pushes plus one bulk extend leave the pool fully
-        // unsealed, yet every read is already correct (tail scan).
+        // Each non-empty growth records exactly one boundary at the pool
+        // end, however many sets it adds; every read right after it sees
+        // the whole pool through the index.
         let g = sns_graph::gen::erdos_renyi(8, 24, 3).build(WeightModel::WeightedCascade).unwrap();
         let sampler = RrSampler::with_config(
             &g,
@@ -577,14 +500,6 @@ mod tests {
             sns_diffusion::RootDist::Uniform,
             5,
         );
-        let mut rc = RrCollection::new(8);
-        for i in 0..3000u32 {
-            rc.push(&[i % 8, (i + 1) % 8], meta(0));
-        }
-        rc.extend_parallel(&sampler, 0, 2000, 2);
-        assert!(rc.epoch_boundaries().is_empty());
-        assert_eq!((rc.compactions(), rc.sealed_sets(), rc.pending_sets()), (0, 0, 5000));
-        assert_eq!(rc.index_memory_bytes(), 0, "appends write no index state");
         let rescan = |rc: &RrCollection, v: NodeId, range: Range<u32>| -> Vec<u32> {
             range.filter(|&id| rc.set(id as usize).contains(&v)).collect()
         };
@@ -594,64 +509,117 @@ mod tests {
                 for range in [0..len, 0..len / 2, 2999..len, 1234..4321, 4000..len + 7] {
                     let got = rc.sets_containing_in(v, range.clone());
                     let expect = rescan(rc, v, range.start..range.end.min(len));
-                    assert_eq!(got.len(), expect.len(), "node {v} range {range:?}");
-                    assert_eq!(got.to_vec(), expect, "node {v} range {range:?}");
+                    assert_eq!(got, expect.as_slice(), "node {v} range {range:?}");
                 }
             }
         };
-        check(&rc);
-        // Each seal records exactly one boundary at the pool end.
-        assert_eq!(rc.seal_parallel(2).epoch(), Some(0..5000));
+        let mut rc = RrCollection::new(8);
+        assert_eq!(rc.extend_parallel(&sampler, 0, 5000, 2), Some(0..5000));
         assert_eq!((rc.epoch_boundaries(), rc.compactions()), (&[5000][..], 1));
         check(&rc);
-        rc.extend_sequential(&mut sampler.clone(), 2000, 700);
-        for i in 0..300u32 {
-            rc.push(&[i % 8], meta(0));
-        }
-        assert_eq!(rc.epoch_boundaries(), &[5000], "appends record no boundary");
-        check(&rc);
-        assert_eq!(rc.seal().epoch(), Some(5000..6000));
+        assert_eq!(rc.extend_parallel(&sampler, 5000, 0, 2), None, "no sets, no epoch");
+        assert_eq!(rc.compactions(), 1);
+        assert_eq!(rc.extend_parallel(&sampler, 5000, 1000, 1), Some(5000..6000));
         assert_eq!((rc.epoch_boundaries(), rc.compactions()), (&[5000, 6000][..], 2));
         assert_eq!(rc.epoch_edge_totals().len(), 2);
+        assert_eq!(rc.epoch_edge_totals()[1], rc.total_edges_examined());
         check(&rc);
     }
 
     #[test]
     fn sealing_a_grown_clone_leaves_the_source_alone() {
-        let mut source = RrCollection::new(16);
-        for i in 0..3000u32 {
-            source.push(&[i % 16, (i * 7 + 3) % 16], meta(0));
-        }
-        let _ = source.seal();
+        let sets: Vec<[NodeId; 2]> = (0..3000u32).map(|i| [i % 16, (i * 7 + 3) % 16]).collect();
+        let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
+        let source = pool(16, &refs);
         let answers: Vec<Vec<u32>> = (0..16).map(|v| source.sets_containing(v).to_vec()).collect();
         let bytes = source.memory_bytes();
 
         let mut grown = source.clone();
         assert!(grown.index.shares_sealed_tier(&source.index), "a clone shares the sealed CSR");
-        for i in 0..500u32 {
-            grown.push(&[(i * 5) % 16], meta(0));
-        }
-        assert!(grown.pending_sets() > 0);
-        assert_eq!(grown.seal().epoch(), Some(3000..3500));
+        let more: Vec<[NodeId; 1]> = (0..500u32).map(|i| [(i * 5) % 16]).collect();
+        let refs: Vec<&[NodeId]> = more.iter().map(|s| s.as_slice()).collect();
+        assert_eq!(grown.append_epoch(&refs, 0), Some(3000..3500));
         assert!(!grown.index.shares_sealed_tier(&source.index));
 
         assert_eq!(source.memory_bytes(), bytes);
-        assert_eq!((source.len(), source.sealed_sets(), source.pending_sets()), (3000, 3000, 0));
+        assert_eq!((source.len(), source.epoch_boundaries()), (3000, &[3000][..]));
         for v in 0..16 {
-            assert_eq!(source.sets_containing(v).to_vec(), answers[v as usize], "node {v}");
+            assert_eq!(source.sets_containing(v), answers[v as usize], "node {v}");
             let mut expect = answers[v as usize].clone();
             expect.extend((0..500u32).filter(|i| (i * 5) % 16 == v).map(|i| 3000 + i));
-            assert_eq!(grown.sets_containing(v).to_vec(), expect, "node {v}");
+            assert_eq!(grown.sets_containing(v), expect, "node {v}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// No reader sees a tail: after every `extend_parallel` call, zero
+        /// counts included, the last boundary is the pool end and exactly
+        /// one boundary was added per non-empty call. However the growth
+        /// is cut and at whatever thread count, the arena, the index and
+        /// the edge total equal one `extend_parallel` of the same total.
+        #[test]
+        fn every_growth_is_one_sealed_epoch(
+            steps in proptest::collection::vec((0u32..4, 1u64..400), 1..6),
+        ) {
+            let g = sns_graph::gen::erdos_renyi(60, 360, 2)
+                .build(WeightModel::WeightedCascade)
+                .unwrap();
+            let sampler = RrSampler::with_config(
+                &g,
+                Model::IndependentCascade,
+                sns_diffusion::RootDist::Uniform,
+                9,
+            );
+            let counts: Vec<u64> =
+                steps.iter().map(|&(die, c)| if die == 0 { 0 } else { c }).collect();
+            let mut once = RrCollection::new(60);
+            once.extend_parallel(&sampler, 0, counts.iter().sum(), 1);
+            let mut first: Option<RrCollection> = None;
+            for threads in [1, 2, 8] {
+                let mut rc = RrCollection::new(60);
+                let mut from = 0u64;
+                for &count in &counts {
+                    let before = rc.epoch_boundaries().len();
+                    let epoch = rc.extend_parallel(&sampler, from, count, threads);
+                    let grown = (count > 0).then(|| from as u32..(from + count) as u32);
+                    from += count;
+                    proptest::prop_assert_eq!(epoch, grown);
+                    proptest::prop_assert_eq!(
+                        rc.epoch_boundaries().len(),
+                        before + usize::from(count > 0)
+                    );
+                    let end = rc.epoch_boundaries().last().map_or(0, |&b| b as usize);
+                    proptest::prop_assert_eq!(end, rc.len());
+                    let edges = rc.epoch_edge_totals().last().copied().unwrap_or(0);
+                    proptest::prop_assert_eq!(edges, rc.total_edges_examined());
+                }
+                proptest::prop_assert_eq!(&rc.data, &once.data);
+                proptest::prop_assert_eq!(&rc.offsets, &once.offsets);
+                proptest::prop_assert_eq!(rc.total_edges_examined, once.total_edges_examined);
+                proptest::prop_assert_eq!(rc.index_memory_bytes(), once.index_memory_bytes());
+                for v in 0..60 {
+                    proptest::prop_assert_eq!(rc.sets_containing(v), once.sets_containing(v));
+                }
+                match &first {
+                    None => first = Some(rc),
+                    Some(one) => {
+                        proptest::prop_assert_eq!(&rc.index, &one.index);
+                        proptest::prop_assert_eq!(&rc.epoch_edges, &one.epoch_edges);
+                        proptest::prop_assert_eq!(rc.memory_bytes(), one.memory_bytes());
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn inverted_index_is_ascending() {
-        let mut rc = RrCollection::new(2);
-        for _ in 0..50 {
-            rc.push(&[0, 1], meta(0));
-        }
-        let ids = rc.sets_containing(0).to_vec();
+        let sets: Vec<&[NodeId]> = vec![&[0, 1]; 50];
+        let rc = pool(2, &sets);
+        let ids = rc.sets_containing(0);
+        assert_eq!(ids.len(), 50);
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }
 }

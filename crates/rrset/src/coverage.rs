@@ -518,7 +518,7 @@ impl<'a> CoverageView<'a> {
         covered: &mut [u32],
         gain: &mut [O::Gain],
     ) {
-        for id in self.rc.sets_containing_in(v, self.range.clone()) {
+        for &id in self.rc.sets_containing_in(v, self.range.clone()) {
             let slot = (id - self.range.start) as usize;
             if covered[slot] == generation {
                 continue;
@@ -632,7 +632,6 @@ mod tests {
     use super::*;
     use crate::test_pools::pool;
     use crate::{max_coverage, max_coverage_naive, WeightedCoverageResult};
-    use sns_diffusion::RrMeta;
 
     fn naive(rc: &RrCollection, k: usize) -> WeightedCoverageResult {
         max_coverage_naive(rc, k, rc.id_range(), None)
@@ -689,15 +688,13 @@ mod tests {
     }
 
     #[test]
-    fn view_spans_sealed_and_pending_tiers() {
-        // The per-seed queries go through the sealed index and the
-        // unsealed-tail scan; the sweep goes through the arena copy —
-        // both must agree across a seal boundary.
+    fn view_spans_two_epochs() {
+        // The per-seed queries go through the index; the sweep goes
+        // through the arena copy — both must agree across an epoch
+        // boundary.
         let mut rc = pool(&[&[0, 1], &[0, 2]], 4);
-        let _ = rc.seal();
-        rc.push(&[0, 3], RrMeta { root: 0, edges_examined: 0 });
-        rc.push(&[3], RrMeta { root: 3, edges_examined: 0 });
-        assert!(rc.pending_sets() > 0);
+        assert_eq!(rc.append_epoch(&[&[0, 3], &[3]], 0), Some(2..4));
+        assert_eq!(rc.epoch_boundaries(), &[2, 4]);
         let r = crate::max_coverage_range(&rc, 2, 0..4);
         assert_eq!(WeightedCoverageResult::from(r), naive(&rc, 2));
     }

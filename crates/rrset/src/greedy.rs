@@ -96,7 +96,9 @@ pub fn max_coverage_naive(
         (Some(_), None) => 0.0,
     };
     let mut gain: Vec<f64> = (0..n)
-        .map(|v| rc.sets_containing_in(v, range.clone()).map(set_weight).fold(0.0, |s, w| s + w))
+        .map(|v| {
+            rc.sets_containing_in(v, range.clone()).iter().fold(0.0, |s, &id| s + set_weight(id))
+        })
         .collect();
     let mut covered_mark = vec![false; (range.end - range.start) as usize];
     let mut selected = vec![false; n as usize];
@@ -117,7 +119,7 @@ pub fn max_coverage_naive(
         seeds.push(v);
         marginal_gains.push(g);
         covered_weight += g;
-        for id in rc.sets_containing_in(v, range.clone()) {
+        for &id in rc.sets_containing_in(v, range.clone()) {
             let slot = (id - range.start) as usize;
             if !covered_mark[slot] {
                 covered_mark[slot] = true;
@@ -146,7 +148,6 @@ pub fn max_coverage_naive(
 mod tests {
     use super::*;
     use crate::test_pools::pool;
-    use sns_diffusion::RrMeta;
 
     #[test]
     fn picks_the_dominating_node() {
@@ -211,14 +212,17 @@ mod tests {
         for trial in 0..30 {
             let n = rng.gen_range(5..40u32);
             let sets = rng.gen_range(1..120usize);
-            let mut rc = RrCollection::new(n);
-            for _ in 0..sets {
-                let len = rng.gen_range(1..6usize);
-                let mut s: Vec<NodeId> = (0..len).map(|_| rng.gen_range(0..n)).collect();
-                s.sort_unstable();
-                s.dedup();
-                rc.push(&s, RrMeta { root: s[0], edges_examined: 0 });
-            }
+            let all: Vec<Vec<NodeId>> = (0..sets)
+                .map(|_| {
+                    let len = rng.gen_range(1..6usize);
+                    let mut s: Vec<NodeId> = (0..len).map(|_| rng.gen_range(0..n)).collect();
+                    s.sort_unstable();
+                    s.dedup();
+                    s
+                })
+                .collect();
+            let refs: Vec<&[NodeId]> = all.iter().map(Vec::as_slice).collect();
+            let rc = pool(&refs, n);
             let k = rng.gen_range(1..6usize);
             let lazy = max_coverage(&rc, k);
             let naive = max_coverage_naive(&rc, k, rc.id_range(), None);

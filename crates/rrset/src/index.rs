@@ -1,25 +1,24 @@
 //! The sealed inverted node→set-id index.
 //!
 //! The index is one immutable flat CSR pair (offsets, ids) over every
-//! set sealed so far: the ids hold, for each node in turn, the ascending
-//! ids of the sets containing it. It sits behind an `Arc`, so cloning a
-//! pool shares it instead of copying it. Sets appended since the last
-//! seal are not indexed at all; a query scans their arena slice
-//! directly (see [`SetIds`]), which keeps the public "ascending ids,
-//! range-restricted" contract for pools read before a seal. The CSR
-//! costs 8 bytes/node + 4 bytes/entry exactly, while per-node `Vec`s
-//! cost a 24-byte header per node (empty or not) plus power-of-two
-//! capacity slack per non-empty node.
+//! pooled set: the ids hold, for each node in turn, the ascending ids of
+//! the sets containing it. It sits behind an `Arc`, so cloning a pool
+//! shares it instead of copying it. Every growth of a pool ends in a
+//! seal, so the CSR always covers the whole arena and a query is one
+//! binary-searched slice of it. The CSR costs 8 bytes/node + 4
+//! bytes/entry exactly, while per-node `Vec`s cost a 24-byte header per
+//! node (empty or not) plus power-of-two capacity slack per non-empty
+//! node.
 //!
-//! A seal counting-sorts only the unsealed tail of the set arena —
-//! optionally multi-threaded: the tail is split into chunks, workers
-//! emit per-chunk node histograms, an exclusive prefix turns those into
-//! disjoint write cursors, and workers scatter their node ranges
-//! independently. One sequential pass over the nodes then merges each
-//! node's sealed ids and new ids into a fresh CSR; the old one is never
-//! written to, so clones still holding it are unaffected. So a seal
-//! costs `O(new entries + n)` of sorting plus a `memcpy`-speed merge
-//! copy of the index. The result is bit-identical for every worker
+//! A seal counting-sorts only the sets added since the previous seal —
+//! optionally multi-threaded: the new sets are split into chunks,
+//! workers emit per-chunk node histograms, an exclusive prefix turns
+//! those into disjoint write cursors, and workers scatter their node
+//! ranges independently. One sequential pass over the nodes then merges
+//! each node's sealed ids and new ids into a fresh CSR; the old one is
+//! never written to, so clones still holding it are unaffected. So a
+//! seal costs `O(new entries + n)` of sorting plus a `memcpy`-speed
+//! merge copy of the index. The result is bit-identical for every worker
 //! count and every seal schedule, which is what lets `RrCollection`
 //! keep its sequential ≡ parallel reproducibility guarantee.
 
@@ -160,11 +159,11 @@ struct SealedCsr {
 }
 
 /// The inverted index of an [`crate::RrCollection`]: the sealed CSR over
-/// ids `0..sealed_sets()` and the epoch boundaries its seals recorded.
+/// ids `0..indexed_sets()` and the epoch boundaries its seals recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SealedIndex {
     n: u32,
-    /// The sealed CSR over ids `0..sealed_sets()`, shared by clones.
+    /// The sealed CSR over ids `0..indexed_sets()`, shared by clones.
     sealed: Arc<SealedCsr>,
     /// Cumulative set-id boundaries of the sealed epochs: epoch `e`
     /// covers ids `epoch_bounds[e - 1] .. epoch_bounds[e]` (with an
@@ -191,8 +190,8 @@ impl SealedIndex {
         }
     }
 
-    /// Number of sets the sealed CSR covers (ids `0..sealed_sets`).
-    pub(crate) fn sealed_sets(&self) -> u32 {
+    /// Number of sets the sealed CSR covers (ids `0..indexed_sets`).
+    pub(crate) fn indexed_sets(&self) -> u32 {
         self.epoch_bounds.last().copied().unwrap_or(0)
     }
 
@@ -200,8 +199,8 @@ impl SealedIndex {
         &self.epoch_bounds
     }
 
-    /// Seals the current epoch: counting-sorts only the unsealed tail
-    /// `sealed_sets..len` (optionally multi-threaded), merges it behind
+    /// Seals the current epoch: counting-sorts only the new sets
+    /// `indexed_sets..len` (optionally multi-threaded), merges them behind
     /// the sealed CSR into a fresh shared CSR, and records the pool end
     /// as the epoch's boundary. `data`/`offsets` describe the **whole**
     /// arena, which must hold at least one set past the sealed frontier.
@@ -210,16 +209,16 @@ impl SealedIndex {
     pub(crate) fn seal(&mut self, data: &[NodeId], offsets: &[u64], threads: usize) {
         let n = self.n as usize;
         let total_sets = offsets.len() - 1;
-        let first = self.sealed_sets() as usize;
-        debug_assert!(first < total_sets, "a seal needs at least one unsealed set");
-        // The tail: sets `first..total_sets`, entries `base..data.len()`.
+        let first = self.indexed_sets() as usize;
+        debug_assert!(first < total_sets, "a seal needs at least one new set");
+        // The new sets: ids `first..total_sets`, entries `base..data.len()`.
         let base = offsets[first];
-        let tail = &data[base as usize..];
-        let tail_offsets = &offsets[first..];
-        let tail_sets = total_sets - first;
-        let entries = tail.len();
+        let fresh = &data[base as usize..];
+        let fresh_offsets = &offsets[first..];
+        let fresh_sets = total_sets - first;
+        let entries = fresh.len();
         // Clamp to real hardware parallelism: the scatter pass streams
-        // the tail once *per worker* (cheap next to its random writes
+        // the new sets once *per worker* (cheap next to its random writes
         // when workers run concurrently), so oversubscribing a small
         // machine turns that read amplification into pure serial
         // overhead. The result is worker-count-invariant either way.
@@ -227,24 +226,24 @@ impl SealedIndex {
         let workers = if threads <= 1 || entries < PARALLEL_COMPACT_MIN_ENTRIES {
             1
         } else {
-            threads.min(hw).min(tail_sets.max(1))
+            threads.min(hw).min(fresh_sets.max(1))
         };
-        let at = |local: usize| (tail_offsets[local] - base) as usize;
+        let at = |local: usize| (fresh_offsets[local] - base) as usize;
         let span = |local: usize| at(local)..at(local + 1);
 
-        // Pass 1 — per-chunk node histograms of the tail (workers own
+        // Pass 1 — per-chunk node histograms of the new sets (workers own
         // contiguous *set* ranges, balanced by entry count so no worker
         // inherits all the long sets): hist[c][v] = entries of v in chunk
-        // c. Summed into the per-node tail counts.
+        // c. Summed into the per-node new-entry counts.
         let set_bounds: Vec<usize> = (0..=workers)
             .map(|w| {
                 let target = base + (entries as u64 * w as u64 / workers as u64);
-                tail_offsets.partition_point(|&o| o < target).min(tail_sets)
+                fresh_offsets.partition_point(|&o| o < target).min(fresh_sets)
             })
             .collect();
         let mut counts: Vec<u64> = if workers == 1 {
             let mut h = vec![0u64; n];
-            for &v in tail {
+            for &v in fresh {
                 h[v as usize] += 1;
             }
             h
@@ -252,7 +251,7 @@ impl SealedIndex {
             let hists: Vec<Vec<u64>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|c| {
-                        let chunk = &tail[at(set_bounds[c])..at(set_bounds[c + 1])];
+                        let chunk = &fresh[at(set_bounds[c])..at(set_bounds[c + 1])];
                         scope.spawn(move || {
                             let mut h = vec![0u64; n];
                             for &v in chunk {
@@ -273,30 +272,30 @@ impl SealedIndex {
             total
         };
 
-        // Pass 2 — exclusive prefix sum over nodes: the tail's CSR offsets.
-        let mut tail_index = vec![0u64; n + 1];
+        // Pass 2 — exclusive prefix sum over nodes: the new sets' CSR offsets.
+        let mut fresh_index = vec![0u64; n + 1];
         for v in 0..n {
-            tail_index[v + 1] = tail_index[v] + counts[v];
+            fresh_index[v + 1] = fresh_index[v] + counts[v];
         }
-        debug_assert_eq!(tail_index[n] as usize, entries);
+        debug_assert_eq!(fresh_index[n] as usize, entries);
 
         // Pass 3 — scatter, parallel over *node* ranges: each worker owns
         // a contiguous node range balanced by entry count, hence a
-        // disjoint contiguous region of `tail_ids` (no sharing, no false
+        // disjoint contiguous region of `fresh_ids` (no sharing, no false
         // sharing — a set-chunked scatter would interleave writes within
         // each node's id list and thrash cache lines). Every worker
-        // streams the tail in ascending set-id order, which keeps
+        // streams the new sets in ascending set-id order, which keeps
         // per-node id lists ascending. `counts` is repurposed as the
         // per-node write cursors.
         let first_id = crate::narrow::set_count(first);
-        let tail_len = crate::narrow::set_count(tail_sets);
-        let mut tail_ids = vec![0u32; entries];
+        let fresh_len = crate::narrow::set_count(fresh_sets);
+        let mut fresh_ids = vec![0u32; entries];
         if workers == 1 {
-            counts.copy_from_slice(&tail_index[..n]);
+            counts.copy_from_slice(&fresh_index[..n]);
             let cursors = &mut counts;
-            for local in 0..tail_len {
-                for &v in &tail[span(local as usize)] {
-                    tail_ids[cursors[v as usize] as usize] = first_id + local;
+            for local in 0..fresh_len {
+                for &v in &fresh[span(local as usize)] {
+                    fresh_ids[cursors[v as usize] as usize] = first_id + local;
                     cursors[v as usize] += 1;
                 }
             }
@@ -304,22 +303,22 @@ impl SealedIndex {
             let node_bounds: Vec<usize> = (0..=workers)
                 .map(|w| {
                     let target = (entries as u64 * w as u64 / workers as u64).min(entries as u64);
-                    tail_index.partition_point(|&o| o < target).min(n)
+                    fresh_index.partition_point(|&o| o < target).min(n)
                 })
                 .collect();
             std::thread::scope(|scope| {
-                let mut rest: &mut [u32] = &mut tail_ids;
+                let mut rest: &mut [u32] = &mut fresh_ids;
                 for w in 0..workers {
                     let (lo, hi) = (node_bounds[w], node_bounds[w + 1]);
-                    let start = tail_index[lo];
-                    let (mine, after) = rest.split_at_mut((tail_index[hi] - start) as usize);
+                    let start = fresh_index[lo];
+                    let (mine, after) = rest.split_at_mut((fresh_index[hi] - start) as usize);
                     rest = after;
-                    let (tail_index, span) = (&tail_index, &span);
+                    let (fresh_index, span) = (&fresh_index, &span);
                     scope.spawn(move || {
                         let mut cursors: Vec<u64> =
-                            tail_index[lo..hi].iter().map(|&o| o - start).collect();
-                        for local in 0..tail_len {
-                            for &v in &tail[span(local as usize)] {
+                            fresh_index[lo..hi].iter().map(|&o| o - start).collect();
+                        for local in 0..fresh_len {
+                            for &v in &fresh[span(local as usize)] {
                                 let vi = v as usize;
                                 if vi < lo || vi >= hi {
                                     continue;
@@ -334,14 +333,16 @@ impl SealedIndex {
         }
 
         // Merge — one sequential pass over the nodes: node `v`'s sealed
-        // ids, then its tail ids. Every tail id exceeds every sealed id,
+        // ids, then its fresh ids. Every fresh id exceeds every sealed id,
         // so each list stays ascending. Allocated at exact size.
         let mut merged_offsets = Vec::with_capacity(n + 1);
         merged_offsets.push(0u64);
         let mut merged = Vec::with_capacity(self.sealed.data.len() + entries);
         for v in 0..n {
             merged.extend_from_slice(self.sealed_slice(v as NodeId));
-            merged.extend_from_slice(&tail_ids[tail_index[v] as usize..tail_index[v + 1] as usize]);
+            merged.extend_from_slice(
+                &fresh_ids[fresh_index[v] as usize..fresh_index[v + 1] as usize],
+            );
             merged_offsets.push(merged.len() as u64);
         }
         debug_assert_eq!(merged.len() as u64, data.len() as u64);
@@ -359,30 +360,13 @@ impl SealedIndex {
     }
 
     /// Ids of the sets containing `v` whose id falls in `range`,
-    /// ascending, over the arena `data`/`offsets`. Sealed ids are
-    /// binary-searched; ids past the sealed frontier are found by
-    /// scanning the unsealed tail's arena slice, `O(tail entries)`. An
-    /// inverted range (`start >= end`) is empty.
-    pub(crate) fn sets_containing_in<'a>(
-        &'a self,
-        v: NodeId,
-        range: Range<u32>,
-        data: &'a [NodeId],
-        offsets: &'a [u64],
-    ) -> SetIds<'a> {
-        let range = range.start..range.end.max(range.start);
-        let sealed = self.sealed_slice(v);
-        let lo = sealed.partition_point(|&id| id < range.start);
-        let hi = sealed.partition_point(|&id| id < range.end);
-        let len = crate::narrow::set_count(offsets.len() - 1);
-        SetIds {
-            sealed: &sealed[lo..hi],
-            v,
-            next: range.start.max(self.sealed_sets()),
-            end: range.end.min(len),
-            data,
-            offsets,
-        }
+    /// ascending: a binary-searched slice of `v`'s CSR ids. An inverted
+    /// range (`start >= end`) is empty.
+    pub(crate) fn sets_containing_in(&self, v: NodeId, range: Range<u32>) -> &[u32] {
+        let ids = self.sealed_slice(v);
+        let lo = ids.partition_point(|&id| id < range.start);
+        let hi = ids.partition_point(|&id| id < range.end).max(lo);
+        &ids[lo..hi]
     }
 
     /// Whether `self` and `other` share one sealed CSR allocation.
@@ -394,85 +378,6 @@ impl SealedIndex {
     pub(crate) fn memory_bytes(&self) -> u64 {
         self.sealed.offsets.memory_bytes()
             + (self.sealed.data.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-}
-
-/// Iterator over the (ascending) ids of the sets containing one node:
-/// the node's sealed CSR slice, then the matching sets of the unsealed
-/// tail, found by scanning their arena slices in id order.
-///
-/// Returned by [`crate::RrCollection::sets_containing`] and
-/// [`crate::RrCollection::sets_containing_in`].
-#[derive(Debug, Clone)]
-pub struct SetIds<'a> {
-    sealed: &'a [u32],
-    /// The node whose unsealed sets are scanned for.
-    v: NodeId,
-    /// Next unsealed set id to scan; the scan ends before `end`.
-    next: u32,
-    end: u32,
-    data: &'a [NodeId],
-    offsets: &'a [u64],
-}
-
-impl SetIds<'_> {
-    /// Number of ids this iterator will yield.
-    pub fn len(&self) -> usize {
-        let tail = SetIds { sealed: &[], ..self.clone() };
-        self.sealed.len() + tail.count()
-    }
-
-    /// Whether no ids will be yielded.
-    pub fn is_empty(&self) -> bool {
-        self.clone().next().is_none()
-    }
-
-    /// Collects the remaining ids (test/debug convenience).
-    pub fn to_vec(&self) -> Vec<u32> {
-        self.clone().collect()
-    }
-
-    /// The next unsealed set containing `v`: one pass over the remaining
-    /// tail entries up to the next match, then its entry position mapped
-    /// back to the set that owns it. Kept out of line so the sealed-only
-    /// `next` that selection runs stays small.
-    #[inline(never)]
-    fn scan_tail(&mut self) -> Option<u32> {
-        let stop = self.offsets[self.end as usize] as usize;
-        let mut p = self.offsets[self.next as usize] as usize;
-        while p < stop && self.data[p] != self.v {
-            p += 1;
-        }
-        if p == stop {
-            self.next = self.end;
-            return None;
-        }
-        while self.offsets[self.next as usize + 1] as usize <= p {
-            self.next += 1;
-        }
-        self.next += 1;
-        Some(self.next - 1)
-    }
-}
-
-impl Iterator for SetIds<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if let Some((&id, rest)) = self.sealed.split_first() {
-            self.sealed = rest;
-            return Some(id);
-        }
-        if self.next >= self.end {
-            return None;
-        }
-        self.scan_tail()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let unsealed = self.end.saturating_sub(self.next) as usize;
-        (self.sealed.len(), Some(self.sealed.len() + unsealed))
     }
 }
 
@@ -491,38 +396,9 @@ mod tests {
     }
 
     #[test]
-    fn pending_only_queries() {
-        let ix = SealedIndex::new(4);
-        let (data, offsets) = arena(&[&[0, 1], &[1, 2], &[1]]);
-        assert_eq!(ix.sealed_sets(), 0, "appends stay unsealed until a seal");
-        let q = |v, range| ix.sets_containing_in(v, range, &data, &offsets);
-        assert_eq!(q(1, 0..3).to_vec(), vec![0, 1, 2]);
-        assert_eq!(q(1, 1..2).to_vec(), vec![1]);
-        assert_eq!(q(3, 0..3).to_vec(), Vec::<u32>::new());
-        assert_eq!(q(1, 0..3).len(), 3);
-        assert!(q(3, 0..3).is_empty());
-    }
-
-    #[test]
-    fn sealed_then_pending_concatenate_ascending() {
-        let mut ix = SealedIndex::new(3);
-        let (data, offsets) = arena(&[&[0, 1], &[1]]);
-        ix.seal(&data, &offsets, 1);
-        assert_eq!(ix.sealed_sets(), 2);
-        let (data, offsets) = arena(&[&[0, 1], &[1], &[1, 2]]);
-        let q = |v, range| ix.sets_containing_in(v, range, &data, &offsets);
-        assert_eq!(q(1, 0..3).to_vec(), vec![0, 1, 2]);
-        assert_eq!(q(1, 0..3).len(), 3);
-        assert_eq!(q(1, 2..3).to_vec(), vec![2]);
-        assert_eq!(q(1, 1..2).to_vec(), vec![1]);
-        assert_eq!(q(2, 0..3).to_vec(), vec![2]);
-        assert_eq!(q(0, 1..3).to_vec(), Vec::<u32>::new());
-    }
-
-    #[test]
     fn compaction_is_thread_count_invariant() {
         // Large epochs exceed PARALLEL_COMPACT_MIN_ENTRIES on their own,
-        // so the multi-threaded tail sort really runs; the small ones
+        // so the multi-threaded sort really runs; the small ones
         // take the sequential path.
         const SETS: u32 = 8000;
         let sets: Vec<Vec<NodeId>> = (0..SETS)
@@ -548,7 +424,7 @@ mod tests {
                 let (data, offsets) = arena(&refs[..b as usize]);
                 stepped.seal(&data, &offsets, threads);
             }
-            assert_eq!(stepped.sealed_sets(), SETS);
+            assert_eq!(stepped.indexed_sets(), SETS);
             assert_eq!(stepped.epoch_bounds(), bounds.as_slice());
             assert_eq!(
                 one_step.sealed,
@@ -558,7 +434,7 @@ mod tests {
             );
         }
         for v in 0..64 {
-            let ids = one_step.sets_containing_in(v, 0..SETS, &data, &offsets).to_vec();
+            let ids = one_step.sets_containing_in(v, 0..SETS);
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "node {v} ids not ascending");
         }
     }
@@ -566,12 +442,15 @@ mod tests {
     #[test]
     fn compaction_frees_the_pending_tier() {
         let mut ix = SealedIndex::new(8);
-        let (data, offsets) = arena(&[&[0, 1, 2], &[3, 4]]);
+        let (data, offsets) = arena(&[&[0, 1, 2], &[3, 4], &[3]]);
         assert_eq!(ix.memory_bytes(), 0, "nothing is indexed before the first seal");
-        let before = ix.sets_containing_in(3, 0..2, &data, &offsets).to_vec();
+        assert!(ix.sets_containing_in(3, 0..3).is_empty());
         ix.seal(&data, &offsets, 1);
         assert!(ix.memory_bytes() > 0);
-        assert_eq!(ix.sets_containing_in(3, 0..2, &data, &offsets).to_vec(), vec![1]);
-        assert_eq!(before, vec![1]);
+        assert_eq!(ix.sets_containing_in(3, 0..3), &[1, 2]);
+        assert_eq!(ix.sets_containing_in(3, 2..3), &[2]);
+        let inverted = Range { start: 2, end: 1 };
+        assert_eq!(ix.sets_containing_in(3, inverted), &[] as &[u32], "inverted range is empty");
+        assert_eq!(ix.sets_containing_in(0, 1..9), &[] as &[u32]);
     }
 }

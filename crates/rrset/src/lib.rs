@@ -21,12 +21,14 @@
 //!   [`RrCollection::coverage_of`].
 //!
 //! [`RrCollection`] stores sets in a flat arena with a **sealed**
-//! inverted node→set-id index — one flat CSR, shared by clones and
-//! extended only by [`RrCollection::seal`], whose parallel counting sort
-//! touches the new sets only. Each seal records exactly one epoch;
-//! appends write the arena alone (see [`RrCollection`]'s docs). It
-//! supports deterministic parallel growth and accounts its exact byte
-//! footprint (the quantity Figures 6–7 of the paper track).
+//! inverted node→set-id index — one flat CSR, shared by clones. A pool
+//! grows only by whole epochs: [`RrCollection::extend_parallel`] (or
+//! [`RrCollection::append_epoch`] for given sets) appends the sets and
+//! seals them before it returns, with a parallel counting sort that
+//! touches the new sets only, so every readable pool is fully indexed
+//! (see [`RrCollection`]'s docs). It supports deterministic parallel
+//! growth and accounts its exact byte footprint (the quantity Figures
+//! 6–7 of the paper track).
 //!
 //! D-SSA splits its sample stream into halves (`R_t`, `R^c_t`); both
 //! [`max_coverage_range`] and [`RrCollection::coverage_of_range`] take a
@@ -53,12 +55,11 @@ pub mod store;
 mod test_pools;
 
 pub use budgeted::{BudgetedCoverageResult, NodeCosts, Ratio};
-pub use collection::{RrCollection, SealOutcome};
+pub use collection::RrCollection;
 pub use coverage::{
     max_coverage_with, Count, CoverageView, GainInit, GreedyScratch, Objective, SeedConstraints,
 };
 pub use directory::{DirectoryWriter, EpochDirectory};
 pub use greedy::{max_coverage, max_coverage_naive, max_coverage_range, CoverageResult};
-pub use index::SetIds;
 pub use snapshot::{GainSnapshot, Weighted, WeightedCoverageResult, WeightedGainSnapshot};
 pub use store::{PoolStore, Recovery, SaveStats, StoreError, StoreFingerprint};

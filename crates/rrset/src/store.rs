@@ -76,10 +76,7 @@
 //! let mut pool = RrCollection::new(4);
 //! // (sampled in real use; see sns_core::SeedQueryEngine::save for the
 //! // engine-level path that fills the fingerprint automatically)
-//! # use sns_diffusion::RrMeta;
-//! # pool.push(&[0, 1], RrMeta { root: 0, edges_examined: 2 });
-//! # pool.push(&[2], RrMeta { root: 2, edges_examined: 1 });
-//! let _ = pool.seal();
+//! pool.append_epoch(&[&[0, 1], &[2]], 3);
 //!
 //! let fp = StoreFingerprint {
 //!     graph_hash: 0xfeed,
@@ -734,7 +731,7 @@ fn validate_pool_metadata(pool: &RrCollection) -> Result<(), StoreError> {
     let sealed = bounds.last().copied().unwrap_or(0) as usize;
     if sealed != pool.len() {
         return drift(format!(
-            "pool is not fully sealed: {} of {} sets inside epochs (seal() before save)",
+            "pool is not fully sealed: {} of {} sets inside epochs",
             sealed,
             pool.len()
         ));
@@ -1044,7 +1041,6 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sns_diffusion::RrMeta;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_store(tag: &str) -> PoolStore {
@@ -1059,20 +1055,20 @@ mod tests {
         PoolStore::at(dir)
     }
 
-    fn meta(root: NodeId) -> RrMeta {
-        RrMeta { root, edges_examined: 2 }
-    }
-
-    /// A small pool with `epochs` sealed epochs of `per_epoch` sets.
+    /// A small pool with `epochs` sealed epochs of `per_epoch` sets,
+    /// each set costing 2 examined edges.
     fn pool(epochs: usize, per_epoch: usize) -> RrCollection {
         let mut rc = RrCollection::new(16);
         for e in 0..epochs {
-            for i in 0..per_epoch {
-                let a = ((e * per_epoch + i) % 16) as NodeId;
-                let b = ((e * 7 + i * 3) % 16) as NodeId;
-                rc.push(&[a, b, (a + b) % 16], meta(a));
-            }
-            let _ = rc.seal();
+            let sets: Vec<[NodeId; 3]> = (0..per_epoch)
+                .map(|i| {
+                    let a = ((e * per_epoch + i) % 16) as NodeId;
+                    let b = ((e * 7 + i * 3) % 16) as NodeId;
+                    [a, b, (a + b) % 16]
+                })
+                .collect();
+            let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
+            rc.append_epoch(&refs, 2 * per_epoch as u64);
         }
         rc
     }
@@ -1124,10 +1120,9 @@ mod tests {
         let mut rc = pool(2, 30);
         store.save(&rc, &fp()).unwrap();
         // grow one epoch and save again
-        for i in 0..30 {
-            rc.push(&[(i % 16) as NodeId], meta(0));
-        }
-        let _ = rc.seal();
+        let sets: Vec<[NodeId; 1]> = (0..30).map(|i| [(i % 16) as NodeId]).collect();
+        let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
+        rc.append_epoch(&refs, 60);
         let stats = store.save(&rc, &fp()).unwrap();
         assert_eq!(stats.epochs_reused, 2);
         assert_eq!(stats.epochs_written, 1);
@@ -1176,7 +1171,7 @@ mod tests {
     fn unsealed_pool_is_metadata_drift() {
         let store = temp_store("unsealed");
         let mut rc = pool(1, 10);
-        rc.push(&[1], meta(1)); // pending past the last boundary
+        rc.append_unsealed_for_test(&[1]); // past the last boundary
         match store.save(&rc, &fp()) {
             Err(StoreError::MetadataDrift { detail }) => {
                 assert!(detail.contains("not fully sealed"), "{detail}")

@@ -1,10 +1,9 @@
-//! Property-based tests for the RR pool, its sealed inverted index (and
-//! the unsealed-tail scan) and greedy max-coverage.
+//! Property-based tests for the RR pool, its sealed inverted index and
+//! greedy max-coverage.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sns_diffusion::RrMeta;
 use sns_graph::NodeId;
 use sns_rrset::{
     max_coverage, max_coverage_naive, max_coverage_range, max_coverage_with, Count, CoverageView,
@@ -13,10 +12,6 @@ use sns_rrset::{
 };
 
 const N: u32 = 24;
-
-fn meta() -> RrMeta {
-    RrMeta { root: 0, edges_examined: 0 }
-}
 
 /// Strategy: a pool of up to 80 RR sets, each 1..6 distinct nodes.
 fn pool_strategy() -> impl Strategy<Value = Vec<Vec<NodeId>>> {
@@ -31,12 +26,15 @@ fn pool_strategy() -> impl Strategy<Value = Vec<Vec<NodeId>>> {
     })
 }
 
+/// `sets` as a pool of one sealed epoch.
 fn build(sets: &[Vec<NodeId>]) -> RrCollection {
     let mut rc = RrCollection::new(N);
-    for s in sets {
-        rc.push(s, meta());
-    }
+    rc.append_epoch(&refs(sets), 0);
     rc
+}
+
+fn refs(sets: &[Vec<NodeId>]) -> Vec<&[NodeId]> {
+    sets.iter().map(Vec::as_slice).collect()
 }
 
 /// Exhaustive best size-k coverage, for small instances.
@@ -262,12 +260,12 @@ proptest! {
     /// Inverted index ≡ naive rescan: `sets_containing_in` must return
     /// exactly the ids a linear scan of the arena finds, ascending, for
     /// every node and query range, and `coverage_of_range` must count
-    /// exactly the rescanned sets — on the same pushes read before any
-    /// seal (all ids come from the tail scan), after random interleaved
-    /// seals (ids split between the sealed CSR and the tail), and fully
-    /// sealed. Ranges straddling the sealed frontier are checked too. The
-    /// drawn range bounds are unordered: an inverted range is empty and
-    /// allocates no scratch.
+    /// exactly the rescanned sets — on the sets as one epoch and cut
+    /// into random epochs (`seal_die == 0` ends an epoch after its set,
+    /// so pools range from one epoch to one epoch per set). Ranges
+    /// straddling every epoch boundary are checked too. The drawn range
+    /// bounds are unordered: an inverted range is empty and allocates no
+    /// scratch.
     #[test]
     fn index_matches_naive_rescan(
         ops in vec((vec(0u32..N, 1..6), 0u32..8), 1..60),
@@ -284,28 +282,24 @@ proptest! {
                 s
             })
             .collect();
-        let unsealed = build(&sets);
-        prop_assert_eq!(unsealed.sealed_sets(), 0);
-        check_against_rescan(&unsealed, &sets, lo_frac, hi_frac, &seeds)?;
+        check_against_rescan(&build(&sets), &sets, lo_frac, hi_frac, &seeds)?;
         let mut rc = RrCollection::new(N);
-        for (s, (_, seal_die)) in sets.iter().zip(&ops) {
-            rc.push(s, meta());
-            // seal with probability 1/8 → interleavings cover pools that
-            // are fully sealed, fully unsealed, and everything between
-            if *seal_die == 0 {
-                let _ = rc.seal();
+        let mut start = 0;
+        for (end, (_, seal_die)) in (1..=sets.len()).zip(&ops) {
+            if *seal_die == 0 || end == sets.len() {
+                let epoch = rc.append_epoch(&refs(&sets[start..end]), 0);
+                prop_assert_eq!(epoch, Some(start as u32..end as u32));
+                start = end;
             }
         }
-        check_against_rescan(&rc, &sets, lo_frac, hi_frac, &seeds)?;
-        let _ = rc.seal();
-        prop_assert_eq!(rc.pending_sets(), 0);
+        prop_assert_eq!(rc.len(), sets.len());
         check_against_rescan(&rc, &sets, lo_frac, hi_frac, &seeds)?;
     }
 }
 
-/// The [`index_matches_naive_rescan`] oracle for one pool state: every
-/// node's `sets_containing`, and both queries over the drawn range and
-/// over ranges straddling the sealed frontier, against a linear scan of
+/// The [`index_matches_naive_rescan`] oracle for one pool: every node's
+/// `sets_containing`, and both queries over the drawn range and over
+/// ranges straddling each epoch boundary, against a linear scan of
 /// `sets`.
 fn check_against_rescan(
     rc: &RrCollection,
@@ -315,30 +309,28 @@ fn check_against_rescan(
     seeds: &[NodeId],
 ) -> TestCaseResult {
     let total = sets.len() as u32;
-    let frontier = rc.sealed_sets();
+    prop_assert_eq!(rc.epoch_boundaries().last().copied(), Some(total));
     let drawn = (f64::from(total) * lo_frac) as u32..(f64::from(total) * hi_frac) as u32;
-    let straddling = [
-        frontier.saturating_sub(2)..frontier + 2,
-        frontier.saturating_sub(1)..total,
-        0..frontier + 1,
-        frontier..total + 3,
-    ];
+    let straddling = rc.epoch_boundaries().iter().flat_map(|&b| {
+        [b.saturating_sub(2)..b + 2, b.saturating_sub(1)..total, 0..b + 1, b..total + 3]
+    });
+    let ranges: Vec<std::ops::Range<u32>> =
+        std::iter::once(drawn.clone()).chain(straddling).collect();
     let mut scratch = Vec::new();
     for v in 0..N {
         let expect_all: Vec<u32> =
             (0..total).filter(|&id| sets[id as usize].contains(&v)).collect();
-        prop_assert_eq!(rc.sets_containing(v).to_vec(), expect_all.clone());
-        for range in std::iter::once(drawn.clone()).chain(straddling.iter().cloned()) {
+        prop_assert_eq!(rc.sets_containing(v), expect_all.as_slice());
+        for range in &ranges {
             let expect: Vec<u32> =
                 expect_all.iter().copied().filter(|id| range.contains(id)).collect();
             let got = rc.sets_containing_in(v, range.clone());
-            prop_assert_eq!(got.len(), expect.len(), "node {} range {:?}", v, range);
-            prop_assert_eq!(got.to_vec(), expect.clone(), "node {} range {:?}", v, range);
+            prop_assert_eq!(got, expect.as_slice(), "node {} range {:?}", v, range);
             let covered = rc.coverage_of_range(&[v], range.clone(), &mut scratch);
             prop_assert_eq!(covered, expect.len() as u64, "node {} range {:?}", v, range);
         }
     }
-    for range in std::iter::once(drawn.clone()).chain(straddling.iter().cloned()) {
+    for range in &ranges {
         let expect_covered = range
             .clone()
             .filter(|&id| id < total && seeds.iter().any(|s| sets[id as usize].contains(s)))
@@ -353,37 +345,34 @@ fn check_against_rescan(
     Ok(())
 }
 
-/// `extend_parallel` must be observably bit-identical to
-/// `extend_sequential` for 1, 2 and 8 worker threads — same sets, same
-/// index responses, same accounting — including when growth happens in
-/// several increments, each sealed (the SSA/D-SSA doubling schedule),
-/// with the seal run at the same thread count.
+/// `extend_parallel` at 2 and 8 worker threads must be observably
+/// bit-identical to one thread — same sets, same index responses, same
+/// accounting — including when growth happens in several increments,
+/// each its own epoch (the SSA/D-SSA doubling schedule).
 #[test]
 fn extend_parallel_bit_identical_across_thread_counts() {
     use sns_diffusion::{Model, RootDist, RrSampler};
     use sns_graph::{gen, WeightModel};
 
+    const STEPS: [(u64, u64); 3] = [(0, 300), (300, 300), (600, 600)];
     let g = gen::erdos_renyi(250, 2000, 9).build(WeightModel::WeightedCascade).unwrap();
     for model in [Model::IndependentCascade, Model::LinearThreshold] {
         let sampler = RrSampler::with_config(&g, model, RootDist::Uniform, 13);
-        let mut seq = RrCollection::new(250);
-        let mut s = sampler.clone();
         // grow in doubling increments like the algorithms do
-        for (from, count) in [(0u64, 300u64), (300, 300), (600, 600)] {
-            seq.extend_sequential(&mut s, from, count);
-            let _ = seq.seal();
-        }
-        for threads in [1usize, 2, 8] {
-            let mut par = RrCollection::new(250);
-            for (from, count) in [(0u64, 300u64), (300, 300), (600, 600)] {
-                par.extend_parallel(&sampler, from, count, threads);
-                let _ = par.seal_parallel(threads);
+        let grow = |threads: usize| {
+            let mut rc = RrCollection::new(250);
+            for (from, count) in STEPS {
+                rc.extend_parallel(&sampler, from, count, threads);
             }
+            rc
+        };
+        let seq = grow(1);
+        assert_eq!(seq.epoch_boundaries(), &[300, 600, 1200]);
+        for threads in [2usize, 8] {
+            let par = grow(threads);
             assert_eq!(seq.len(), par.len(), "{model}: {threads} threads");
             assert_eq!(seq.total_nodes(), par.total_nodes());
             assert_eq!(seq.total_edges_examined(), par.total_edges_examined());
-            assert_eq!(seq.sealed_sets(), par.sealed_sets());
-            assert_eq!(seq.pending_sets(), par.pending_sets());
             assert_eq!(seq.epoch_boundaries(), par.epoch_boundaries());
             assert_eq!(seq.memory_bytes(), par.memory_bytes());
             for id in 0..seq.len() {
@@ -391,8 +380,8 @@ fn extend_parallel_bit_identical_across_thread_counts() {
             }
             for v in 0..250u32 {
                 assert_eq!(
-                    seq.sets_containing(v).to_vec(),
-                    par.sets_containing(v).to_vec(),
+                    seq.sets_containing(v),
+                    par.sets_containing(v),
                     "{model}: node {v} index differs at {threads} threads"
                 );
             }
@@ -403,8 +392,8 @@ fn extend_parallel_bit_identical_across_thread_counts() {
 /// On a 100k-node Barabási–Albert pool, `max_coverage` (and the
 /// ranged/scratch entry points SSA, D-SSA, IMM and TIM use) must return
 /// **bit-identical** seeds, marginal gains and coverage to the rescan
-/// oracle — including on D-SSA-style half ranges and on a pool that
-/// still has an unsealed tail (read through the tail scan).
+/// oracle — including on D-SSA-style half ranges and on ranges that
+/// cross an epoch boundary.
 #[test]
 fn greedy_bit_identical_to_rescan_oracle_on_100k_ba_pool() {
     use sns_diffusion::{Model, RootDist, RrSampler};
@@ -416,17 +405,9 @@ fn greedy_bit_identical_to_rescan_oracle_on_100k_ba_pool() {
     let sampler = RrSampler::with_config(&g, Model::IndependentCascade, RootDist::Uniform, 3);
     let mut rc = RrCollection::new(g.num_nodes());
     rc.extend_parallel(&sampler, 0, 15_000, 8);
-    let _ = rc.seal_parallel(8);
-    // Leave an unsealed tail so both paths also exercise the tail scan.
-    {
-        let mut s = sampler.clone();
-        let mut rr = Vec::new();
-        for i in 0..500u64 {
-            let meta = s.sample(15_000 + i, &mut rr);
-            rc.push(&rr, meta);
-        }
-    }
-    assert_eq!(rc.pending_sets(), 500, "pool must end with an unsealed tail");
+    // A small second epoch, so the ranges below cross a boundary.
+    rc.extend_parallel(&sampler, 15_000, 500, 8);
+    assert_eq!(rc.epoch_boundaries(), &[15_000, 15_500]);
 
     let total = rc.len() as u32;
     let mut scratch = GreedyScratch::new();
@@ -461,9 +442,7 @@ fn index_memory_halves_vs_per_node_vecs() {
         .unwrap();
     let sampler = RrSampler::with_config(&g, Model::IndependentCascade, RootDist::Uniform, 3);
     let mut rc = RrCollection::new(g.num_nodes());
-    rc.extend_parallel(&sampler, 0, 15_000, 8);
-    assert!(rc.seal_parallel(8).epoch().is_some(), "the seal indexes the bulk extend");
-    assert_eq!(rc.pending_sets(), 0);
+    assert_eq!(rc.extend_parallel(&sampler, 0, 15_000, 8), Some(0..15_000));
 
     // Rebuild the pre-refactor index layout and measure it exactly.
     let mut node_to_sets: Vec<Vec<u32>> = vec![Vec::new(); g.num_nodes() as usize];

@@ -58,8 +58,8 @@ pub use sns_tvm as tvm;
 pub use sns_core::{
     AdmissionQueue, AdmissionStats, BatchPlan, Certificate, Dssa, DssaIteration, EpochDirectory,
     GroupKey, Grower, GrowthOutcome, NodeCosts, Params, Pending, PlanGroup, PoolStore, Priority,
-    Recovery, RejectReason, RunResult, SamplingContext, SaveStats, SealOutcome, SeedAnswer,
-    SeedQuery, SeedQueryEngine, Ssa, SsaEpsilons, StopCondition, StoreError, StoreFingerprint,
+    Recovery, RejectReason, RunResult, SamplingContext, SaveStats, SeedAnswer, SeedQuery,
+    SeedQueryEngine, Ssa, SsaEpsilons, StopCondition, StoreError, StoreFingerprint,
 };
 pub use sns_diffusion::{Model, SpreadEstimator};
 pub use sns_graph::{Graph, GraphBuilder, WeightModel};

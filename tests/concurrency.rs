@@ -56,7 +56,7 @@ fn concurrent_answers_are_bit_identical_to_a_sealed_prefix() {
                 scope.spawn(move || {
                     for _ in 0..GROW_STEPS {
                         let outcome = engine_ref.grower().extend(ctx_ref, GROW_SETS);
-                        assert!(outcome.seal().epoch().is_some(), "growth must publish");
+                        assert!(outcome.epoch().is_some(), "growth must publish");
                     }
                     drop(done_tx);
                 });
