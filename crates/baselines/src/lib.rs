@@ -11,10 +11,10 @@
 //! * [`Tim`] — TIM and TIM+ (Tang, Xiao, Shi — SIGMOD'14): KPT*
 //!   estimation by sampling-cost heuristics, optional KPT+ refinement,
 //!   and `θ = λ/KPT` samples.
-//! * [`Celf`] / [`CelfPlusPlus`] — lazy-forward greedy over Monte Carlo
-//!   spread estimation (Leskovec et al. KDD'07; Goyal et al. WWW'11) —
-//!   the classic simulation-based family, included to reproduce the
-//!   paper's "2·10⁹ times faster" anecdote at feasible scales.
+//! * [`CelfPlusPlus`] — lazy-forward greedy over Monte Carlo spread
+//!   estimation (Goyal et al. WWW'11, after CELF of Leskovec et al.
+//!   KDD'07) — the simulation-based baseline the paper runs, included to
+//!   reproduce its "2·10⁹ times faster" anecdote at feasible scales.
 //! * [`monte_carlo_greedy`] — the plain Kempe-Kleinberg-Tardos greedy,
 //!   exact oracle for tiny test instances.
 //!
@@ -31,11 +31,9 @@
 #![warn(missing_docs)]
 
 mod celf;
-mod heuristics;
 mod imm;
 mod tim;
 
-pub use celf::{monte_carlo_greedy, Celf, CelfPlusPlus};
-pub use heuristics::{random_seeds, top_degree_seeds};
+pub use celf::{monte_carlo_greedy, CelfPlusPlus};
 pub use imm::Imm;
 pub use tim::{Tim, TimVariant};

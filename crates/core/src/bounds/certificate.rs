@@ -1,10 +1,13 @@
 //! The stopping-rule certification engine: one audited code path for
 //! every "can we stop yet?" decision SSA and D-SSA make.
 //!
-//! A [`Certificate`] owns the coverage threshold `Λ₁` of condition
-//! D1/S1, the precision composition of Eq. 18, and the D2 anchor. There
-//! is exactly one stopping path per algorithm, and it carries the
-//! paper's `(1 − 1/e − ε, 1 − δ)` guarantee at the certified constants:
+//! Each algorithm has its own certificate type, holding exactly the
+//! checks that algorithm makes: an [`SsaCertificate`] owns SSA's
+//! coverage threshold `Λ₁` (S1) and agreement check (S2); a
+//! [`DssaCertificate`] owns D-SSA's `Λ₁` (D1) and the precision
+//! composition of Eq. 18 with its D2 anchor. There is exactly one
+//! stopping path per algorithm, and it carries the paper's
+//! `(1 − 1/e − ε, 1 − δ)` guarantee at the certified constants:
 //!
 //! * D-SSA's ε₂ is the smallest precision the verify half's coverage
 //!   certifies under the stopping-rule count
@@ -88,68 +91,82 @@ pub struct PrecisionCheck {
     pub satisfied: bool,
 }
 
-/// The per-run stopping certificate: target precision, per-checkpoint
-/// failure budget and coverage threshold `Λ₁`. Constructed once per run
-/// ([`Certificate::dssa`] / [`Certificate::ssa`]) and consulted at every
-/// checkpoint, so the two algorithms share one audited code path for
-/// D1/S1 and D2/S2.
+/// SSA's per-run stopping certificate (Algorithm 1): the static split
+/// fixes the coverage threshold `Λ₁ = (1+ε₁)(1+ε₂)·Υ(ε₃, δ′)` of
+/// condition S1 and the `(1 + ε₁)` slack of the agreement check S2.
 #[derive(Debug, Clone, Copy)]
-pub struct Certificate {
+pub struct SsaCertificate {
+    /// Coverage threshold Λ₁ (S1).
+    lambda1: f64,
+    /// The split's ε₁: the agreement slack of S2.
+    e1: f64,
+}
+
+impl SsaCertificate {
+    /// The certificate for the static `split` at per-checkpoint failure
+    /// budget `delta_iter` = δ/(3·tmax).
+    pub fn new(split: SsaEpsilons, delta_iter: f64) -> Self {
+        SsaCertificate {
+            lambda1: (1.0 + split.e1) * (1.0 + split.e2) * upsilon(split.e3, delta_iter),
+            e1: split.e1,
+        }
+    }
+
+    /// The coverage threshold `Λ₁` of condition S1.
+    pub fn lambda1(&self) -> f64 {
+        self.lambda1
+    }
+
+    /// Condition S1: the pool coverage carries enough mass.
+    pub fn coverage_met(&self, covered: u64) -> bool {
+        covered as f64 >= self.lambda1
+    }
+
+    /// Condition S2: the pool estimate agrees with the independent
+    /// validation within the static split's `(1 + ε₁)` slack.
+    pub fn agreement(&self, i_find: f64, i_verify: f64) -> bool {
+        i_find <= (1.0 + self.e1) * i_verify
+    }
+}
+
+/// D-SSA's per-run stopping certificate (Algorithm 4): target precision,
+/// per-checkpoint failure budget, universe mass and the coverage
+/// threshold `Λ₁ = 1 + (1+ε)·Υ(ε, δ′)` of condition D1. Constructed once
+/// per run and consulted at every checkpoint; the ε-split is derived
+/// from each checkpoint's evidence by [`DssaCertificate::dssa_precision`].
+#[derive(Debug, Clone, Copy)]
+pub struct DssaCertificate {
     /// Target precision ε of the run.
     eps: f64,
     /// Per-checkpoint failure budget δ′ = δ/(3·tmax).
     delta_iter: f64,
     /// Universe mass Γ (`n` for IM, `Σ b(v)` for TVM).
     gamma: f64,
-    /// Coverage threshold Λ₁ (D1/S1).
+    /// Coverage threshold Λ₁ (D1).
     lambda1: f64,
     /// `1 − 1/e − ε` (> 0 by parameter validation).
     approx_gap: f64,
-    /// SSA's static split; `None` for D-SSA's dynamic derivation.
-    split: Option<SsaEpsilons>,
 }
 
-impl Certificate {
-    /// Certificate for a D-SSA run (Algorithm 4): `Λ₁ = 1 + (1+ε)·Υ(ε, δ′)`
-    /// and a dynamic, per-checkpoint ε-split via [`Certificate::dssa_precision`].
-    pub fn dssa(eps: f64, delta_iter: f64, gamma: f64) -> Self {
-        Certificate {
+impl DssaCertificate {
+    /// The certificate for target precision `eps`, per-checkpoint failure
+    /// budget `delta_iter` and universe mass `gamma`.
+    pub fn new(eps: f64, delta_iter: f64, gamma: f64) -> Self {
+        DssaCertificate {
             eps,
             delta_iter,
             gamma,
             lambda1: 1.0 + (1.0 + eps) * upsilon(eps, delta_iter),
             approx_gap: ONE_MINUS_INV_E - eps,
-            split: None,
         }
     }
 
-    /// Certificate for an SSA run (Algorithm 1): the static split fixes
-    /// `Λ₁ = (1+ε₁)(1+ε₂)·Υ(ε₃, δ′)` and the agreement check
-    /// ([`Certificate::agreement`]). The [`StoppingRule`] parameter is
-    /// ignored; it stays for the benchmark that names it.
-    pub fn ssa(
-        _rule: StoppingRule,
-        eps: f64,
-        split: SsaEpsilons,
-        delta_iter: f64,
-        gamma: f64,
-    ) -> Self {
-        Certificate {
-            eps,
-            delta_iter,
-            gamma,
-            lambda1: (1.0 + split.e1) * (1.0 + split.e2) * upsilon(split.e3, delta_iter),
-            approx_gap: ONE_MINUS_INV_E - eps,
-            split: Some(split),
-        }
-    }
-
-    /// The coverage threshold `Λ₁` of condition D1/S1.
+    /// The coverage threshold `Λ₁` of condition D1.
     pub fn lambda1(&self) -> f64 {
         self.lambda1
     }
 
-    /// Condition D1/S1: the (verify) coverage carries enough mass.
+    /// Condition D1: the verify coverage carries enough mass.
     pub fn coverage_met(&self, covered: u64) -> bool {
         covered as f64 >= self.lambda1
     }
@@ -175,17 +192,27 @@ impl Certificate {
         let eps_t = (e1 + e2 + e1 * e2) * self.approx_gap + ONE_MINUS_INV_E * e3;
         PrecisionCheck { e1, e2, e3, eps_t, i_verify: i_c, satisfied: eps_t <= self.eps }
     }
+}
 
-    /// Condition S2: the pool estimate agrees with the independent
-    /// validation within the static split's `(1 + ε₁)` slack.
-    ///
-    /// # Panics
-    /// Panics if the certificate was built with [`Certificate::dssa`]
-    /// (D-SSA has no static split; its agreement lives inside
-    /// [`Certificate::dssa_precision`] as ε₁).
-    pub fn agreement(&self, i_find: f64, i_verify: f64) -> bool {
-        let split = self.split.expect("agreement() needs the SSA static split");
-        i_find <= (1.0 + split.e1) * i_verify
+/// The constructor the end-to-end benchmark names. Library code builds
+/// an [`SsaCertificate`] or a [`DssaCertificate`] directly; this name and
+/// its ignored parameters are deleted once that benchmark stops naming
+/// them.
+#[derive(Debug)]
+pub enum Certificate {}
+
+impl Certificate {
+    /// [`SsaCertificate::new`] for `split` at `delta_iter`. The
+    /// [`StoppingRule`], `eps` and `gamma` are ignored: SSA's thresholds
+    /// depend on the split alone.
+    pub fn ssa(
+        _rule: StoppingRule,
+        _eps: f64,
+        split: SsaEpsilons,
+        delta_iter: f64,
+        _gamma: f64,
+    ) -> SsaCertificate {
+        SsaCertificate::new(split, delta_iter)
     }
 }
 
@@ -277,7 +304,7 @@ mod tests {
 
     #[test]
     fn dssa_certificate_thresholds_match_algorithm_4() {
-        let cert = Certificate::dssa(EPS, DELTA_ITER, 400.0);
+        let cert = DssaCertificate::new(EPS, DELTA_ITER, 400.0);
         let want = 1.0 + (1.0 + EPS) * upsilon(EPS, DELTA_ITER);
         assert_eq!(cert.lambda1(), want);
         assert!(!cert.coverage_met(want as u64 - 1));
@@ -287,9 +314,11 @@ mod tests {
     #[test]
     fn ssa_certificate_thresholds_match_algorithm_1() {
         let split = SsaEpsilons::recommended(EPS);
-        let cert = Certificate::ssa(StoppingRule::DssaFix, EPS, split, DELTA_ITER, 400.0);
+        let cert = SsaCertificate::new(split, DELTA_ITER);
         let want = (1.0 + split.e1) * (1.0 + split.e2) * upsilon(split.e3, DELTA_ITER);
         assert_eq!(cert.lambda1(), want);
+        let named = Certificate::ssa(StoppingRule::DssaFix, EPS, split, DELTA_ITER, 400.0);
+        assert_eq!(named.lambda1(), want);
         // S2: agreement within (1+ε₁)
         assert!(cert.agreement(100.0, 100.0));
         assert!(cert.agreement(100.0 * (1.0 + split.e1) - 1e-9, 100.0));
@@ -303,7 +332,7 @@ mod tests {
         // ε·√(Γ(1+ε)/(half·Î^c)) claimed ε₂ ≈ ε/√Λ — optimistic by √Λ.
         let gamma = 400.0;
         let lambda = upsilon(EPS, DELTA_ITER); // ≈ Λ
-        let cert = Certificate::dssa(EPS, DELTA_ITER, gamma);
+        let cert = DssaCertificate::new(EPS, DELTA_ITER, gamma);
         let cov = cert.lambda1().ceil() as u64; // the D1 anchor
         let half = 2 * lambda.ceil() as u64; // a t = 2 checkpoint
         let i_find = gamma * cov as f64 / half as f64; // ε₁ = 0
@@ -320,7 +349,7 @@ mod tests {
 
     #[test]
     fn dssafix_eps3_uses_the_gap_adjusted_anchor() {
-        let cert = Certificate::dssa(EPS, DELTA_ITER, 400.0);
+        let cert = DssaCertificate::new(EPS, DELTA_ITER, 400.0);
         let check = cert.dssa_precision(100.0, 5_000, 10_000);
         assert_eq!(check.e2, certified_precision(5_000.0, DELTA_ITER));
         let gap = ONE_MINUS_INV_E - EPS;
@@ -331,7 +360,7 @@ mod tests {
 
     #[test]
     fn precision_clamps_negative_disagreement() {
-        let cert = Certificate::dssa(EPS, DELTA_ITER, 400.0);
+        let cert = DssaCertificate::new(EPS, DELTA_ITER, 400.0);
         // verify half over-estimates: Î < Î^c ⇒ raw ε₁ < 0 ⇒ clamp to 0
         let cov = 5_000_u64;
         let half = 10_000_u64;
@@ -346,7 +375,7 @@ mod tests {
     #[test]
     fn no_usable_evidence_never_satisfies_d2() {
         // coverage below the certification floor: D2 must refuse
-        let cert = Certificate::dssa(EPS, DELTA_ITER, 400.0);
+        let cert = DssaCertificate::new(EPS, DELTA_ITER, 400.0);
         let check = cert.dssa_precision(1.0, 1, 1_000_000);
         assert!(check.e2.is_infinite());
         assert!(!check.satisfied);

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use sns_rrset::{max_coverage_with, GreedyScratch, RrCollection};
 
-use crate::bounds::certificate::{Certificate, StopCondition};
+use crate::bounds::certificate::{DssaCertificate, PrecisionCheck, StopCondition};
 use crate::bounds::{self, upsilon};
 use crate::{CoreError, Params, RunResult, SamplingContext};
 
@@ -19,8 +19,7 @@ use crate::{CoreError, Params, RunResult, SamplingContext};
 /// At iteration `t` the stream's first `Λ·2^(t−1)` sets (`R_t`) feed
 /// Max-Coverage and the next `Λ·2^(t−1)` sets (`R^c_t`) verify the
 /// candidate. Both stopping checks are evaluated by the run's
-/// [`Certificate`] (`bounds::certificate` — one audited code path shared
-/// with SSA):
+/// [`DssaCertificate`] (`bounds::certificate`, beside SSA's):
 ///
 /// * **D1** `Cov_{R^c_t}(Ŝ_k) ≥ Λ₁` — the verify half carries enough
 ///   coverage for an (ε, δ/3tmax)-estimate of `I(Ŝ_k)` (stopping-rule
@@ -58,13 +57,11 @@ pub struct DssaIteration {
     pub pool_size: u64,
     /// Influence estimate from the find half.
     pub influence_find: f64,
-    /// Influence estimate from the verify half (`None` while condition
-    /// D1 — enough verify coverage — has not fired yet).
-    pub influence_verify: Option<f64>,
-    /// Dynamic `(ε₁, ε₂, ε₃)` (only once D1 holds). ε₁ is clamped at 0.
-    pub epsilons: Option<(f64, f64, f64)>,
-    /// The realized `ε_t` checked against ε (only once D1 holds).
-    pub eps_t: Option<f64>,
+    /// The precision check D2 made at this checkpoint — the verify-half
+    /// estimate, the dynamic `(ε₁, ε₂, ε₃)` (ε₁ clamped at 0) and the
+    /// realized `ε_t` — or `None` while condition D1 (enough verify
+    /// coverage) has not fired yet.
+    pub check: Option<PrecisionCheck>,
 }
 
 impl Dssa {
@@ -112,9 +109,8 @@ impl Dssa {
         let t_max = bounds::max_iterations(n_max, eps, delta);
         let delta_iter = delta / (3.0 * f64::from(t_max));
         let lambda = upsilon(eps, delta_iter).ceil().max(1.0) as u64;
-        // D1's Λ₁ threshold and D2's certified ε-split: one audited code
-        // path shared with SSA.
-        let cert = Certificate::dssa(eps, delta_iter, gamma);
+        // D1's Λ₁ threshold and D2's certified ε-split.
+        let cert = DssaCertificate::new(eps, delta_iter, gamma);
         // The last extension must not overshoot the nominal cap: the
         // schedule is clamped at ⌈Nmax⌉ sets (kept even so the find and
         // verify halves stay equal-sized). `as` saturates for the huge
@@ -147,27 +143,15 @@ impl Dssa {
             let cov_c =
                 pool.coverage_of_range(&cover.seeds, half as u32..full as u32, &mut scratch);
 
-            let mut stop = false;
-            let mut record = DssaIteration {
-                t,
-                pool_size: full,
-                influence_find: i_t,
-                influence_verify: None,
-                epsilons: None,
-                eps_t: None,
-            };
-            if cert.coverage_met(cov_c) {
-                // Condition D1 met: derive the dynamic ε-split and check
-                // condition D2.
+            // Once condition D1 holds, derive the dynamic ε-split and
+            // check condition D2.
+            let check = cert.coverage_met(cov_c).then(|| cert.dssa_precision(i_t, cov_c, half));
+            if check.is_some() {
                 coverage_first_met.get_or_insert(t);
-                let check = cert.dssa_precision(i_t, cov_c, half);
-                record.influence_verify = Some(check.i_verify);
-                record.epsilons = Some((check.e1, check.e2, check.e3));
-                record.eps_t = Some(check.eps_t);
-                stop = check.satisfied;
             }
+            let stop = check.is_some_and(|c| c.satisfied);
             if let Some(sink) = trace.as_deref_mut() {
-                sink.push(record);
+                sink.push(DssaIteration { t, pool_size: full, influence_find: i_t, check });
             }
 
             // Capped once the pool reaches the clamp bound (it can never
@@ -322,7 +306,7 @@ mod tests {
         // the final checkpoint must have fired D1 + D2 (no cap hit here)
         let last = trace.last().unwrap();
         assert!(!traced.hit_cap);
-        let eps_t = last.eps_t.expect("D1 fired at the stopping iteration");
+        let eps_t = last.check.expect("D1 fired at the stopping iteration").eps_t;
         assert!(eps_t <= 0.3, "stopping eps_t = {eps_t}");
         // Pin the certified Algorithm-4 split: each passing checkpoint's
         // ε₂ is what its verify coverage certifies at δ′ = δ/(3·tmax), and
@@ -333,19 +317,18 @@ mod tests {
             bounds::max_iterations(bounds::nmax(400, 5, eps, delta, ctx.cap_ratio(5)), eps, delta);
         let delta_iter = delta / (3.0 * f64::from(t_max));
         for r in &trace {
-            let Some((_, e2, e3)) = r.epsilons else { continue };
+            let Some(PrecisionCheck { e2, e3, i_verify, .. }) = r.check else { continue };
             let half = r.pool_size as f64 / 2.0;
-            let i_c = r.influence_verify.expect("epsilons imply D1 fired");
-            let cov = (i_c * half / gamma).round();
+            let cov = (i_verify * half / gamma).round();
             let want_e2 = certified_precision(cov, delta_iter);
             assert_eq!(e2, want_e2, "t = {}", r.t);
             assert_eq!(e3, want_e2 * (gap / (1.0 + want_e2 / 3.0)).sqrt(), "t = {}", r.t);
             assert!(e2 < eps, "D1 coverage certifies better than ε, got {e2}");
         }
         // ε₂, ε₃ must shrink monotonically across D1-passing checkpoints
-        let passing: Vec<_> = trace.iter().filter_map(|r| r.epsilons).collect();
+        let passing: Vec<f64> = trace.iter().filter_map(|r| r.check).map(|c| c.e2).collect();
         for w in passing.windows(2) {
-            assert!(w[1].1 <= w[0].1 * 1.5, "e2 did not trend down: {passing:?}");
+            assert!(w[1] <= w[0] * 1.5, "e2 did not trend down: {passing:?}");
         }
         // pool sizes double
         for w in trace.windows(2) {

@@ -10,7 +10,8 @@
 //! weights). [`SeedQueryEngine`] keeps a pool, freezes initial-gain
 //! state in [`sns_rrset::GainSnapshot`]s, and answers [`SeedQuery`]
 //! batches through the batch planner, thread-parallel across plan
-//! groups with per-worker [`GreedyScratch`]es.
+//! groups; every answering thread reuses its own thread-local
+//! [`GreedyScratch`].
 //!
 //! Every answer takes one path: the query resolves the frozen state it
 //! selects from (one cache lookup — shared by a whole plan group), the
@@ -18,7 +19,7 @@
 //! ([`Count`], [`Weighted`] or, for budgeted queries, [`Ratio`]) from
 //! it — unless the entry's greedy prefix memo already holds the answer
 //! (see below) — and one tail builds the [`SeedAnswer`]. Results are
-//! **bit-identical** to calling [`sns_rrset::max_coverage_range`] (or
+//! **bit-identical** to calling [`sns_rrset::max_coverage_with`] (or
 //! the kernel) directly, and batch answers are independent of thread
 //! count and batch composition.
 //!
@@ -333,14 +334,25 @@ impl Resolved {
 }
 
 thread_local! {
-    /// Selection scratch reused by [`SeedQueryEngine::answer`] — its
+    /// Selection scratch reused by every answering thread — its
     /// stamp/gain tables stay at high-water size instead of costing an
-    /// `O(n + range)` allocation-plus-zeroing per single query, which
+    /// `O(n + range)` allocation-plus-zeroing per query or batch, which
     /// would rival the very histogram work the snapshot path saves.
-    /// Thread-local rather than engine-owned so the single-query path
-    /// acquires no mutex. (`answer_planned` workers carry their own,
-    /// uncontended.)
+    /// Thread-local rather than engine-owned so no answer path acquires
+    /// a mutex.
     static ANSWER_SCRATCH: RefCell<GreedyScratch> = RefCell::new(GreedyScratch::new());
+}
+
+/// Runs `f` with this thread's [`ANSWER_SCRATCH`]. Scratch state is
+/// generation-stamped and fully re-initialized per selection, so what an
+/// earlier selection left in it never shows in an answer. A re-entrant
+/// borrow (an answer path called from within one — impossible today)
+/// falls back to a fresh scratch rather than panicking on a serving path.
+fn with_answer_scratch<R>(f: impl FnOnce(&mut GreedyScratch) -> R) -> R {
+    ANSWER_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut GreedyScratch::new()),
+    })
 }
 
 /// A directory of sealed RR-set pool generations plus an
@@ -616,17 +628,7 @@ impl SeedQueryEngine {
     pub fn answer(&self, query: &SeedQuery) -> Result<SeedAnswer, CoreError> {
         let (_, pool) = self.directory.pin();
         self.validate(query, &pool)?;
-        ANSWER_SCRATCH.with(|cell| {
-            // Scratch state is generation-stamped and fully
-            // re-initialized per selection; a re-entrant borrow (answer
-            // called from within answer — impossible today) falls back
-            // to a fresh scratch rather than panicking on a serving
-            // path.
-            match cell.try_borrow_mut() {
-                Ok(mut scratch) => Ok(self.answer_validated(query, &pool, &mut scratch)),
-                Err(_) => Ok(self.answer_validated(query, &pool, &mut GreedyScratch::new())),
-            }
-        })
+        Ok(with_answer_scratch(|scratch| self.answer_validated(query, &pool, scratch)))
     }
 
     /// Answers a batch through the batch planner: queries are grouped by
@@ -648,37 +650,33 @@ impl SeedQueryEngine {
         // One pin for the whole batch: every member is validated and
         // answered against the same pool generation, so a batch racing
         // concurrent growth is equivalent to running entirely before or
-        // entirely after the publish. The plan is stamped with the
-        // pinned generation, making "which pool prefix answered this
-        // batch" auditable.
-        let (generation, pool) = self.directory.pin();
+        // entirely after the publish.
+        let (_, pool) = self.directory.pin();
         for (i, q) in queries.iter().enumerate() {
             self.validate(q, &pool)
                 .map_err(|e| CoreError::InvalidParams(format!("query {i}: {e}")))?;
         }
-        let plan = BatchPlan::build_for_generation(queries, pool.id_range().end, generation);
+        let plan = BatchPlan::build(queries, pool.id_range().end);
         self.cache.note_planned(plan.num_groups() as u64, plan.builds_saved());
         let groups = plan.groups();
         let slots: Vec<OnceLock<SeedAnswer>> = queries.iter().map(|_| OnceLock::new()).collect();
+        // Workers claim groups in order; which worker answers a group
+        // never changes its answer.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            with_answer_scratch(|scratch| loop {
+                let g = next.fetch_add(1, Ordering::Relaxed);
+                let Some(group) = groups.get(g) else { break };
+                self.answer_group(queries, &group.members, &pool, scratch, &slots);
+            })
+        };
         let workers = self.threads.min(groups.len()).max(1);
         if workers == 1 {
-            let mut scratch = GreedyScratch::new();
-            for group in groups {
-                self.answer_group(queries, &group.members, &pool, &mut scratch, &slots);
-            }
+            work();
         } else {
-            let next = AtomicUsize::new(0);
-            let pool = &pool;
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut scratch = GreedyScratch::new();
-                        loop {
-                            let g = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(group) = groups.get(g) else { break };
-                            self.answer_group(queries, &group.members, pool, &mut scratch, &slots);
-                        }
-                    });
+                    scope.spawn(work);
                 }
             });
         }
@@ -1071,7 +1069,7 @@ mod tests {
     use crate::{Dssa, Params};
     use sns_diffusion::Model;
     use sns_graph::{gen, WeightModel};
-    use sns_rrset::{max_coverage_range, StoreError};
+    use sns_rrset::{max_coverage_with, StoreError};
 
     fn engine(sets: u64, seed: u64) -> SeedQueryEngine {
         let g = gen::erdos_renyi(300, 1800, seed).build(WeightModel::WeightedCascade).unwrap();
@@ -1089,13 +1087,13 @@ mod tests {
         let e = engine(2000, 1);
         for k in [1usize, 5, 20] {
             let ans = e.answer(&SeedQuery::top_k(k)).unwrap();
-            let direct = max_coverage_range(&e.pool(), k, 0..2000);
+            let direct = max_coverage_with(&e.pool(), k, 0..2000, &mut GreedyScratch::new());
             assert_eq!(ans.seeds, direct.seeds, "k = {k}");
             assert_eq!(ans.covered, direct.covered as f64);
         }
         // ranged query against the matching direct call
         let ans = e.answer(&SeedQuery::top_k(4).over_range(500..1500)).unwrap();
-        let direct = max_coverage_range(&e.pool(), 4, 500..1500);
+        let direct = max_coverage_with(&e.pool(), 4, 500..1500, &mut GreedyScratch::new());
         assert_eq!(ans.seeds, direct.seeds);
         assert_eq!(ans.range, 500..1500);
     }

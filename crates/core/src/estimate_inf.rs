@@ -120,9 +120,12 @@ pub fn estimate_inf_with_sink(
     let n = sampler.graph().num_nodes() as usize;
     let generation = scratch.begin_run(n);
     for &s in seeds {
-        scratch.stamp[s as usize] = generation;
+        // A seed id outside the graph is in no RR set: nothing to mark.
+        if let Some(slot) = scratch.stamp.get_mut(s as usize) {
+            *slot = generation;
+        }
     }
-    let is_seed = &scratch.stamp[..n];
+    let is_seed = &scratch.stamp;
 
     let mut covered = 0u64;
     let mut edges = 0u64;
@@ -130,7 +133,7 @@ pub fn estimate_inf_with_sink(
     for t in 1..=t_max {
         let meta = sampler.sample(t - 1, &mut rr);
         edges += meta.edges_examined;
-        if rr.iter().any(|&v| is_seed[v as usize] == generation) {
+        if rr.iter().any(|&v| is_seed.get(v as usize) == Some(&generation)) {
             covered += 1;
             if covered >= needed {
                 // Return with the real-valued Λ₂ as in the stopping-rule
@@ -196,6 +199,20 @@ mod tests {
         let out = estimate_inf(&mut s, &[0], 0.1, 0.01, 50, 10.0);
         assert!(out.influence.is_none());
         assert_eq!(out.samples_used, 50);
+    }
+
+    /// A seed id outside the graph is in no RR set, so it changes
+    /// nothing — and must not index past the scratch's `n` stamps.
+    #[test]
+    fn seed_ids_outside_the_graph_are_ignored() {
+        let n = 10;
+        let g = isolated(n);
+        let sampler = RrSampler::with_config(&g, Model::IndependentCascade, RootDist::Uniform, 4);
+        let want = estimate_inf(&mut sampler.clone(), &[0], 0.2, 0.05, 50_000, 10.0);
+        let got = estimate_inf(&mut sampler.clone(), &[0, n + 5], 0.2, 0.05, 50_000, 10.0);
+        assert_eq!(got, want);
+        let none = estimate_inf(&mut sampler.clone(), &[n], 0.2, 0.05, 500, 10.0);
+        assert_eq!(none.influence, None);
     }
 
     /// A reused scratch must behave exactly like a fresh one: no stale

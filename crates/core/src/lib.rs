@@ -77,7 +77,9 @@ mod params;
 mod result;
 mod ssa;
 
-pub use bounds::certificate::{Certificate, PrecisionCheck, StopCondition, StoppingRule};
+pub use bounds::certificate::{
+    DssaCertificate, PrecisionCheck, SsaCertificate, StopCondition, StoppingRule,
+};
 pub use context::SamplingContext;
 pub use dssa::{Dssa, DssaIteration};
 pub use engine::{QueryStats, SeedAnswer, SeedQuery, SeedQueryEngine};

@@ -92,13 +92,7 @@ pub struct PlanGroup {
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     groups: Vec<PlanGroup>,
-    queries: usize,
     pool_len: u32,
-    /// The pool directory generation this plan was built against, when
-    /// the planner ran inside a pinned engine entry point
-    /// ([`BatchPlan::build_for_generation`]). `None` for free-standing
-    /// plans built against a bare pool length.
-    generation: Option<u64>,
 }
 
 impl BatchPlan {
@@ -108,17 +102,6 @@ impl BatchPlan {
     /// plan — like everything downstream of it — is a pure deterministic
     /// function of the batch.
     pub fn build(queries: &[SeedQuery], pool_len: u32) -> Self {
-        Self::plan(queries, pool_len, None)
-    }
-
-    /// Like [`BatchPlan::build`], but stamps the plan with the pool
-    /// directory generation the batch pinned — under grow-while-serving,
-    /// the record of *which published pool prefix* answered this batch.
-    pub fn build_for_generation(queries: &[SeedQuery], pool_len: u32, generation: u64) -> Self {
-        Self::plan(queries, pool_len, Some(generation))
-    }
-
-    fn plan(queries: &[SeedQuery], pool_len: u32, generation: Option<u64>) -> Self {
         let mut groups: Vec<PlanGroup> = Vec::new();
         let mut index: BTreeMap<GroupKey, usize> = BTreeMap::new();
         for (i, q) in queries.iter().enumerate() {
@@ -145,7 +128,7 @@ impl BatchPlan {
                 }
             }
         }
-        BatchPlan { groups, queries: queries.len(), pool_len, generation }
+        BatchPlan { groups, pool_len }
     }
 
     /// The plan's groups, in first-appearance order.
@@ -158,20 +141,9 @@ impl BatchPlan {
         self.groups.len()
     }
 
-    /// Number of queries planned.
-    pub fn num_queries(&self) -> usize {
-        self.queries
-    }
-
     /// The pool length the plan resolved default ranges against.
     pub fn pool_len(&self) -> u32 {
         self.pool_len
-    }
-
-    /// The pool directory generation the plan was built against, if it
-    /// was built through [`BatchPlan::build_for_generation`].
-    pub fn generation(&self) -> Option<u64> {
-        self.generation
     }
 
     /// Snapshot resolutions the grouping saved: every member beyond the
@@ -354,11 +326,6 @@ impl AdmissionQueue {
         self.entries.is_empty()
     }
 
-    /// Total estimated cost of all waiting queries, in virtual units.
-    pub fn backlog_cost(&self) -> u64 {
-        self.backlog.iter().sum()
-    }
-
     /// The queue's cumulative counters.
     pub fn stats(&self) -> AdmissionStats {
         self.stats
@@ -478,7 +445,7 @@ mod tests {
             q(8).with_root_weights(weights).with_topic(9),         // topic 9
         ];
         let plan = BatchPlan::build(&batch, 100);
-        assert_eq!(plan.num_queries(), 8);
+        assert_eq!(plan.pool_len(), 100);
         assert_eq!(plan.num_groups(), 5);
         assert_eq!(plan.builds_saved(), 3);
         let keys: Vec<GroupKey> = plan.groups().iter().map(|g| g.key).collect();
@@ -499,20 +466,6 @@ mod tests {
         let mut all: Vec<usize> = plan.groups().iter().flat_map(|g| g.members.clone()).collect();
         all.sort_unstable();
         assert_eq!(all, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn plans_record_pool_len_and_generation() {
-        let batch = vec![q(1), q(2).over_range(0..50)];
-        let bare = BatchPlan::build(&batch, 100);
-        assert_eq!(bare.pool_len(), 100);
-        assert_eq!(bare.generation(), None);
-        let pinned = BatchPlan::build_for_generation(&batch, 100, 3);
-        assert_eq!(pinned.generation(), Some(3));
-        // the stamp is metadata only: grouping is identical
-        let keys = |p: &BatchPlan| p.groups().iter().map(|g| g.key).collect::<Vec<_>>();
-        assert_eq!(keys(&bare), keys(&pinned));
-        assert_eq!(bare.builds_saved(), pinned.builds_saved());
     }
 
     #[test]
@@ -583,7 +536,7 @@ mod tests {
         let t2 = queue.admit(q(3), Priority::High, Some(5), 0, 100).unwrap();
         let t3 = queue.admit(q(4), Priority::Normal, None, 0, 100).unwrap();
         // each query costs 1 (base) + k; range 0..100 adds nothing
-        assert_eq!(queue.backlog_cost(), 4 + (1 + 2 + 3 + 4));
+        assert_eq!(queue.backlog.iter().sum::<u64>(), 4 + (1 + 2 + 3 + 4));
         // virtual time 10: the High query's deadline (5) has passed
         let drained = queue.drain(10, 2);
         let tickets: Vec<u64> = drained.iter().map(|p| p.ticket).collect();
@@ -593,11 +546,11 @@ mod tests {
         assert_eq!((s.expired, s.drained), (1, 2));
         // the Low query is still waiting, backlog accounted
         assert_eq!(queue.len(), 1);
-        assert_eq!(queue.backlog_cost(), 2);
+        assert_eq!(queue.backlog.iter().sum::<u64>(), 2);
         let rest = queue.drain(10, 10);
         assert_eq!(rest[0].ticket, t0);
         assert!(queue.is_empty());
-        assert_eq!(queue.backlog_cost(), 0);
+        assert_eq!(queue.backlog.iter().sum::<u64>(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use sns_rrset::{max_coverage_with, GreedyScratch, RrCollection};
 
-use crate::bounds::certificate::{Certificate, StopCondition, StoppingRule};
+use crate::bounds::certificate::{SsaCertificate, StopCondition};
 use crate::bounds::{self, upsilon};
 use crate::estimate_inf::EstimateScratch;
 use crate::{CoreError, Params, RunResult, SamplingContext, SsaEpsilons};
@@ -33,7 +33,7 @@ pub(crate) fn t_max_samples(pool_size: u64, e: SsaEpsilons) -> u64 {
 /// Per iteration `t` the pool holds `Λ·2^(t−1)` RR sets (clamped at
 /// `⌈Nmax⌉` on the final doubling). After running Max-Coverage the
 /// algorithm stops only when both hold (evaluated by the shared
-/// [`crate::bounds::certificate::Certificate`] from the static ε-split):
+/// [`SsaCertificate`] from the static ε-split):
 ///
 /// * **C1** `Cov_R(Ŝ_k) ≥ Λ₁` — enough coverage mass that the optimum's
 ///   influence is estimated within relative error ε₃ (Lemmas 5–6);
@@ -69,11 +69,6 @@ impl Ssa {
         self.params
     }
 
-    /// The ε-split in effect.
-    pub fn epsilons(&self) -> SsaEpsilons {
-        self.epsilons
-    }
-
     /// Runs SSA and returns the seed set with run statistics.
     pub fn run(&self, ctx: &SamplingContext<'_>) -> Result<RunResult, CoreError> {
         let start = Instant::now();
@@ -90,7 +85,7 @@ impl Ssa {
         // Λ: initial pool size. The C1 threshold Λ₁ and the C2 agreement
         // check live in the shared stopping-rule certificate.
         let lambda = upsilon(eps, delta_iter).ceil().max(1.0) as u64;
-        let cert = Certificate::ssa(StoppingRule::DssaFix, eps, self.epsilons, delta_iter, gamma);
+        let cert = SsaCertificate::new(self.epsilons, delta_iter);
         // Clamp the schedule at ⌈Nmax⌉: the final doubling must not
         // overshoot the nominal cap (same fix as D-SSA's).
         let cap_sets = (n_max.ceil() as u64).max(1);

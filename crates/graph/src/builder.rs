@@ -3,23 +3,6 @@
 
 use crate::{Graph, GraphError, NodeId, WeightModel};
 
-/// What to do with parallel (duplicate) arcs `u → v` during
-/// [`GraphBuilder::build`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DedupPolicy {
-    /// Keep the first occurrence in insertion order.
-    KeepFirst,
-    /// Keep the last occurrence in insertion order (the default; matches
-    /// "later rows override earlier rows" file semantics).
-    #[default]
-    KeepLast,
-    /// Sum the weights of all occurrences and clamp the result to `1.0`.
-    /// Only meaningful with [`WeightModel::Provided`]; under any other
-    /// model duplicates collapse to a single edge before weights are
-    /// assigned, so this behaves like `KeepLast`.
-    SumClamped,
-}
-
 /// Sentinel weight for arcs added without an explicit weight.
 const UNWEIGHTED: f32 = f32::NAN;
 
@@ -38,7 +21,6 @@ pub struct GraphBuilder {
     edges: Vec<(NodeId, NodeId, f32)>,
     fixed_n: Option<u32>,
     max_node: Option<NodeId>,
-    dedup: DedupPolicy,
     allow_self_loops: bool,
     normalize_lt: bool,
 }
@@ -60,12 +42,6 @@ impl GraphBuilder {
     /// nodes.
     pub fn set_num_nodes(&mut self, n: u32) -> &mut Self {
         self.fixed_n = Some(n);
-        self
-    }
-
-    /// Selects the duplicate-arc policy (default [`DedupPolicy::KeepLast`]).
-    pub fn dedup_policy(&mut self, policy: DedupPolicy) -> &mut Self {
-        self.dedup = policy;
         self
     }
 
@@ -118,11 +94,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of arcs currently staged (before dedup / self-loop removal).
-    pub fn num_staged_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     #[inline]
     fn touch(&mut self, v: NodeId) {
         self.max_node = Some(self.max_node.map_or(v, |m| m.max(v)));
@@ -159,9 +130,17 @@ impl GraphBuilder {
         }
 
         // Stable sort by (source, target) keeps insertion order within
-        // duplicate groups, which KeepFirst / KeepLast rely on.
+        // duplicate groups; each group collapses to one arc carrying the
+        // weight of its last row ("later rows override earlier rows", as
+        // in an edge-list file).
         self.edges.sort_by_key(|&(u, v, _)| (u, v));
-        dedup_sorted(&mut self.edges, self.dedup);
+        self.edges.dedup_by(|later, kept| {
+            let duplicate = (later.0, later.1) == (kept.0, kept.1);
+            if duplicate {
+                kept.2 = later.2;
+            }
+            duplicate
+        });
 
         // In-degrees of the deduplicated list drive WeightedCascade.
         let mut in_degree = vec![0u32; n as usize];
@@ -219,37 +198,6 @@ impl GraphBuilder {
             in_weights,
         ))
     }
-}
-
-/// Collapses runs of identical `(u, v)` pairs in a sorted edge list.
-fn dedup_sorted(edges: &mut Vec<(NodeId, NodeId, f32)>, policy: DedupPolicy) {
-    if edges.len() < 2 {
-        return;
-    }
-    let mut write = 0usize;
-    let mut read = 0usize;
-    while read < edges.len() {
-        let (u, v, _) = edges[read];
-        let mut chosen = edges[read].2;
-        let mut end = read + 1;
-        while end < edges.len() && edges[end].0 == u && edges[end].1 == v {
-            end += 1;
-        }
-        if end - read > 1 {
-            chosen = match policy {
-                DedupPolicy::KeepFirst => edges[read].2,
-                DedupPolicy::KeepLast => edges[end - 1].2,
-                DedupPolicy::SumClamped => {
-                    let sum: f64 = edges[read..end].iter().map(|e| f64::from(e.2)).sum();
-                    (sum as f32).min(1.0)
-                }
-            };
-        }
-        edges[write] = (u, v, chosen);
-        write += 1;
-        read = end;
-    }
-    edges.truncate(write);
 }
 
 /// Rescales incoming weights per node so `Σ_u w(u,v) ≤ 1`.
@@ -327,31 +275,13 @@ mod tests {
     }
 
     #[test]
-    fn dedup_keep_first_and_last() {
+    fn duplicate_rows_keep_the_last_weight() {
         let mut b = GraphBuilder::new();
         b.add_edge(0, 1, 0.1);
         b.add_edge(0, 1, 0.9);
-        let g = b.clone().build(WeightModel::Provided).unwrap();
+        let g = b.build(WeightModel::Provided).unwrap();
         assert_eq!(g.num_arcs(), 1);
-        assert!((g.out_weights(0)[0] - 0.9).abs() < 1e-7); // KeepLast default
-
-        b.dedup_policy(DedupPolicy::KeepFirst);
-        let g = b.clone().build(WeightModel::Provided).unwrap();
-        assert!((g.out_weights(0)[0] - 0.1).abs() < 1e-7);
-
-        b.dedup_policy(DedupPolicy::SumClamped);
-        let g = b.build(WeightModel::Provided).unwrap();
-        assert!((g.out_weights(0)[0] - 1.0).abs() < 1e-7); // 0.1 + 0.9
-    }
-
-    #[test]
-    fn dedup_sum_clamps_at_one() {
-        let mut b = GraphBuilder::new();
-        b.dedup_policy(DedupPolicy::SumClamped);
-        b.add_edge(0, 1, 0.8);
-        b.add_edge(0, 1, 0.8);
-        let g = b.build(WeightModel::Provided).unwrap();
-        assert!((g.out_weights(0)[0] - 1.0).abs() < 1e-7);
+        assert!((g.out_weights(0)[0] - 0.9).abs() < 1e-7);
     }
 
     #[test]

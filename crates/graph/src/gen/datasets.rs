@@ -130,11 +130,6 @@ pub const FRIENDSTER: DatasetSpec = DatasetSpec {
 pub const ALL: [&DatasetSpec; 8] =
     [&NETHEPT, &NETPHY, &ENRON, &EPINIONS, &DBLP, &ORKUT, &TWITTER, &FRIENDSTER];
 
-/// Case-insensitive lookup by paper name.
-pub fn by_name(name: &str) -> Option<&'static DatasetSpec> {
-    ALL.iter().copied().find(|d| d.name.eq_ignore_ascii_case(name))
-}
-
 impl DatasetSpec {
     /// Node count after applying `scale` (at least 64 so tiny smoke scales
     /// stay meaningful).
@@ -182,11 +177,6 @@ impl DatasetSpec {
             base.build(model)
         }
     }
-
-    /// Generates at [`DatasetSpec::default_scale`].
-    pub fn generate_default(&self, seed: u64) -> Result<Graph, GraphError> {
-        self.generate(self.default_scale, seed)
-    }
 }
 
 #[cfg(test)]
@@ -195,10 +185,12 @@ mod tests {
 
     #[test]
     fn registry_lookup() {
-        assert_eq!(by_name("nethept").unwrap().name, "NetHEPT");
-        assert_eq!(by_name("Friendster").unwrap().nodes, 65_600_000);
-        assert!(by_name("nope").is_none());
-        assert_eq!(ALL.len(), 8);
+        let names: Vec<_> = ALL.iter().map(|d| d.name).collect();
+        assert_eq!(
+            names,
+            ["NetHEPT", "NetPHY", "Enron", "Epinions", "DBLP", "Orkut", "Twitter", "Friendster"]
+        );
+        assert_eq!(FRIENDSTER.nodes, 65_600_000);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   simulation walks out-edges while RIS sampling walks in-edges.
 //! * [`GraphBuilder`] + [`WeightModel`] — construction from edge lists with
 //!   the weight conventions used in the IM literature (weighted cascade
-//!   `w(u,v) = 1/din(v)`, constant, trivalency, uniform-random, provided).
+//!   `w(u,v) = 1/din(v)`, constant, provided).
 //! * [`gen`] — synthetic network generators (Erdős–Rényi, Barabási–Albert,
 //!   Watts–Strogatz, R-MAT) and a registry of stand-ins for the paper's
 //!   Table 2 datasets.
@@ -54,7 +54,7 @@ mod stats;
 mod weights;
 
 pub use alias::AliasTable;
-pub use builder::{DedupPolicy, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use csr::{Graph, InEdgeIter, OutEdgeIter};
 pub use error::GraphError;
 pub use hash::{fnv64, Fnv64};

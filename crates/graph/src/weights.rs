@@ -1,18 +1,14 @@
 //! Edge-weight assignment conventions from the IM literature.
 
-use rand::distributions::{Distribution, Uniform};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use crate::NodeId;
 
 /// How edge weights `w(u, v) ∈ [0, 1]` are assigned when a
 /// [`crate::GraphBuilder`] is materialized.
 ///
 /// The paper (§7.1) uses the *weighted cascade* convention
-/// `w(u,v) = 1/din(v)`, following Tang et al. and Chen et al.; the other
-/// models are standard alternatives the baselines are commonly evaluated
-/// with and are used by the ablation benches.
+/// `w(u,v) = 1/din(v)`, following Tang et al. and Chen et al.;
+/// `Constant` is the classic IC setting and `Provided` keeps the weights
+/// of a loaded edge list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WeightModel {
     /// Keep the weights passed to [`crate::GraphBuilder::add_edge`].
@@ -24,23 +20,6 @@ pub enum WeightModel {
     /// Every edge gets the same probability `p` (the classic IC setting,
     /// e.g. `p = 0.01` or `p = 0.1` in Kempe et al.).
     Constant(f32),
-    /// Each weight drawn uniformly at random from `{0.1, 0.01, 0.001}`
-    /// (the "trivalency" model of Chen et al., KDD'10). Deterministic for a
-    /// given seed.
-    Trivalency {
-        /// RNG seed so graph construction stays reproducible.
-        seed: u64,
-    },
-    /// Each weight drawn uniformly from `[lo, hi]`. Deterministic for a
-    /// given seed.
-    UniformRandom {
-        /// Inclusive lower bound, must satisfy `0 ≤ lo ≤ hi`.
-        lo: f32,
-        /// Inclusive upper bound, must satisfy `hi ≤ 1`.
-        hi: f32,
-        /// RNG seed.
-        seed: u64,
-    },
 }
 
 impl WeightModel {
@@ -64,33 +43,12 @@ impl WeightModel {
                     e.2 = p;
                 }
             }
-            WeightModel::Trivalency { seed } => {
-                const LEVELS: [f32; 3] = [0.1, 0.01, 0.001];
-                let mut rng = StdRng::seed_from_u64(seed);
-                let die = Uniform::new(0usize, 3);
-                for e in edges.iter_mut() {
-                    e.2 = LEVELS[die.sample(&mut rng)];
-                }
-            }
-            WeightModel::UniformRandom { lo, hi, seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let dist = Uniform::new_inclusive(lo, hi);
-                for e in edges.iter_mut() {
-                    e.2 = dist.sample(&mut rng);
-                }
-            }
         }
     }
 
     /// Whether this model requires weights supplied at `add_edge` time.
     pub fn requires_provided_weights(&self) -> bool {
         matches!(self, WeightModel::Provided)
-    }
-
-    /// Whether the produced graph is guaranteed to satisfy the LT
-    /// constraint `Σ_u w(u,v) ≤ 1` regardless of topology.
-    pub fn guarantees_lt(&self) -> bool {
-        matches!(self, WeightModel::WeightedCascade)
     }
 }
 
@@ -122,37 +80,6 @@ mod tests {
         let g = b.build(WeightModel::Constant(0.3)).unwrap();
         for (_, _, w) in g.arcs() {
             assert!((w - 0.3).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn trivalency_uses_only_three_levels_and_is_deterministic() {
-        let build = || {
-            let mut b = GraphBuilder::new();
-            for i in 0..50u32 {
-                b.add_arc(i, (i + 1) % 50);
-            }
-            b.build(WeightModel::Trivalency { seed: 9 }).unwrap()
-        };
-        let g1 = build();
-        let g2 = build();
-        let w1: Vec<f32> = g1.arcs().map(|(_, _, w)| w).collect();
-        let w2: Vec<f32> = g2.arcs().map(|(_, _, w)| w).collect();
-        assert_eq!(w1, w2);
-        for w in w1 {
-            assert!([0.1f32, 0.01, 0.001].iter().any(|&l| (l - w).abs() < 1e-9));
-        }
-    }
-
-    #[test]
-    fn uniform_random_within_bounds() {
-        let mut b = GraphBuilder::new();
-        for i in 0..100u32 {
-            b.add_arc(i, (i + 7) % 100);
-        }
-        let g = b.build(WeightModel::UniformRandom { lo: 0.2, hi: 0.4, seed: 3 }).unwrap();
-        for (_, _, w) in g.arcs() {
-            assert!((0.2..=0.4).contains(&w));
         }
     }
 }

@@ -3,7 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sns_graph::{AliasTable, DedupPolicy, GraphBuilder, WeightModel};
+use sns_graph::{AliasTable, GraphBuilder, WeightModel};
 
 /// Arbitrary small edge list over up to 32 nodes.
 fn edge_list() -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -42,8 +42,9 @@ proptest! {
         prop_assert_eq!(din, g.num_arcs());
     }
 
-    /// Building is insensitive to edge insertion order (dedup = KeepLast
-    /// can differ per-order on duplicate weights, so use distinct arcs).
+    /// Building is insensitive to edge insertion order (dedup keeps the last
+    /// row, which differs per order on duplicate weights, so use distinct
+    /// arcs).
     #[test]
     fn insertion_order_irrelevant(mut edges in edge_list(), seed in 0u64..1000) {
         edges.sort_unstable();
@@ -109,20 +110,6 @@ proptest! {
                 None => prop_assert!(r >= g.in_weight_sum(v) - 1e-5),
             }
         }
-    }
-
-    /// SumClamped dedup never produces weights above 1 or below either
-    /// input.
-    #[test]
-    fn sum_clamped_bounds(w1 in 0.0f32..=1.0, w2 in 0.0f32..=1.0) {
-        let mut b = GraphBuilder::new();
-        b.dedup_policy(DedupPolicy::SumClamped);
-        b.add_edge(0, 1, w1);
-        b.add_edge(0, 1, w2);
-        let g = b.build(WeightModel::Provided).unwrap();
-        let w = g.out_weights(0)[0];
-        prop_assert!(w <= 1.0 + 1e-6);
-        prop_assert!(w >= w1.max(w2) - 1e-6 || w == 1.0);
     }
 
     /// Binary IO round-trips arbitrary graphs bit-exactly.

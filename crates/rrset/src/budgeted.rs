@@ -50,9 +50,7 @@ use crate::{
 ///
 /// `Uniform` charges every node `1.0`, so a budget `B = k` degenerates
 /// to the cardinality constraint. `PerNode` shares an `Arc` so cloning a
-/// query for another thread copies a pointer, and equality is *identity*
-/// (`Arc::ptr_eq`), mirroring how the query engine keys topic weight
-/// vectors.
+/// query for another thread copies a pointer.
 #[derive(Debug, Clone, Default)]
 pub enum NodeCosts {
     /// Every node costs `1.0` — budget = seed-count budget.
@@ -75,16 +73,6 @@ impl NodeCosts {
         match self {
             NodeCosts::Uniform => 1.0,
             NodeCosts::PerNode(c) => c[v as usize],
-        }
-    }
-
-    /// Identity comparison: `Uniform == Uniform`, per-node vectors by
-    /// `Arc::ptr_eq` — the same rule the engine uses for topic weights.
-    pub fn same_costs(&self, other: &NodeCosts) -> bool {
-        match (self, other) {
-            (NodeCosts::Uniform, NodeCosts::Uniform) => true,
-            (NodeCosts::PerNode(a), NodeCosts::PerNode(b)) => Arc::ptr_eq(a, b),
-            _ => false,
         }
     }
 
@@ -373,16 +361,6 @@ mod tests {
         assert!(r.seeds.is_empty());
         assert_eq!(r.covered, 0);
         assert_eq!(r.spent, 0.0);
-    }
-
-    #[test]
-    fn cost_identity_semantics() {
-        let a: Arc<[f64]> = vec![1.0, 2.0].into();
-        let b: Arc<[f64]> = vec![1.0, 2.0].into();
-        assert!(NodeCosts::Uniform.same_costs(&NodeCosts::Uniform));
-        assert!(NodeCosts::per_node(a.clone()).same_costs(&NodeCosts::per_node(a.clone())));
-        assert!(!NodeCosts::per_node(a.clone()).same_costs(&NodeCosts::per_node(b)));
-        assert!(!NodeCosts::Uniform.same_costs(&NodeCosts::per_node(a)));
     }
 
     #[test]

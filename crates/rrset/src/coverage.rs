@@ -5,7 +5,7 @@
 //!
 //! # Why a separate view
 //!
-//! The selection loop of [`crate::max_coverage_range`] has two hot memory
+//! The selection loop of [`max_coverage_with`] has two hot memory
 //! patterns:
 //!
 //! 1. the **gain initialization** — one inverted-index query per node
@@ -36,8 +36,8 @@
 //!
 //! A view owns only its rebased offset array — `4 B·(range_len + 1)`
 //! while narrow; member data is borrowed from the arena. It is a
-//! *selection-time snapshot*: built per [`crate::max_coverage_range`]
-//! call and dropped afterwards, so the pool's steady-state footprint is
+//! *selection-time snapshot*: built per [`max_coverage_with`] call and
+//! dropped afterwards, so the pool's steady-state footprint is
 //! unchanged; it is never incrementally maintained (RIS algorithms grow
 //! the pool between selections, which would invalidate it wholesale
 //! anyway). Callers that run several selections against one frozen pool
@@ -606,13 +606,12 @@ impl GreedyScratch {
     }
 }
 
-/// Greedy Max-Coverage over the pool slice `range` with caller-owned
-/// working state — the allocation-recycling entry point for algorithms
-/// that select round after round (SSA, D-SSA, IMM, TIM).
-///
-/// Equivalent to [`crate::max_coverage_range`] (bit-identical seeds,
-/// gains and coverage); the only difference is that the selection scratch
-/// persists in `scratch` across calls.
+/// Greedy Max-Coverage (Algorithm 2) over the pool slice `range` with
+/// caller-owned working state: builds a [`CoverageView`] of the slice and
+/// runs the [`Count`] objective on it. The selection scratch persists in
+/// `scratch`, so algorithms that select round after round (SSA, D-SSA,
+/// IMM, TIM) recycle its allocations; seeds, gains and coverage do not
+/// depend on what the scratch held before.
 pub fn max_coverage_with(
     rc: &RrCollection,
     k: usize,
@@ -631,7 +630,7 @@ pub fn max_coverage_with(
 mod tests {
     use super::*;
     use crate::test_pools::pool;
-    use crate::{max_coverage, max_coverage_naive, WeightedCoverageResult};
+    use crate::{max_coverage_naive, WeightedCoverageResult};
 
     fn naive(rc: &RrCollection, k: usize) -> WeightedCoverageResult {
         max_coverage_naive(rc, k, rc.id_range(), None)
@@ -695,7 +694,7 @@ mod tests {
         let mut rc = pool(&[&[0, 1], &[0, 2]], 4);
         assert_eq!(rc.append_epoch(&[&[0, 3], &[3]], 0), Some(2..4));
         assert_eq!(rc.epoch_boundaries(), &[2, 4]);
-        let r = crate::max_coverage_range(&rc, 2, 0..4);
+        let r = max_coverage_with(&rc, 2, 0..4, &mut GreedyScratch::new());
         assert_eq!(WeightedCoverageResult::from(r), naive(&rc, 2));
     }
 
@@ -711,7 +710,7 @@ mod tests {
         let small = pool(&[&[0], &[1], &[1, 2]], 3);
         for _ in 0..3 {
             let r = max_coverage_with(&small, 2, 0..3, &mut scratch);
-            assert_eq!(r, max_coverage(&small, 2));
+            assert_eq!(r, max_coverage_with(&small, 2, 0..3, &mut GreedyScratch::new()));
         }
         // set {1, 2}: gains tie at 1, the (gain, id) max-heap prefers id 2
         let sliced = max_coverage_with(&small, 1, 2..3, &mut scratch);

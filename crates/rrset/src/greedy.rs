@@ -5,11 +5,10 @@
 //! `(1 − 1/e)` guarantee relative to the best size-`k` cover. Two
 //! implementations:
 //!
-//! * [`max_coverage`] / [`max_coverage_range`] — exact decremental
-//!   coverage counts plus a lazy max-heap (stale entries are re-keyed on
-//!   pop), the implementation used by every algorithm in this library.
-//!   Since the coverage-view refactor these run on a sealed
-//!   **CSR-transposed snapshot** of the queried pool slice
+//! * [`crate::max_coverage_with`] — exact decremental coverage counts
+//!   plus a lazy max-heap (stale entries are re-keyed on pop), the
+//!   implementation used by every algorithm in this library. It runs on
+//!   a sealed **CSR-transposed snapshot** of the queried pool slice
 //!   ([`crate::CoverageView`]): selection time first materializes the
 //!   transpose of the inverted index — a flat forward `set → members`
 //!   CSR with width-adaptive offsets rebased to the range (member data
@@ -20,9 +19,8 @@
 //!   covered bitset, instead of chasing `u64` arena offsets spread over
 //!   the whole pool. Total work is `O(Σ|R_j| + n + heap traffic)`; seeds
 //!   are bit-identical to the oracle below (same `(gain, id)` tie-break).
-//!   Algorithms that select round after round
-//!   (SSA, D-SSA, IMM, TIM) call [`crate::max_coverage_with`] to reuse
-//!   one [`crate::GreedyScratch`] across rounds.
+//!   Algorithms that select round after round (SSA, D-SSA, IMM, TIM)
+//!   reuse one [`crate::GreedyScratch`] across rounds.
 //! * [`max_coverage_naive`] — linear rescan of all nodes per round,
 //!   `O(n·k + Σ|R_j|)`, over a range and optionally root weights. The
 //!   one correctness oracle; it deliberately keeps walking
@@ -33,7 +31,6 @@ use std::ops::Range;
 
 use sns_graph::NodeId;
 
-use crate::coverage::{max_coverage_with, GreedyScratch};
 use crate::{RrCollection, WeightedCoverageResult};
 
 /// Result of a greedy max-coverage run.
@@ -56,21 +53,6 @@ impl CoverageResult {
         }
         gamma * self.covered as f64 / pool_size as f64
     }
-}
-
-/// Runs lazy-greedy max-coverage over the whole pool.
-pub fn max_coverage(rc: &RrCollection, k: usize) -> CoverageResult {
-    max_coverage_range(rc, k, rc.id_range())
-}
-
-/// Runs lazy-greedy max-coverage over the pool slice `range` (used by
-/// D-SSA, whose candidate half is the id range `0..Λ·2^(t−1)`).
-///
-/// Materializes a [`crate::CoverageView`] of the slice and selects on it;
-/// see [`crate::max_coverage_with`] to amortize the working buffers over
-/// repeated rounds.
-pub fn max_coverage_range(rc: &RrCollection, k: usize, range: Range<u32>) -> CoverageResult {
-    max_coverage_with(rc, k, range, &mut GreedyScratch::new())
 }
 
 /// Textbook greedy: rescans every node each round, `O(n·k + Σ|R_j|)` —
@@ -148,11 +130,22 @@ pub fn max_coverage_naive(
 mod tests {
     use super::*;
     use crate::test_pools::pool;
+    use crate::{max_coverage_with, GreedyScratch};
+
+    /// Greedy over `range` with a fresh scratch.
+    fn greedy_in(rc: &RrCollection, k: usize, range: Range<u32>) -> CoverageResult {
+        max_coverage_with(rc, k, range, &mut GreedyScratch::new())
+    }
+
+    /// Greedy over the whole pool.
+    fn greedy(rc: &RrCollection, k: usize) -> CoverageResult {
+        greedy_in(rc, k, rc.id_range())
+    }
 
     #[test]
     fn picks_the_dominating_node() {
         let rc = pool(&[&[0, 1], &[0, 2], &[0, 3], &[4]], 5);
-        let r = max_coverage(&rc, 1);
+        let r = greedy(&rc, 1);
         assert_eq!(r.seeds, vec![0]);
         assert_eq!(r.covered, 3);
         assert_eq!(r.marginal_gains, vec![3]);
@@ -161,7 +154,7 @@ mod tests {
     #[test]
     fn two_seeds_cover_everything() {
         let rc = pool(&[&[0, 1], &[0, 2], &[4], &[4, 3]], 5);
-        let r = max_coverage(&rc, 2);
+        let r = greedy(&rc, 2);
         assert_eq!(r.covered, 4);
         let mut s = r.seeds.clone();
         s.sort_unstable();
@@ -171,7 +164,7 @@ mod tests {
     #[test]
     fn pads_to_k_seeds_when_coverage_exhausted() {
         let rc = pool(&[&[1]], 4);
-        let r = max_coverage(&rc, 3);
+        let r = greedy(&rc, 3);
         assert_eq!(r.seeds.len(), 3);
         assert_eq!(r.covered, 1);
         assert_eq!(r.seeds[0], 1);
@@ -182,14 +175,14 @@ mod tests {
     #[test]
     fn k_clamped_to_n() {
         let rc = pool(&[&[0], &[1]], 2);
-        let r = max_coverage(&rc, 10);
+        let r = greedy(&rc, 10);
         assert_eq!(r.seeds.len(), 2);
     }
 
     #[test]
     fn empty_pool_yields_zero_coverage() {
         let rc = pool(&[], 3);
-        let r = max_coverage(&rc, 2);
+        let r = greedy(&rc, 2);
         assert_eq!(r.covered, 0);
         assert_eq!(r.seeds.len(), 2); // padded
         assert_eq!(r.influence_estimate(3.0, 0), 0.0);
@@ -199,9 +192,9 @@ mod tests {
     fn range_restriction_changes_the_answer() {
         // sets 0,1 dominated by node 0; sets 2,3 dominated by node 1
         let rc = pool(&[&[0], &[0, 2], &[1], &[1, 2]], 3);
-        let first = max_coverage_range(&rc, 1, 0..2);
+        let first = greedy_in(&rc, 1, 0..2);
         assert_eq!(first.seeds, vec![0]);
-        let second = max_coverage_range(&rc, 1, 2..4);
+        let second = greedy_in(&rc, 1, 2..4);
         assert_eq!(second.seeds, vec![1]);
     }
 
@@ -224,7 +217,7 @@ mod tests {
             let refs: Vec<&[NodeId]> = all.iter().map(Vec::as_slice).collect();
             let rc = pool(&refs, n);
             let k = rng.gen_range(1..6usize);
-            let lazy = max_coverage(&rc, k);
+            let lazy = greedy(&rc, k);
             let naive = max_coverage_naive(&rc, k, rc.id_range(), None);
             // Greedy choices can differ on ties, but total coverage of the
             // greedy solution is unique given deterministic tie-breaks; we
@@ -237,7 +230,7 @@ mod tests {
     #[test]
     fn influence_estimate_scales() {
         let rc = pool(&[&[0], &[0], &[1], &[2]], 3);
-        let r = max_coverage(&rc, 1);
+        let r = greedy(&rc, 1);
         // covers 2 of 4 sets; gamma = 3 nodes -> estimate 1.5
         assert!((r.influence_estimate(3.0, 4) - 1.5).abs() < 1e-12);
     }

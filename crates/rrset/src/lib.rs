@@ -4,13 +4,13 @@
 //! sets and repeatedly needs two operations:
 //!
 //! * **Max-Coverage** (Algorithm 2 of the paper): pick `k` nodes covering
-//!   the most RR sets — [`max_coverage`] implements the standard greedy
-//!   with a lazy priority queue (gains are submodular, so stale heap
-//!   entries are safe), running on a selection-time [`CoverageView`]: a
-//!   sealed CSR-transposed snapshot of the queried pool slice that turns
-//!   decremental gain updates into contiguous slice sweeps with a
-//!   generation-stamped covered bitset ([`GreedyScratch`], reusable
-//!   across rounds via [`max_coverage_with`]).
+//!   the most RR sets — [`max_coverage_with`] implements the standard
+//!   greedy with a lazy priority queue (gains are submodular, so stale
+//!   heap entries are safe), running on a selection-time
+//!   [`CoverageView`]: a sealed CSR-transposed snapshot of the queried
+//!   pool slice that turns decremental gain updates into contiguous slice
+//!   sweeps with a generation-stamped covered bitset ([`GreedyScratch`],
+//!   which the caller reuses across rounds).
 //! * **One selection kernel**, [`CoverageView::select`], serves every
 //!   query shape: an [`Objective`] — [`Count`] (top-`k`), [`Weighted`]
 //!   (targeted root weights) or [`Ratio`] (cost-aware, under a budget) —
@@ -31,7 +31,7 @@
 //! 6–7 of the paper track).
 //!
 //! D-SSA splits its sample stream into halves (`R_t`, `R^c_t`); both
-//! [`max_coverage_range`] and [`RrCollection::coverage_of_range`] take a
+//! [`max_coverage_with`] and [`RrCollection::coverage_of_range`] take a
 //! set-id range so the halves can live in one pool without copying.
 
 //!
@@ -60,6 +60,6 @@ pub use coverage::{
     max_coverage_with, Count, CoverageView, GainInit, GreedyScratch, Objective, SeedConstraints,
 };
 pub use directory::{DirectoryWriter, EpochDirectory};
-pub use greedy::{max_coverage, max_coverage_naive, max_coverage_range, CoverageResult};
+pub use greedy::{max_coverage_naive, CoverageResult};
 pub use snapshot::{GainSnapshot, Weighted, WeightedCoverageResult, WeightedGainSnapshot};
 pub use store::{PoolStore, Recovery, SaveStats, StoreError, StoreFingerprint};

@@ -406,7 +406,7 @@ impl CoverageView<'_> {
 mod tests {
     use super::*;
     use crate::test_pools::{pool, random_pool};
-    use crate::{max_coverage_range, max_coverage_with, Count};
+    use crate::{max_coverage_with, Count};
 
     fn count(
         view: &CoverageView<'_>,
@@ -437,13 +437,13 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(view.select_from_snapshot_constrained(&snap, 5, &none, &mut scratch), first);
         }
-        assert_eq!(first, max_coverage_range(&rc, 5, 0..100));
+        assert_eq!(first, max_coverage_with(&rc, 5, 0..100, &mut GreedyScratch::new()));
         assert!(snap.memory_bytes() > 0);
     }
 
     /// Acceptance property: seeds selected through a materialized
     /// [`GainSnapshot::merge`] of per-epoch snapshots are bit-identical
-    /// to direct `max_coverage` on the same pool state, across several
+    /// to direct `max_coverage_with` on the same pool state, across several
     /// epoch layouts (including unaligned sub-ranges).
     #[test]
     fn epoch_merged_selection_is_bit_identical_across_layouts() {
@@ -473,7 +473,7 @@ mod tests {
                 assert_eq!(merged, direct, "seed {seed} range {range:?}");
                 let view = merged.view(&rc);
                 for k in [1usize, 4, 9] {
-                    let want = max_coverage_range(&rc, k, range.clone());
+                    let want = max_coverage_with(&rc, k, range.clone(), &mut GreedyScratch::new());
                     let via_merged = view.select_from_snapshot_constrained(
                         &merged,
                         k,
@@ -591,7 +591,7 @@ mod tests {
         let constrained =
             view.select_from_snapshot_constrained(&snap, 6, &SeedConstraints::none(), &mut scratch);
         assert_eq!(plain, constrained);
-        assert_eq!(plain, max_coverage_range(&rc, 6, 0..120));
+        assert_eq!(plain, max_coverage_with(&rc, 6, 0..120, &mut GreedyScratch::new()));
     }
 
     #[test]

@@ -5,10 +5,12 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sns_graph::NodeId;
+use std::ops::Range;
+
 use sns_rrset::{
-    max_coverage, max_coverage_naive, max_coverage_range, max_coverage_with, Count, CoverageView,
-    GainInit, GainSnapshot, GreedyScratch, NodeCosts, Ratio, RrCollection, SeedConstraints,
-    Weighted, WeightedCoverageResult, WeightedGainSnapshot,
+    max_coverage_naive, max_coverage_with, Count, CoverageResult, CoverageView, GainInit,
+    GainSnapshot, GreedyScratch, NodeCosts, Ratio, RrCollection, SeedConstraints, Weighted,
+    WeightedCoverageResult, WeightedGainSnapshot,
 };
 
 const N: u32 = 24;
@@ -35,6 +37,16 @@ fn build(sets: &[Vec<NodeId>]) -> RrCollection {
 
 fn refs(sets: &[Vec<NodeId>]) -> Vec<&[NodeId]> {
     sets.iter().map(Vec::as_slice).collect()
+}
+
+/// Greedy over `range` with a fresh scratch.
+fn greedy_in(rc: &RrCollection, k: usize, range: Range<u32>) -> CoverageResult {
+    max_coverage_with(rc, k, range, &mut GreedyScratch::new())
+}
+
+/// Greedy over the whole pool with a fresh scratch.
+fn greedy(rc: &RrCollection, k: usize) -> CoverageResult {
+    greedy_in(rc, k, rc.id_range())
 }
 
 /// Exhaustive best size-k coverage, for small instances.
@@ -74,7 +86,7 @@ proptest! {
     #[test]
     fn lazy_equals_naive(sets in pool_strategy(), k in 1usize..6) {
         let rc = build(&sets);
-        let a = max_coverage(&rc, k);
+        let a = greedy(&rc, k);
         let b = max_coverage_naive(&rc, k, rc.id_range(), None);
         prop_assert_eq!(WeightedCoverageResult::from(a), b);
     }
@@ -84,7 +96,7 @@ proptest! {
     #[test]
     fn reported_coverage_is_real(sets in pool_strategy(), k in 1usize..6) {
         let rc = build(&sets);
-        let r = max_coverage(&rc, k);
+        let r = greedy(&rc, k);
         prop_assert_eq!(r.covered, rc.coverage_of(&r.seeds));
         let gain_sum: u64 = r.marginal_gains.iter().sum();
         prop_assert_eq!(r.covered, gain_sum);
@@ -96,18 +108,18 @@ proptest! {
     #[test]
     fn greedy_approximation_bound(sets in pool_strategy(), k in 1usize..4) {
         let rc = build(&sets);
-        let greedy = max_coverage(&rc, k).covered as f64;
+        let covered = greedy(&rc, k).covered as f64;
         let opt = exhaustive_best(&rc, k) as f64;
-        prop_assert!(greedy >= (1.0 - 1.0 / std::f64::consts::E) * opt - 1e-9,
-            "greedy {} below bound for opt {}", greedy, opt);
+        prop_assert!(covered >= (1.0 - 1.0 / std::f64::consts::E) * opt - 1e-9,
+            "greedy {} below bound for opt {}", covered, opt);
     }
 
     /// Coverage is monotone: more seeds never cover fewer sets.
     #[test]
     fn coverage_monotone(sets in pool_strategy(), k in 1usize..5) {
         let rc = build(&sets);
-        let small = max_coverage(&rc, k);
-        let large = max_coverage(&rc, k + 1);
+        let small = greedy(&rc, k);
+        let large = greedy(&rc, k + 1);
         prop_assert!(large.covered >= small.covered);
     }
 
@@ -115,7 +127,7 @@ proptest! {
     #[test]
     fn marginal_gains_non_increasing(sets in pool_strategy(), k in 1usize..8) {
         let rc = build(&sets);
-        let r = max_coverage(&rc, k);
+        let r = greedy(&rc, k);
         prop_assert!(r.marginal_gains.windows(2).all(|w| w[0] >= w[1]),
             "gains not monotone: {:?}", r.marginal_gains);
     }
@@ -129,17 +141,6 @@ proptest! {
         let separate = rc.coverage_of(&[a]) + rc.coverage_of(&[b]);
         prop_assert!(together <= separate);
         prop_assert!(together >= rc.coverage_of(&[a]));
-    }
-
-    /// `max_coverage_range` over the full id range is exactly
-    /// `max_coverage` — same seeds, gains and coverage (both run on the
-    /// coverage view; this pins the range plumbing, not just totals).
-    #[test]
-    fn full_range_equals_max_coverage(sets in pool_strategy(), k in 1usize..6) {
-        let rc = build(&sets);
-        let full = max_coverage_range(&rc, k, 0..rc.len() as u32);
-        let plain = max_coverage(&rc, k);
-        prop_assert_eq!(full, plain);
     }
 
     /// A range starting at a nonzero offset must behave exactly like a
@@ -157,9 +158,9 @@ proptest! {
         let lo = (f64::from(total) * lo_frac) as u32;
         let hi = (f64::from(total) * hi_frac) as u32;
         let (lo, hi) = (lo.min(hi), lo.max(hi));
-        let ranged = max_coverage_range(&rc, k, lo..hi);
+        let ranged = greedy_in(&rc, k, lo..hi);
         let sliced = build(&sets[lo as usize..hi as usize]);
-        let expect = max_coverage(&sliced, k);
+        let expect = greedy(&sliced, k);
         prop_assert_eq!(ranged, expect);
     }
 
@@ -168,7 +169,7 @@ proptest! {
     fn empty_range_only_pads(sets in pool_strategy(), at_frac in 0.0f64..=1.0, k in 0usize..6) {
         let rc = build(&sets);
         let at = (f64::from(rc.len() as u32) * at_frac) as u32;
-        let r = max_coverage_range(&rc, k, at..at);
+        let r = greedy_in(&rc, k, at..at);
         prop_assert_eq!(r.covered, 0);
         prop_assert_eq!(r.seeds.len(), k.min(N as usize));
         prop_assert!(r.marginal_gains.iter().all(|&g| g == 0));
@@ -185,7 +186,7 @@ proptest! {
             let rc = build(&sets);
             let half = rc.len() as u32 / 2;
             let reused = max_coverage_with(&rc, k, 0..half, &mut scratch);
-            let fresh = max_coverage_range(&rc, k, 0..half);
+            let fresh = greedy_in(&rc, k, 0..half);
             prop_assert_eq!(reused, fresh);
         }
     }
@@ -389,8 +390,8 @@ fn extend_parallel_bit_identical_across_thread_counts() {
     }
 }
 
-/// On a 100k-node Barabási–Albert pool, `max_coverage` (and the
-/// ranged/scratch entry points SSA, D-SSA, IMM and TIM use) must return
+/// On a 100k-node Barabási–Albert pool, `max_coverage_with` (the entry
+/// point SSA, D-SSA, IMM and TIM use, fresh or with a reused scratch) must return
 /// **bit-identical** seeds, marginal gains and coverage to the rescan
 /// oracle — including on D-SSA-style half ranges and on ranges that
 /// cross an epoch boundary.
@@ -418,13 +419,10 @@ fn greedy_bit_identical_to_rescan_oracle_on_100k_ba_pool() {
         (20, total / 3..total), // nonzero offset
     ] {
         let reference = max_coverage_naive(&rc, k, range.clone(), None);
-        let plain = max_coverage_range(&rc, k, range.clone());
+        let plain = greedy_in(&rc, k, range.clone());
         let reused = max_coverage_with(&rc, k, range.clone(), &mut scratch);
         assert_eq!(WeightedCoverageResult::from(plain.clone()), reference, "k={k} range={range:?}");
         assert_eq!(reused, plain, "k={k} range={range:?} (scratch reuse)");
-        if range == (0..total) {
-            assert_eq!(max_coverage(&rc, k), reused, "k={k} full-pool entry point");
-        }
     }
 }
 

@@ -185,11 +185,6 @@ impl TargetWeights {
         self.num_targeted
     }
 
-    /// Weight of one node.
-    pub fn weight_of(&self, v: NodeId) -> f64 {
-        self.weights[v as usize]
-    }
-
     /// The best-`k`-seeds question for this target group, ready for
     /// `sns_core::SeedQueryEngine` — one frozen uniform-root pool can
     /// answer it for every topic without resampling (the engine
@@ -230,7 +225,7 @@ mod tests {
         let t = TargetWeights::from_weights(vec![1.0, 0.0, 2.0]).unwrap();
         assert_eq!(t.gamma(), 3.0);
         assert_eq!(t.num_targeted(), 2);
-        assert_eq!(t.weight_of(1), 0.0);
+        assert_eq!(t.weights()[1], 0.0);
     }
 
     #[test]
@@ -273,7 +268,7 @@ mod tests {
         let mut included = 0;
         for seed in 0..20 {
             let t = TargetWeights::synthetic_topic(&g, 0.01, 1.0, seed).unwrap();
-            if t.weight_of(0) > 0.0 {
+            if t.weights()[0] > 0.0 {
                 included += 1;
             }
         }

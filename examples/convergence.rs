@@ -15,26 +15,26 @@
 use stop_and_stare::graph::{gen, GraphStats, WeightModel};
 use stop_and_stare::{Dssa, DssaIteration, Model, Params, RunResult, SamplingContext};
 
-fn print_trajectory(epsilon: f64, result: &RunResult, trace: &[DssaIteration]) {
+fn print_trajectory(result: &RunResult, trace: &[DssaIteration]) {
     println!(
         "{:>3} {:>12} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9}  D2?",
         "t", "pool", "Î(find)", "Î(verify)", "eps1", "eps2", "eps3", "eps_t"
     );
     for it in trace {
-        match (it.influence_verify, it.epsilons, it.eps_t) {
-            (Some(ic), Some((e1, e2, e3)), Some(et)) => println!(
+        match it.check {
+            Some(c) => println!(
                 "{:>3} {:>12} {:>10.0} {:>10.0} {:>9.4} {:>9.4} {:>9.4} {:>9.4}  {}",
                 it.t,
                 it.pool_size,
                 it.influence_find,
-                ic,
-                e1,
-                e2,
-                e3,
-                et,
-                if et <= epsilon { "STOP" } else { "continue" }
+                c.i_verify,
+                c.e1,
+                c.e2,
+                c.e3,
+                c.eps_t,
+                if c.satisfied { "STOP" } else { "continue" }
             ),
-            _ => println!(
+            None => println!(
                 "{:>3} {:>12} {:>10.0} {:>10} {:>9} {:>9} {:>9} {:>9}  D1 not met",
                 it.t, it.pool_size, it.influence_find, "-", "-", "-", "-", "-"
             ),
@@ -61,7 +61,7 @@ fn main() {
     let ctx = SamplingContext::new(&graph, Model::LinearThreshold).with_seed(21);
 
     let (result, trace) = Dssa::new(params).run_traced(&ctx).expect("run succeeds");
-    print_trajectory(epsilon, &result, &trace);
+    print_trajectory(&result, &trace);
     println!(
         "note how all three epsilons shrink as the pool doubles, and how ε₂ starts near ε at \
          the D1 anchor: that is what the verify coverage certifies."

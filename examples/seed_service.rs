@@ -13,6 +13,7 @@
 //! is a sub-millisecond query against the sealed snapshot.
 
 use stop_and_stare::graph::{gen, GraphStats, WeightModel};
+use stop_and_stare::rrset::{max_coverage_with, GreedyScratch};
 use stop_and_stare::tvm::TargetWeights;
 use stop_and_stare::{Dssa, Model, Params, SamplingContext, SeedQuery, SeedQueryEngine};
 
@@ -106,7 +107,8 @@ fn main() {
 
     // 4. The contract the engine keeps: answers are exactly what direct
     //    Max-Coverage over the same (grown) pool would produce.
-    let direct = stop_and_stare::rrset::max_coverage(&engine.pool(), 25);
+    let pool = engine.pool();
+    let direct = max_coverage_with(&pool, 25, pool.id_range(), &mut GreedyScratch::new());
     let served = engine.answer(&SeedQuery::top_k(25)).expect("valid query");
     assert_eq!(served.seeds, direct.seeds, "engine == direct greedy");
     println!("\nverified: engine answers are bit-identical to direct max-coverage");

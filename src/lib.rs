@@ -16,7 +16,7 @@
 //! * [`rrset`] — RR pools and greedy max-coverage (`sns-rrset`);
 //! * [`core`] — SSA, D-SSA, Estimate-Inf and the unified RIS framework
 //!   (`sns-core`);
-//! * [`baselines`] — IMM, TIM/TIM+, CELF/CELF++ (`sns-baselines`);
+//! * [`baselines`] — IMM, TIM/TIM+, CELF++ (`sns-baselines`);
 //! * [`tvm`] — targeted viral marketing over weighted RIS (`sns-tvm`).
 //!
 //! The most common entry points are lifted to the crate root.
@@ -56,10 +56,11 @@ pub use sns_rrset as rrset;
 pub use sns_tvm as tvm;
 
 pub use sns_core::{
-    AdmissionQueue, AdmissionStats, BatchPlan, Certificate, Dssa, DssaIteration, EpochDirectory,
-    GroupKey, Grower, GrowthOutcome, NodeCosts, Params, Pending, PlanGroup, PoolStore, Priority,
-    Recovery, RejectReason, RunResult, SamplingContext, SaveStats, SeedAnswer, SeedQuery,
-    SeedQueryEngine, Ssa, SsaEpsilons, StopCondition, StoreError, StoreFingerprint,
+    AdmissionQueue, AdmissionStats, BatchPlan, Dssa, DssaCertificate, DssaIteration,
+    EpochDirectory, GroupKey, Grower, GrowthOutcome, NodeCosts, Params, Pending, PlanGroup,
+    PoolStore, Priority, Recovery, RejectReason, RunResult, SamplingContext, SaveStats, SeedAnswer,
+    SeedQuery, SeedQueryEngine, Ssa, SsaCertificate, SsaEpsilons, StopCondition, StoreError,
+    StoreFingerprint,
 };
 pub use sns_diffusion::{Model, SpreadEstimator};
 pub use sns_graph::{Graph, GraphBuilder, WeightModel};

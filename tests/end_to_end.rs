@@ -1,7 +1,7 @@
 //! End-to-end integration tests: every algorithm against ground truth on
 //! instances small enough to verify exhaustively or in closed form.
 
-use stop_and_stare::baselines::{monte_carlo_greedy, Celf, CelfPlusPlus, Imm, Tim};
+use stop_and_stare::baselines::{monte_carlo_greedy, CelfPlusPlus, Imm, Tim};
 use stop_and_stare::graph::{GraphBuilder, WeightModel};
 use stop_and_stare::{Dssa, Graph, Model, Params, SamplingContext, SpreadEstimator, Ssa};
 
@@ -75,7 +75,6 @@ fn all_algorithms_meet_guarantee_against_brute_force() {
             ("IMM", Imm::new(params).run(&ctx).unwrap().seeds),
             ("TIM", Tim::new(params).run(&ctx).unwrap().seeds),
             ("TIM+", Tim::plus(params).run(&ctx).unwrap().seeds),
-            ("CELF", Celf::new(k).with_simulations(3000).run(&ctx).unwrap().seeds),
             ("CELF++", CelfPlusPlus::new(k).with_simulations(3000).run(&ctx).unwrap().seeds),
             ("MC-greedy", monte_carlo_greedy(&ctx, k, 3000).unwrap().seeds),
         ];

@@ -352,13 +352,14 @@ fn lambda_corrected_stopping_rule_cuts_samples() {
         assert_eq!(it.pool_size, first << (it.t - 1), "t={}: pool off the doubling", it.t);
     }
     let last = trace.last().unwrap();
-    let i_verify = last.influence_verify.expect("D1 holds at the stopping checkpoint");
+    let check = last.check.expect("D1 holds at the stopping checkpoint");
+    let i_verify = check.i_verify;
     assert!(
         (last.influence_find - i_verify).abs() / i_verify <= params.epsilon,
         "verify half {i_verify} disagrees with find half {}",
         last.influence_find
     );
-    assert!(last.eps_t.unwrap() <= params.epsilon);
+    assert!(check.eps_t <= params.epsilon);
 
     let (g, params, seed) = rmat_fixture();
     let ctx = SamplingContext::new(&g, Model::LinearThreshold).with_seed(seed);
@@ -411,14 +412,14 @@ fn negative_eps1_clamp_changes_the_stopping_iteration() {
 
     let t2 = &trace[1];
     assert_eq!(t2.t, 2);
-    let i_c = t2.influence_verify.expect("D1 holds at t = 2 on this fixture");
-    let raw_e1 = t2.influence_find / i_c - 1.0;
+    let check = t2.check.expect("D1 holds at t = 2 on this fixture");
+    let raw_e1 = t2.influence_find / check.i_verify - 1.0;
     assert!(raw_e1 < 0.0, "fixture must over-estimate on the verify half, got ε₁ = {raw_e1}");
-    let (e1, e2, e3) = t2.epsilons.unwrap();
+    let (e1, e2, e3) = (check.e1, check.e2, check.e3);
     assert_eq!(e1, 0.0, "negative disagreement must clamp to 0");
     let gap = one_minus_inv_e - eps;
     let raw_eps_t = (raw_e1 + e2 + raw_e1 * e2) * gap + one_minus_inv_e * e3;
-    let clamped_eps_t = t2.eps_t.unwrap();
+    let clamped_eps_t = check.eps_t;
     assert!(
         raw_eps_t <= eps && clamped_eps_t > eps,
         "the clamp must flip D2 here: raw {raw_eps_t}, clamped {clamped_eps_t}"
@@ -432,8 +433,8 @@ fn negative_eps1_clamp_changes_the_stopping_iteration() {
     let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(seed);
     let (_, trace) = Dssa::new(params).run_traced(&ctx).unwrap();
     for it in &trace {
-        if let Some((e1, ..)) = it.epsilons {
-            assert!(e1 >= 0.0, "t={}: negative ε₁ escaped the clamp", it.t);
+        if let Some(check) = it.check {
+            assert!(check.e1 >= 0.0, "t={}: negative ε₁ escaped the clamp", it.t);
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use stop_and_stare::graph::{gen, WeightModel};
 use stop_and_stare::rrset::{
-    max_coverage_range, Count, CoverageView, GainInit, GreedyScratch, SeedConstraints, Weighted,
+    max_coverage_with, Count, CoverageView, GainInit, GreedyScratch, SeedConstraints, Weighted,
 };
 use stop_and_stare::tvm::TargetWeights;
 use stop_and_stare::{Model, SamplingContext, SeedQuery, SeedQueryEngine};
@@ -74,7 +74,7 @@ fn every_batched_answer_is_bit_identical_to_direct_selection() {
                 assert_eq!(answer.covered, direct.covered as f64);
                 if query.forced.is_empty() && query.excluded.is_empty() {
                     // and for plain queries, = the public one-shot API
-                    let plain = max_coverage_range(pool, query.k, range.clone());
+                    let plain = max_coverage_with(pool, query.k, range.clone(), &mut scratch);
                     assert_eq!(answer.seeds, plain.seeds);
                 }
             }
@@ -122,7 +122,7 @@ fn repeated_queries_hit_the_frozen_snapshot_and_stay_stable() {
 }
 
 /// Acceptance: after N pool extensions, every answer assembled from
-/// epoch-merged snapshots is bit-identical to direct `max_coverage` on
+/// epoch-merged snapshots is bit-identical to direct `max_coverage_with` on
 /// the full pool state, and no extension invalidates a previously frozen
 /// epoch (old ranges keep answering as pure cache hits).
 #[test]
@@ -141,13 +141,14 @@ fn epoch_merged_answers_survive_repeated_growth() {
         assert_eq!(engine.pool().epoch_boundaries().len(), (step + 1) as usize);
         // merged full-range answer == direct greedy on the same state
         let merged = engine.answer(&SeedQuery::top_k(6)).unwrap();
-        let direct = max_coverage_range(&engine.pool(), 6, 0..len);
+        let direct = max_coverage_with(&engine.pool(), 6, 0..len, &mut GreedyScratch::new());
         assert_eq!(merged.seeds, direct.seeds, "step {step}");
         assert_eq!(merged.covered, direct.covered as f64);
         // unaligned range spanning several epochs, also bit-identical
         let odd = 700..len - 300;
         let ranged = engine.answer(&SeedQuery::top_k(5).over_range(odd.clone())).unwrap();
-        assert_eq!(ranged.seeds, max_coverage_range(&engine.pool(), 5, odd).seeds);
+        let direct = max_coverage_with(&engine.pool(), 5, odd, &mut GreedyScratch::new());
+        assert_eq!(ranged.seeds, direct.seeds);
     }
     // per-epoch snapshots frozen exactly once each: 3 growth epochs (the
     // first epoch's snapshot came from the pre-growth direct query)
