@@ -469,6 +469,29 @@ mod tests {
     }
 
     #[test]
+    fn plans_record_pool_len_and_generation() {
+        // A plan records the pool length of the generation its batch
+        // pinned; that length is all that differs between plans of the
+        // same batch against two generations, and only default ranges
+        // resolve against it.
+        let batch = vec![q(1), q(2).over_range(0..50)];
+        let first = BatchPlan::build(&batch, 100);
+        let next = BatchPlan::build(&batch, 160);
+        assert_eq!(first.pool_len(), 100);
+        assert_eq!(next.pool_len(), 160);
+        let keys = |p: &BatchPlan| p.groups().iter().map(|g| g.key).collect::<Vec<_>>();
+        assert_eq!(
+            keys(&first),
+            vec![GroupKey::Plain { start: 0, end: 100 }, GroupKey::Plain { start: 0, end: 50 }]
+        );
+        assert_eq!(
+            keys(&next),
+            vec![GroupKey::Plain { start: 0, end: 160 }, GroupKey::Plain { start: 0, end: 50 }]
+        );
+        assert_eq!(first.builds_saved(), next.builds_saved());
+    }
+
+    #[test]
     fn cost_model_scales_with_range_and_k() {
         assert_eq!(estimated_cost(&q(5), 256), 1 + 1 + 5);
         assert_eq!(estimated_cost(&q(5).over_range(0..512), 10_000), 1 + 2 + 5);
