@@ -151,8 +151,10 @@ impl CelfPlusPlus {
                 sigma_s_curbest = None;
                 continue;
             }
-            let gain = if prev_best[u as usize] == last_seed && last_seed != NONE {
-                // The cached mg2 was computed against exactly this S.
+            let gain = if prev_best[u as usize] == last_seed && flag[u as usize] + 1 == seeds.len()
+            {
+                // mg2 was computed last round against S_prev ∪ {prev_best},
+                // and prev_best is the seed that round added: exactly this S.
                 mg2[u as usize]
             } else {
                 seed_buf.clear();
@@ -339,12 +341,25 @@ mod tests {
         assert_eq!(a.seeds, c.seeds);
     }
 
+    /// CELF++ reuses a cached `mg2[u]` only when it was computed in the
+    /// previous round; an older one is a gain against a smaller seed set,
+    /// and reusing it here picks [32, 2, 7].
+    #[test]
+    fn celfpp_reuses_only_last_rounds_gains() {
+        let g = gen::erdos_renyi(60, 300, 9).build(WeightModel::WeightedCascade).unwrap();
+        let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(5);
+        let greedy = monte_carlo_greedy(&ctx, 3, 100).unwrap();
+        let celf = CelfPlusPlus::new(3).with_simulations(100).run(&ctx).unwrap();
+        assert_eq!(greedy.seeds, vec![32, 2, 50]);
+        assert_eq!(celf.seeds, greedy.seeds);
+    }
+
     #[test]
     fn celf_uses_fewer_evals_than_plain_greedy() {
         // CELF++'s first pass costs 2n − 1 oracle calls (σ({u}) and
         // σ({u, front-runner})) against plain greedy's n per round, so its
         // lazy savings need several rounds to pay for that pass: on this
-        // graph it makes 242 calls to plain greedy's 234 at k = 4, and
+        // graph it makes 215 calls to plain greedy's 234 at k = 4, and
         // 290 to 452 at k = 8.
         let g = gen::erdos_renyi(60, 300, 9).build(WeightModel::WeightedCascade).unwrap();
         let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(5);

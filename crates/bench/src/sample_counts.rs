@@ -233,6 +233,8 @@ pub fn counters() -> Vec<(&'static str, u64)> {
     let mut out = vec![
         ("dssa_er_ic_k80_rr_sets_total", dssa_er.rr_sets_total()),
         ("ssa_er_ic_k80_rr_sets_total", ssa_er.rr_sets_total()),
+        // Sampler work: pool plus Estimate-Inf in-edges (ROADMAP E).
+        ("ssa_er_ic_k80_edges_examined", ssa_er.total_edges_examined),
         ("dssa_rmat_lt_k10_rr_sets_total", dssa_rmat.rr_sets_total()),
         ("ssa_rmat_lt_k10_rr_sets_total", ssa_rmat.rr_sets_total()),
     ];

@@ -12,6 +12,19 @@
 //! early SSA candidates can have tiny influence and would need `Ω(n)`
 //! samples to verify; capping proportional to the pool size keeps the
 //! total work linear in the final pool.
+//!
+//! Only the indicator "`R_j ∩ S ≠ ∅`" of each set enters the estimator,
+//! so each set is grown with [`RrSampler::sample_until`] and stops at the
+//! first seed it reaches. Set `j` has its own RNG stream
+//! (`Xoshiro256pp::for_sample(master, j)`), and the growth up to that
+//! seed draws exactly the bits the full growth draws; the stopped set
+//! meets `S` iff the full set does, and no other set changes. The success
+//! count after each sample, hence the stopping time `T` and the estimate
+//! `Γ·Λ₂/T`, are therefore those of the full-set estimator, bit for bit.
+//! Only the work falls: `edges_examined` of a stopped set counts the
+//! in-degree of every node scanned before the stop, the node being
+//! scanned when the seed was reached counted fully (a root that is a seed
+//! examines nothing).
 
 use sns_diffusion::RrSampler;
 use sns_graph::NodeId;
@@ -125,15 +138,15 @@ pub fn estimate_inf_with_sink(
             *slot = generation;
         }
     }
-    let is_seed = &scratch.stamp;
+    let is_seed = |v: NodeId| scratch.stamp.get(v as usize) == Some(&generation);
 
     let mut covered = 0u64;
     let mut edges = 0u64;
     let mut rr: Vec<NodeId> = Vec::new();
     for t in 1..=t_max {
-        let meta = sampler.sample(t - 1, &mut rr);
+        let (meta, hit) = sampler.sample_until(t - 1, &mut rr, is_seed);
         edges += meta.edges_examined;
-        if rr.iter().any(|&v| is_seed.get(v as usize) == Some(&generation)) {
+        if hit {
             covered += 1;
             if covered >= needed {
                 // Return with the real-valued Λ₂ as in the stopping-rule
@@ -213,6 +226,61 @@ mod tests {
         assert_eq!(got, want);
         let none = estimate_inf(&mut sampler.clone(), &[n], 0.2, 0.05, 500, 10.0);
         assert_eq!(none.influence, None);
+    }
+
+    /// Full-set reference: samples every set whole and then scans it for
+    /// a seed.
+    fn full_set_reference(
+        sampler: &mut RrSampler<'_>,
+        seeds: &[NodeId],
+        eps_prime: f64,
+        delta_prime: f64,
+        t_max: u64,
+        gamma: f64,
+    ) -> EstimateInfOutcome {
+        let lambda2 = 1.0 + (1.0 + eps_prime) * upsilon(eps_prime, delta_prime);
+        let (mut covered, mut edges, mut rr) = (0u64, 0u64, Vec::new());
+        for t in 1..=t_max {
+            edges += sampler.sample(t - 1, &mut rr).edges_examined;
+            if rr.iter().any(|v| seeds.contains(v)) {
+                covered += 1;
+                if covered >= lambda2.ceil() as u64 {
+                    let influence = Some(gamma * lambda2 / t as f64);
+                    return EstimateInfOutcome {
+                        influence,
+                        samples_used: t,
+                        edges_examined: edges,
+                    };
+                }
+            }
+        }
+        EstimateInfOutcome { influence: None, samples_used: t_max, edges_examined: edges }
+    }
+
+    /// Stopping each set at its first seed leaves `(influence,
+    /// samples_used)` bit-equal to the full-set estimator and never
+    /// examines more edges, under IC and LT, for converging and capped
+    /// runs alike.
+    #[test]
+    fn early_stop_matches_the_full_set_estimator() {
+        let g =
+            sns_graph::gen::erdos_renyi(300, 1500, 4).build(WeightModel::WeightedCascade).unwrap();
+        let mut saved = 0;
+        for model in [Model::IndependentCascade, Model::LinearThreshold] {
+            for (seeds, t_max) in
+                [(vec![0u32], 200_000), (vec![5, 17, 42, 99, 250], 200_000), (vec![7, 8], 300)]
+            {
+                let sampler = RrSampler::with_config(&g, model, RootDist::Uniform, 11);
+                let got = estimate_inf(&mut sampler.clone(), &seeds, 0.2, 0.05, t_max, 300.0);
+                let want =
+                    full_set_reference(&mut sampler.clone(), &seeds, 0.2, 0.05, t_max, 300.0);
+                let bits = |o: &EstimateInfOutcome| (o.influence.map(f64::to_bits), o.samples_used);
+                assert_eq!(bits(&got), bits(&want), "{model}, seeds {seeds:?}");
+                assert!(got.edges_examined <= want.edges_examined, "{model}, seeds {seeds:?}");
+                saved += want.edges_examined - got.edges_examined;
+            }
+        }
+        assert!(saved > 0, "no set ever stopped early");
     }
 
     /// A reused scratch must behave exactly like a fresh one: no stale

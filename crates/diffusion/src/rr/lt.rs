@@ -4,27 +4,27 @@ use rand::{Rng, RngCore};
 
 use sns_graph::{Graph, NodeId};
 
-/// Grows the RR set from `root` by the LT reverse walk: at the current
-/// node `v`, pick in-neighbor `u` with probability `w(u, v)` and stop with
-/// the residual probability `1 − Σ_u w(u, v)`; the walk also stops when it
-/// would revisit a node (a cycle in the live-edge graph cannot extend the
-/// reachable set).
+/// Grows the RR set whose root is `out[0]` by the LT reverse walk: at
+/// the current node `v`, pick in-neighbor `u` with probability `w(u, v)`
+/// and stop with the residual probability `1 − Σ_u w(u, v)`; the walk also
+/// stops when it would revisit a node (a cycle in the live-edge graph
+/// cannot extend the reachable set).
 ///
 /// This is the standard LT live-edge equivalence (Chen et al.): each node
 /// selects at most one live in-edge, so reverse reachability is a path.
 ///
-/// `out` already contains the root; returns the number of walk steps
-/// (each step resolves one live-edge decision).
+/// Returns the walk steps (one live-edge decision each) and whether a
+/// newly reached node satisfied `stop`, which ends the walk at once.
 pub(super) fn grow<R: RngCore>(
     graph: &Graph,
-    root: NodeId,
     rng: &mut R,
     visited: &mut [u32],
     epoch: u32,
     out: &mut Vec<NodeId>,
-) -> u64 {
+    stop: impl Fn(NodeId) -> bool,
+) -> (u64, bool) {
     let mut steps = 0u64;
-    let mut current = root;
+    let mut current = out[0];
     loop {
         steps += 1;
         match graph.sample_in_neighbor_lt(current, rng.gen::<f32>()) {
@@ -35,11 +35,14 @@ pub(super) fn grow<R: RngCore>(
                 }
                 visited[u as usize] = epoch;
                 out.push(u);
+                if stop(u) {
+                    return (steps, true);
+                }
                 current = u;
             }
         }
     }
-    steps
+    (steps, false)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sns_diffusion::{CascadeSimulator, Model, RrSampler, SpreadEstimator};
-use sns_graph::{Graph, GraphBuilder, WeightModel};
+use sns_graph::{Graph, GraphBuilder, InArc, WeightModel};
 
 const N: u32 = 8;
 
@@ -115,7 +115,7 @@ fn reverse_closure(g: &Graph, root: u32) -> Vec<bool> {
     let mut stack = vec![root];
     seen[root as usize] = true;
     while let Some(v) = stack.pop() {
-        for &u in g.in_neighbors(v) {
+        for &InArc { source: u, .. } in g.in_arcs(v) {
             if !seen[u as usize] {
                 seen[u as usize] = true;
                 stack.push(u);

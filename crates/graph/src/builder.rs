@@ -1,7 +1,7 @@
 //! Mutable edge-list builder that materializes an immutable CSR
 //! [`Graph`].
 
-use crate::{Graph, GraphError, NodeId, WeightModel};
+use crate::{Graph, GraphError, InArc, NodeId, WeightModel};
 
 /// Sentinel weight for arcs added without an explicit weight.
 const UNWEIGHTED: f32 = f32::NAN;
@@ -179,11 +179,11 @@ impl GraphBuilder {
             in_offsets[i + 1] += in_offsets[i];
         }
         let mut cursor: Vec<u64> = in_offsets[..n as usize].to_vec();
-        let mut in_sources = vec![0 as NodeId; m];
+        let mut in_arcs = vec![InArc { source: 0, live_below: 0 }; m];
         let mut in_weights = vec![0.0f32; m];
         for &(u, v, w) in &self.edges {
             let slot = cursor[v as usize] as usize;
-            in_sources[slot] = u;
+            in_arcs[slot] = InArc { source: u, live_below: InArc::live_below(w) };
             in_weights[slot] = w;
             cursor[v as usize] += 1;
         }
@@ -194,7 +194,7 @@ impl GraphBuilder {
             out_targets,
             out_weights,
             in_offsets,
-            in_sources,
+            in_arcs,
             in_weights,
         ))
     }
@@ -320,10 +320,11 @@ mod tests {
             let ns = g.out_neighbors(v);
             assert!(ns.windows(2).all(|w| w[0] <= w[1]));
         }
-        // forward and reverse views agree on the arc set
-        let mut fwd: Vec<(u32, u32)> = g.arcs().map(|(u, v, _)| (u, v)).collect();
-        let mut rev: Vec<(u32, u32)> =
-            (0..4).flat_map(|v| g.in_neighbors(v).iter().map(move |&u| (u, v))).collect();
+        // forward and reverse views agree on the arcs and their coins
+        let mut fwd: Vec<_> = g.arcs().map(|(u, v, w)| (u, v, InArc::live_below(w))).collect();
+        let mut rev: Vec<_> = (0..4)
+            .flat_map(|v| g.in_arcs(v).iter().map(move |a| (a.source, v, a.live_below)))
+            .collect();
         fwd.sort_unstable();
         rev.sort_unstable();
         assert_eq!(fwd, rev);

@@ -7,12 +7,36 @@
 //! * reverse (in-edges) — walked by the RIS samplers, which grow a reverse
 //!   reachable set from a random root.
 //!
+//! The reverse CSR is one interleaved array of [`InArc`]s: an in-neighbour
+//! and its integer IC coin threshold `live_below = ⌈w·2²⁴⌉`, clamped to
+//! `[0, 2²⁴]`. A uniform `f32` is `x·2⁻²⁴` for a 24-bit integer `x`, an
+//! exact scaling, so `x·2⁻²⁴ < w ⇔ x < ⌈w·2²⁴⌉`; clamping changes nothing
+//! (`x < 2²⁴` always, and no NaN, negative or zero weight exceeds `x`).
+//! The integer coin draws the same bits and answers as the float coin.
+//!
 //! For the LT reverse walk ("pick one in-neighbor `u` of `v` with
 //! probability `w(u,v)`, or stop with probability `1 − Σ w`") the in-edge
 //! weights of every node are additionally stored as a prefix-sum array so a
 //! single uniform draw resolves to a neighbor with one binary search.
 
 use crate::NodeId;
+
+/// One reverse-CSR entry: an in-neighbour and the arc's IC coin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InArc {
+    /// The arc's tail `u`.
+    pub source: NodeId,
+    /// The arc is live under a 24-bit uniform draw `x` iff `x < live_below`.
+    pub live_below: u32,
+}
+
+impl InArc {
+    /// The IC coin threshold of weight `w` (module docs). `w·2²⁴` is exact
+    /// in f32; the saturating cast maps NaN and negatives to 0.
+    pub fn live_below(w: f32) -> u32 {
+        ((w * (1u32 << 24) as f32).ceil() as u32).min(1 << 24)
+    }
+}
 
 /// An immutable directed, weighted graph in CSR form.
 ///
@@ -27,12 +51,11 @@ pub struct Graph {
     out_offsets: Vec<u64>,
     out_targets: Vec<NodeId>,
     out_weights: Vec<f32>,
-    /// Reverse CSR: in-edges of node `v` live at
-    /// `in_sources[in_offsets[v] .. in_offsets[v+1]]`.
+    /// Reverse CSR: in-arcs of node `v` live at
+    /// `in_arcs[in_offsets[v] .. in_offsets[v+1]]`.
     in_offsets: Vec<u64>,
-    in_sources: Vec<NodeId>,
-    in_weights: Vec<f32>,
-    /// Per-segment inclusive prefix sums of `in_weights`, used by
+    in_arcs: Vec<InArc>,
+    /// Per-segment inclusive prefix sums of the in-arc weights, used by
     /// [`Graph::sample_in_neighbor_lt`]. `in_cum[e]` is the sum of the
     /// weights of the node's in-edges up to and including position `e`.
     in_cum: Vec<f32>,
@@ -44,7 +67,8 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Assembles a graph from already-sorted CSR arrays.
+    /// Assembles a graph from already-sorted CSR arrays; `in_weights`
+    /// (aligned with `in_arcs`) becomes the LT prefix sums in place.
     ///
     /// Invariants (checked with `debug_assert`s, guaranteed by the builder):
     /// offsets are monotone with `offsets[0] == 0`, `offsets[n]` equals the
@@ -55,26 +79,26 @@ impl Graph {
         out_targets: Vec<NodeId>,
         out_weights: Vec<f32>,
         in_offsets: Vec<u64>,
-        in_sources: Vec<NodeId>,
+        in_arcs: Vec<InArc>,
         in_weights: Vec<f32>,
     ) -> Self {
         debug_assert_eq!(out_offsets.len(), n as usize + 1);
         debug_assert_eq!(in_offsets.len(), n as usize + 1);
         debug_assert_eq!(*out_offsets.last().unwrap() as usize, out_targets.len());
-        debug_assert_eq!(*in_offsets.last().unwrap() as usize, in_sources.len());
+        debug_assert_eq!(*in_offsets.last().unwrap() as usize, in_arcs.len());
         debug_assert_eq!(out_targets.len(), out_weights.len());
-        debug_assert_eq!(in_sources.len(), in_weights.len());
+        debug_assert_eq!(in_arcs.len(), in_weights.len());
 
-        let mut in_cum = vec![0.0f32; in_weights.len()];
+        let mut in_cum = in_weights;
         let mut in_weight_sum = vec![0.0f32; n as usize];
         for v in 0..n as usize {
             let (s, e) = (in_offsets[v] as usize, in_offsets[v + 1] as usize);
             // f64 accumulator: a node can have millions of in-edges and the
             // LT stop-probability depends on the exact tail 1 − Σw.
             let mut acc = 0.0f64;
-            for i in s..e {
-                acc += f64::from(in_weights[i]);
-                in_cum[i] = acc as f32;
+            for c in &mut in_cum[s..e] {
+                acc += f64::from(*c);
+                *c = acc as f32;
             }
             in_weight_sum[v] = acc as f32;
         }
@@ -85,8 +109,7 @@ impl Graph {
             out_targets,
             out_weights,
             in_offsets,
-            in_sources,
-            in_weights,
+            in_arcs,
             in_cum,
             in_weight_sum,
             content_digest: std::sync::OnceLock::new(),
@@ -134,31 +157,17 @@ impl Graph {
         &self.out_weights[self.out_offsets[v] as usize..self.out_offsets[v + 1] as usize]
     }
 
-    /// Sources of the in-edges of `v`.
+    /// In-arcs of `v`: each in-neighbour with its IC coin threshold.
     #[inline]
-    pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
+    pub fn in_arcs(&self, v: NodeId) -> &[InArc] {
         let v = v as usize;
-        &self.in_sources[self.in_offsets[v] as usize..self.in_offsets[v + 1] as usize]
-    }
-
-    /// Weights of the in-edges of `v`, aligned with
-    /// [`Graph::in_neighbors`].
-    #[inline]
-    pub fn in_weights(&self, v: NodeId) -> &[f32] {
-        let v = v as usize;
-        &self.in_weights[self.in_offsets[v] as usize..self.in_offsets[v + 1] as usize]
+        &self.in_arcs[self.in_offsets[v] as usize..self.in_offsets[v + 1] as usize]
     }
 
     /// Iterator over `(target, weight)` pairs of the out-edges of `v`.
     #[inline]
-    pub fn out_edges(&self, v: NodeId) -> OutEdgeIter<'_> {
-        OutEdgeIter { targets: self.out_neighbors(v).iter(), weights: self.out_weights(v).iter() }
-    }
-
-    /// Iterator over `(source, weight)` pairs of the in-edges of `v`.
-    #[inline]
-    pub fn in_edges(&self, v: NodeId) -> InEdgeIter<'_> {
-        InEdgeIter { sources: self.in_neighbors(v).iter(), weights: self.in_weights(v).iter() }
+    pub fn out_edges(&self, v: NodeId) -> impl ExactSizeIterator<Item = (NodeId, f32)> + '_ {
+        self.out_neighbors(v).iter().copied().zip(self.out_weights(v).iter().copied())
     }
 
     /// Total incoming weight `Σ_u w(u, v)` of node `v`.
@@ -189,9 +198,9 @@ impl Graph {
         if idx >= seg.len() {
             // Float edge case: r < in_weight_sum but ≥ final prefix due to
             // rounding in the cached sum. Treat as the last neighbor.
-            return Some(self.in_sources[e - 1]);
+            return Some(self.in_arcs[e - 1].source);
         }
-        Some(self.in_sources[s + idx])
+        Some(self.in_arcs[s + idx].source)
     }
 
     /// Whether every node satisfies the LT constraint `Σ_u w(u,v) ≤ 1`
@@ -211,10 +220,10 @@ impl Graph {
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
         ((self.out_offsets.len() + self.in_offsets.len()) * size_of::<u64>()
-            + (self.out_targets.len() + self.in_sources.len()) * size_of::<NodeId>()
-            + (self.out_weights.len() + self.in_weights.len() + self.in_cum.len())
-                * size_of::<f32>()
-            + self.in_weight_sum.len() * size_of::<f32>()) as u64
+            + self.out_targets.len() * size_of::<NodeId>()
+            + self.in_arcs.len() * size_of::<InArc>()
+            + (self.out_weights.len() + self.in_cum.len() + self.in_weight_sum.len())
+                * size_of::<f32>()) as u64
     }
 
     /// Iterator over all arcs as `(from, to, weight)`, in CSR (source)
@@ -230,50 +239,9 @@ impl std::fmt::Debug for Graph {
     }
 }
 
-/// Iterator over the `(target, weight)` pairs of a node's out-edges.
-pub struct OutEdgeIter<'a> {
-    targets: std::slice::Iter<'a, NodeId>,
-    weights: std::slice::Iter<'a, f32>,
-}
-
-impl<'a> Iterator for OutEdgeIter<'a> {
-    type Item = (NodeId, f32);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        Some((*self.targets.next()?, *self.weights.next()?))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.targets.size_hint()
-    }
-}
-
-impl ExactSizeIterator for OutEdgeIter<'_> {}
-
-/// Iterator over the `(source, weight)` pairs of a node's in-edges.
-pub struct InEdgeIter<'a> {
-    sources: std::slice::Iter<'a, NodeId>,
-    weights: std::slice::Iter<'a, f32>,
-}
-
-impl<'a> Iterator for InEdgeIter<'a> {
-    type Item = (NodeId, f32);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        Some((*self.sources.next()?, *self.weights.next()?))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.sources.size_hint()
-    }
-}
-
-impl ExactSizeIterator for InEdgeIter<'_> {}
-
 #[cfg(test)]
 mod tests {
+    use super::InArc;
     use crate::{GraphBuilder, WeightModel};
 
     fn triangle() -> crate::Graph {
@@ -294,7 +262,8 @@ mod tests {
         assert_eq!(g.out_degree(2), 0);
         assert_eq!(g.in_degree(2), 2);
         assert_eq!(g.out_neighbors(0), &[1, 2]);
-        assert_eq!(g.in_neighbors(2), &[0, 1]);
+        let sources: Vec<_> = g.in_arcs(2).iter().map(|a| a.source).collect();
+        assert_eq!(sources, vec![0, 1]);
     }
 
     #[test]
@@ -302,9 +271,13 @@ mod tests {
         let g = triangle();
         let out: Vec<_> = g.out_edges(0).collect();
         assert_eq!(out, vec![(1, 0.5), (2, 0.25)]);
-        let inc: Vec<_> = g.in_edges(2).collect();
-        assert_eq!(inc, vec![(0, 0.25), (1, 0.25)]);
         assert_eq!(g.out_edges(0).len(), 2);
+        // in-arcs carry ⌈w·2²⁴⌉: 0.25 → 2²²
+        let quarter = 1 << 22;
+        assert_eq!(
+            g.in_arcs(2),
+            &[InArc { source: 0, live_below: quarter }, InArc { source: 1, live_below: quarter }]
+        );
     }
 
     #[test]

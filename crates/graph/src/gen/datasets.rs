@@ -222,9 +222,10 @@ mod tests {
         let g = ORKUT.generate(0.0002, 7).unwrap();
         // every arc must have its reverse
         for v in 0..g.num_nodes() {
-            for &u in g.in_neighbors(v) {
+            for arc in g.in_arcs(v) {
+                let u = arc.source;
                 assert!(
-                    g.in_neighbors(u).binary_search(&v).is_ok(),
+                    g.in_arcs(u).binary_search_by_key(&v, |a| a.source).is_ok(),
                     "missing reverse arc {v} -> {u}"
                 );
             }

@@ -55,7 +55,7 @@ mod weights;
 
 pub use alias::AliasTable;
 pub use builder::GraphBuilder;
-pub use csr::{Graph, InEdgeIter, OutEdgeIter};
+pub use csr::{Graph, InArc};
 pub use error::GraphError;
 pub use hash::{fnv64, Fnv64};
 pub use stats::GraphStats;

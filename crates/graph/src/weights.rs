@@ -66,8 +66,8 @@ mod tests {
         b.add_arc(4, 0);
         let g = b.build(WeightModel::WeightedCascade).unwrap();
         assert!((g.in_weight_sum(4) - 1.0).abs() < 1e-6);
-        for (_, w) in g.in_edges(4) {
-            assert!((w - 0.25).abs() < 1e-7);
+        for arc in g.in_arcs(4) {
+            assert_eq!(arc.live_below, 1 << 22, "w = 1/4");
         }
         assert!(g.lt_compatible());
     }

@@ -3,7 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use sns_graph::{AliasTable, GraphBuilder, WeightModel};
+use sns_graph::{AliasTable, GraphBuilder, InArc, WeightModel};
 
 /// Arbitrary small edge list over up to 32 nodes.
 fn edge_list() -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -11,7 +11,8 @@ fn edge_list() -> impl Strategy<Value = Vec<(u32, u32)>> {
 }
 
 proptest! {
-    /// Forward and reverse CSR views always describe the same arc set.
+    /// Forward and reverse CSR views always describe the same arc set,
+    /// with the same coin per arc.
     #[test]
     fn forward_reverse_consistent(edges in edge_list()) {
         let mut b = GraphBuilder::new();
@@ -19,9 +20,9 @@ proptest! {
         b.extend_arcs(edges.iter().copied());
         let g = b.build(WeightModel::Constant(0.5)).unwrap();
 
-        let mut fwd: Vec<(u32, u32)> = g.arcs().map(|(u, v, _)| (u, v)).collect();
-        let mut rev: Vec<(u32, u32)> = (0..g.num_nodes())
-            .flat_map(|v| g.in_neighbors(v).iter().map(move |&u| (u, v)))
+        let mut fwd: Vec<_> = g.arcs().map(|(u, v, w)| (u, v, InArc::live_below(w))).collect();
+        let mut rev: Vec<_> = (0..g.num_nodes())
+            .flat_map(|v| g.in_arcs(v).iter().map(move |a| (a.source, v, a.live_below)))
             .collect();
         fwd.sort_unstable();
         rev.sort_unstable();
@@ -106,7 +107,7 @@ proptest! {
         let g = b.build(WeightModel::WeightedCascade).unwrap();
         for v in 0..g.num_nodes() {
             match g.sample_in_neighbor_lt(v, r) {
-                Some(u) => prop_assert!(g.in_neighbors(v).contains(&u)),
+                Some(u) => prop_assert!(g.in_arcs(v).iter().any(|a| a.source == u)),
                 None => prop_assert!(r >= g.in_weight_sum(v) - 1e-5),
             }
         }

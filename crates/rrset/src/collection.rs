@@ -202,14 +202,14 @@ impl RrCollection {
         let sample_chunk = |w: u64| {
             let end = (from_index + (w + 1) * chunk).min(from_index + count);
             let mut local = sampler.clone();
-            let (mut data, mut offsets, mut edges) = (Vec::new(), vec![0u64], 0u64);
+            let (mut data, mut ends, mut edges) = (Vec::new(), Vec::new(), 0u64);
             let mut rr = Vec::new();
             for i in from_index + w * chunk..end {
                 edges += local.sample(i, &mut rr).edges_examined;
                 data.extend_from_slice(&rr);
-                offsets.push(data.len() as u64);
+                ends.push(data.len() as u64);
             }
-            (data, offsets, edges)
+            (data, ends, edges)
         };
         let batches: Vec<(Vec<NodeId>, Vec<u64>, u64)> = if workers == 1 {
             vec![sample_chunk(0)]
@@ -220,10 +220,8 @@ impl RrCollection {
                 handles.into_iter().map(|h| h.join().expect("rr worker panicked")).collect()
             })
         };
-        for (data, offsets, edges) in batches {
-            for w in offsets.windows(2) {
-                self.append_arena(&data[w[0] as usize..w[1] as usize]);
-            }
+        for (data, ends, edges) in batches {
+            self.append_sets(&data, &ends);
             self.total_edges_examined += edges;
         }
         Some(self.seal(threads))
@@ -271,12 +269,33 @@ impl RrCollection {
     pub fn seal_parallel(&mut self, _threads: usize) {}
 
     /// Copies one set into the arena. Every growth path funnels through
-    /// here and then through [`RrCollection::seal`].
+    /// here (or its batched form [`RrCollection::append_sets`]) and then
+    /// through [`RrCollection::seal`].
     #[inline]
     fn append_arena(&mut self, rr: &[NodeId]) {
         debug_assert!(self.len() < u32::MAX as usize, "set-id space exhausted");
         self.data.extend_from_slice(rr);
         self.offsets.push(self.data.len() as u64);
+    }
+
+    /// [`RrCollection::append_arena`] for a batch of sets laid out back to
+    /// back in `data`, set `i` ending at `ends[i]` (relative to `data`'s
+    /// start): one bulk copy plus the ends rebased by the arena length.
+    /// Both arrays first grow to exactly the capacity one `append_arena`
+    /// per set would leave, so [`RrCollection::memory_bytes`] does not
+    /// depend on how a growth was cut into batches.
+    fn append_sets(&mut self, data: &[NodeId], ends: &[u64]) {
+        debug_assert!(self.len() + ends.len() <= u32::MAX as usize, "set-id space exhausted");
+        let (base, sets) = (self.data.len(), self.offsets.len());
+        let (mut data_cap, mut offsets_cap) = (self.data.capacity(), self.offsets.capacity());
+        for (i, &end) in ends.iter().enumerate() {
+            data_cap = amortized_capacity(data_cap, base + end as usize);
+            offsets_cap = amortized_capacity(offsets_cap, sets + i + 1);
+        }
+        self.data.reserve_exact(data_cap - base);
+        self.offsets.reserve_exact(offsets_cap - sets);
+        self.data.extend_from_slice(data);
+        self.offsets.extend(ends.iter().map(|&e| base as u64 + e));
     }
 
     /// Seals the sets appended since the previous seal as one epoch: the
@@ -364,6 +383,18 @@ impl RrCollection {
     /// `Vec`s.
     pub fn index_memory_bytes(&self) -> u64 {
         self.index.memory_bytes()
+    }
+}
+
+/// The capacity a `Vec` of capacity `cap` has once `push` or
+/// `extend_from_slice` made it hold `len` elements: std's amortized
+/// growth, which doubles (at least to 4 elements for 4- and 8-byte items)
+/// or grows to `len` when that is more.
+fn amortized_capacity(cap: usize, len: usize) -> usize {
+    if len <= cap {
+        cap
+    } else {
+        len.max(2 * cap).max(4)
     }
 }
 
@@ -576,6 +607,16 @@ mod tests {
                 steps.iter().map(|&(die, c)| if die == 0 { 0 } else { c }).collect();
             let mut once = RrCollection::new(60);
             once.extend_parallel(&sampler, 0, counts.iter().sum(), 1);
+            // The batched append leaves the capacities one append per set
+            // leaves, so the byte footprint matches too.
+            if !once.is_empty() {
+                let sets: Vec<&[NodeId]> = (0..once.len()).map(|id| once.set(id)).collect();
+                let mut per_set = RrCollection::new(60);
+                per_set.append_epoch(&sets, once.total_edges_examined);
+                proptest::prop_assert_eq!(per_set.data.capacity(), once.data.capacity());
+                proptest::prop_assert_eq!(per_set.offsets.capacity(), once.offsets.capacity());
+                proptest::prop_assert_eq!(per_set.memory_bytes(), once.memory_bytes());
+            }
             let mut first: Option<RrCollection> = None;
             for threads in [1, 2, 8] {
                 let mut rc = RrCollection::new(60);
