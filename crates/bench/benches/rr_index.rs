@@ -3,11 +3,12 @@
 //!
 //! Measures (a) index **build** cost — a grower-sized growth (clone the
 //! sealed 60k-set pool, then one `extend_parallel` of 1k sets, which
-//! samples them and seals them as one epoch) at 1/2/4 worker threads
-//! (`clone-grow-1k/t`), a clone-only row to subtract, and the per-node
-//! push loop the old merge path used over all 60k sets — and (b)
-//! `sets_containing_in` **lookup** latency over the sealed pool
-//! (`sealed`) and over the old layout.
+//! samples them and seals them as one epoch into the recent index tier)
+//! at 1/2/4 worker threads (`clone-grow-1k/t`), a clone-only row to
+//! subtract, and the per-node push loop the old merge path used over all
+//! 60k sets — and (b) `sets_containing_in` **lookup** latency over the
+//! sealed one-tier pool (`sealed`), over the same sets sealed as a 48k
+//! base plus a 12k recent tier (`two-tier`), and over the old layout.
 //!
 //! Besides the human-readable criterion output, results are written as
 //! machine-readable JSON to `BENCH_rr_index.json` in the workspace root
@@ -101,12 +102,23 @@ fn lookup_workload_old(index: &[Vec<u32>], total: u32) -> u64 {
 
 fn bench_lookup(c: &mut Criterion, sealed: &RrCollection) {
     let old = build_per_node_vecs(sealed);
+    // The same 60k sets, grown by 48k then 12k: 12k is not past a quarter
+    // of the 48k base, so the second seal builds a recent tier.
+    let g = support::ba_graph();
+    let sampler = support::ic_sampler(&g);
+    let mut two_tier = RrCollection::new(NODES);
+    two_tier.extend_parallel(&sampler, 0, SETS * 4 / 5, 8);
+    two_tier.extend_parallel(&sampler, SETS * 4 / 5, SETS / 5, 8);
+    assert_eq!(lookup_workload(&two_tier), lookup_workload(sealed), "same sets, same answers");
 
     let mut group = c.benchmark_group("rr_index_lookup_10k_queries");
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
     group.sample_size(20);
     group.bench_with_input(BenchmarkId::from_parameter("sealed"), sealed, |b, p| {
+        b.iter(|| lookup_workload(p))
+    });
+    group.bench_with_input(BenchmarkId::from_parameter("two-tier"), &two_tier, |b, p| {
         b.iter(|| lookup_workload(p))
     });
     group.bench_with_input(BenchmarkId::from_parameter("per-node-vecs"), &old, |b, old| {
@@ -143,7 +155,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     println!(
         "host cores: {cores} (multi-thread growth variants only help beyond 1 core; \
-         each seal worker streams the new sets, so expect some overhead otherwise)"
+         seal workers are clamped to the cores)"
     );
     println!(
         "pool: {} sets, {} entries, {} epochs, index {} B",

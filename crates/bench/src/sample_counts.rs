@@ -23,8 +23,9 @@ use std::collections::BTreeMap;
 use sns_core::{
     Dssa, Params, QueryStats, Recovery, SamplingContext, SeedQuery, SeedQueryEngine, Ssa,
 };
-use sns_diffusion::Model;
+use sns_diffusion::{Model, RootDist, RrSampler};
 use sns_graph::{gen, WeightModel};
+use sns_rrset::RrCollection;
 use sns_tvm::TargetWeights;
 
 /// The checked-in counter baseline, relative to the workspace root.
@@ -124,6 +125,27 @@ pub fn store_counters() -> Vec<(&'static str, u64)> {
     vec![
         ("store_recovered_epochs", recovered.pool().epoch_boundaries().len() as u64),
         ("store_lost_epochs", lost),
+    ]
+}
+
+/// Seal work of a fixed grow-shaped schedule (ROADMAP E): an ER(500,
+/// 3000) IC pool of 8 epochs × 2500 sets, then 40 growths of 250 sets,
+/// the `grow` workload's shape at 1/8 scale. The 21st growth folds the
+/// index into one base tier; the others only rebuild the recent tier.
+/// Reports the entries all seals counting-sorted and merged, which do
+/// not depend on `threads`.
+pub fn seal_counters(threads: usize) -> Vec<(&'static str, u64)> {
+    let g = gen::erdos_renyi(500, 3000, 17).build(WeightModel::WeightedCascade).unwrap();
+    let sampler = RrSampler::with_config(&g, Model::IndependentCascade, RootDist::Uniform, 17);
+    let mut pool = RrCollection::new(500);
+    let mut from = 0;
+    for count in std::iter::repeat_n(2500, 8).chain(std::iter::repeat_n(250, 40)) {
+        pool.extend_parallel(&sampler, from, count, threads);
+        from += count;
+    }
+    vec![
+        ("seal_grow_entries_sorted", pool.seal_entries_sorted()),
+        ("seal_grow_entries_merged", pool.seal_entries_merged()),
     ]
 }
 
@@ -240,6 +262,7 @@ pub fn counters() -> Vec<(&'static str, u64)> {
     ];
     out.extend(serving_counters());
     out.extend(store_counters());
+    out.extend(seal_counters(1));
     out.extend(traffic_counters());
     out.extend(traffic_budgeted_counters());
     out.extend(traffic_concurrent_counters());
@@ -278,5 +301,15 @@ mod tests {
         want.retain(|name, _| !name.ends_with("_speedup"));
         let got: BTreeMap<String, u64> = a.iter().map(|&(n, v)| (n.to_string(), v)).collect();
         assert_eq!(got, want, "counters drifted from {BASELINE}");
+    }
+
+    #[test]
+    fn seal_counters_repeat_across_thread_counts() {
+        let one = seal_counters(1);
+        assert_eq!(seal_counters(2), one);
+        assert_eq!(seal_counters(8), one);
+        // every sealed entry is sorted once and merged at least once
+        let [(_, sorted), (_, merged)] = one[..] else { panic!("two seal counters") };
+        assert!(sorted > 0 && merged > sorted);
     }
 }

@@ -15,11 +15,14 @@
 //! The clone-extend-publish shape is what makes the reader side
 //! lock-free: readers never observe a pool mid-mutation because the pool
 //! they pinned is immutable forever. The clone copies the set arena and
-//! its offsets; the sealed inverted index is shared, not copied. The
-//! growth's seal then counting-sorts only the new sets and merges them
-//! with the shared index into a fresh one (one sequential copy), leaving
-//! the published pool's index untouched. Growth work is the arena copy plus
-//! that merge copy, both `memcpy`-speed; queries stay wait-free.
+//! its offsets; the two tiers of the sealed inverted index are shared,
+//! not copied. The growth's seal then counting-sorts only the new sets
+//! and merges them behind the small recent tier into a fresh one, or,
+//! once the recent tier would pass a quarter of the base, folds
+//! everything into a fresh base; either way the published pool's tiers
+//! stay untouched. Growth work is the `O(pool)` arena copy plus an
+//! `O(recent + new)` merge, with the fold's whole-index copy amortized
+//! over a quarter of the pool's sets; queries stay wait-free.
 //!
 //! Exclusive growth is enforced by a writer mutex on the engine
 //! ([`SeedQueryEngine::grower`](crate::SeedQueryEngine::grower) hands

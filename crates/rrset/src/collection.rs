@@ -5,10 +5,11 @@
 //! Sets live in one flat node arena (`data`) addressed by per-set
 //! offsets, exactly like the CSR graph storage in `sns-graph`. The
 //! node→set-ids inverted index — the structure greedy Max-Coverage and
-//! every coverage query traverse — is one immutable flat CSR (offsets
-//! plus 4-byte ids) over every pooled set, shared by `Arc` between
-//! clones ([`crate::index`]). Ids come out ascending, so range
-//! restriction is a binary search into one slice.
+//! every coverage query traverse — is two immutable flat CSR tiers
+//! (offsets plus 4-byte ids), a base and a recent one, each shared by
+//! `Arc` between clones ([`crate::index`]). Ids come out ascending, so
+//! range restriction is a binary search into at most two slices
+//! ([`SetIds`]).
 //!
 //! Compared to the previous `node_to_sets: Vec<Vec<u32>>` layout this
 //! removes one heap allocation + 24-byte `Vec` header per node and the
@@ -22,15 +23,19 @@
 //! sets) and [`RrCollection::append_epoch`] (given sets), and each call
 //! appends its sets to the arena and seals them as **one epoch** before
 //! it returns, so no reader ever sees an unindexed set. A seal
-//! counting-sorts only the new sets — `O(new entries + n)` — and then
-//! copies the old CSR and the new ids into the next CSR in one
-//! sequential merge pass, a `memcpy`-speed `O(total entries)`. SSA/D-SSA
-//! grow the pool only at their doubling checkpoints (`Λ·2^(t−1)` sets at
-//! iteration `t`), so each iteration costs exactly one seal.
+//! counting-sorts only the new sets and merges them behind the recent
+//! tier into a fresh recent tier — `O(recent + new entries + n)` — until
+//! the recent tier would pass a quarter of the base, when it folds
+//! everything into a fresh base instead. SSA/D-SSA grow the pool only at
+//! their doubling checkpoints (`Λ·2^(t−1)` sets at iteration `t`), so
+//! each iteration costs exactly one seal, and each of those seals folds:
+//! their pools keep one CSR. [`RrCollection::seal_entries_sorted`] and
+//! [`RrCollection::seal_entries_merged`] count the seals' work.
 //!
-//! Cloning a pool copies the arena and its offsets; the sealed CSR is
-//! shared, and growing the clone builds a fresh one instead of writing
-//! to it, so a published pool never changes through its clones.
+//! Cloning a pool copies the arena and its offsets; the index tiers are
+//! shared, and growing the clone builds a fresh tier instead of writing
+//! to a shared one, so a published pool never changes through its
+//! clones.
 //!
 //! # Determinism
 //!
@@ -47,7 +52,7 @@ use std::ops::Range;
 use sns_diffusion::RrSampler;
 use sns_graph::NodeId;
 
-use crate::index::SealedIndex;
+use crate::index::{SealedIndex, SetIds};
 
 /// A growing pool of RR sets (see the module docs for the layout).
 #[derive(Debug, Clone)]
@@ -158,15 +163,29 @@ impl RrCollection {
     }
 
     /// Ids of the sets containing `v`, ascending.
-    pub fn sets_containing(&self, v: NodeId) -> &[u32] {
+    pub fn sets_containing(&self, v: NodeId) -> SetIds<'_> {
         self.index.sets_containing_in(v, self.id_range())
     }
 
     /// Ids of the sets containing `v` restricted to an id `range`,
-    /// ascending: a binary-searched slice of the sealed CSR. An inverted
-    /// range (`start >= end`) is empty.
-    pub fn sets_containing_in(&self, v: NodeId, range: Range<u32>) -> &[u32] {
+    /// ascending: a binary-searched slice of each index tier the range
+    /// reaches. An inverted range (`start >= end`) is empty.
+    pub fn sets_containing_in(&self, v: NodeId, range: Range<u32>) -> SetIds<'_> {
         self.index.sets_containing_in(v, range)
+    }
+
+    /// Entries counting-sorted by every seal of this pool so far: each
+    /// sealed entry once, whatever the thread count.
+    pub fn seal_entries_sorted(&self) -> u64 {
+        self.index.entries_sorted()
+    }
+
+    /// Entries every seal of this pool so far copied into a fresh index
+    /// tier: the recent tier plus the new sets for a growth that does not
+    /// fold, the whole index for one that does. Independent of the
+    /// thread count.
+    pub fn seal_entries_merged(&self) -> u64 {
+        self.index.entries_merged()
     }
 
     /// Cumulative `total_edges_examined` at each sealed epoch boundary,
@@ -300,7 +319,7 @@ impl RrCollection {
 
     /// Seals the sets appended since the previous seal as one epoch: the
     /// one place the index and the epoch boundaries change. Indexes them
-    /// into a fresh sealed CSR (a counting sort over `threads` workers,
+    /// into a fresh index tier (a counting sort over `threads` workers,
     /// bit-identical for every value), records the pool end as the new
     /// boundary with its cumulative edge total, and returns the epoch's
     /// id range. Callers append at least one set first.
@@ -350,7 +369,7 @@ impl RrCollection {
         scratch.resize(len.div_ceil(64), 0);
         let mut covered = 0u64;
         for &s in seeds {
-            for &id in self.sets_containing_in(s, range.clone()) {
+            for id in self.sets_containing_in(s, range.clone()) {
                 let slot = (id - range.start) as usize;
                 let (word, bit) = (slot / 64, 1u64 << (slot % 64));
                 if scratch[word] & bit == 0 {
@@ -368,9 +387,9 @@ impl RrCollection {
         self.coverage_of_range(seeds, self.id_range(), &mut scratch)
     }
 
-    /// Exact byte footprint of the pool (arena + offsets + the sealed
-    /// inverted index, counting capacities). This is the quantity the
-    /// memory experiments (Figs. 6–7) report.
+    /// Exact byte footprint of the pool (arena + offsets + both tiers of
+    /// the sealed inverted index, counting capacities). This is the
+    /// quantity the memory experiments (Figs. 6–7) report.
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
         let arena = self.data.capacity() * size_of::<NodeId>();
@@ -378,9 +397,9 @@ impl RrCollection {
         (arena + offsets) as u64 + self.index.memory_bytes()
     }
 
-    /// Byte footprint of the inverted index alone (counting capacities) —
-    /// the component the sealed CSR layout shrinks relative to per-node
-    /// `Vec`s.
+    /// Byte footprint of the inverted index alone (both tiers, counting
+    /// capacities) — the component the sealed CSR layout shrinks relative
+    /// to per-node `Vec`s.
     pub fn index_memory_bytes(&self) -> u64 {
         self.index.memory_bytes()
     }
@@ -418,7 +437,7 @@ mod tests {
         assert_eq!(rc.total_nodes(), 6);
         assert_eq!(rc.set(0), &[0, 1, 2]);
         assert_eq!(rc.set(1), &[1]);
-        assert_eq!(rc.sets_containing(1), &[0, 1, 2]);
+        assert_eq!(rc.sets_containing(1).to_vec(), [0, 1, 2]);
         assert!(rc.sets_containing(4).is_empty());
         assert_eq!(rc.total_edges_examined(), 3);
     }
@@ -436,7 +455,7 @@ mod tests {
     #[test]
     fn range_restricted_queries() {
         let rc = pool(3, &[&[0], &[0, 1], &[1], &[0, 2]]);
-        assert_eq!(rc.sets_containing_in(0, 1..4), &[1, 3]);
+        assert_eq!(rc.sets_containing_in(0, 1..4).to_vec(), [1, 3]);
         let mut scratch = Vec::new();
         assert_eq!(rc.coverage_of_range(&[0], 0..2, &mut scratch), 2);
         assert_eq!(rc.coverage_of_range(&[0], 2..4, &mut scratch), 1);
@@ -448,9 +467,9 @@ mod tests {
         let mut rc = pool(3, &[&[0], &[0, 1]]);
         assert_eq!(rc.append_epoch(&[&[1], &[0, 2]], 2), Some(2..4));
         assert_eq!(rc.epoch_boundaries(), &[2, 4]);
-        assert_eq!(rc.sets_containing(0), &[0, 1, 3]);
-        assert_eq!(rc.sets_containing_in(0, 1..4), &[1, 3]);
-        assert_eq!(rc.sets_containing_in(1, 1..3), &[1, 2]);
+        assert_eq!(rc.sets_containing(0).to_vec(), [0, 1, 3]);
+        assert_eq!(rc.sets_containing_in(0, 1..4).to_vec(), [1, 3]);
+        assert_eq!(rc.sets_containing_in(1, 1..3).to_vec(), [1, 2]);
         let mut scratch = Vec::new();
         assert_eq!(rc.coverage_of_range(&[0], 2..4, &mut scratch), 1);
         assert_eq!(rc.coverage_of(&[1]), 2);
@@ -538,9 +557,9 @@ mod tests {
             let len = rc.len() as u32;
             for v in 0..8 {
                 for range in [0..len, 0..len / 2, 2999..len, 1234..4321, 4000..len + 7] {
-                    let got = rc.sets_containing_in(v, range.clone());
+                    let got = rc.sets_containing_in(v, range.clone()).to_vec();
                     let expect = rescan(rc, v, range.start..range.end.min(len));
-                    assert_eq!(got, expect.as_slice(), "node {v} range {range:?}");
+                    assert_eq!(got, expect, "node {v} range {range:?}");
                 }
             }
         };
@@ -562,23 +581,48 @@ mod tests {
         let sets: Vec<[NodeId; 2]> = (0..3000u32).map(|i| [i % 16, (i * 7 + 3) % 16]).collect();
         let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
         let source = pool(16, &refs);
-        let answers: Vec<Vec<u32>> = (0..16).map(|v| source.sets_containing(v).to_vec()).collect();
-        let bytes = source.memory_bytes();
+        let answers = |rc: &RrCollection| -> Vec<Vec<u32>> {
+            (0..16).map(|v| rc.sets_containing(v).to_vec()).collect()
+        };
+        let (source_answers, source_bytes) = (answers(&source), source.memory_bytes());
+        let more: Vec<[NodeId; 1]> = (0..800u32).map(|i| [(i * 5) % 16]).collect();
+        let more: Vec<&[NodeId]> = more.iter().map(|s| s.as_slice()).collect();
+        let expect = |upto: u32| -> Vec<Vec<u32>> {
+            (0..16u32)
+                .map(|v| {
+                    let mut ids = source_answers[v as usize].clone();
+                    ids.extend((0..upto).filter(|i| (i * 5) % 16 == v).map(|i| 3000 + i));
+                    ids
+                })
+                .collect()
+        };
 
+        // 500 new sets stay below a quarter of the 3000-set base: the
+        // growth builds a recent tier and keeps sharing the base.
         let mut grown = source.clone();
-        assert!(grown.index.shares_sealed_tier(&source.index), "a clone shares the sealed CSR");
-        let more: Vec<[NodeId; 1]> = (0..500u32).map(|i| [(i * 5) % 16]).collect();
-        let refs: Vec<&[NodeId]> = more.iter().map(|s| s.as_slice()).collect();
-        assert_eq!(grown.append_epoch(&refs, 0), Some(3000..3500));
-        assert!(!grown.index.shares_sealed_tier(&source.index));
+        assert_eq!(grown.index.shares_tiers(&source.index), [true, true], "a clone shares both");
+        assert_eq!(grown.append_epoch(&more[..500], 0), Some(3000..3500));
+        assert_eq!(grown.index.shares_tiers(&source.index), [true, false]);
+        assert_eq!(grown.seal_entries_merged() - source.seal_entries_merged(), 500);
+        let (grown_answers, grown_bytes) = (answers(&grown), grown.memory_bytes());
+        assert_eq!(grown_answers, expect(500));
 
-        assert_eq!(source.memory_bytes(), bytes);
-        assert_eq!((source.len(), source.epoch_boundaries()), (3000, &[3000][..]));
-        for v in 0..16 {
-            assert_eq!(source.sets_containing(v), answers[v as usize], "node {v}");
-            let mut expect = answers[v as usize].clone();
-            expect.extend((0..500u32).filter(|i| (i * 5) % 16 == v).map(|i| 3000 + i));
-            assert_eq!(grown.sets_containing(v), expect, "node {v}");
+        // 300 more make the recent tier 800 sets, past 3000 / 4: the
+        // growth folds everything into a fresh base.
+        let mut folded = grown.clone();
+        assert_eq!(folded.append_epoch(&more[500..], 0), Some(3500..3800));
+        assert_eq!(folded.index.shares_tiers(&grown.index), [false, false]);
+        assert_eq!(folded.index.recent_first(), 3800);
+        assert_eq!(folded.seal_entries_merged() - grown.seal_entries_merged(), 6800);
+        assert_eq!(answers(&folded), expect(800));
+
+        for (rc, bytes, epochs, answers_then) in [
+            (&source, source_bytes, &[3000][..], &source_answers),
+            (&grown, grown_bytes, &[3000, 3500][..], &grown_answers),
+        ] {
+            assert_eq!(rc.memory_bytes(), bytes);
+            assert_eq!(rc.epoch_boundaries(), epochs);
+            assert_eq!(&answers(rc), answers_then);
         }
     }
 
@@ -639,7 +683,14 @@ mod tests {
                 proptest::prop_assert_eq!(&rc.data, &once.data);
                 proptest::prop_assert_eq!(&rc.offsets, &once.offsets);
                 proptest::prop_assert_eq!(rc.total_edges_examined, once.total_edges_examined);
-                proptest::prop_assert_eq!(rc.index_memory_bytes(), once.index_memory_bytes());
+                // One tier in `once`; a second (an offset per node plus
+                // one) in `rc` while its recent tier holds sets.
+                let two_tiers = rc.index.recent_first() < rc.len() as u32;
+                let recent_offsets = if two_tiers { 4 * 61 } else { 0 };
+                proptest::prop_assert_eq!(
+                    rc.index_memory_bytes(),
+                    once.index_memory_bytes() + recent_offsets
+                );
                 for v in 0..60 {
                     proptest::prop_assert_eq!(rc.sets_containing(v), once.sets_containing(v));
                 }
@@ -659,7 +710,7 @@ mod tests {
     fn inverted_index_is_ascending() {
         let sets: Vec<&[NodeId]> = vec![&[0, 1]; 50];
         let rc = pool(2, &sets);
-        let ids = rc.sets_containing(0);
+        let ids = rc.sets_containing(0).to_vec();
         assert_eq!(ids.len(), 50);
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }

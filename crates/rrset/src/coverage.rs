@@ -518,17 +518,19 @@ impl<'a> CoverageView<'a> {
         covered: &mut [u32],
         gain: &mut [O::Gain],
     ) {
-        for &id in self.rc.sets_containing_in(v, self.range.clone()) {
-            let slot = (id - self.range.start) as usize;
-            if covered[slot] == generation {
-                continue;
-            }
-            covered[slot] = generation;
-            let members = self.members(slot);
-            let w = objective.set_gain(members);
-            if w > O::Gain::default() {
-                for &u in members {
-                    gain[u as usize] -= w;
+        for ids in self.rc.sets_containing_in(v, self.range.clone()).slices() {
+            for &id in ids {
+                let slot = (id - self.range.start) as usize;
+                if covered[slot] == generation {
+                    continue;
+                }
+                covered[slot] = generation;
+                let members = self.members(slot);
+                let w = objective.set_gain(members);
+                if w > O::Gain::default() {
+                    for &u in members {
+                        gain[u as usize] -= w;
+                    }
                 }
             }
         }

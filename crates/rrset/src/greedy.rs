@@ -79,7 +79,9 @@ pub fn max_coverage_naive(
     };
     let mut gain: Vec<f64> = (0..n)
         .map(|v| {
-            rc.sets_containing_in(v, range.clone()).iter().fold(0.0, |s, &id| s + set_weight(id))
+            rc.sets_containing_in(v, range.clone())
+                .into_iter()
+                .fold(0.0, |s, id| s + set_weight(id))
         })
         .collect();
     let mut covered_mark = vec![false; (range.end - range.start) as usize];
@@ -101,7 +103,7 @@ pub fn max_coverage_naive(
         seeds.push(v);
         marginal_gains.push(g);
         covered_weight += g;
-        for &id in rc.sets_containing_in(v, range.clone()) {
+        for id in rc.sets_containing_in(v, range.clone()) {
             let slot = (id - range.start) as usize;
             if !covered_mark[slot] {
                 covered_mark[slot] = true;

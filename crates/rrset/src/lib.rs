@@ -21,12 +21,14 @@
 //!   [`RrCollection::coverage_of`].
 //!
 //! [`RrCollection`] stores sets in a flat arena with a **sealed**
-//! inverted node→set-id index — one flat CSR, shared by clones. A pool
-//! grows only by whole epochs: [`RrCollection::extend_parallel`] (or
-//! [`RrCollection::append_epoch`] for given sets) appends the sets and
-//! seals them before it returns, with a parallel counting sort that
-//! touches the new sets only, so every readable pool is fully indexed
-//! (see [`RrCollection`]'s docs). It supports deterministic parallel
+//! inverted node→set-id index — a base and a recent flat CSR tier, both
+//! shared by clones, so a query returns at most two slices ([`SetIds`]).
+//! A pool grows only by whole epochs: [`RrCollection::extend_parallel`]
+//! (or [`RrCollection::append_epoch`] for given sets) appends the sets
+//! and seals them before it returns, with a parallel counting sort that
+//! touches the new sets only and a merge that rebuilds only the recent
+//! tier until it passes a quarter of the base, so every readable pool is
+//! fully indexed (see [`RrCollection`]'s docs). It supports deterministic parallel
 //! growth and accounts its exact byte footprint (the quantity Figures
 //! 6–7 of the paper track).
 //!
@@ -61,5 +63,6 @@ pub use coverage::{
 };
 pub use directory::{DirectoryWriter, EpochDirectory};
 pub use greedy::{max_coverage_naive, CoverageResult};
+pub use index::SetIds;
 pub use snapshot::{GainSnapshot, Weighted, WeightedCoverageResult, WeightedGainSnapshot};
 pub use store::{PoolStore, Recovery, SaveStats, StoreError, StoreFingerprint};

@@ -321,12 +321,12 @@ fn check_against_rescan(
     for v in 0..N {
         let expect_all: Vec<u32> =
             (0..total).filter(|&id| sets[id as usize].contains(&v)).collect();
-        prop_assert_eq!(rc.sets_containing(v), expect_all.as_slice());
+        prop_assert_eq!(rc.sets_containing(v).to_vec(), expect_all);
         for range in &ranges {
             let expect: Vec<u32> =
                 expect_all.iter().copied().filter(|id| range.contains(id)).collect();
-            let got = rc.sets_containing_in(v, range.clone());
-            prop_assert_eq!(got, expect.as_slice(), "node {} range {:?}", v, range);
+            let got = rc.sets_containing_in(v, range.clone()).to_vec();
+            prop_assert_eq!(got, expect, "node {} range {:?}", v, range);
             let covered = rc.coverage_of_range(&[v], range.clone(), &mut scratch);
             prop_assert_eq!(covered, expect.len() as u64, "node {} range {:?}", v, range);
         }
@@ -376,6 +376,8 @@ fn extend_parallel_bit_identical_across_thread_counts() {
             assert_eq!(seq.total_edges_examined(), par.total_edges_examined());
             assert_eq!(seq.epoch_boundaries(), par.epoch_boundaries());
             assert_eq!(seq.memory_bytes(), par.memory_bytes());
+            assert_eq!(seq.seal_entries_sorted(), par.seal_entries_sorted());
+            assert_eq!(seq.seal_entries_merged(), par.seal_entries_merged());
             for id in 0..seq.len() {
                 assert_eq!(seq.set(id), par.set(id), "{model}: set {id} differs");
             }
