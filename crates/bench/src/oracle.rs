@@ -177,7 +177,7 @@ pub fn fixtures() -> Vec<OracleFixture> {
 pub fn greedy_on(fixture: &OracleFixture) -> BudgetedCoverageResult {
     let mut rc = RrCollection::new(fixture.n);
     let sets: Vec<&[u32]> = fixture.sets.iter().map(Vec::as_slice).collect();
-    rc.append_epoch(&sets, 0);
+    rc.append_epoch(&sets, 0).expect("fixture ids below n");
     let view = CoverageView::build(&rc, rc.id_range());
     let costs = NodeCosts::per_node(fixture.costs.clone().into());
     view.select(

@@ -54,21 +54,23 @@ pub fn parse_counters(json: &str) -> BTreeMap<String, u64> {
 
 /// Cache counters of a fixed grow-while-serving script: sample 2000
 /// sets, then three rounds of (repeated full-pool queries + a ranged
-/// query + two same-topic weighted queries + a 1000-set extension).
-/// Deterministic: seeded streams, sequential answering, no
-/// criterion-iteration influence.
+/// query + two same-topic weighted queries + a 1000-set extension), and
+/// the bytes those extensions' pool clones deep-copied (ROADMAP E's
+/// grower counter). Deterministic: seeded streams, sequential answering,
+/// no criterion-iteration influence.
 pub fn serving_counters() -> Vec<(&'static str, u64)> {
     let g = gen::erdos_renyi(500, 3000, 11).build(WeightModel::WeightedCascade).unwrap();
     let ctx = SamplingContext::new(&g, Model::IndependentCascade).with_seed(11);
     let mut engine = SeedQueryEngine::sample(&ctx, 2000);
     let topic = TargetWeights::synthetic_topic(&g, 0.1, 1.0, 7).expect("valid topic");
+    let mut clone_bytes = 0;
     for _ in 0..3 {
         engine.answer(&SeedQuery::top_k(20)).expect("valid query");
         engine.answer(&SeedQuery::top_k(20)).expect("valid query");
         engine.answer(&SeedQuery::top_k(10).over_range(0..1000)).expect("valid query");
         engine.answer(&topic.seed_query(10)).expect("valid query");
         engine.answer(&topic.seed_query(10)).expect("valid query");
-        engine.extend(&ctx, 1000);
+        clone_bytes += engine.extend(&ctx, 1000).bytes_cloned();
     }
     let QueryStats {
         snapshot_hits,
@@ -88,6 +90,7 @@ pub fn serving_counters() -> Vec<(&'static str, u64)> {
         ("query_engine_grow_evictions", evictions),
         ("query_engine_grow_epochs_frozen", epochs_frozen),
         ("query_engine_grow_merges", merges),
+        ("grow_clone_bytes", clone_bytes),
     ]
 }
 

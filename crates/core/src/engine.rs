@@ -276,7 +276,7 @@ pub struct QueryStats {
 }
 
 /// Default snapshot-cache budget: plenty for tens of frozen ranges on
-/// million-node pools, small next to the pool arena itself.
+/// million-node pools, small next to the pool's sets themselves.
 const DEFAULT_CACHE_BUDGET: u64 = 128 << 20;
 
 /// Drains the batch answer slots in query order. Every slot is filled by

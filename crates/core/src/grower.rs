@@ -14,13 +14,15 @@
 //!
 //! The clone-extend-publish shape is what makes the reader side
 //! lock-free: readers never observe a pool mid-mutation because the pool
-//! they pinned is immutable forever. The clone copies the set arena and
-//! its offsets; the two tiers of the sealed inverted index are shared,
-//! not copied. The growth's seal then counting-sorts only the new sets
-//! and merges them behind the small recent tier into a fresh one, or,
-//! once the recent tier would pass a quarter of the base, folds
-//! everything into a fresh base; either way the published pool's tiers
-//! stay untouched. Growth work is the `O(pool)` arena copy plus an
+//! they pinned is immutable forever. The clone copies only the pool's
+//! chunk list, epoch boundaries and edge totals — `O(epochs)`,
+//! [`GrowthOutcome::bytes_cloned`]; the set chunks and the two tiers of
+//! the sealed inverted index are shared, not copied. The growth writes
+//! its sampled sets once, into a new chunk, and its seal counting-sorts
+//! only that chunk and merges it behind the small recent tier into a
+//! fresh one, or, once the recent tier would pass a quarter of the base,
+//! folds everything into a fresh base; either way the published pool's
+//! chunks and tiers stay untouched. Growth work is the new sets plus an
 //! `O(recent + new)` merge, with the fold's whole-index copy amortized
 //! over a quarter of the pool's sets; queries stay wait-free.
 //!
@@ -58,6 +60,7 @@ pub struct GrowthOutcome {
     generation: u64,
     epoch: Option<Range<u32>>,
     pool_len: u64,
+    bytes_cloned: u64,
 }
 
 impl GrowthOutcome {
@@ -76,6 +79,16 @@ impl GrowthOutcome {
     /// Sets in the pool this call left published.
     pub fn pool_len(&self) -> u64 {
         self.pool_len
+    }
+
+    /// Bytes the call's clone of the published pool deep-copied:
+    /// [`RrCollection::clone_bytes`], the chunk list, epoch boundaries
+    /// and edge totals. The shared chunks and index tiers are not
+    /// counted, so this grows with the pool's epochs, not its sets, and
+    /// does not depend on the thread count. 0 when nothing was added (no
+    /// clone is made).
+    pub fn bytes_cloned(&self) -> u64 {
+        self.bytes_cloned
     }
 }
 
@@ -112,27 +125,71 @@ impl<'e> Grower<'e> {
     /// the next call simply retries.
     pub fn extend(&self, ctx: &SamplingContext<'_>, additional: u64) -> GrowthOutcome {
         let mut state = self.engine.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut pool: RrCollection = (**state.dir_writer.current()).clone();
+        let current = state.dir_writer.current();
+        if additional == 0 {
+            // Nothing to add — keep serving the current generation
+            // rather than cloning and publishing an identical pool.
+            let (generation, pool_len) = (self.engine.directory.generation(), current.len());
+            return GrowthOutcome {
+                generation,
+                epoch: None,
+                pool_len: pool_len as u64,
+                bytes_cloned: 0,
+            };
+        }
+        let bytes_cloned = current.clone_bytes();
+        let mut pool: RrCollection = (**current).clone();
         let threads = self.engine.threads;
         let epoch =
             pool.extend_parallel(&ctx.sampler(0), state.next_sample_index, additional, threads);
         let pool_len = pool.len() as u64;
-        let generation = match &epoch {
-            Some(epoch) => {
-                let pool = Arc::new(pool);
-                // Freeze the new epoch's snapshot *before* publishing:
-                // the first query against the grown pool finds it cached
-                // (no query-level miss), and queries pinned to older
-                // generations never see its key.
-                self.engine.freeze_epoch(&pool, epoch);
-                let generation = state.dir_writer.publish(pool);
-                state.next_sample_index += additional;
-                generation
+        let pool = Arc::new(pool);
+        // Freeze the new epoch's snapshot *before* publishing: the first
+        // query against the grown pool finds it cached (no query-level
+        // miss), and queries pinned to older generations never see its
+        // key.
+        if let Some(epoch) = &epoch {
+            self.engine.freeze_epoch(&pool, epoch);
+        }
+        let generation = state.dir_writer.publish(pool);
+        state.next_sample_index += additional;
+        GrowthOutcome { generation, epoch, pool_len, bytes_cloned }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sns_diffusion::Model;
+    use sns_graph::{gen, WeightModel};
+
+    #[test]
+    fn bytes_cloned_grow_with_epochs_not_sets_at_every_thread_count() {
+        let g = gen::erdos_renyi(300, 1800, 7).build(WeightModel::WeightedCascade).unwrap();
+        let mut first: Option<Vec<u64>> = None;
+        for threads in [1, 2, 8] {
+            let ctx = SamplingContext::new(&g, Model::IndependentCascade)
+                .with_seed(3)
+                .with_threads(threads);
+            let engine = SeedQueryEngine::sample(&ctx, 400);
+            let grower = engine.grower();
+            let mut cloned = Vec::new();
+            for additional in [100, 3000, 10, 0] {
+                let before = engine.pool().clone_bytes();
+                let outcome = grower.extend(&ctx, additional);
+                let expect = if additional == 0 { 0 } else { before };
+                assert_eq!(outcome.bytes_cloned(), expect, "{additional} sets");
+                cloned.push(outcome.bytes_cloned());
             }
-            // Nothing added — keep serving the current generation
-            // rather than publishing an identical clone.
-            None => self.engine.directory.generation(),
-        };
-        GrowthOutcome { generation, epoch, pool_len }
+            // 1, 2 and 3 epochs cloned: each adds the same bytes, whether
+            // it held 400, 100 or 3000 sets
+            let per_epoch = cloned[0];
+            assert!(per_epoch > 0);
+            assert_eq!(cloned, [per_epoch, 2 * per_epoch, 3 * per_epoch, 0]);
+            match &first {
+                None => first = Some(cloned),
+                Some(one) => assert_eq!(one, &cloned, "bytes cloned differ at {threads} threads"),
+            }
+        }
     }
 }

@@ -1,41 +1,39 @@
-//! Arena-backed RR-set pool with an epoch-sealed inverted index.
+//! Chunked RR-set pool with an epoch-sealed inverted index.
 //!
 //! # Storage layout
 //!
-//! Sets live in one flat node arena (`data`) addressed by per-set
-//! offsets, exactly like the CSR graph storage in `sns-graph`. The
-//! node→set-ids inverted index — the structure greedy Max-Coverage and
-//! every coverage query traverse — is two immutable flat CSR tiers
-//! (offsets plus 4-byte ids), a base and a recent one, each shared by
-//! `Arc` between clones ([`crate::index`]). Ids come out ascending, so
-//! range restriction is a binary search into at most two slices
-//! ([`SetIds`]).
-//!
-//! Compared to the previous `node_to_sets: Vec<Vec<u32>>` layout this
-//! removes one heap allocation + 24-byte `Vec` header per node and the
-//! power-of-two capacity slack per non-empty node (~3× overhead at
-//! billion scale), and it turns index construction into a parallel
-//! counting sort instead of per-node `push` calls.
+//! Sets live in immutable [`Chunk`]s, one per sealed epoch: a set-CSR
+//! of the epoch's nodes and set ends, exactly like the graph storage in
+//! `sns-graph` cut at the epoch boundaries. Every set lies inside one
+//! chunk, so [`RrCollection::set`] is a binary search over the
+//! boundaries and a slice. The node→set-ids inverted index — the
+//! structure greedy Max-Coverage and every coverage query traverse — is
+//! two immutable flat CSR tiers, a base and a recent one
+//! ([`crate::index`]). Ids come out ascending, so range restriction is a
+//! binary search into at most two slices ([`SetIds`]).
 //!
 //! # Growth is one sealed epoch
 //!
 //! A pool grows only through [`RrCollection::extend_parallel`] (sampled
-//! sets) and [`RrCollection::append_epoch`] (given sets), and each call
-//! appends its sets to the arena and seals them as **one epoch** before
-//! it returns, so no reader ever sees an unindexed set. A seal
-//! counting-sorts only the new sets and merges them behind the recent
-//! tier into a fresh recent tier — `O(recent + new entries + n)` — until
-//! the recent tier would pass a quarter of the base, when it folds
-//! everything into a fresh base instead. SSA/D-SSA grow the pool only at
-//! their doubling checkpoints (`Λ·2^(t−1)` sets at iteration `t`), so
-//! each iteration costs exactly one seal, and each of those seals folds:
-//! their pools keep one CSR. [`RrCollection::seal_entries_sorted`] and
-//! [`RrCollection::seal_entries_merged`] count the seals' work.
+//! sets) and [`RrCollection::append_epoch`] (given sets). Each call
+//! writes its sets once, into a new exact-size chunk — one sampling
+//! worker's buffers move in, several workers' batches are concatenated
+//! — and seals it as **one epoch** before it returns, so no reader ever
+//! sees an unindexed set. A seal counting-sorts only the new chunk and
+//! merges it behind the recent tier into a fresh recent tier —
+//! `O(recent + new entries + n)` — until the recent tier would pass a
+//! quarter of the base, when it folds everything into a fresh base.
+//! SSA/D-SSA grow the pool only at their doubling checkpoints, so each
+//! iteration costs exactly one seal, which folds: their pools keep one
+//! CSR.
 //!
-//! Cloning a pool copies the arena and its offsets; the index tiers are
-//! shared, and growing the clone builds a fresh tier instead of writing
-//! to a shared one, so a published pool never changes through its
-//! clones.
+//! Chunks and index tiers are shared by `Arc` and never written again,
+//! so a clone copies only the chunk list, the epoch boundaries and the
+//! edge totals ([`RrCollection::clone_bytes`], `O(epochs)`), and growing
+//! a clone leaves the pool it came from untouched. Chunks are
+//! exact-size, so [`RrCollection::memory_bytes`], which counts
+//! capacities, does not depend on the thread count or on how a growth
+//! was split between workers.
 //!
 //! # Determinism
 //!
@@ -48,30 +46,29 @@
 //! produces the same arrays for every worker count.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use sns_diffusion::RrSampler;
-use sns_graph::NodeId;
+use sns_graph::{GraphError, NodeId};
 
-use crate::index::{SealedIndex, SetIds};
+use crate::chunk::Chunk;
+use crate::index::{CsrOffsets, SealedIndex, SetIds};
 
 /// A growing pool of RR sets (see the module docs for the layout).
 #[derive(Debug, Clone)]
 pub struct RrCollection {
     n: u32,
-    /// Flattened node lists of all sets.
-    data: Vec<NodeId>,
-    /// `offsets[i]..offsets[i+1]` spans set `i` in `data`.
-    offsets: Vec<u64>,
-    /// Sealed inverted node→set-ids index.
+    /// One chunk per sealed epoch, in epoch order.
+    chunks: Vec<Arc<Chunk>>,
+    /// Sealed inverted node→set-ids index; it also keeps the epoch
+    /// boundaries.
     index: SealedIndex,
     /// Total in-edges examined while sampling all pooled sets.
     total_edges_examined: u64,
     /// Cumulative `total_edges_examined` frozen at each sealed epoch
-    /// boundary, parallel to [`RrCollection::epoch_boundaries`]. A seal
-    /// always reaches the end of the arena, so the entry for a boundary is
-    /// the pool total at the moment that seal ran. The store serializes
-    /// per-epoch deltas of this so a recovered prefix restores the exact
-    /// sampling-cost accounting of its sets.
+    /// boundary, parallel to [`RrCollection::epoch_boundaries`]. The
+    /// store serializes per-epoch deltas of this so a recovered prefix
+    /// restores the exact sampling-cost accounting of its sets.
     epoch_edges: Vec<u64>,
 }
 
@@ -80,8 +77,7 @@ impl RrCollection {
     pub fn new(n: u32) -> Self {
         RrCollection {
             n,
-            data: Vec::new(),
-            offsets: vec![0],
+            chunks: Vec::new(),
             index: SealedIndex::new(n),
             total_edges_examined: 0,
             epoch_edges: Vec::new(),
@@ -95,7 +91,7 @@ impl RrCollection {
 
     /// Number of pooled RR sets.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.index.indexed_sets() as usize
     }
 
     /// Whether the pool is empty.
@@ -104,15 +100,14 @@ impl RrCollection {
     }
 
     /// The whole pool as a set-id range (`0..len`), for the range-taking
-    /// coverage and snapshot APIs. Set ids are `u32` by representation,
-    /// so the narrowing is sanctioned ([`crate::narrow::set_count`]).
+    /// coverage and snapshot APIs.
     pub fn id_range(&self) -> Range<u32> {
-        0..crate::narrow::set_count(self.len())
+        0..self.index.indexed_sets()
     }
 
     /// Total number of node entries across all sets.
     pub fn total_nodes(&self) -> u64 {
-        self.data.len() as u64
+        self.chunks.iter().map(|c| c.data.len() as u64).sum()
     }
 
     /// Total in-edges examined while sampling (the RIS cost measure).
@@ -150,16 +145,32 @@ impl RrCollection {
 
     /// The nodes of set `id` (root first).
     pub fn set(&self, id: usize) -> &[NodeId] {
-        let (s, e) = (self.offsets[id] as usize, self.offsets[id + 1] as usize);
-        &self.data[s..e]
+        let bounds = self.index.epoch_bounds();
+        let e = bounds.partition_point(|&b| b as usize <= id);
+        let start = if e == 0 { 0 } else { bounds[e - 1] as usize };
+        self.chunks[e].set(id - start)
     }
 
-    /// The raw set arena (`data`, `offsets`) — set `i` spans
-    /// `data[offsets[i]..offsets[i + 1]]`. Used by [`crate::CoverageView`]
-    /// to materialize its range-restricted forward CSR in one `memcpy`
-    /// instead of `len` [`RrCollection::set`] calls.
-    pub(crate) fn arena(&self) -> (&[NodeId], &[u64]) {
-        (&self.data, &self.offsets)
+    /// The chunks, one per sealed epoch, in epoch order.
+    pub(crate) fn chunks(&self) -> &[Arc<Chunk>] {
+        &self.chunks
+    }
+
+    /// The chunks a non-empty id `range` touches, each with the local
+    /// set range the ids cover: ascending, and together exactly `range`.
+    pub(crate) fn chunk_spans(
+        &self,
+        range: Range<u32>,
+    ) -> impl Iterator<Item = (&Chunk, Range<usize>)> + '_ {
+        let bounds = self.index.epoch_bounds();
+        let first = bounds.partition_point(|&b| b <= range.start);
+        (first..bounds.len()).map_while(move |e| {
+            let lo = if e == 0 { 0 } else { bounds[e - 1] };
+            (range.start < range.end && lo < range.end).then(|| {
+                let local = range.start.max(lo) - lo..range.end.min(bounds[e]) - lo;
+                (&*self.chunks[e], local.start as usize..local.end as usize)
+            })
+        })
     }
 
     /// Ids of the sets containing `v`, ascending.
@@ -214,36 +225,34 @@ impl RrCollection {
             return None;
         }
         let workers = if count < 128 { 1 } else { threads.clamp(1, count as usize) };
-        let chunk = count.div_ceil(workers as u64);
-        // Worker `w` fills a private mini-arena with its contiguous index
-        // range; merging in worker order makes the pool layout identical
-        // for every worker count.
-        let sample_chunk = |w: u64| {
-            let end = (from_index + (w + 1) * chunk).min(from_index + count);
+        let per_worker = count.div_ceil(workers as u64);
+        // Worker `w` samples its contiguous index range into a private
+        // batch; concatenating the batches in worker order makes the
+        // chunk identical for every worker count.
+        let sample_batch = |w: u64| {
+            let end = (from_index + (w + 1) * per_worker).min(from_index + count);
             let mut local = sampler.clone();
-            let (mut data, mut ends, mut edges) = (Vec::new(), Vec::new(), 0u64);
+            let (mut data, mut ends, mut edges) = (Vec::new(), vec![0u64], 0u64);
             let mut rr = Vec::new();
-            for i in from_index + w * chunk..end {
+            for i in from_index + w * per_worker..end {
                 edges += local.sample(i, &mut rr).edges_examined;
                 data.extend_from_slice(&rr);
                 ends.push(data.len() as u64);
             }
-            (data, ends, edges)
+            (data, CsrOffsets::Wide(ends), edges)
         };
-        let batches: Vec<(Vec<NodeId>, Vec<u64>, u64)> = if workers == 1 {
-            vec![sample_chunk(0)]
+        let batches: Vec<(Vec<NodeId>, CsrOffsets, u64)> = if workers == 1 {
+            vec![sample_batch(0)]
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> =
-                    (0..workers as u64).map(|w| scope.spawn(move || sample_chunk(w))).collect();
+                    (0..workers as u64).map(|w| scope.spawn(move || sample_batch(w))).collect();
                 handles.into_iter().map(|h| h.join().expect("rr worker panicked")).collect()
             })
         };
-        for (data, ends, edges) in batches {
-            self.append_sets(&data, &ends);
-            self.total_edges_examined += edges;
-        }
-        Some(self.seal(threads))
+        let edges = batches.iter().map(|b| b.2).sum();
+        let chunk = Chunk::from_batches(batches.into_iter().map(|(d, e, _)| (d, e)).collect());
+        Some(self.seal(chunk, edges, threads))
     }
 
     /// Appends the given `sets` in order and seals them as one new epoch,
@@ -251,34 +260,30 @@ impl RrCollection {
     /// `edges_examined` is the sampling cost of the whole batch. This is
     /// how pools are built from sets that were not sampled by an
     /// [`RrSampler`] stream — fixtures, oracles, hand-made examples.
-    pub fn append_epoch(&mut self, sets: &[&[NodeId]], edges_examined: u64) -> Option<Range<u32>> {
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::NodeOutOfRange`] if a set names a node id
+    /// `>= num_nodes()`; the pool is then left unchanged.
+    pub fn append_epoch(
+        &mut self,
+        sets: &[&[NodeId]],
+        edges_examined: u64,
+    ) -> Result<Option<Range<u32>>, GraphError> {
         if sets.is_empty() {
-            return None;
+            return Ok(None);
         }
-        for rr in sets {
-            self.append_arena(rr);
-        }
-        self.total_edges_examined += edges_examined;
-        Some(self.seal(1))
+        let chunk = Chunk::from_sets(sets, self.n)?;
+        Ok(Some(self.seal(chunk, edges_examined, 1)))
     }
 
-    /// Restores one sealed epoch from its serialized form: appends the
-    /// epoch's arena slice verbatim (`set_ends` are the per-set end
-    /// offsets rebased to the epoch start, leading 0 implicit), accounts
-    /// its sampling cost, and seals it — one seal, so exactly the saved
-    /// epoch boundary is recorded. `set_ends` must be non-empty.
-    pub(crate) fn restore_sealed_epoch(
-        &mut self,
-        data: &[NodeId],
-        set_ends: &[u64],
-        edges_delta: u64,
-        threads: usize,
-    ) {
-        let base = self.data.len() as u64;
-        self.data.extend_from_slice(data);
-        self.offsets.extend(set_ends.iter().map(|&e| base + e));
-        self.total_edges_examined += edges_delta;
-        let _ = self.seal(threads);
+    /// Restores one sealed epoch from its verified serialized form: the
+    /// decoded chunk moves in as is, its sampling cost is accounted, and
+    /// it is sealed — one seal, so exactly the saved epoch boundary is
+    /// recorded. The chunk must hold at least one set, each node below
+    /// `num_nodes()`.
+    pub(crate) fn restore_sealed_epoch(&mut self, chunk: Chunk, edges_delta: u64, threads: usize) {
+        let _ = self.seal(chunk, edges_delta, threads);
     }
 
     /// No-op: every growth already seals its sets. Kept only because the
@@ -287,56 +292,35 @@ impl RrCollection {
     #[doc(hidden)]
     pub fn seal_parallel(&mut self, _threads: usize) {}
 
-    /// Copies one set into the arena. Every growth path funnels through
-    /// here (or its batched form [`RrCollection::append_sets`]) and then
-    /// through [`RrCollection::seal`].
-    #[inline]
-    fn append_arena(&mut self, rr: &[NodeId]) {
-        debug_assert!(self.len() < u32::MAX as usize, "set-id space exhausted");
-        self.data.extend_from_slice(rr);
-        self.offsets.push(self.data.len() as u64);
-    }
-
-    /// [`RrCollection::append_arena`] for a batch of sets laid out back to
-    /// back in `data`, set `i` ending at `ends[i]` (relative to `data`'s
-    /// start): one bulk copy plus the ends rebased by the arena length.
-    /// Both arrays first grow to exactly the capacity one `append_arena`
-    /// per set would leave, so [`RrCollection::memory_bytes`] does not
-    /// depend on how a growth was cut into batches.
-    fn append_sets(&mut self, data: &[NodeId], ends: &[u64]) {
-        debug_assert!(self.len() + ends.len() <= u32::MAX as usize, "set-id space exhausted");
-        let (base, sets) = (self.data.len(), self.offsets.len());
-        let (mut data_cap, mut offsets_cap) = (self.data.capacity(), self.offsets.capacity());
-        for (i, &end) in ends.iter().enumerate() {
-            data_cap = amortized_capacity(data_cap, base + end as usize);
-            offsets_cap = amortized_capacity(offsets_cap, sets + i + 1);
-        }
-        self.data.reserve_exact(data_cap - base);
-        self.offsets.reserve_exact(offsets_cap - sets);
-        self.data.extend_from_slice(data);
-        self.offsets.extend(ends.iter().map(|&e| base as u64 + e));
-    }
-
-    /// Seals the sets appended since the previous seal as one epoch: the
-    /// one place the index and the epoch boundaries change. Indexes them
-    /// into a fresh index tier (a counting sort over `threads` workers,
-    /// bit-identical for every value), records the pool end as the new
-    /// boundary with its cumulative edge total, and returns the epoch's
-    /// id range. Callers append at least one set first.
-    fn seal(&mut self, threads: usize) -> Range<u32> {
+    /// Seals `chunk` as the next epoch: the one place the chunks, the
+    /// index and the epoch boundaries change. Indexes its sets into a
+    /// fresh index tier (a counting sort over `threads` workers,
+    /// bit-identical for every value), appends the chunk, records the
+    /// pool end as the new boundary with its cumulative edge total, and
+    /// returns the epoch's id range. The chunk holds at least one set.
+    fn seal(&mut self, chunk: Chunk, edges_examined: u64, threads: usize) -> Range<u32> {
+        debug_assert!(self.len() + chunk.len() <= u32::MAX as usize, "set-id space exhausted");
         let first = self.index.indexed_sets();
-        self.index.seal(&self.data, &self.offsets, threads);
+        self.index.seal(&chunk, threads);
+        self.chunks.push(Arc::new(chunk));
+        self.total_edges_examined += edges_examined;
         self.epoch_edges.push(self.total_edges_examined);
-        first..crate::narrow::set_count(self.len())
+        first..self.index.indexed_sets()
     }
 
     /// Test-only drift hooks for the save-time metadata guard: desync the
-    /// arena offsets / the per-epoch edge totals / the sealed frontier the
-    /// way a bookkeeping bug would, so tests can prove the guard turns the
-    /// mismatch into a typed error instead of serializing garbage.
+    /// last chunk's set ends / the per-epoch edge totals / the sealed
+    /// chunk list the way a bookkeeping bug would, so tests can prove the
+    /// guard turns the mismatch into a typed error instead of serializing
+    /// garbage.
     #[cfg(test)]
     pub(crate) fn corrupt_last_offset_for_test(&mut self) {
-        *self.offsets.last_mut().expect("offsets non-empty") += 1;
+        let chunk = self.chunks.last_mut().expect("a sealed chunk");
+        let chunk = Arc::get_mut(chunk).expect("an unshared chunk");
+        match &mut chunk.ends {
+            CsrOffsets::Narrow(o) => *o.last_mut().expect("ends non-empty") += 1,
+            CsrOffsets::Wide(o) => *o.last_mut().expect("ends non-empty") += 1,
+        }
     }
 
     /// See [`RrCollection::corrupt_last_offset_for_test`].
@@ -345,11 +329,13 @@ impl RrCollection {
         self.epoch_edges.pop();
     }
 
-    /// See [`RrCollection::corrupt_last_offset_for_test`]: appends one
-    /// set without sealing it, leaving the pool with an unsealed tail.
+    /// See [`RrCollection::corrupt_last_offset_for_test`]: appends a
+    /// chunk of one set without sealing it, leaving the pool with an
+    /// unsealed tail.
     #[cfg(test)]
     pub(crate) fn append_unsealed_for_test(&mut self, rr: &[NodeId]) {
-        self.append_arena(rr);
+        let chunk = Chunk::from_sets(&[rr], self.n).expect("ids in the universe");
+        self.chunks.push(Arc::new(chunk));
     }
 
     /// Number of sets in `range` covered by `seeds` (`Cov_R(S)` of the
@@ -387,14 +373,26 @@ impl RrCollection {
         self.coverage_of_range(seeds, self.id_range(), &mut scratch)
     }
 
-    /// Exact byte footprint of the pool (arena + offsets + both tiers of
-    /// the sealed inverted index, counting capacities). This is the
-    /// quantity the memory experiments (Figs. 6–7) report.
+    /// Bytes a clone of this pool deep-copies: its chunk list, epoch
+    /// boundaries and per-epoch edge totals. The chunks and the index
+    /// tiers are shared, so this grows with the epochs, not the sets.
+    pub fn clone_bytes(&self) -> u64 {
+        use std::mem::size_of_val;
+        let bounds = self.epoch_boundaries();
+        (size_of_val(&self.chunks[..]) + size_of_val(bounds) + size_of_val(&self.epoch_edges[..]))
+            as u64
+    }
+
+    /// Exact byte footprint of the pool (the chunks, the chunk list, the
+    /// edge totals and both tiers of the sealed inverted index, counting
+    /// capacities). This is the quantity the memory experiments
+    /// (Figs. 6–7) report.
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let arena = self.data.capacity() * size_of::<NodeId>();
-        let offsets = (self.offsets.capacity() + self.epoch_edges.capacity()) * size_of::<u64>();
-        (arena + offsets) as u64 + self.index.memory_bytes()
+        let chunks: u64 = self.chunks.iter().map(|c| c.memory_bytes()).sum();
+        let lists = self.chunks.capacity() * size_of::<Arc<Chunk>>()
+            + self.epoch_edges.capacity() * size_of::<u64>();
+        chunks + lists as u64 + self.index.memory_bytes()
     }
 
     /// Byte footprint of the inverted index alone (both tiers, counting
@@ -405,29 +403,30 @@ impl RrCollection {
     }
 }
 
-/// The capacity a `Vec` of capacity `cap` has once `push` or
-/// `extend_from_slice` made it hold `len` elements: std's amortized
-/// growth, which doubles (at least to 4 elements for 4- and 8-byte items)
-/// or grows to `len` when that is more.
-fn amortized_capacity(cap: usize, len: usize) -> usize {
-    if len <= cap {
-        cap
-    } else {
-        len.max(2 * cap).max(4)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{max_coverage_naive, max_coverage_with, CoverageView, GainSnapshot, GreedyScratch};
     use sns_diffusion::{Model, RrSampler};
     use sns_graph::WeightModel;
 
     /// A pool holding `sets` as one epoch, one examined edge per set.
     fn pool(n: u32, sets: &[&[NodeId]]) -> RrCollection {
         let mut rc = RrCollection::new(n);
-        rc.append_epoch(sets, sets.len() as u64);
+        rc.append_epoch(sets, sets.len() as u64).expect("ids below n");
         rc
+    }
+
+    /// The nodes of every chunk back to back, and every set's end in
+    /// them: the flat arena the chunks cut at the epoch boundaries.
+    fn flat(rc: &RrCollection) -> (Vec<NodeId>, Vec<u64>) {
+        let (mut data, mut ends) = (Vec::new(), vec![0u64]);
+        for chunk in rc.chunks() {
+            let base = data.len() as u64;
+            ends.extend(chunk.ends.iter().skip(1).map(|e| base + e));
+            data.extend_from_slice(&chunk.data);
+        }
+        (data, ends)
     }
 
     #[test]
@@ -440,6 +439,30 @@ mod tests {
         assert_eq!(rc.sets_containing(1).to_vec(), [0, 1, 2]);
         assert!(rc.sets_containing(4).is_empty());
         assert_eq!(rc.total_edges_examined(), 3);
+    }
+
+    #[test]
+    fn append_epoch_rejects_a_node_equal_to_n() {
+        // Node 3 in a 3-node pool would fall outside the index: its set
+        // would sit under no node and its coverage would be lost.
+        let mut rc = RrCollection::new(3);
+        let err = rc.append_epoch(&[&[0, 1], &[3]], 0).unwrap_err();
+        assert!(matches!(err, GraphError::NodeOutOfRange { node: 3, num_nodes: 3 }), "{err}");
+        assert_eq!((rc.len(), rc.compactions(), rc.total_nodes()), (0, 0, 0), "nothing appended");
+        assert_eq!(rc.append_epoch(&[&[0, 1], &[2]], 0).unwrap(), Some(0..2));
+        assert_eq!(rc.sets_containing(2).to_vec(), [1]);
+    }
+
+    #[test]
+    fn append_epoch_rejects_a_node_above_n() {
+        // An id past n would index past the seal's histogram.
+        let mut rc = pool(3, &[&[0, 1]]);
+        let before = (rc.len(), rc.compactions(), rc.total_edges_examined(), rc.memory_bytes());
+        let err = rc.append_epoch(&[&[2], &[1, 7, 0]], 5).unwrap_err();
+        assert!(matches!(err, GraphError::NodeOutOfRange { node: 7, num_nodes: 3 }), "{err}");
+        let after = (rc.len(), rc.compactions(), rc.total_edges_examined(), rc.memory_bytes());
+        assert_eq!(after, before, "a rejected epoch leaves the pool unchanged");
+        assert_eq!(rc.epoch_edge_totals(), &[1]);
     }
 
     #[test]
@@ -465,7 +488,7 @@ mod tests {
     #[test]
     fn queries_agree_across_seal_boundaries() {
         let mut rc = pool(3, &[&[0], &[0, 1]]);
-        assert_eq!(rc.append_epoch(&[&[1], &[0, 2]], 2), Some(2..4));
+        assert_eq!(rc.append_epoch(&[&[1], &[0, 2]], 2).unwrap(), Some(2..4));
         assert_eq!(rc.epoch_boundaries(), &[2, 4]);
         assert_eq!(rc.sets_containing(0).to_vec(), [0, 1, 3]);
         assert_eq!(rc.sets_containing_in(0, 1..4).to_vec(), [1, 3]);
@@ -473,6 +496,8 @@ mod tests {
         let mut scratch = Vec::new();
         assert_eq!(rc.coverage_of_range(&[0], 2..4, &mut scratch), 1);
         assert_eq!(rc.coverage_of(&[1]), 2);
+        let sets: Vec<&[NodeId]> = (0..4).map(|id| rc.set(id)).collect();
+        assert_eq!(sets, [&[0][..], &[0, 1], &[1], &[0, 2]], "set ids resolve across chunks");
     }
 
     #[test]
@@ -486,8 +511,7 @@ mod tests {
             let mut par = RrCollection::new(300);
             assert_eq!(par.extend_parallel(&sampler, 0, 1000, 8), Some(0..1000));
             assert_eq!(seq.len(), par.len());
-            assert_eq!(seq.data, par.data);
-            assert_eq!(seq.offsets, par.offsets);
+            assert_eq!(seq.chunks, par.chunks);
             assert_eq!(seq.index, par.index, "sealed indexes must match bit-for-bit");
             assert_eq!(seq.total_edges_examined, par.total_edges_examined);
             assert_eq!(seq.epoch_edges, par.epoch_edges);
@@ -500,9 +524,14 @@ mod tests {
         let empty = rc.memory_bytes();
         let sets: Vec<[NodeId; 2]> = (0..100u32).map(|i| [i % 4, (i + 1) % 4]).collect();
         let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
-        rc.append_epoch(&refs, 0);
+        rc.append_epoch(&refs, 0).unwrap();
         assert!(rc.memory_bytes() > empty);
         assert!(rc.index_memory_bytes() > 0);
+        // an exact-size chunk: 200 nodes and 101 narrow ends, plus the
+        // chunk list and the edge totals, plus the index
+        let lists = std::mem::size_of::<Arc<Chunk>>() * rc.chunks.capacity()
+            + 8 * rc.epoch_edges.capacity();
+        assert_eq!(rc.memory_bytes(), 4 * 200 + 4 * 101 + lists as u64 + rc.index_memory_bytes());
     }
 
     #[test]
@@ -511,7 +540,7 @@ mod tests {
         assert_eq!(rc.index_memory_bytes(), 0, "an empty pool indexes nothing");
         let sets: Vec<[NodeId; 2]> = (0..2000u32).map(|i| [i % 4, (i + 1) % 4]).collect();
         let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
-        rc.append_epoch(&refs, 0);
+        rc.append_epoch(&refs, 0).unwrap();
         // the sealed index sits exactly at the flat-CSR floor: one u32
         // offset per node (plus one) and one u32 id per entry
         assert_eq!(rc.index_memory_bytes(), 4 * (4 + 1) + 4 * rc.total_nodes());
@@ -522,20 +551,21 @@ mod tests {
     fn epoch_boundaries_are_append_only_and_tile_the_sealed_prefix() {
         let mut rc = RrCollection::new(4);
         assert!(rc.epoch_boundaries().is_empty());
-        assert_eq!(rc.append_epoch(&[&[0, 1], &[1, 2]], 2), Some(0..2));
+        assert_eq!(rc.append_epoch(&[&[0, 1], &[1, 2]], 2).unwrap(), Some(0..2));
         assert_eq!(rc.epoch_boundaries(), &[2]);
         assert_eq!(rc.epochs().collect::<Vec<_>>(), vec![0..2]);
         // an empty growth is a no-op: no rebuild, no epoch
         let compactions = rc.compactions();
-        assert_eq!(rc.append_epoch(&[], 0), None);
+        assert_eq!(rc.append_epoch(&[], 0).unwrap(), None);
         assert_eq!(rc.compactions(), compactions);
         assert_eq!(rc.epoch_boundaries(), &[2]);
         // a growth freezes exactly one new epoch; old bounds move
         // nowhere (the append-only contract per-epoch snapshots rely on)
-        assert_eq!(rc.append_epoch(&[&[2, 3], &[3]], 2), Some(2..4));
+        assert_eq!(rc.append_epoch(&[&[2, 3], &[3]], 2).unwrap(), Some(2..4));
         assert_eq!(rc.epoch_boundaries(), &[2, 4]);
         assert_eq!(rc.epochs().collect::<Vec<_>>(), vec![0..2, 2..4]);
         assert_eq!(rc.epoch_edge_totals(), &[2, 4]);
+        assert_eq!(rc.chunks().len(), 2, "one chunk per epoch");
     }
 
     #[test]
@@ -585,6 +615,7 @@ mod tests {
             (0..16).map(|v| rc.sets_containing(v).to_vec()).collect()
         };
         let (source_answers, source_bytes) = (answers(&source), source.memory_bytes());
+        let source_flat = flat(&source);
         let more: Vec<[NodeId; 1]> = (0..800u32).map(|i| [(i * 5) % 16]).collect();
         let more: Vec<&[NodeId]> = more.iter().map(|s| s.as_slice()).collect();
         let expect = |upto: u32| -> Vec<Vec<u32>> {
@@ -596,13 +627,18 @@ mod tests {
                 })
                 .collect()
         };
+        let shares_chunks = |a: &RrCollection, b: &RrCollection| {
+            a.chunks.iter().zip(&b.chunks).all(|(x, y)| Arc::ptr_eq(x, y))
+        };
 
         // 500 new sets stay below a quarter of the 3000-set base: the
         // growth builds a recent tier and keeps sharing the base.
         let mut grown = source.clone();
         assert_eq!(grown.index.shares_tiers(&source.index), [true, true], "a clone shares both");
-        assert_eq!(grown.append_epoch(&more[..500], 0), Some(3000..3500));
+        assert_eq!(grown.append_epoch(&more[..500], 0).unwrap(), Some(3000..3500));
         assert_eq!(grown.index.shares_tiers(&source.index), [true, false]);
+        assert!(shares_chunks(&grown, &source), "the growth adds a chunk, the old one is shared");
+        assert_eq!((grown.chunks.len(), source.chunks.len()), (2, 1));
         assert_eq!(grown.seal_entries_merged() - source.seal_entries_merged(), 500);
         let (grown_answers, grown_bytes) = (answers(&grown), grown.memory_bytes());
         assert_eq!(grown_answers, expect(500));
@@ -610,8 +646,9 @@ mod tests {
         // 300 more make the recent tier 800 sets, past 3000 / 4: the
         // growth folds everything into a fresh base.
         let mut folded = grown.clone();
-        assert_eq!(folded.append_epoch(&more[500..], 0), Some(3500..3800));
+        assert_eq!(folded.append_epoch(&more[500..], 0).unwrap(), Some(3500..3800));
         assert_eq!(folded.index.shares_tiers(&grown.index), [false, false]);
+        assert!(shares_chunks(&folded, &grown) && shares_chunks(&folded, &source));
         assert_eq!(folded.index.recent_first(), 3800);
         assert_eq!(folded.seal_entries_merged() - grown.seal_entries_merged(), 6800);
         assert_eq!(answers(&folded), expect(800));
@@ -624,6 +661,24 @@ mod tests {
             assert_eq!(rc.epoch_boundaries(), epochs);
             assert_eq!(&answers(rc), answers_then);
         }
+        assert_eq!(flat(&source), source_flat, "the shared chunk is unchanged");
+    }
+
+    #[test]
+    fn a_clone_copies_bytes_per_epoch_not_per_set() {
+        let mut small = RrCollection::new(4);
+        let mut large = RrCollection::new(4);
+        for epoch in 0..3u32 {
+            let sets: Vec<[NodeId; 2]> = (0..10 + 1000 * epoch).map(|i| [i % 4, 1]).collect();
+            let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
+            small.append_epoch(&refs[..1], 1).unwrap();
+            large.append_epoch(&refs, 1).unwrap();
+        }
+        let per_epoch = (std::mem::size_of::<Arc<Chunk>>() + 4 + 8) as u64;
+        assert_eq!(small.clone_bytes(), 3 * per_epoch);
+        assert_eq!(large.clone_bytes(), 3 * per_epoch, "sets do not add clone bytes");
+        small.append_epoch(&[&[0]], 1).unwrap();
+        assert_eq!(small.clone_bytes(), 4 * per_epoch, "each epoch adds its entries");
     }
 
     proptest::proptest! {
@@ -632,8 +687,11 @@ mod tests {
         /// No reader sees a tail: after every `extend_parallel` call, zero
         /// counts included, the last boundary is the pool end and exactly
         /// one boundary was added per non-empty call. However the growth
-        /// is cut and at whatever thread count, the arena, the index and
-        /// the edge total equal one `extend_parallel` of the same total.
+        /// is cut and at whatever thread count, the chunks concatenate to
+        /// the nodes and set ends of one `extend_parallel` of the same
+        /// total, and the index answers and the edge total match it; at
+        /// one schedule, chunks, index and memory do not depend on the
+        /// thread count.
         #[test]
         fn every_growth_is_one_sealed_epoch(
             steps in proptest::collection::vec((0u32..4, 1u64..400), 1..6),
@@ -651,14 +709,14 @@ mod tests {
                 steps.iter().map(|&(die, c)| if die == 0 { 0 } else { c }).collect();
             let mut once = RrCollection::new(60);
             once.extend_parallel(&sampler, 0, counts.iter().sum(), 1);
-            // The batched append leaves the capacities one append per set
-            // leaves, so the byte footprint matches too.
+            // Exact-size chunks: a sampled epoch takes the bytes the
+            // same sets appended by hand take.
             if !once.is_empty() {
                 let sets: Vec<&[NodeId]> = (0..once.len()).map(|id| once.set(id)).collect();
                 let mut per_set = RrCollection::new(60);
-                per_set.append_epoch(&sets, once.total_edges_examined);
-                proptest::prop_assert_eq!(per_set.data.capacity(), once.data.capacity());
-                proptest::prop_assert_eq!(per_set.offsets.capacity(), once.offsets.capacity());
+                per_set.append_epoch(&sets, once.total_edges_examined).unwrap();
+                proptest::prop_assert_eq!(&per_set.chunks, &once.chunks);
+                proptest::prop_assert_eq!(per_set.chunks[0].data.capacity(), once.total_nodes() as usize);
                 proptest::prop_assert_eq!(per_set.memory_bytes(), once.memory_bytes());
             }
             let mut first: Option<RrCollection> = None;
@@ -675,13 +733,13 @@ mod tests {
                         rc.epoch_boundaries().len(),
                         before + usize::from(count > 0)
                     );
+                    proptest::prop_assert_eq!(rc.chunks.len(), rc.epoch_boundaries().len());
                     let end = rc.epoch_boundaries().last().map_or(0, |&b| b as usize);
                     proptest::prop_assert_eq!(end, rc.len());
                     let edges = rc.epoch_edge_totals().last().copied().unwrap_or(0);
                     proptest::prop_assert_eq!(edges, rc.total_edges_examined());
                 }
-                proptest::prop_assert_eq!(&rc.data, &once.data);
-                proptest::prop_assert_eq!(&rc.offsets, &once.offsets);
+                proptest::prop_assert_eq!(flat(&rc), flat(&once));
                 proptest::prop_assert_eq!(rc.total_edges_examined, once.total_edges_examined);
                 // One tier in `once`; a second (an offset per node plus
                 // one) in `rc` while its recent tier holds sets.
@@ -697,10 +755,101 @@ mod tests {
                 match &first {
                     None => first = Some(rc),
                     Some(one) => {
+                        proptest::prop_assert_eq!(&rc.chunks, &one.chunks);
                         proptest::prop_assert_eq!(&rc.index, &one.index);
                         proptest::prop_assert_eq!(&rc.epoch_edges, &one.epoch_edges);
                         proptest::prop_assert_eq!(rc.memory_bytes(), one.memory_bytes());
                     }
+                }
+            }
+        }
+
+        /// Over random schedules mixing `append_epoch` and
+        /// `extend_parallel` (zero counts included) at 1, 2 and 8
+        /// threads, set lookups and coverage views resolve the right
+        /// chunk: `set(id)` and the `members(slot)` of fresh, frozen and
+        /// merged-snapshot views equal a flat reference arena, over
+        /// ranges that straddle chunk boundaries and empty ones, and
+        /// greedy selection on those views equals the rescan oracle.
+        #[test]
+        fn chunk_resolution_matches_a_flat_arena(
+            steps in proptest::collection::vec((0u32..3, 0u64..300), 1..7),
+            cuts in proptest::collection::vec((0u32..1000, 0u32..1000), 3),
+        ) {
+            const N: u32 = 40;
+            let g = sns_graph::gen::erdos_renyi(N, 240, 4)
+                .build(WeightModel::WeightedCascade)
+                .unwrap();
+            let sampler = RrSampler::with_config(
+                &g,
+                Model::IndependentCascade,
+                sns_diffusion::RootDist::Uniform,
+                3,
+            );
+            for threads in [1, 2, 8] {
+                let mut rc = RrCollection::new(N);
+                let mut reference: Vec<Vec<NodeId>> = Vec::new();
+                let mut from = 0u64;
+                for &(kind, count) in &steps {
+                    if kind == 0 {
+                        // hand-built sets, some of them empty
+                        let sets: Vec<Vec<NodeId>> = (0..count % 40)
+                            .map(|i| (0..(i % 4) as u32).map(|j| (i as u32 * 7 + j) % N).collect())
+                            .collect();
+                        let refs: Vec<&[NodeId]> = sets.iter().map(Vec::as_slice).collect();
+                        rc.append_epoch(&refs, 0).unwrap();
+                        reference.extend(sets);
+                    } else {
+                        rc.extend_parallel(&sampler, from, count, threads);
+                        let mut stream = sampler.clone();
+                        reference.extend((from..from + count).map(|i| {
+                            let mut rr = Vec::new();
+                            stream.sample(i, &mut rr);
+                            rr
+                        }));
+                        from += count;
+                    }
+                }
+                let len = rc.len() as u32;
+                proptest::prop_assert_eq!(reference.len(), rc.len());
+                for (id, set) in reference.iter().enumerate() {
+                    proptest::prop_assert_eq!(rc.set(id), set.as_slice());
+                }
+                let bounds = rc.epoch_boundaries().to_vec();
+                let mut ranges = vec![0..len, len..len, 0..0];
+                for &b in &bounds {
+                    ranges.push(b.saturating_sub(1)..(b + 1).min(len));
+                    ranges.push(b..b);
+                }
+                ranges.extend(cuts.iter().map(|&(a, b)| {
+                    let (a, b) = (a % (len + 1), b % (len + 1));
+                    a.min(b)..a.max(b)
+                }));
+                let mut scratch = GreedyScratch::new();
+                for range in ranges {
+                    let view = CoverageView::build(&rc, range.clone());
+                    let snapshot = GainSnapshot::build(&view);
+                    let frozen = snapshot.view(&rc);
+                    // a merge of per-epoch snapshots of the range
+                    let mut parts = Vec::new();
+                    let mut lo = range.start;
+                    for &b in bounds.iter().filter(|&&b| b > range.start && b < range.end) {
+                        parts.push(GainSnapshot::build(&CoverageView::build(&rc, lo..b)));
+                        lo = b;
+                    }
+                    parts.push(GainSnapshot::build(&CoverageView::build(&rc, lo..range.end)));
+                    let merged = GainSnapshot::merge(&parts.iter().collect::<Vec<_>>());
+                    proptest::prop_assert_eq!(&merged, &snapshot);
+                    let merged_view = merged.view(&rc);
+                    for slot in 0..view.len() {
+                        let want = reference[range.start as usize + slot].as_slice();
+                        proptest::prop_assert_eq!(view.members(slot), want);
+                        proptest::prop_assert_eq!(frozen.members(slot), want);
+                        proptest::prop_assert_eq!(merged_view.members(slot), want);
+                    }
+                    let got = max_coverage_with(&rc, 4, range.clone(), &mut scratch);
+                    let oracle = max_coverage_naive(&rc, 4, range.clone(), None);
+                    proptest::prop_assert_eq!(crate::WeightedCoverageResult::from(got), oracle);
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! Sealed CSR-transposed coverage view — the cache-linear data structure
 //! greedy Max-Coverage (Algorithm 2) consumes instead of re-walking the
-//! pool arena per newly covered set — and the one lazy-heap selection
+//! pool per newly covered set — and the one lazy-heap selection
 //! kernel that runs on it.
 //!
 //! # Why a separate view
@@ -11,31 +11,36 @@
 //! 1. the **gain initialization** — one inverted-index query per node
 //!    (`n` binary searches into the sealed CSR); and
 //! 2. the **decremental updates** — for every newly covered set, walk
-//!    its members and decrement their marginal gains, which chases `u64`
-//!    arena offsets spread over the *whole* pool even when the query
+//!    its members and decrement their marginal gains, which would chase
+//!    per-set offsets spread over the *whole* pool even when the query
 //!    range is a small slice (D-SSA's find half).
 //!
 //! Once pools reach 10⁶+ sets these dependent loads dominate the round.
 //! [`CoverageView::build`] materializes the transpose of the inverted
 //! node→set-ids index — a flat forward **set → members** CSR
-//! (`set_offsets` + `set_data`), rebased to the queried range — in
+//! (`set_offsets` + member data), rebased to the queried range — in
 //! `O(range_len)`: slot `j` (set id `range.start + j`) owns the
-//! contiguous member slice `set_data[set_offsets[j]..set_offsets[j+1]]`.
-//! The member data is the arena's own contiguous slice over the range,
-//! borrowed zero-copy; only the offsets are rebased, reusing the
-//! width-adaptive [`CsrOffsets`] machinery of the inverted index (`u32`
-//! until the range holds 2³² entries). Decremental updates thus become
-//! contiguous `u32`-offset slice sweeps with half the offset traffic and
-//! no pool-wide stride. Gain initialization collapses to a single linear
-//! histogram pass over `set_data` — `O(entries)` streaming reads instead
-//! of `n` inverted-index queries. Only the `k` per-seed "which sets
+//! contiguous member slice numbered `set_offsets[j]..set_offsets[j+1]`.
+//! The member data is borrowed zero-copy from the pool's chunks: the
+//! range touches one contiguous slice of each chunk it overlaps (a set
+//! never straddles two), and only the offsets are rebased, stitched
+//! across those chunks with the width-adaptive [`CsrOffsets`] machinery
+//! of the inverted index (`u32` until the range holds 2³² entries).
+//! [`CoverageView::members`] finds a slot's chunk slice by a binary
+//! search over the few slices; the kernel's cover sweep, whose ids
+//! ascend, walks them with a cursor instead. Decremental updates thus
+//! become contiguous `u32`-offset slice sweeps with half the offset
+//! traffic and no pool-wide stride. Gain initialization collapses to a
+//! linear histogram pass over the chunk slices — `O(entries)` streaming
+//! reads instead of `n` inverted-index queries. Only the `k` per-seed "which sets
 //! contain the winner" queries still consult the pool's inverted index
 //! (they touch exactly the sets being covered, and `k` is tiny).
 //!
 //! # Memory cost and rebuild policy
 //!
 //! A view owns only its rebased offset array — `4 B·(range_len + 1)`
-//! while narrow; member data is borrowed from the arena. It is a
+//! while narrow — and one slice handle per chunk it touches; member data
+//! is borrowed from the chunks. It is a
 //! *selection-time snapshot*: built per [`max_coverage_with`] call and
 //! dropped afterwards, so the pool's steady-state footprint is
 //! unchanged; it is never incrementally maintained (RIS algorithms grow
@@ -190,11 +195,13 @@ pub struct Count {
 
 /// Adds one to the gain of every member of the view's slice — the count
 /// histogram shared by [`Count`], [`crate::Ratio`] and
-/// [`GainSnapshot::build`].
+/// [`GainSnapshot::build`]. Streams each touched chunk's slice in turn.
 #[inline]
 pub(crate) fn count_members(view: &CoverageView<'_>, gains: &mut [u32]) {
-    for &v in view.set_data {
-        gains[v as usize] += 1;
+    for piece in &view.pieces {
+        for &v in piece.data {
+            gains[v as usize] += 1;
+        }
     }
 }
 
@@ -234,73 +241,116 @@ impl kernel::Kernel for Count {
 
 /// Range-rebased forward (`set → members`) CSR snapshot of a pool slice
 /// (see the module docs). Borrows the pool: the member data is the
-/// arena's own contiguous slice (zero-copy), and the per-seed inverted
+/// pool's own chunk slices (zero-copy), and the per-seed inverted
 /// queries of [`CoverageView::select`] go through the pool's index.
 #[derive(Debug, Clone)]
 pub struct CoverageView<'a> {
     rc: &'a RrCollection,
     range: Range<u32>,
-    /// Slot `j` spans `set_data[set_offsets[j]..set_offsets[j + 1]]`.
-    /// Owned when built by the per-call rebase ([`CoverageView::build`]);
-    /// borrowed when a [`GainSnapshot`] lends its frozen copy
-    /// ([`GainSnapshot::view`]), which makes steady-state snapshot
-    /// queries skip the `O(range_len)` rebase entirely.
+    /// Slot `j` spans entries `set_offsets[j]..set_offsets[j + 1]` of the
+    /// range's members numbered across all its pieces. Owned when built
+    /// by the per-call rebase ([`CoverageView::build`]); borrowed when a
+    /// [`GainSnapshot`] lends its frozen copy ([`GainSnapshot::view`]),
+    /// which makes steady-state snapshot queries skip the `O(range_len)`
+    /// rebase entirely.
     set_offsets: Cow<'a, CsrOffsets>,
-    /// Concatenated members of the in-range sets — the arena slice
-    /// spanning the range, borrowed, since it is already contiguous.
-    set_data: &'a [NodeId],
+    /// The member data of each pool chunk the range touches, in slot
+    /// order: contiguous within a chunk, so borrowed, not copied.
+    pieces: Vec<Piece<'a>>,
+}
+
+/// The in-range members of one pool chunk a [`CoverageView`] touches.
+#[derive(Debug, Clone, Copy)]
+struct Piece<'a> {
+    /// The view slots of the chunk's in-range sets: `first_slot..end_slot`.
+    first_slot: usize,
+    end_slot: usize,
+    /// The first slot's rebased offset: where `data` starts in the view's
+    /// entry numbering.
+    base: usize,
+    /// The members of the chunk's in-range sets, back to back.
+    data: &'a [NodeId],
+}
+
+impl<'a> Piece<'a> {
+    /// Members of the set at `slot`, one of this piece's slots.
+    #[inline]
+    fn members(&self, offsets: &CsrOffsets, slot: usize) -> &'a [NodeId] {
+        let span = offsets.span(slot);
+        &self.data[span.start - self.base..span.end - self.base]
+    }
 }
 
 impl<'a> CoverageView<'a> {
     /// Materializes the view for the pool slice `range` in
-    /// `O(entries in range)`.
+    /// `O(sets in range + chunks it touches)`.
     ///
     /// # Panics
     ///
     /// Panics if `range.start > range.end` or `range.end > rc.len()`.
     pub fn build(rc: &'a RrCollection, range: Range<u32>) -> Self {
-        let (set_data, base) = Self::arena_slice(rc, &range);
-        let offsets = &rc.arena().1[range.start as usize..=range.end as usize];
-        let set_offsets = CsrOffsets::rebased(offsets, base);
-        CoverageView { rc, range, set_offsets: Cow::Owned(set_offsets), set_data }
+        Self::check_range(rc, &range);
+        let spans: Vec<_> = rc.chunk_spans(range.clone()).map(|(c, r)| (&c.ends, r)).collect();
+        let set_offsets = CsrOffsets::stitch(&spans);
+        Self::with_offsets(rc, range, Cow::Owned(set_offsets))
     }
 
-    /// The arena's member data spanning `range`, and its base offset.
-    fn arena_slice(rc: &'a RrCollection, range: &Range<u32>) -> (&'a [NodeId], u64) {
+    fn check_range(rc: &RrCollection, range: &Range<u32>) {
         assert!(
             range.start <= range.end && range.end as usize <= rc.len(),
             "coverage view range {range:?} out of bounds for pool of {} sets",
             rc.len()
         );
-        let (data, offsets) = rc.arena();
-        let base = offsets[range.start as usize];
-        (&data[base as usize..offsets[range.end as usize] as usize], base)
+    }
+
+    /// The view over `range` with its rebased offsets given: collects the
+    /// chunk slices the range touches.
+    fn with_offsets(
+        rc: &'a RrCollection,
+        range: Range<u32>,
+        set_offsets: Cow<'a, CsrOffsets>,
+    ) -> Self {
+        let (mut first_slot, mut base) = (0, 0);
+        let pieces = rc
+            .chunk_spans(range.clone())
+            .map(|(chunk, sets)| {
+                let span = chunk.ends.at(sets.start) as usize..chunk.ends.at(sets.end) as usize;
+                let end_slot = first_slot + sets.len();
+                let piece = Piece { first_slot, end_slot, base, data: &chunk.data[span] };
+                first_slot = end_slot;
+                base += piece.data.len();
+                piece
+            })
+            .collect();
+        CoverageView { rc, range, set_offsets, pieces }
     }
 
     /// [`CoverageView::build`] with the rebased offsets supplied by a
-    /// frozen snapshot instead of recomputed — `O(1)`, the steady-state
-    /// fast path of `sns-core`'s query engine. Only reachable through
-    /// [`GainSnapshot::view`] (and its weighted twin), whose caller must
-    /// pass the pool the snapshot was built from; the total-entry-count
-    /// cross-check below catches a wrong-pool mix-up (it cannot prove
-    /// the pools identical, but two pools rarely agree on the entry
-    /// count of a slice by accident).
+    /// frozen snapshot instead of recomputed — `O(chunks touched)`, the
+    /// steady-state fast path of `sns-core`'s query engine. Only
+    /// reachable through [`GainSnapshot::view`] (and its weighted twin),
+    /// whose caller must pass the pool the snapshot was built from; the
+    /// total-entry-count cross-check below catches a wrong-pool mix-up
+    /// (it cannot prove the pools identical, but two pools rarely agree
+    /// on the entry count of a slice by accident).
     pub(crate) fn with_frozen_offsets(
         rc: &'a RrCollection,
         range: Range<u32>,
         set_offsets: &'a CsrOffsets,
     ) -> Self {
-        let (set_data, _) = Self::arena_slice(rc, &range);
-        if range.start < range.end {
-            let last = (range.end - range.start - 1) as usize;
+        Self::check_range(rc, &range);
+        let view = Self::with_offsets(rc, range, Cow::Borrowed(set_offsets));
+        if !view.is_empty() {
+            let entries = view.pieces.last().map_or(0, |p| p.base + p.data.len());
             assert_eq!(
-                set_offsets.span(last).end,
-                set_data.len(),
-                "frozen offsets disagree with the pool arena over {range:?} — \
-                 snapshot applied to a different pool?"
+                set_offsets.span(view.len() - 1).end,
+                entries,
+                "frozen offsets disagree with the pool over {:?} — \
+                 snapshot applied to a different pool?",
+                view.range
             );
         }
-        CoverageView { rc, range, set_offsets: Cow::Borrowed(set_offsets), set_data }
+        view
     }
 
     /// Number of sets in the view's range.
@@ -318,20 +368,30 @@ impl<'a> CoverageView<'a> {
         self.range.clone()
     }
 
-    /// Members of the set at `slot` (pool id `range.start + slot`).
-    /// Inline: the kernel's cover sweep calls it per covered set, and the
-    /// kernel is generic, so it is instantiated in downstream crates.
+    /// Members of the set at `slot` (pool id `range.start + slot`): a
+    /// binary search for the slot's chunk, then a slice of it. Inline:
+    /// the kernel is generic, so it is instantiated in downstream crates.
     #[inline]
     pub fn members(&self, slot: usize) -> &[NodeId] {
-        &self.set_data[self.set_offsets.span(slot)]
+        let piece = self.pieces.partition_point(|p| p.end_slot <= slot);
+        self.pieces[piece].members(&self.set_offsets, slot)
     }
 
-    /// Exact byte footprint the view *owns* — the rebased offset array.
-    /// Member data is borrowed from the pool arena (zero-copy) and so
-    /// costs nothing beyond the pool's own accounting
-    /// ([`RrCollection::memory_bytes`]).
+    /// The in-range sets' members in slot order, each chunk's in turn.
+    pub(crate) fn sets(&self) -> impl Iterator<Item = &'a [NodeId]> + '_ {
+        self.pieces.iter().flat_map(move |piece| {
+            (piece.first_slot..piece.end_slot)
+                .map(move |slot| piece.members(&self.set_offsets, slot))
+        })
+    }
+
+    /// Exact byte footprint the view *owns* — the rebased offset array
+    /// and the list of chunk slices. Member data is borrowed from the
+    /// pool's chunks (zero-copy) and so costs nothing beyond the pool's
+    /// own accounting ([`RrCollection::memory_bytes`]).
     pub fn memory_bytes(&self) -> u64 {
-        self.set_offsets.memory_bytes()
+        let pieces = self.pieces.capacity() * std::mem::size_of::<Piece<'_>>();
+        self.set_offsets.memory_bytes() + pieces as u64
     }
 
     /// Lazy-heap greedy Max-Coverage over this view — the selection
@@ -508,7 +568,9 @@ impl<'a> CoverageView<'a> {
 
     /// The cover sweep: walks the sets of `v` within the view's range,
     /// marking each still-uncovered one covered and subtracting its gain
-    /// from its members' marginal gains.
+    /// from its members' marginal gains. The ids ascend across both index
+    /// tiers' slices, so a cursor walks the chunk slices alongside them,
+    /// holding the current one until an id passes its end.
     #[inline]
     fn cover<O: Objective>(
         &self,
@@ -518,6 +580,8 @@ impl<'a> CoverageView<'a> {
         covered: &mut [u32],
         gain: &mut [O::Gain],
     ) {
+        let Some(&first) = self.pieces.first() else { return };
+        let (mut p, mut piece) = (0, first);
         for ids in self.rc.sets_containing_in(v, self.range.clone()).slices() {
             for &id in ids {
                 let slot = (id - self.range.start) as usize;
@@ -525,7 +589,11 @@ impl<'a> CoverageView<'a> {
                     continue;
                 }
                 covered[slot] = generation;
-                let members = self.members(slot);
+                while slot >= piece.end_slot {
+                    p += 1;
+                    piece = self.pieces[p];
+                }
+                let members = piece.members(&self.set_offsets, slot);
                 let w = objective.set_gain(members);
                 if w > O::Gain::default() {
                     for &u in members {
@@ -691,10 +759,10 @@ mod tests {
     #[test]
     fn view_spans_two_epochs() {
         // The per-seed queries go through the index; the sweep goes
-        // through the arena copy — both must agree across an epoch
+        // through the chunk slices — both must agree across an epoch
         // boundary.
         let mut rc = pool(&[&[0, 1], &[0, 2]], 4);
-        assert_eq!(rc.append_epoch(&[&[0, 3], &[3]], 0), Some(2..4));
+        assert_eq!(rc.append_epoch(&[&[0, 3], &[3]], 0).unwrap(), Some(2..4));
         assert_eq!(rc.epoch_boundaries(), &[2, 4]);
         let r = max_coverage_with(&rc, 2, 0..4, &mut GreedyScratch::new());
         assert_eq!(WeightedCoverageResult::from(r), naive(&rc, 2));

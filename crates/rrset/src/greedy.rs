@@ -12,12 +12,13 @@
 //!   ([`crate::CoverageView`]): selection time first materializes the
 //!   transpose of the inverted index — a flat forward `set → members`
 //!   CSR with width-adaptive offsets rebased to the range (member data
-//!   borrowed zero-copy from the arena; dropped when selection returns) —
+//!   borrowed zero-copy from the pool's chunks; dropped when selection
+//!   returns) —
 //!   initializes gains with one streaming histogram pass instead of `n`
 //!   inverted-index queries, and runs every decremental gain update as a
 //!   contiguous slice sweep over the snapshot with a generation-stamped
-//!   covered bitset, instead of chasing `u64` arena offsets spread over
-//!   the whole pool. Total work is `O(Σ|R_j| + n + heap traffic)`; seeds
+//!   covered bitset, instead of chasing per-set offsets spread over the
+//!   whole pool. Total work is `O(Σ|R_j| + n + heap traffic)`; seeds
 //!   are bit-identical to the oracle below (same `(gain, id)` tie-break).
 //!   Algorithms that select round after round (SSA, D-SSA, IMM, TIM)
 //!   reuse one [`crate::GreedyScratch`] across rounds.

@@ -9,10 +9,10 @@
 //! node (`u32` while it fits), where per-node `Vec`s cost a 24-byte
 //! header per node plus power-of-two capacity slack.
 //!
-//! Every growth of a pool ends in a seal, so the tiers always cover the
-//! whole arena. A seal counting-sorts only the sets added since the
-//! previous seal and merges them, node by node, behind the recent tier
-//! into a fresh recent tier: `O(recent + new entries + n)`. Once the
+//! Every growth of a pool ends in a seal, so the tiers always cover every
+//! set. A seal counting-sorts only the new epoch's chunk (the sets the
+//! growth added) and merges it, node by node, behind the recent tier into
+//! a fresh recent tier: `O(recent + new entries + n)`. Once the
 //! recent tier and the new sets together exceed [`FOLD_DIVISOR`]⁻¹ of
 //! the base tier's sets, the seal folds base, recent and new into a
 //! fresh base instead (`O(total entries + n)`) and leaves the recent tier
@@ -25,8 +25,8 @@
 //! tiers and a clone's growth leaves the source untouched.
 //!
 //! With several workers, each worker counting-sorts its own contiguous
-//! chunk of the new sets into a chunk-local CSR; the merge appends, for
-//! each node, the tier's ids and then each chunk's ids in chunk order.
+//! part of the new chunk's sets into a part-local CSR; the merge appends,
+//! for each node, the tier's ids and then each part's ids in part order.
 //! Every entry is read once by one worker, and the result is
 //! bit-identical for every worker count, which is what lets
 //! `RrCollection` keep its sequential ≡ parallel guarantee. The layout
@@ -37,6 +37,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use sns_graph::NodeId;
+
+use crate::chunk::Chunk;
 
 /// CSR offset array, width-adaptive: `u32` as long as the entry count
 /// fits (true for any pool below 4 G index entries, i.e. everything but
@@ -53,7 +55,7 @@ impl CsrOffsets {
     /// Width-adaptive packing of a dense `u64` offset array: narrows to
     /// `u32` whenever the final offset (= total entry count) fits, halving
     /// the fixed per-slot cost. Used by the inverted index, whose merge
-    /// pass builds the `u64` array.
+    /// pass builds the `u64` array, and by the pool's chunks.
     pub(crate) fn from_wide(offsets: Vec<u64>) -> Self {
         if offsets.last().copied().unwrap_or(0) <= u32::MAX as u64 {
             CsrOffsets::Narrow(offsets.iter().map(|&o| o as u32).collect())
@@ -62,73 +64,66 @@ impl CsrOffsets {
         }
     }
 
-    /// Width-adaptive rebase of a dense ascending `u64` offset slice:
-    /// subtracts `base` from every offset and collects directly at the
-    /// final width (no intermediate `u64` buffer — this runs on the
-    /// per-selection-round hot path of [`crate::CoverageView::build`]).
-    pub(crate) fn rebased(offsets: &[u64], base: u64) -> Self {
-        if offsets.last().copied().unwrap_or(base) - base <= u32::MAX as u64 {
-            CsrOffsets::Narrow(offsets.iter().map(|&o| (o - base) as u32).collect())
-        } else {
-            CsrOffsets::Wide(offsets.iter().map(|&o| o - base).collect())
-        }
-    }
-
-    /// Concatenates rebased (zero-based) offset arrays of adjacent pool
-    /// slices into the offset array of their union: each part contributes
-    /// its per-slot extents shifted by the cumulative entry count of the
-    /// parts before it. Width-adaptive like the other constructors. Used
-    /// by `GainSnapshot::merge` to stitch per-epoch offset arrays without
-    /// touching the pool arena.
+    /// Concatenates whole zero-based offset arrays (see
+    /// [`CsrOffsets::stitch`]). Used by `GainSnapshot::merge` to stitch
+    /// per-epoch offset arrays without touching the pool's chunks.
     ///
-    /// Every part must be a non-empty dense offset array starting at 0
-    /// (what [`CsrOffsets::rebased`] produces).
+    /// Every part must be a non-empty dense offset array starting at 0.
     pub(crate) fn concat(parts: &[&CsrOffsets]) -> CsrOffsets {
         assert!(!parts.is_empty(), "cannot concatenate zero offset arrays");
-        let total_entries: u64 = parts.iter().map(|p| p.last_entry()).sum();
-        let total_slots: usize = parts.iter().map(|p| p.num_slots()).sum();
-        if total_entries <= u32::MAX as u64 {
-            let mut out = Vec::with_capacity(total_slots + 1);
-            out.push(0u32);
-            let mut base = 0u32;
-            for part in parts {
-                match part {
-                    CsrOffsets::Narrow(o) => out.extend(o[1..].iter().map(|&v| base + v)),
-                    CsrOffsets::Wide(o) => out.extend(
-                        // guarded: total_entries (≥ every v) fits in u32
-                        o[1..]
-                            .iter()
-                            .map(|&v| base + crate::narrow::try_u32(v).unwrap_or(u32::MAX)),
-                    ),
-                }
-                base = *out.last().expect("offsets non-empty");
-            }
-            CsrOffsets::Narrow(out)
+        let whole: Vec<(&CsrOffsets, Range<usize>)> =
+            parts.iter().map(|&p| (p, 0..p.num_slots())).collect();
+        CsrOffsets::stitch(&whole)
+    }
+
+    /// The offset array of the slots `range` of each part in turn: each
+    /// part contributes its per-slot extents over its range, shifted to
+    /// continue where the parts before it ended, so the result starts at
+    /// 0. Width-adaptive like [`CsrOffsets::from_wide`] and allocated at
+    /// exact size. No parts (or only empty ranges) give `[0]`. This is
+    /// how a [`crate::CoverageView`] rebases the chunks its range touches
+    /// into one offset array.
+    pub(crate) fn stitch(parts: &[(&CsrOffsets, Range<usize>)]) -> CsrOffsets {
+        let entries: u64 = parts.iter().map(|(o, r)| o.at(r.end) - o.at(r.start)).sum();
+        let slots: usize = parts.iter().map(|(_, r)| r.len()).sum();
+        if entries <= u32::MAX as u64 {
+            // guarded: every stitched offset is at most `entries`
+            CsrOffsets::Narrow(stitch_into(parts, slots, |o| o as u32))
         } else {
-            let mut out = Vec::with_capacity(total_slots + 1);
-            out.push(0u64);
-            let mut base = 0u64;
-            for part in parts {
-                match part {
-                    CsrOffsets::Narrow(o) => out.extend(o[1..].iter().map(|&v| base + v as u64)),
-                    CsrOffsets::Wide(o) => out.extend(o[1..].iter().map(|&v| base + v)),
-                }
-                base = *out.last().expect("offsets non-empty");
-            }
-            CsrOffsets::Wide(out)
+            CsrOffsets::Wide(stitch_into(parts, slots, |o| o))
         }
     }
 
-    /// Final offset = total entry count spanned by this array.
-    fn last_entry(&self) -> u64 {
+    /// Offset `i`: where slot `i` starts (the entry count for `i` = slots).
+    #[inline]
+    pub(crate) fn at(&self, i: usize) -> u64 {
         match self {
-            CsrOffsets::Narrow(o) => o.last().copied().unwrap_or(0) as u64,
-            CsrOffsets::Wide(o) => o.last().copied().unwrap_or(0),
+            CsrOffsets::Narrow(o) => u64::from(o[i]),
+            CsrOffsets::Wide(o) => o[i],
+        }
+    }
+
+    /// Every offset, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let (narrow, wide): (&[u32], &[u64]) = match self {
+            CsrOffsets::Narrow(o) => (o, &[]),
+            CsrOffsets::Wide(o) => (&[], o),
+        };
+        narrow.iter().map(|&o| u64::from(o)).chain(wide.iter().copied())
+    }
+
+    /// The first slot whose start offset is at least `target` (the slot
+    /// count when none is).
+    pub(crate) fn partition_point(&self, target: u64) -> usize {
+        let slots = self.num_slots();
+        match self {
+            CsrOffsets::Narrow(o) => o[..slots].partition_point(|&x| u64::from(x) < target),
+            CsrOffsets::Wide(o) => o[..slots].partition_point(|&x| x < target),
         }
     }
 
     /// Number of slots (offset count minus the leading 0).
-    fn num_slots(&self) -> usize {
+    pub(crate) fn num_slots(&self) -> usize {
         match self {
             CsrOffsets::Narrow(o) => o.len().saturating_sub(1),
             CsrOffsets::Wide(o) => o.len().saturating_sub(1),
@@ -158,6 +153,32 @@ impl CsrOffsets {
     }
 }
 
+/// [`CsrOffsets::stitch`] at one output width: `cast` narrows each
+/// stitched `u64` offset, which the caller has checked fits.
+fn stitch_into<T>(
+    parts: &[(&CsrOffsets, Range<usize>)],
+    slots: usize,
+    cast: impl Fn(u64) -> T,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(slots + 1);
+    out.push(cast(0));
+    let mut base = 0u64;
+    for (offsets, range) in parts {
+        let lo = offsets.at(range.start);
+        let shift = |offset: u64| cast(base + (offset - lo));
+        match offsets {
+            CsrOffsets::Narrow(o) => {
+                out.extend(o[range.start + 1..=range.end].iter().map(|&o| shift(u64::from(o))))
+            }
+            CsrOffsets::Wide(o) => {
+                out.extend(o[range.start + 1..=range.end].iter().map(|&o| shift(o)))
+            }
+        }
+        base += offsets.at(range.end) - lo;
+    }
+    out
+}
+
 /// One immutable node→set-ids CSR. A seal builds new ones and never
 /// writes to an old one, so clones share them.
 #[derive(Debug, PartialEq, Eq)]
@@ -181,14 +202,15 @@ impl SealedCsr {
         &self.data[self.offsets.span(v)]
     }
 
-    /// Counting-sorts the arena sets `sets` into a CSR over `n` nodes.
-    /// Pass 1 turns the node histogram in place into each node's end
-    /// offset; pass 2 walks the sets backward, filling each node's ids
-    /// from its end, so they come out ascending and every cursor finishes
-    /// on its node's start offset. A transient CSR, so its offsets stay
-    /// wide.
-    fn sort(n: usize, data: &[NodeId], offsets: &[u64], sets: Range<usize>) -> SealedCsr {
-        let entries = &data[offsets[sets.start] as usize..offsets[sets.end] as usize];
+    /// Counting-sorts the sets `sets` of `chunk` into a CSR over `n`
+    /// nodes, local set `i` taking id `first + i`. Pass 1 turns the node
+    /// histogram in place into each node's end offset; pass 2 walks the
+    /// sets backward, filling each node's ids from its end, so they come
+    /// out ascending and every cursor finishes on its node's start
+    /// offset. A transient CSR, so its offsets stay wide.
+    fn sort(n: usize, chunk: &Chunk, sets: Range<usize>, first: u32) -> SealedCsr {
+        let span = chunk.ends.at(sets.start) as usize..chunk.ends.at(sets.end) as usize;
+        let entries = &chunk.data[span];
         let mut cursors = vec![0u64; n + 1];
         for &v in entries {
             cursors[v as usize] += 1;
@@ -199,9 +221,9 @@ impl SealedCsr {
             *c = end;
         }
         let mut ids = vec![0u32; entries.len()];
-        for id in sets.rev() {
-            let set_id = crate::narrow::set_count(id);
-            for &v in &data[offsets[id] as usize..offsets[id + 1] as usize] {
+        for local in sets.rev() {
+            let set_id = first + crate::narrow::set_count(local);
+            for &v in chunk.set(local) {
                 let cursor = &mut cursors[v as usize];
                 *cursor -= 1;
                 ids[*cursor as usize] = set_id;
@@ -307,7 +329,7 @@ pub(crate) struct SealedIndex {
 /// Below this many new entries a seal is run single-threaded. A second
 /// worker saves half of the counting sort but adds a thread spawn, an
 /// `n`-sized histogram, one more part per node in the serial merge, and
-/// the cross-core reads of its chunk there. On a 2-core host (NetHEPT
+/// the cross-core reads of its part there. On a 2-core host (NetHEPT
 /// stand-in, `PoolStore::load`) it lowered neither wall nor CPU time
 /// for 275k-entry epochs folded into a base (4 × 25k sets), and
 /// it first paid at 550k entries (one 50k-set epoch, wall 15.1 → 12.2
@@ -353,70 +375,65 @@ impl SealedIndex {
         self.entries_merged
     }
 
-    /// Seals the current epoch: indexes the new sets `indexed_sets..len`
-    /// into a fresh recent tier (or, past the fold fraction, a fresh
-    /// base) and records the pool end as the epoch's boundary.
-    /// `data`/`offsets` describe the **whole** arena, which must hold at
-    /// least one set past the sealed frontier. Old tiers are never
-    /// written to, so clones sharing them keep answering exactly as
-    /// before.
-    pub(crate) fn seal(&mut self, data: &[NodeId], offsets: &[u64], threads: usize) {
-        let first = self.indexed_sets() as usize;
-        let new_sets = offsets.len() - 1 - first;
-        let new_entries = data.len() - offsets[first] as usize;
+    /// Seals `chunk` as the next epoch: indexes its sets, ids
+    /// `indexed_sets()..`, into a fresh recent tier (or, past the fold
+    /// fraction, a fresh base) and records the new pool end as the
+    /// epoch's boundary. The chunk must hold at least one set, each node
+    /// below `n`. Old tiers are never written to, so clones sharing them
+    /// keep answering exactly as before.
+    pub(crate) fn seal(&mut self, chunk: &Chunk, threads: usize) {
         // Clamp to real hardware parallelism: each worker past the
         // machine's cores only adds a thread spawn and an `n`-sized
         // histogram without running concurrently. The result is
         // worker-count-invariant either way.
         let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        let workers = if threads <= 1 || new_entries < PARALLEL_COMPACT_MIN_ENTRIES {
+        let workers = if threads <= 1 || chunk.data.len() < PARALLEL_COMPACT_MIN_ENTRIES {
             1
         } else {
-            threads.min(hw).min(new_sets)
+            threads.min(hw).min(chunk.len())
         };
-        self.seal_in_chunks(data, offsets, workers);
+        self.seal_in_parts(chunk, workers);
     }
 
-    /// [`SealedIndex::seal`] over exactly `workers` chunks of the new
+    /// [`SealedIndex::seal`] over exactly `workers` parts of the chunk's
     /// sets (at least 1), each balanced by entry count and
     /// counting-sorted by its own worker.
-    fn seal_in_chunks(&mut self, data: &[NodeId], offsets: &[u64], workers: usize) {
+    fn seal_in_parts(&mut self, chunk: &Chunk, workers: usize) {
         let n = self.n as usize;
-        let total_sets = offsets.len() - 1;
-        let first = self.indexed_sets() as usize;
-        debug_assert!(first < total_sets, "a seal needs at least one new set");
-        let (lo, hi) = (offsets[first], offsets[total_sets]);
+        let first = self.indexed_sets();
+        let sets = chunk.len();
+        debug_assert!(sets > 0, "a seal needs at least one new set");
+        let entries = chunk.data.len() as u64;
         let bounds: Vec<usize> = (0..=workers)
             .map(|w| {
                 if w == workers {
-                    return total_sets;
+                    return sets;
                 }
-                let target = lo + (hi - lo) * w as u64 / workers as u64;
-                first + offsets[first..total_sets].partition_point(|&o| o < target)
+                chunk.ends.partition_point(entries * w as u64 / workers as u64)
             })
             .collect();
-        let sort = |c: usize| SealedCsr::sort(n, data, offsets, bounds[c]..bounds[c + 1]);
-        let chunks: Vec<SealedCsr> = if workers == 1 {
+        let sort = |p: usize| SealedCsr::sort(n, chunk, bounds[p]..bounds[p + 1], first);
+        let sorted: Vec<SealedCsr> = if workers == 1 {
             vec![sort(0)]
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|c| scope.spawn(move || sort(c))).collect();
+                let handles: Vec<_> = (0..workers).map(|p| scope.spawn(move || sort(p))).collect();
                 handles.into_iter().map(|h| h.join().expect("seal worker panicked")).collect()
             })
         };
 
-        let recent_sets = (total_sets - self.recent_first as usize) as u64;
+        let end = first + crate::narrow::set_count(sets);
+        let recent_sets = u64::from(end - self.recent_first);
         let fold = recent_sets * FOLD_DIVISOR > u64::from(self.recent_first);
-        let mut parts: Vec<&SealedCsr> = Vec::with_capacity(chunks.len() + 2);
+        let mut parts: Vec<&SealedCsr> = Vec::with_capacity(sorted.len() + 2);
         if fold {
             parts.push(&self.base);
         }
         parts.push(&self.recent);
-        parts.extend(&chunks);
+        parts.extend(&sorted);
         let merged = SealedCsr::merge(n, &parts);
-        self.entries_sorted += chunks.iter().map(|c| c.data.len() as u64).sum::<u64>();
+        self.entries_sorted += sorted.iter().map(|c| c.data.len() as u64).sum::<u64>();
         self.entries_merged += merged.data.len() as u64;
-        let end = crate::narrow::set_count(total_sets);
         if fold {
             self.base = Arc::new(merged);
             self.recent = Arc::new(SealedCsr::EMPTY);
@@ -465,14 +482,8 @@ impl SealedIndex {
 mod tests {
     use super::*;
 
-    fn arena(sets: &[&[NodeId]]) -> (Vec<NodeId>, Vec<u64>) {
-        let mut data = Vec::new();
-        let mut offsets = vec![0u64];
-        for s in sets {
-            data.extend_from_slice(s);
-            offsets.push(data.len() as u64);
-        }
-        (data, offsets)
+    fn chunk(sets: &[&[NodeId]]) -> Chunk {
+        Chunk::from_sets(sets, u32::MAX).expect("ids below u32::MAX")
     }
 
     /// Ids in `range` of the sets of `sets` that contain `v`.
@@ -495,23 +506,23 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
-        let (data, offsets) = arena(&refs);
+        let whole = chunk(&refs);
         // A few large epochs, then many small ones.
         let mut bounds = vec![18_000, 36_000];
         bounds.extend((36_600..=SETS).step_by(600));
-        let (head, _) = arena(&refs[..18_000]);
-        assert!(head.len() >= PARALLEL_COMPACT_MIN_ENTRIES);
+        assert!(chunk(&refs[..18_000]).data.len() >= PARALLEL_COMPACT_MIN_ENTRIES);
         let mut one_step = SealedIndex::new(64);
-        one_step.seal(&data, &offsets, 1);
+        one_step.seal(&whole, 1);
         let mut stepped_at_one: Option<SealedIndex> = None;
         for threads in [1, 2, 8] {
             let mut once = SealedIndex::new(64);
-            once.seal(&data, &offsets, threads);
+            once.seal(&whole, threads);
             assert_eq!(one_step, once, "one-step seal differs at {threads} threads");
             let mut stepped = SealedIndex::new(64);
+            let mut lo = 0;
             for &b in &bounds {
-                let (data, offsets) = arena(&refs[..b as usize]);
-                stepped.seal(&data, &offsets, threads);
+                stepped.seal(&chunk(&refs[lo..b as usize]), threads);
+                lo = b as usize;
             }
             assert_eq!(stepped.indexed_sets(), SETS);
             assert_eq!(stepped.epoch_bounds(), bounds.as_slice());
@@ -544,10 +555,9 @@ mod tests {
     #[test]
     fn compaction_frees_the_pending_tier() {
         let mut ix = SealedIndex::new(8);
-        let (data, offsets) = arena(&[&[0, 1, 2], &[3, 4], &[3]]);
         assert_eq!(ix.memory_bytes(), 0, "nothing is indexed before the first seal");
         assert!(ix.sets_containing_in(3, 0..3).is_empty());
-        ix.seal(&data, &offsets, 1);
+        ix.seal(&chunk(&[&[0, 1, 2], &[3, 4], &[3]]), 1);
         assert!(ix.memory_bytes() > 0);
         assert_eq!(ix.sets_containing_in(3, 0..3).to_vec(), [1, 2]);
         assert_eq!(ix.sets_containing_in(3, 2..3).to_vec(), [2]);
@@ -563,20 +573,16 @@ mod tests {
         let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
         let entries = |r: Range<usize>| r.map(|i| sets[i].len() as u64).sum::<u64>();
         let mut ix = SealedIndex::new(5);
-        let (data, offsets) = arena(&refs[..100]);
-        ix.seal(&data, &offsets, 1);
+        ix.seal(&chunk(&refs[..100]), 1);
         assert_eq!((ix.recent_first(), ix.entries_merged()), (100, entries(0..100)), "a fold");
-        let (data, offsets) = arena(&refs[..110]);
-        ix.seal(&data, &offsets, 1);
+        ix.seal(&chunk(&refs[100..110]), 1);
         assert_eq!(ix.recent_first(), 100, "10 new sets are not past 100 / 4");
         assert_eq!(ix.entries_merged(), entries(0..100) + entries(100..110));
-        let (data, offsets) = arena(&refs[..125]);
-        ix.seal(&data, &offsets, 1);
+        ix.seal(&chunk(&refs[110..125]), 1);
         assert_eq!(ix.recent_first(), 100, "25 recent sets are not past 100 / 4");
         let merged = ix.entries_merged();
         assert_eq!(merged, entries(0..100) + entries(100..110) + entries(100..125));
-        let (data, offsets) = arena(&refs[..130]);
-        ix.seal(&data, &offsets, 1);
+        ix.seal(&chunk(&refs[125..130]), 1);
         assert_eq!(ix.recent_first(), 130, "30 recent sets are past 100 / 4: a fold");
         assert_eq!(ix.entries_merged(), merged + entries(0..130));
         assert_eq!(ix.entries_sorted(), entries(0..130), "each entry is sorted once");
@@ -615,9 +621,8 @@ mod tests {
                 let mut ix = SealedIndex::new(N);
                 let mut len = 0;
                 for &size in &sizes {
+                    ix.seal_in_parts(&chunk(&refs[len..len + size]), workers.min(size));
                     len += size;
-                    let (data, offsets) = arena(&refs[..len]);
-                    ix.seal_in_chunks(&data, &offsets, workers.min(size));
                     let end = len as u32;
                     let rf = ix.recent_first();
                     proptest::prop_assert!(rf == 0 || ix.epoch_bounds().contains(&rf));

@@ -20,17 +20,19 @@
 //! * **Coverage queries**: `Cov_R(S)` for the stopping conditions —
 //!   [`RrCollection::coverage_of`].
 //!
-//! [`RrCollection`] stores sets in a flat arena with a **sealed**
-//! inverted node→set-id index — a base and a recent flat CSR tier, both
-//! shared by clones, so a query returns at most two slices ([`SetIds`]).
-//! A pool grows only by whole epochs: [`RrCollection::extend_parallel`]
-//! (or [`RrCollection::append_epoch`] for given sets) appends the sets
-//! and seals them before it returns, with a parallel counting sort that
-//! touches the new sets only and a merge that rebuilds only the recent
+//! [`RrCollection`] stores sets in immutable chunks, one per sealed
+//! epoch, with a **sealed** inverted node→set-id index — a base and a
+//! recent flat CSR tier. Clones share the chunks and both tiers, so a
+//! clone costs `O(epochs)`, and a query returns at most two slices
+//! ([`SetIds`]). A pool grows only by whole epochs:
+//! [`RrCollection::extend_parallel`] (or [`RrCollection::append_epoch`]
+//! for given sets) writes the sets once, into the epoch's new chunk, and
+//! seals them before it returns, with a parallel counting sort that
+//! touches the new chunk only and a merge that rebuilds only the recent
 //! tier until it passes a quarter of the base, so every readable pool is
-//! fully indexed (see [`RrCollection`]'s docs). It supports deterministic parallel
-//! growth and accounts its exact byte footprint (the quantity Figures
-//! 6–7 of the paper track).
+//! fully indexed (see [`RrCollection`]'s docs). It supports
+//! deterministic parallel growth and accounts its exact byte footprint
+//! (the quantity Figures 6–7 of the paper track).
 //!
 //! D-SSA splits its sample stream into halves (`R_t`, `R^c_t`); both
 //! [`max_coverage_with`] and [`RrCollection::coverage_of_range`] take a
@@ -45,6 +47,7 @@
 #![warn(missing_docs)]
 
 mod budgeted;
+mod chunk;
 mod collection;
 mod coverage;
 pub mod directory;

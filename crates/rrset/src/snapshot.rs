@@ -18,7 +18,8 @@
 //!
 //! A snapshot is immutable and detached from the pool borrow (it owns
 //! plain arrays — including the slice's rebased CSR offsets, so
-//! [`GainSnapshot::view`] rebuilds a [`CoverageView`] in `O(1)`), and a
+//! [`GainSnapshot::view`] rebuilds a [`CoverageView`] without a rebase,
+//! in `O(chunks the slice touches)`), and a
 //! server can hold `Arc<GainSnapshot>`s and fan queries out across
 //! threads — `sns-core`'s `SeedQueryEngine` does.
 //!
@@ -67,11 +68,11 @@ use crate::{CoverageResult, CoverageView, GainInit, GreedyScratch, RrCollection,
 /// [`CoverageView::select`]'s histogram pass computes, sealed once
 /// so repeated queries start from a memcpy (see the module docs).
 ///
-/// Since PR 4 a snapshot also freezes the slice's rebased forward-CSR
-/// offsets, so [`GainSnapshot::view`] reconstructs a [`CoverageView`] in
-/// `O(1)` — a steady-state cache hit does zero `O(range_len)` rebase
-/// work — and snapshots of *adjacent* slices (one per sealed pool epoch)
-/// can be [`GainSnapshot::merge`]d without touching the pool arena.
+/// A snapshot also freezes the slice's rebased forward-CSR offsets, so
+/// [`GainSnapshot::view`] reconstructs a [`CoverageView`] in
+/// `O(chunks the slice touches)` — a steady-state cache hit does zero
+/// `O(range_len)` rebase work — and snapshots of *adjacent* slices (one per sealed pool epoch)
+/// can be [`GainSnapshot::merge`]d without touching the pool's sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GainSnapshot {
     range: Range<u32>,
@@ -139,7 +140,8 @@ impl GainSnapshot {
     }
 
     /// Reconstructs a [`CoverageView`] for this snapshot's slice in
-    /// `O(1)`, lending the frozen offsets instead of rebasing — pair with
+    /// `O(chunks it touches)`, lending the frozen offsets instead of
+    /// rebasing — pair with
     /// [`GainInit::Frozen`] for the zero-rebase query path.
     ///
     /// # Panics
@@ -250,8 +252,8 @@ impl WeightedGainSnapshot {
         }
     }
 
-    /// Reconstructs a [`CoverageView`] for this snapshot's slice in
-    /// `O(1)` from the frozen offsets (see [`GainSnapshot::view`]).
+    /// Reconstructs a [`CoverageView`] for this snapshot's slice from the
+    /// frozen offsets, without a rebase (see [`GainSnapshot::view`]).
     pub fn view<'a>(&'a self, rc: &'a RrCollection) -> CoverageView<'a> {
         CoverageView::with_frozen_offsets(rc, self.range.clone(), &self.offsets)
     }
@@ -284,8 +286,7 @@ fn check_weights(node_weights: &[f64], n: u32) {
 /// to all of its members, in slot order (so frozen and fresh float sums
 /// are bit-identical).
 fn accumulate_weighted_gains(view: &CoverageView<'_>, node_weights: &[f64], wgains: &mut [f64]) {
-    for slot in 0..view.len() {
-        let members = view.members(slot);
+    for members in view.sets() {
         // Sets store their root first; an empty set has no root and
         // carries no weight.
         let Some(&root) = members.first() else { continue };

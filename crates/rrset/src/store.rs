@@ -20,11 +20,12 @@
 //! └── …
 //! ```
 //!
-//! Each segment serializes one sealed epoch of an
-//! [`RrCollection`] as its flat set-CSR slice
-//! verbatim — the epoch's node arena plus width-adaptive (u32/u64)
-//! per-set end offsets — framed by a self-describing header and a
-//! checksummed footer:
+//! Each segment serializes one sealed epoch of an [`RrCollection`] —
+//! one chunk — verbatim: the chunk's width-adaptive (u32/u64) per-set
+//! end offsets and its nodes, framed by a self-describing header and a
+//! checksummed footer. A save writes each chunk's arrays as they are,
+//! and a load moves each verified segment's decoded arrays into its
+//! chunk, so neither copies the pool into an intermediate arena:
 //!
 //! ```text
 //! "SNSE" | version u32 | epoch u32 | start u32 | sets u32
@@ -76,7 +77,7 @@
 //! let mut pool = RrCollection::new(4);
 //! // (sampled in real use; see sns_core::SeedQueryEngine::save for the
 //! // engine-level path that fills the fingerprint automatically)
-//! pool.append_epoch(&[&[0, 1], &[2]], 3);
+//! pool.append_epoch(&[&[0, 1], &[2]], 3).unwrap();
 //!
 //! let fp = StoreFingerprint {
 //!     graph_hash: 0xfeed,
@@ -101,8 +102,9 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use sns_graph::hash::{fnv64, Fnv64};
-use sns_graph::NodeId;
 
+use crate::chunk::Chunk;
+use crate::index::CsrOffsets;
 use crate::{narrow, RrCollection};
 
 /// Magic prefix of the manifest file.
@@ -187,7 +189,7 @@ pub enum StoreError {
         /// Which fingerprint field disagrees, and how.
         detail: String,
     },
-    /// The in-memory pool's epoch metadata disagrees with its arena —
+    /// The in-memory pool's epoch metadata disagrees with its chunks —
     /// the save-time guard that turns a bookkeeping bug into an error
     /// instead of a corrupt store.
     MetadataDrift {
@@ -224,7 +226,7 @@ impl fmt::Display for StoreError {
                 write!(f, "store fingerprint mismatch: {detail}")
             }
             StoreError::MetadataDrift { detail } => {
-                write!(f, "pool epoch metadata drifted from its arena: {detail}")
+                write!(f, "pool epoch metadata drifted from its chunks: {detail}")
             }
             StoreError::Internal { detail } => {
                 write!(f, "internal invariant violated (bug in sns-rrset): {detail}")
@@ -425,7 +427,7 @@ impl PoolStore {
     /// # Errors
     ///
     /// [`StoreError::MetadataDrift`] if the pool's epoch metadata
-    /// disagrees with its arena (the guard that keeps a bookkeeping bug
+    /// disagrees with its chunks (the guard that keeps a bookkeeping bug
     /// from becoming a corrupt store), [`StoreError::FingerprintMismatch`]
     /// if the directory already holds a committed store of *different*
     /// samples, [`StoreError::Io`] on filesystem failure.
@@ -478,7 +480,6 @@ impl PoolStore {
             Err(_) => Vec::new(),
         };
 
-        let (data, offsets) = pool.arena();
         let mut stats = SaveStats {
             epochs_reused: narrow::small_count(reusable.len()),
             ..SaveStats::default()
@@ -489,16 +490,9 @@ impl PoolStore {
         // path stays free of unchecked indexing (sns-lint `panics/index`).
         let mut lo = entries.last().map_or(0, |e| e.boundary);
         let mut prev_edges = entries.last().map_or(0, |e| e.edges_total);
-        let fresh = bounds.iter().zip(edge_totals).enumerate().skip(entries.len());
-        for (e, (&hi, &edges_total)) in fresh {
-            let bytes = encode_segment(
-                narrow::small_count(e),
-                lo,
-                hi,
-                data,
-                offsets,
-                edges_total - prev_edges,
-            );
+        let fresh = bounds.iter().zip(edge_totals).zip(pool.chunks()).enumerate();
+        for (e, ((&hi, &edges_total), chunk)) in fresh.skip(entries.len()) {
+            let bytes = encode_segment(narrow::small_count(e), lo, chunk, edges_total - prev_edges);
             let payload_len = bytes.len().saturating_sub(SEGMENT_FOOTER_BYTES as usize);
             let checksum = fnv64(bytes.get(..payload_len).unwrap_or_default());
             let name = segment_name(e);
@@ -563,8 +557,8 @@ impl PoolStore {
             let verified =
                 self.read_segment(e, entry, prev_bound, prev_edges, manifest.fingerprint.num_nodes);
             match verified {
-                Ok((data, set_ends, edges_delta)) => {
-                    pool.restore_sealed_epoch(&data, &set_ends, edges_delta, threads);
+                Ok((chunk, edges_delta)) => {
+                    pool.restore_sealed_epoch(chunk, edges_delta, threads);
                     prev_bound = entry.boundary;
                     prev_edges = entry.edges_total;
                 }
@@ -587,7 +581,7 @@ impl PoolStore {
     }
 
     /// Reads, checksums and structurally validates one epoch segment,
-    /// returning `(node data, rebased per-set end offsets, edge delta)`.
+    /// returning its decoded chunk and edge delta.
     fn read_segment(
         &self,
         epoch: usize,
@@ -595,7 +589,7 @@ impl PoolStore {
         prev_bound: u32,
         prev_edges: u64,
         num_nodes: u32,
-    ) -> Result<(Vec<NodeId>, Vec<u64>, u64), StoreError> {
+    ) -> Result<(Chunk, u64), StoreError> {
         let name = segment_name(epoch);
         let bytes = read_file(&self.dir, &name)?;
         let bad = |detail: String| Err(StoreError::BadFormat { file: name.clone(), detail });
@@ -673,25 +667,18 @@ impl PoolStore {
         }
 
         // Offsets: rebased per-set ends, nondecreasing, closing exactly
-        // at the entry count.
+        // at the entry count; decoded straight into the chunk's width.
         let offsets_end = SEGMENT_HEADER_BYTES as usize + sets as usize * width as usize;
         let raw = field(&bytes, SEGMENT_HEADER_BYTES as usize, offsets_end);
-        let mut set_ends = Vec::with_capacity(sets as usize);
-        if width == 4 {
-            set_ends.extend(raw.chunks_exact(4).map(|c| le_u32(c) as u64));
+        let ends = if width == 4 {
+            decode_ends(raw, 4, entries, le_u32).map(CsrOffsets::Narrow)
         } else {
-            set_ends.extend(raw.chunks_exact(8).map(le_u64));
-        }
-        let mut prev = 0u64;
-        for (i, &end) in set_ends.iter().enumerate() {
-            if end < prev {
-                return bad(format!("offset of set {i} decreases ({prev} → {end})"));
-            }
-            prev = end;
-        }
-        if prev != entries {
-            return bad(format!("offsets close at {prev}, header declares {entries} entries"));
-        }
+            decode_ends(raw, 8, entries, le_u64).map(CsrOffsets::from_wide)
+        };
+        let ends = match ends {
+            Ok(ends) => ends,
+            Err(detail) => return bad(detail),
+        };
 
         // Node data, bounded by the pool's node universe (the bound is
         // folded into the decode pass: one max-tracking sweep instead of
@@ -707,7 +694,7 @@ impl PoolStore {
         if max_id >= num_nodes && !data.is_empty() {
             return bad(format!("node id {max_id} out of universe (n = {num_nodes})"));
         }
-        Ok((data, set_ends, edges_delta))
+        Ok((Chunk { data, ends }, edges_delta))
     }
 
     fn read_manifest(&self) -> Result<Manifest, StoreError> {
@@ -716,42 +703,75 @@ impl PoolStore {
     }
 }
 
+/// A segment's per-set ends, `width` bytes each, decoded behind a
+/// leading 0: they must not decrease and must close at `entries`.
+fn decode_ends<T: Copy + Default + Into<u64>>(
+    raw: &[u8],
+    width: usize,
+    entries: u64,
+    decode: impl Fn(&[u8]) -> T,
+) -> Result<Vec<T>, String> {
+    let mut ends = Vec::with_capacity(raw.len() / width + 1);
+    ends.push(T::default());
+    let mut prev = 0u64;
+    for (i, bytes) in raw.chunks_exact(width).enumerate() {
+        let end = decode(bytes);
+        let wide: u64 = end.into();
+        if wide < prev {
+            return Err(format!("offset of set {i} decreases ({prev} → {wide})"));
+        }
+        prev = wide;
+        ends.push(end);
+    }
+    if prev != entries {
+        return Err(format!("offsets close at {prev}, header declares {entries} entries"));
+    }
+    Ok(ends)
+}
+
 /// The save-time drift guard: the pool must be fully sealed and its
-/// epoch metadata must agree with the arena it describes. Catching this
+/// epoch metadata must agree with the chunks it describes. Catching this
 /// here turns a would-be silently corrupt store into a typed error.
 fn validate_pool_metadata(pool: &RrCollection) -> Result<(), StoreError> {
     let drift = |detail: String| Err(StoreError::MetadataDrift { detail });
     let bounds = pool.epoch_boundaries();
     let edge_totals = pool.epoch_edge_totals();
-    let (data, offsets) = pool.arena();
+    let chunks = pool.chunks();
 
     if let Some(w) = bounds.windows(2).find(|w| w[0] >= w[1]) {
         return drift(format!("epoch boundaries not strictly ascending: {} → {}", w[0], w[1]));
     }
-    let sealed = bounds.last().copied().unwrap_or(0) as usize;
-    if sealed != pool.len() {
+    if chunks.len() != bounds.len() {
         return drift(format!(
-            "pool is not fully sealed: {} of {} sets inside epochs",
-            sealed,
-            pool.len()
+            "pool is not fully sealed: {} chunks for {} epochs",
+            chunks.len(),
+            bounds.len()
         ));
     }
-    if offsets.len() != pool.len() + 1 || offsets.first() != Some(&0) {
-        return drift(format!(
-            "arena offsets malformed: {} offsets for {} sets",
-            offsets.len(),
-            pool.len()
-        ));
-    }
-    if let Some(i) = offsets.windows(2).position(|w| w[1] < w[0]) {
-        return drift(format!("arena offset of set {} decreases", i + 1));
-    }
-    if offsets.last().copied().unwrap_or(0) != data.len() as u64 {
-        return drift(format!(
-            "arena offsets close at {} but the arena holds {} entries",
-            offsets.last().copied().unwrap_or(0),
-            data.len()
-        ));
+    let mut lo = 0u32;
+    for (e, (chunk, &hi)) in chunks.iter().zip(bounds).enumerate() {
+        let sets = hi.saturating_sub(lo) as usize;
+        if chunk.len() != sets {
+            return drift(format!("chunk {e} holds {} sets, its epoch spans {sets}", chunk.len()));
+        }
+        let mut ends = chunk.ends.iter();
+        if ends.next() != Some(0) {
+            return drift(format!("set ends of chunk {e} do not start at 0"));
+        }
+        let mut prev = 0u64;
+        for (i, end) in ends.enumerate() {
+            if end < prev {
+                return drift(format!("set end {i} of chunk {e} decreases"));
+            }
+            prev = end;
+        }
+        if prev != chunk.data.len() as u64 {
+            return drift(format!(
+                "set ends of chunk {e} close at {prev} but it holds {} entries",
+                chunk.data.len()
+            ));
+        }
+        lo = hi;
     }
     if edge_totals.len() != bounds.len() {
         return drift(format!(
@@ -773,49 +793,38 @@ fn validate_pool_metadata(pool: &RrCollection) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Serializes one sealed epoch (sets `lo..hi` of the arena) into its
-/// segment byte layout, footer included.
-fn encode_segment(
-    epoch: u32,
-    lo: u32,
-    hi: u32,
-    data: &[NodeId],
-    offsets: &[u64],
-    edges_delta: u64,
-) -> Vec<u8> {
-    // `lo`/`hi` come from `validate_pool_metadata`-checked epoch
-    // boundaries, so the arena lookups always hit; the `.get()` defaults
-    // keep the save path panic-free regardless (a violated invariant
-    // would produce a structurally-empty segment the loader's
-    // cross-checks reject, not a crash).
-    let base = offsets.get(lo as usize).copied().unwrap_or_default();
-    let end = offsets.get(hi as usize).copied().unwrap_or_default();
-    let sets = (hi - lo) as u64;
-    let entries = end - base;
-    // Width-adaptive offsets, preserved verbatim on the round trip: u32
-    // whenever the epoch's entry count fits (the overwhelmingly common
-    // case), u64 beyond 4 G entries per epoch.
-    let width_tag: u32 = if entries <= u32::MAX as u64 { 4 } else { 8 };
-    let width = u64::from(width_tag);
-    let len = SEGMENT_HEADER_BYTES + sets * width + entries * 4 + SEGMENT_FOOTER_BYTES;
+/// Serializes one sealed epoch (its chunk, whose first set has id `lo`)
+/// into its segment byte layout, footer included. The chunk's arrays are
+/// the segment's layout already: its ends (leading 0 dropped) at their
+/// own width — 4 bytes while the epoch holds under 2³² entries, the
+/// overwhelmingly common case, 8 beyond — then its nodes.
+fn encode_segment(epoch: u32, lo: u32, chunk: &Chunk, edges_delta: u64) -> Vec<u8> {
+    let sets = chunk.len() as u64;
+    let entries = chunk.data.len() as u64;
+    let width_tag: u32 = match &chunk.ends {
+        CsrOffsets::Narrow(_) => 4,
+        CsrOffsets::Wide(_) => 8,
+    };
+    let len =
+        SEGMENT_HEADER_BYTES + sets * u64::from(width_tag) + entries * 4 + SEGMENT_FOOTER_BYTES;
     let mut out = Vec::with_capacity(len as usize);
     out.extend_from_slice(SEGMENT_MAGIC);
     out.extend_from_slice(&STORE_VERSION.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&lo.to_le_bytes());
-    out.extend_from_slice(&(hi - lo).to_le_bytes());
+    out.extend_from_slice(&narrow::set_count(chunk.len()).to_le_bytes());
     out.extend_from_slice(&entries.to_le_bytes());
     out.extend_from_slice(&edges_delta.to_le_bytes());
     out.extend_from_slice(&width_tag.to_le_bytes());
-    for &o in offsets.iter().skip(lo as usize + 1).take(sets as usize) {
-        let rebased = o - base;
-        if width == 4 {
-            out.extend_from_slice(&(rebased as u32).to_le_bytes());
-        } else {
-            out.extend_from_slice(&rebased.to_le_bytes());
+    match &chunk.ends {
+        CsrOffsets::Narrow(ends) => {
+            ends.iter().skip(1).for_each(|e| out.extend_from_slice(&e.to_le_bytes()))
+        }
+        CsrOffsets::Wide(ends) => {
+            ends.iter().skip(1).for_each(|e| out.extend_from_slice(&e.to_le_bytes()))
         }
     }
-    for &v in data.iter().skip(base as usize).take((end - base) as usize) {
+    for &v in &chunk.data {
         out.extend_from_slice(&v.to_le_bytes());
     }
     let checksum = fnv64(&out);
@@ -1041,6 +1050,7 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sns_graph::NodeId;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_store(tag: &str) -> PoolStore {
@@ -1068,7 +1078,7 @@ mod tests {
                 })
                 .collect();
             let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
-            rc.append_epoch(&refs, 2 * per_epoch as u64);
+            rc.append_epoch(&refs, 2 * per_epoch as u64).expect("ids below 16");
         }
         rc
     }
@@ -1100,7 +1110,7 @@ mod tests {
         let (loaded, got_fp) = store.load(1).unwrap();
         assert_eq!(got_fp, fp());
         assert_eq!(loaded.len(), rc.len());
-        assert_eq!(loaded.arena(), rc.arena());
+        assert_eq!(loaded.chunks(), rc.chunks());
         assert_eq!(loaded.epoch_boundaries(), rc.epoch_boundaries());
         assert_eq!(loaded.epoch_edge_totals(), rc.epoch_edge_totals());
         assert_eq!(loaded.total_edges_examined(), rc.total_edges_examined());
@@ -1122,12 +1132,12 @@ mod tests {
         // grow one epoch and save again
         let sets: Vec<[NodeId; 1]> = (0..30).map(|i| [(i % 16) as NodeId]).collect();
         let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
-        rc.append_epoch(&refs, 60);
+        rc.append_epoch(&refs, 60).expect("ids below 16");
         let stats = store.save(&rc, &fp()).unwrap();
         assert_eq!(stats.epochs_reused, 2);
         assert_eq!(stats.epochs_written, 1);
         let (loaded, _) = store.load(1).unwrap();
-        assert_eq!(loaded.arena(), rc.arena());
+        assert_eq!(loaded.chunks(), rc.chunks());
         assert_eq!(loaded.epoch_boundaries(), rc.epoch_boundaries());
         cleanup(&store);
     }
@@ -1260,10 +1270,7 @@ mod tests {
         assert_eq!(prefix.len(), 50);
         assert_eq!(prefix.epoch_boundaries(), &rc.epoch_boundaries()[..2]);
         // the prefix is bit-identical to the original's first two epochs
-        let (pd, po) = prefix.arena();
-        let (od, oo) = rc.arena();
-        assert_eq!(pd, &od[..pd.len()]);
-        assert_eq!(po, &oo[..po.len()]);
+        assert_eq!(prefix.chunks(), &rc.chunks()[..2]);
         cleanup(&store);
     }
 

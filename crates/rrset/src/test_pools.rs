@@ -8,7 +8,7 @@ use crate::RrCollection;
 /// first member is its root, as the samplers store them.
 pub fn pool(sets: &[&[NodeId]], n: u32) -> RrCollection {
     let mut rc = RrCollection::new(n);
-    rc.append_epoch(sets, 0);
+    rc.append_epoch(sets, 0).expect("test sets name nodes below n");
     rc
 }
 
